@@ -716,13 +716,12 @@ func BenchmarkInferF32(b *testing.B) {
 	b.Run("f64twin", func(b *testing.B) { benchInfer(b, 1, false) })
 }
 
-// BenchmarkCampaignLoad contrasts the three warm-load paths for the bench
-// campaign (the benchRunCampaign config): the v3 JSON decode every warm run
-// used to pay, the v4 columnar decode over a streamed buffer, and the full
-// artifact-store hit that mmaps the raw entry and borrows its pages as
-// feature-column views. All three produce Save-byte-identical datasets
-// (dataset.TestColumnarRoundTripMatchesJSON); the gap is pure decode cost.
-// CI gates columnar-mmap against BENCH_BASELINE.json.
+// BenchmarkCampaignLoad contrasts the two warm-load paths for the bench
+// campaign (the benchRunCampaign config): the columnar decode over an
+// in-memory buffer, and the full artifact-store hit that mmaps the entry
+// and borrows its pages as feature-column views. Both produce identical
+// datasets (dataset.TestColumnarRoundTripMatchesJSON); the gap is the copy.
+// CI gates both against BENCH_BASELINE.json.
 func BenchmarkCampaignLoad(b *testing.B) {
 	cfg := dataset.CampaignConfig{
 		Simulator:          dataset.Glucosym,
@@ -735,10 +734,7 @@ func BenchmarkCampaignLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var jsonBlob, colBlob bytes.Buffer
-	if err := ds.Save(&jsonBlob); err != nil {
-		b.Fatal(err)
-	}
+	var colBlob bytes.Buffer
 	if err := ds.EncodeColumnar(&colBlob); err != nil {
 		b.Fatal(err)
 	}
@@ -751,14 +747,6 @@ func BenchmarkCampaignLoad(b *testing.B) {
 		b.Fatalf("populate store: hit=%v err=%v", hit, err)
 	}
 
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := dataset.Load(bytes.NewReader(jsonBlob.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -141,7 +141,7 @@ func run() error {
 		}
 	})
 	if *f.cachePrune {
-		return runCachePrune(f.common.OpenStore(log.Printf))
+		return runCachePrune(f.common.Cache)
 	}
 	if *f.mergeReports {
 		if expSet || f.shards.Enabled() {
@@ -251,14 +251,19 @@ func run() error {
 
 // runCachePrune walks every artifact kind the toolchain persists and
 // deletes entries stored under format versions other than the one this
-// build reads. Version bumps orphan old entries (their keys become
-// unreachable), so a long-lived -cache root accumulates dead bytes —
-// notably v3 JSON campaigns after the v4 columnar migration.
-func runCachePrune(store artifact.Store) error {
-	disk, ok := store.(*artifact.Disk)
-	if !ok {
+// build reads, plus legacy .art entries and abandoned staging files. Version
+// bumps orphan old entries (their keys become unreachable), so a long-lived
+// -cache root accumulates dead bytes — notably v3 JSON campaigns after the
+// v4 columnar migration.
+func runCachePrune(cache *artifact.Flags) error {
+	if cache.Disabled || cache.Root == "" {
 		return fmt.Errorf("-cache-prune needs a disk cache (not -no-cache)")
 	}
+	disk, err := artifact.NewDisk(cache.Root)
+	if err != nil {
+		return err
+	}
+	disk.Logf = log.Printf
 	kinds := []struct {
 		kind    string
 		version int

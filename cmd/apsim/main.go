@@ -1,6 +1,6 @@
 // Command apsim runs closed-loop APS simulation: a single annotated episode
 // (the raw material behind Fig. 1(b)) or, with -campaign, a whole labeled
-// campaign serialized as JSON.
+// campaign in the columnar binary encoding.
 //
 // Usage:
 //
@@ -32,8 +32,10 @@
 // Campaigns are content-addressed: a campaign (or shard) with a config
 // already in the -cache store loads its columnar artifact zero-copy (mmap
 // feature-column views; -no-mmap copies instead) and simulates nothing.
-// -no-cache always simulates. -out always writes JSON, byte-identical
-// whether the dataset was simulated or loaded from a cached artifact.
+// -no-cache always simulates. The campaign is written to stdout or -out in
+// the columnar encoding (dataset.EncodeColumnar) — the payload of a cached
+// campaign entry — byte-identical whether the dataset was simulated or
+// loaded from a cached artifact.
 package main
 
 import (
@@ -165,7 +167,7 @@ func runCampaign(f *appFlags, simu dataset.Simulator) error {
 		defer file.Close()
 		w = file
 	}
-	if err := ds.Save(w); err != nil {
+	if err := ds.EncodeColumnar(w); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "apsim: campaign %v: %d episodes, %d samples (%.1f%% unsafe)\n",

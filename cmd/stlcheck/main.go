@@ -94,24 +94,36 @@ func run() error {
 		return nil
 	}
 
-	// The -all summary is a pure function of (trace bytes, formula), so it
-	// is cached like campaigns and monitors: the key fingerprints the exact
-	// inputs, and a hit replays the stored summary verbatim.
+	summary, err := cachedSummary(cache.Open(log.Printf), raw, trace, formula)
+	if err != nil {
+		return err
+	}
+	os.Stdout.Write(summary)
+	return nil
+}
+
+// cachedSummary returns the -all summary of formula over trace. The
+// summary is a pure function of (trace bytes, formula), so it is cached
+// like campaigns and monitors: the key fingerprints the exact inputs, and a
+// hit replays the stored summary verbatim. A stored summary without its
+// verdict line is corrupt and is re-evaluated.
+func cachedSummary(store artifact.Store, raw []byte, trace *stl.MapTrace, formula stl.Formula) ([]byte, error) {
 	key := artifact.Key{
 		Kind:        "stlsummary",
 		Version:     summaryFormatVersion,
 		Fingerprint: artifact.Fingerprint("stlcheck", string(raw), formula.String()),
 	}
+	verdictLine := fmt.Sprintf("%q satisfied at ", formula.String())
 	var summary []byte
-	_, err = cache.Open(log.Printf).GetOrCreate(key,
-		func(r io.Reader) error {
+	_, err := store.GetOrCreateFile(key,
+		artifact.ReaderLoad(func(r io.Reader) error {
 			var lerr error
 			summary, lerr = io.ReadAll(r)
-			if lerr == nil && len(summary) == 0 {
-				lerr = fmt.Errorf("empty summary")
+			if lerr == nil && !bytes.Contains(summary, []byte(verdictLine)) {
+				lerr = fmt.Errorf("summary lacks its verdict line")
 			}
 			return lerr
-		},
+		}),
 		func() error {
 			var buf bytes.Buffer
 			summarizeAll(&buf, trace, formula)
@@ -123,11 +135,7 @@ func run() error {
 			return werr
 		},
 	)
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(summary)
-	return nil
+	return summary, err
 }
 
 // summarizeAll evaluates the formula at every step and writes the summary —

@@ -1,11 +1,19 @@
 // Package artifact is a content-addressed store for the expensive products
-// of an experiment run: generated simulation campaigns and trained monitors.
-// Every artifact is identified by a Key — its kind, the format version of
-// the code that produced it, and a fingerprint of the canonicalized
-// producing configuration — so a warm run with an identical configuration
-// loads the cached bytes instead of recomputing, and any change to the
-// config, the encoding, or the producing code's declared version makes the
-// old entry unreachable (a miss, never an error).
+// of an experiment run: generated campaigns, trained monitors, evaluation
+// reports, and STL summaries. Every artifact is identified by a Key — its
+// kind, the format version of the code that produced it, and a fingerprint
+// of the canonicalized producing configuration — so a warm run with an
+// identical configuration loads the cached bytes instead of recomputing,
+// and any change to the config, the encoding, or the producing code's
+// declared version makes the old entry unreachable (a miss, never an error).
+//
+// Every entry has one container: a file root/<kind>/v<version>/<fp>.bin
+// whose first 64 bytes are a NUL-padded header naming the key, followed by
+// the payload. The payload therefore starts at an 8-aligned offset, so a
+// binary decoder can mmap the file and reinterpret aligned structures in
+// place. Store has one protocol, GetOrCreateFile, which hands the decoder
+// the entry's path and payload offset; ReaderLoad adapts decoders that
+// read a stream.
 //
 // Stores are written to be safe under concurrency: the disk implementation
 // publishes entries with an atomic temp-file + rename, so parallel sweep
@@ -16,9 +24,11 @@
 package artifact
 
 import (
+	"bufio"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 )
 
 // Key identifies one cacheable artifact.
@@ -49,39 +59,47 @@ func Fingerprint(parts ...any) uint64 {
 	return h.Sum64()
 }
 
-// Store is a two-phase artifact cache lookup. GetOrCreate first tries to
-// load the entry under key by calling decode on its payload; on any miss
-// (absent, stale, or corrupt) it calls create to produce the artifact in
-// memory, then encode to persist it for the next run.
+// Store is the artifact cache lookup. GetOrCreateFile first tries to load
+// the entry under key by handing load the published entry's path and the
+// offset where its payload starts; on any miss (absent, stale, or corrupt)
+// it calls create to produce the artifact in memory, then encode to
+// persist it for the next run. Binary decoders mmap the entry and borrow
+// its pages; stream decoders go through ReaderLoad.
 //
 // Errors from create always propagate — they mean the product itself could
-// not be built. Errors from decode or from persisting never do: the entry
-// is discarded (or simply not written) and the caller proceeds with the
+// not be built. Errors from load or from persisting never do: the entry is
+// discarded (or simply not written) and the caller proceeds with the
 // freshly created product.
 type Store interface {
-	GetOrCreate(key Key, decode func(io.Reader) error, create func() error, encode func(io.Writer) error) (hit bool, err error)
+	GetOrCreateFile(key Key, load func(path string, payloadOff int64) error, create func() error, encode func(io.Writer) error) (hit bool, err error)
 }
 
-// FileStore is implemented by stores that can additionally hand decoders
-// the backing file itself — path plus payload offset — instead of an
-// io.Reader, so binary decoders can mmap the artifact and borrow its
-// pages rather than streaming a copy. GetOrCreateFile follows the same
-// protocol as GetOrCreate (load errors discard and miss, create errors
-// propagate, persist errors are swallowed); load receives the published
-// entry's path and the offset where the payload starts (the store's own
-// header precedes it, at an 8-byte-aligned offset so aligned payload
-// structures stay aligned in the mapping). Callers fall back to
-// GetOrCreate on stores without the seam.
-type FileStore interface {
-	Store
-	GetOrCreateFile(key Key, load func(path string, payloadOff int64) error, create func() error, encode func(io.Writer) error) (hit bool, err error)
+// FileStore is the former name of Store, kept for callers outside this
+// module.
+type FileStore = Store
+
+// ReaderLoad adapts a stream decoder to the load callback of
+// GetOrCreateFile: it opens the entry, seeks to the payload, and hands
+// decode a buffered reader over the payload bytes.
+func ReaderLoad(decode func(io.Reader) error) func(path string, payloadOff int64) error {
+	return func(path string, payloadOff int64) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
+			return err
+		}
+		return decode(bufio.NewReader(f))
+	}
 }
 
 // Disabled is the no-op Store: every lookup misses and nothing persists.
 // It is the default for tests and for runs with -no-cache.
 type Disabled struct{}
 
-// GetOrCreate implements Store by always invoking create.
-func (Disabled) GetOrCreate(_ Key, _ func(io.Reader) error, create func() error, _ func(io.Writer) error) (bool, error) {
+// GetOrCreateFile implements Store by always invoking create.
+func (Disabled) GetOrCreateFile(_ Key, _ func(string, int64) error, create func() error, _ func(io.Writer) error) (bool, error) {
 	return false, create()
 }

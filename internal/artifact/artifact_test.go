@@ -14,11 +14,12 @@ import (
 
 func testKey() Key { return Key{Kind: "campaign", Version: 1, Fingerprint: 0xabcdef} }
 
-// payloadCodec builds the decode/create/encode triple over a string payload.
-func payloadCodec(create string) (got *string, dec func(io.Reader) error, cre func() error, enc func(io.Writer) error) {
+// payloadCodec builds the load/create/encode triple over a string payload,
+// loading through ReaderLoad.
+func payloadCodec(create string) (got *string, load func(string, int64) error, cre func() error, enc func(io.Writer) error) {
 	v := new(string)
 	return v,
-		func(r io.Reader) error {
+		ReaderLoad(func(r io.Reader) error {
 			b, err := io.ReadAll(r)
 			if err != nil {
 				return err
@@ -28,7 +29,7 @@ func payloadCodec(create string) (got *string, dec func(io.Reader) error, cre fu
 			}
 			*v = string(b)
 			return nil
-		},
+		}),
 		func() error {
 			*v = create
 			return nil
@@ -69,18 +70,18 @@ func TestDiskMissCreatesAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, dec, cre, enc := payloadCodec("payload:one")
-	hit, err := d.GetOrCreate(testKey(), dec, cre, enc)
+	hit, err := d.GetOrCreateFile(testKey(), dec, cre, enc)
 	if err != nil || hit {
-		t.Fatalf("first GetOrCreate: hit=%v err=%v, want miss", hit, err)
+		t.Fatalf("first GetOrCreateFile: hit=%v err=%v, want miss", hit, err)
 	}
 	if *got != "payload:one" {
 		t.Fatalf("product = %q", *got)
 	}
 	// Second lookup must hit and decode the persisted bytes.
 	got2, dec2, cre2, enc2 := payloadCodec("payload:SHOULD-NOT-RUN")
-	hit, err = d.GetOrCreate(testKey(), dec2, cre2, enc2)
+	hit, err = d.GetOrCreateFile(testKey(), dec2, cre2, enc2)
 	if err != nil || !hit {
-		t.Fatalf("second GetOrCreate: hit=%v err=%v, want hit", hit, err)
+		t.Fatalf("second GetOrCreateFile: hit=%v err=%v, want hit", hit, err)
 	}
 	if *got2 != "payload:one" {
 		t.Fatalf("warm product = %q, want the cached payload", *got2)
@@ -94,10 +95,10 @@ func TestDiskCreateErrorPropagates(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	_, dec, _, enc := payloadCodec("")
-	if _, err := d.GetOrCreate(testKey(), dec, func() error { return boom }, enc); !errors.Is(err, boom) {
+	if _, err := d.GetOrCreateFile(testKey(), dec, func() error { return boom }, enc); !errors.Is(err, boom) {
 		t.Fatalf("create error not propagated: %v", err)
 	}
-	if _, err := os.Stat(d.path(testKey())); !os.IsNotExist(err) {
+	if _, err := os.Stat(d.Path(testKey())); !os.IsNotExist(err) {
 		t.Fatalf("failed create must not persist an entry: %v", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestDiskCreateErrorPropagates(t *testing.T) {
 // corruptEntry overwrites the stored file for key with raw bytes.
 func corruptEntry(t *testing.T, d *Disk, key Key, raw string) {
 	t.Helper()
-	path := d.path(key)
+	path := d.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,10 @@ func TestDiskCorruptAndStaleEntriesFallBackToCreate(t *testing.T) {
 		name string
 		raw  string
 	}{
-		{"garbage payload", headerLine(testKey()) + "not a payload"},
+		{"garbage payload", string(headerBlock(testKey())) + "not a payload"},
 		{"truncated header", "apsrepro-art"},
-		{"fingerprint mismatch", headerLine(Key{Kind: "campaign", Version: 1, Fingerprint: 0x1}) + "payload:evil"},
-		{"version mismatch", headerLine(Key{Kind: "campaign", Version: 99, Fingerprint: 0xabcdef}) + "payload:old"},
+		{"fingerprint mismatch", string(headerBlock(Key{Kind: "campaign", Version: 1, Fingerprint: 0x1})) + "payload:evil"},
+		{"version mismatch", string(headerBlock(Key{Kind: "campaign", Version: 99, Fingerprint: 0xabcdef})) + "payload:old"},
 		{"empty file", ""},
 	}
 	for _, tc := range cases {
@@ -135,7 +136,7 @@ func TestDiskCorruptAndStaleEntriesFallBackToCreate(t *testing.T) {
 			d.Logf = func(format string, args ...any) { events = append(events, fmt.Sprintf(format, args...)) }
 			corruptEntry(t, d, testKey(), tc.raw)
 			got, dec, cre, enc := payloadCodec("payload:fresh")
-			hit, err := d.GetOrCreate(testKey(), dec, cre, enc)
+			hit, err := d.GetOrCreateFile(testKey(), dec, cre, enc)
 			if err != nil {
 				t.Fatalf("corrupt entry must not error: %v", err)
 			}
@@ -147,7 +148,7 @@ func TestDiskCorruptAndStaleEntriesFallBackToCreate(t *testing.T) {
 			}
 			// The recreated entry must be healthy again.
 			got2, dec2, cre2, enc2 := payloadCodec("payload:SHOULD-NOT-RUN")
-			if hit, err := d.GetOrCreate(testKey(), dec2, cre2, enc2); err != nil || !hit {
+			if hit, err := d.GetOrCreateFile(testKey(), dec2, cre2, enc2); err != nil || !hit {
 				t.Fatalf("after recreation: hit=%v err=%v", hit, err)
 			}
 			if *got2 != "payload:fresh" {
@@ -179,7 +180,7 @@ func TestDiskConcurrentGetOrCreateIsAtomic(t *testing.T) {
 				return
 			}
 			got, dec, cre, enc := payloadCodec("payload:shared")
-			if _, err := d.GetOrCreate(testKey(), dec, cre, enc); err != nil {
+			if _, err := d.GetOrCreateFile(testKey(), dec, cre, enc); err != nil {
 				errs[g] = err
 				return
 			}
@@ -211,39 +212,16 @@ func TestDiskConcurrentGetOrCreateIsAtomic(t *testing.T) {
 		t.Fatalf("expected exactly 1 artifact file, found %d", leftover)
 	}
 	got, dec, cre, enc := payloadCodec("payload:SHOULD-NOT-RUN")
-	if hit, err := d.GetOrCreate(testKey(), dec, cre, enc); err != nil || !hit || *got != "payload:shared" {
+	if hit, err := d.GetOrCreateFile(testKey(), dec, cre, enc); err != nil || !hit || *got != "payload:shared" {
 		t.Fatalf("final state: hit=%v err=%v payload=%q", hit, err, *got)
 	}
-}
-
-func TestMemStoreSemantics(t *testing.T) {
-	m := NewMem()
-	got, dec, cre, enc := payloadCodec("payload:mem")
-	if hit, err := m.GetOrCreate(testKey(), dec, cre, enc); err != nil || hit {
-		t.Fatalf("cold: hit=%v err=%v", hit, err)
-	}
-	got2, dec2, cre2, enc2 := payloadCodec("payload:SHOULD-NOT-RUN")
-	if hit, err := m.GetOrCreate(testKey(), dec2, cre2, enc2); err != nil || !hit || *got2 != "payload:mem" {
-		t.Fatalf("warm: hit=%v err=%v payload=%q", hit, err, *got2)
-	}
-	if !m.Corrupt(testKey(), []byte("garbage")) {
-		t.Fatal("Corrupt: entry missing")
-	}
-	got3, dec3, cre3, enc3 := payloadCodec("payload:again")
-	if hit, err := m.GetOrCreate(testKey(), dec3, cre3, enc3); err != nil || hit || *got3 != "payload:again" {
-		t.Fatalf("corrupt: hit=%v err=%v payload=%q", hit, err, *got3)
-	}
-	if m.Hits != 1 || m.Misses != 2 || m.Discards != 1 {
-		t.Fatalf("counters = %d/%d/%d, want 1 hit, 2 misses, 1 discard", m.Hits, m.Misses, m.Discards)
-	}
-	_ = got
 }
 
 func TestDisabledStoreAlwaysCreates(t *testing.T) {
 	var s Store = Disabled{}
 	for i := 0; i < 2; i++ {
 		got, dec, cre, enc := payloadCodec("payload:fresh")
-		hit, err := s.GetOrCreate(testKey(), dec, cre, enc)
+		hit, err := s.GetOrCreateFile(testKey(), dec, cre, enc)
 		if err != nil || hit || *got != "payload:fresh" {
 			t.Fatalf("round %d: hit=%v err=%v payload=%q", i, hit, err, *got)
 		}
@@ -251,17 +229,27 @@ func TestDisabledStoreAlwaysCreates(t *testing.T) {
 }
 
 func TestFlagsOpen(t *testing.T) {
+	lookup := func(s Store) bool {
+		t.Helper()
+		_, load, cre, enc := payloadCodec("payload:flags")
+		hit, err := s.GetOrCreateFile(testKey(), load, cre, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := AddFlags(fs)
 	root := filepath.Join(t.TempDir(), "cacheroot")
 	if err := fs.Parse([]string{"-cache", root}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Open(nil).(*Disk); !ok {
-		t.Fatalf("expected a Disk store for -cache %s", root)
+	if s := f.Open(nil); lookup(s) || !lookup(s) {
+		t.Fatalf("-cache %s: want a miss that persists, then a hit", root)
 	}
-	if _, err := os.Stat(root); err != nil {
-		t.Fatalf("cache root not created: %v", err)
+	if _, err := os.Stat((&Disk{root: root}).Path(testKey())); err != nil {
+		t.Fatalf("entry not persisted under the cache root: %v", err)
 	}
 
 	fs2 := flag.NewFlagSet("x", flag.ContinueOnError)
@@ -269,7 +257,7 @@ func TestFlagsOpen(t *testing.T) {
 	if err := fs2.Parse([]string{"-no-cache"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f2.Open(nil).(Disabled); !ok {
-		t.Fatal("-no-cache must yield the Disabled store")
+	if s := f2.Open(nil); lookup(s) || lookup(s) {
+		t.Fatal("-no-cache: want every lookup to miss")
 	}
 }

@@ -13,13 +13,18 @@ import (
 	"strings"
 )
 
-// headerMagic starts every on-disk artifact; the full header line repeats
-// the key so a file that was copied, renamed, or produced by an
-// incompatible build is detected as stale and recomputed.
+// headerMagic starts every on-disk artifact; the header repeats the key so
+// a file that was copied, renamed, or produced by an incompatible build is
+// detected as stale and recomputed.
 const headerMagic = "apsrepro-artifact"
 
+// headerSize is the fixed byte length of an entry's NUL-padded header, so
+// the payload always starts at offset 64: a multiple of 8, and aligned
+// relative to a mapping of the whole file.
+const headerSize = 64
+
 // Disk is the file-backed Store. Entries live under
-// root/<kind>/v<version>/<fingerprint>.art, each prefixed with a one-line
+// root/<kind>/v<version>/<fingerprint>.bin, each prefixed with the 64-byte
 // header naming its key. Writes go through a temp file in the destination
 // directory followed by an atomic rename, so concurrent processes (and the
 // parallel sweep cells of one process) never observe a partial artifact.
@@ -51,14 +56,28 @@ func (d *Disk) logf(format string, args ...any) {
 	}
 }
 
-func (d *Disk) path(k Key) string {
-	return filepath.Join(d.root, k.Kind, fmt.Sprintf("v%d", k.Version), fmt.Sprintf("%016x.art", k.Fingerprint))
+// Path returns where the entry for k is (or would be) published.
+func (d *Disk) Path(k Key) string {
+	return filepath.Join(d.root, k.Kind, fmt.Sprintf("v%d", k.Version), fmt.Sprintf("%016x.bin", k.Fingerprint))
 }
 
-// GetOrCreate implements Store.
-func (d *Disk) GetOrCreate(key Key, decode func(io.Reader) error, create func() error, encode func(io.Writer) error) (bool, error) {
-	path := d.path(key)
-	if ok := d.tryLoad(key, path, decode); ok {
+// headerBlock renders the fixed-size entry header for key, or nil when the
+// rendered key cannot fit (a kind name would have to be ~25 bytes long;
+// such an entry is simply not cacheable).
+func headerBlock(k Key) []byte {
+	line := fmt.Sprintf("%s-raw %s\n", headerMagic, k)
+	if len(line) > headerSize {
+		return nil
+	}
+	b := make([]byte, headerSize)
+	copy(b, line)
+	return b
+}
+
+// GetOrCreateFile implements Store.
+func (d *Disk) GetOrCreateFile(key Key, load func(path string, payloadOff int64) error, create func() error, encode func(io.Writer) error) (bool, error) {
+	path := d.Path(key)
+	if ok := d.tryLoad(key, path, load); ok {
 		return true, nil
 	}
 	if err := create(); err != nil {
@@ -68,41 +87,42 @@ func (d *Disk) GetOrCreate(key Key, decode func(io.Reader) error, create func() 
 	return false, nil
 }
 
-// openEntry opens a cached entry for reading. An absent entry is a silent
-// miss; any other open failure (permissions, I/O, a file squatting where a
-// directory should be) is still a miss — the cache never fails the run —
-// but is logged so a broken cache is observable instead of silently
+// GetOrCreate is GetOrCreateFile with a stream decoder (see ReaderLoad),
+// kept for callers outside this module.
+func (d *Disk) GetOrCreate(key Key, decode func(io.Reader) error, create func() error, encode func(io.Writer) error) (bool, error) {
+	return d.GetOrCreateFile(key, ReaderLoad(decode), create, encode)
+}
+
+// tryLoad validates an entry's header and hands the file to load; any
+// failure discards the entry and reports a miss. An absent entry is a
+// silent miss; any other open failure (permissions, I/O, a file squatting
+// where a directory should be) is still a miss — the cache never fails the
+// run — but is logged so a broken cache is observable instead of silently
 // recomputing forever.
-func (d *Disk) openEntry(key Key, path string) *os.File {
+func (d *Disk) tryLoad(key Key, path string, load func(path string, payloadOff int64) error) bool {
+	want := headerBlock(key)
+	if want == nil {
+		return false
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			d.logf("artifact cache: cannot open %s (%s): %v", key, path, err)
 		}
-		return nil
-	}
-	return f
-}
-
-// tryLoad reads and validates a cached entry; any failure discards the
-// entry and reports a miss.
-func (d *Disk) tryLoad(key Key, path string, decode func(io.Reader) error) bool {
-	f := d.openEntry(key, path)
-	if f == nil {
 		return false
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	header, err := br.ReadString('\n')
+	var hdr [headerSize]byte
+	_, err = io.ReadFull(f, hdr[:])
+	f.Close()
 	if err != nil {
 		d.discard(key, path, fmt.Errorf("truncated header"))
 		return false
 	}
-	if want := headerLine(key); strings.TrimSuffix(header, "\n") != strings.TrimSuffix(want, "\n") {
-		d.discard(key, path, fmt.Errorf("stale header %q", strings.TrimSpace(header)))
+	if !bytes.Equal(hdr[:], want) {
+		d.discard(key, path, fmt.Errorf("stale header %q", strings.TrimRight(string(hdr[:]), "\x00")))
 		return false
 	}
-	if err := decode(br); err != nil {
+	if err := load(path, headerSize); err != nil {
 		d.discard(key, path, err)
 		return false
 	}
@@ -120,122 +140,9 @@ func (d *Disk) discard(key Key, path string, cause error) {
 // the caller already holds the freshly created product, and a read-only or
 // full cache must never fail the run.
 func (d *Disk) persist(key Key, path string, encode func(io.Writer) error) {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		d.logf("artifact cache: cannot create %s: %v", dir, err)
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		d.logf("artifact cache: cannot stage %s: %v", key, err)
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriter(tmp)
-	_, err = io.WriteString(bw, headerLine(key))
-	if err == nil {
-		err = encode(bw)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		d.logf("artifact cache: cannot persist %s: %v", key, err)
-		return
-	}
-	d.logf("artifact cache store: %s (%s)", key, path)
-}
-
-func headerLine(k Key) string {
-	return fmt.Sprintf("%s %s\n", headerMagic, k)
-}
-
-// Raw-file entries: the mmap-friendly flavor of the store. Stream entries
-// (.art) prefix the payload with a variable-length text header, which
-// leaves the payload at an arbitrary (usually odd) offset — fatal for a
-// decoder that wants to reinterpret 8-byte-aligned structures in mapped
-// pages. Raw entries (.bin) instead carry a fixed 64-byte NUL-padded
-// header naming the key, so the payload always starts at offset 64: a
-// multiple of 8, and page-aligned relative to the mapping (which starts
-// at file offset 0).
-
-// rawHeaderSize is the fixed byte length of a raw entry's header block.
-const rawHeaderSize = 64
-
-func (d *Disk) rawPath(k Key) string {
-	return filepath.Join(d.root, k.Kind, fmt.Sprintf("v%d", k.Version), fmt.Sprintf("%016x.bin", k.Fingerprint))
-}
-
-// rawHeaderBlock renders the fixed-size raw-entry header for key, or nil
-// when the rendered key cannot fit (a kind name would have to be ~25
-// bytes long; such an entry is simply not cacheable as a raw file).
-func rawHeaderBlock(k Key) []byte {
-	line := fmt.Sprintf("%s-raw %s\n", headerMagic, k)
-	if len(line) > rawHeaderSize {
-		return nil
-	}
-	b := make([]byte, rawHeaderSize)
-	copy(b, line)
-	return b
-}
-
-// GetOrCreateFile implements FileStore: like GetOrCreate, but a hit hands
-// load the published file's path and payload offset instead of a reader,
-// so the decoder can mmap the entry in place.
-func (d *Disk) GetOrCreateFile(key Key, load func(path string, payloadOff int64) error, create func() error, encode func(io.Writer) error) (bool, error) {
-	path := d.rawPath(key)
-	if ok := d.tryLoadFile(key, path, load); ok {
-		return true, nil
-	}
-	if err := create(); err != nil {
-		return false, err
-	}
-	d.persistFile(key, path, encode)
-	return false, nil
-}
-
-// tryLoadFile validates a raw entry's header block and hands the file to
-// load; any failure discards the entry and reports a miss.
-func (d *Disk) tryLoadFile(key Key, path string, load func(path string, payloadOff int64) error) bool {
-	want := rawHeaderBlock(key)
-	if want == nil {
-		return false
-	}
-	f := d.openEntry(key, path)
-	if f == nil {
-		return false
-	}
-	var hdr [rawHeaderSize]byte
-	_, err := io.ReadFull(f, hdr[:])
-	f.Close()
-	if err != nil {
-		d.discard(key, path, fmt.Errorf("truncated header"))
-		return false
-	}
-	if !bytes.Equal(hdr[:], want) {
-		d.discard(key, path, fmt.Errorf("stale header %q", strings.TrimRight(string(hdr[:]), "\x00")))
-		return false
-	}
-	if err := load(path, rawHeaderSize); err != nil {
-		d.discard(key, path, err)
-		return false
-	}
-	d.logf("artifact cache hit: %s (%s)", key, path)
-	return true
-}
-
-// persistFile writes a raw entry atomically; like persist, failures are
-// logged and swallowed.
-func (d *Disk) persistFile(key Key, path string, encode func(io.Writer) error) {
-	hdr := rawHeaderBlock(key)
+	hdr := headerBlock(key)
 	if hdr == nil {
-		d.logf("artifact cache: key %s too long for a raw entry header; not cached", key)
+		d.logf("artifact cache: key %s too long for an entry header; not cached", key)
 		return
 	}
 	dir := filepath.Dir(path)
@@ -243,7 +150,7 @@ func (d *Disk) persistFile(key Key, path string, encode func(io.Writer) error) {
 		d.logf("artifact cache: cannot create %s: %v", dir, err)
 		return
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, stagingPrefix+"*")
 	if err != nil {
 		d.logf("artifact cache: cannot stage %s: %v", key, err)
 		return
@@ -273,11 +180,22 @@ func (d *Disk) persistFile(key Key, path string, encode func(io.Writer) error) {
 // versionDirRe matches the per-version subdirectories Prune may remove.
 var versionDirRe = regexp.MustCompile(`^v\d+$`)
 
-// Prune deletes every cached entry of kind stored under a format version
-// other than keepVersion. Format-version bumps orphan old entries forever
-// (their keys become unreachable, never overwritten), so long-lived cache
-// roots accumulate dead bytes until pruned. Returns the bytes reclaimed
-// and entries removed; an absent kind directory prunes nothing.
+// stagingPrefix names persist's temp files. One whose writer was killed
+// between the write and the rename stays behind until Prune reclaims it.
+const stagingPrefix = ".tmp-"
+
+// legacySuffix names the entries of the retired text-header container.
+// No build reads them any more, whatever their format version.
+const legacySuffix = ".art"
+
+// Prune reclaims the dead bytes of kind: every entry stored under a format
+// version other than keepVersion (format-version bumps orphan old entries
+// forever — their keys become unreachable, never overwritten), and, inside
+// the keepVersion directory, legacy .art entries and staging files left by
+// killed writers. A staging file still being written is reclaimed too; its
+// writer's rename then fails, which only costs that writer its cache store.
+// Returns the bytes reclaimed and files removed; an absent kind directory
+// prunes nothing.
 func (d *Disk) Prune(kind string, keepVersion int) (reclaimed int64, entries int, err error) {
 	kindDir := filepath.Join(d.root, kind)
 	ents, err := os.ReadDir(kindDir)
@@ -289,10 +207,19 @@ func (d *Disk) Prune(kind string, keepVersion int) (reclaimed int64, entries int
 	}
 	keep := fmt.Sprintf("v%d", keepVersion)
 	for _, e := range ents {
-		if !e.IsDir() || e.Name() == keep || !versionDirRe.MatchString(e.Name()) {
+		if !e.IsDir() || !versionDirRe.MatchString(e.Name()) {
 			continue
 		}
 		dir := filepath.Join(kindDir, e.Name())
+		if e.Name() == keep {
+			b, n, err := pruneOrphans(dir)
+			reclaimed += b
+			entries += n
+			if err != nil {
+				return reclaimed, entries, fmt.Errorf("artifact: prune %s: %w", kind, err)
+			}
+			continue
+		}
 		walkErr := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
 			if err != nil {
 				return err
@@ -315,4 +242,33 @@ func (d *Disk) Prune(kind string, keepVersion int) (reclaimed int64, entries int
 		d.logf("artifact cache: pruned %d stale %s entries, %d bytes reclaimed", entries, kind, reclaimed)
 	}
 	return reclaimed, entries, nil
+}
+
+// pruneOrphans removes the legacy entries and staging files in one
+// version directory. A file that vanishes first (a writer's rename or a
+// concurrent prune) is skipped, not counted.
+func pruneOrphans(dir string) (reclaimed int64, removed int, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !(strings.HasPrefix(name, stagingPrefix) || strings.HasSuffix(name, legacySuffix)) {
+			continue
+		}
+		info, err := e.Info()
+		if err == nil {
+			err = os.Remove(filepath.Join(dir, name))
+		}
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return reclaimed, removed, err
+		}
+		reclaimed += info.Size()
+		removed++
+	}
+	return reclaimed, removed, nil
 }

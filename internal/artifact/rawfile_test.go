@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -54,18 +55,18 @@ func TestDiskRawFileMissCreatesAndPersists(t *testing.T) {
 	}
 
 	// The persisted entry carries the fixed 64-byte header then the payload.
-	raw, err := os.ReadFile(d.rawPath(testKey()))
+	raw, err := os.ReadFile(d.Path(testKey()))
 	if err != nil {
 		t.Fatalf("published entry unreadable: %v", err)
 	}
-	if len(raw) != rawHeaderSize+len("payload:raw") {
-		t.Fatalf("entry is %d bytes, want %d", len(raw), rawHeaderSize+len("payload:raw"))
+	if len(raw) != headerSize+len("payload:raw") {
+		t.Fatalf("entry is %d bytes, want %d", len(raw), headerSize+len("payload:raw"))
 	}
 	if !strings.HasPrefix(string(raw), "apsrepro-artifact-raw "+testKey().String()+"\n") {
-		t.Fatalf("entry header = %q", raw[:rawHeaderSize])
+		t.Fatalf("entry header = %q", raw[:headerSize])
 	}
-	if string(raw[rawHeaderSize:]) != "payload:raw" {
-		t.Fatalf("entry payload = %q", raw[rawHeaderSize:])
+	if string(raw[headerSize:]) != "payload:raw" {
+		t.Fatalf("entry payload = %q", raw[headerSize:])
 	}
 
 	got2, load2, _, enc2 := rawCodec("payload:SHOULD-NOT-RUN")
@@ -85,11 +86,11 @@ func TestDiskRawFileCorruptAndStaleEntriesFallBackToCreate(t *testing.T) {
 		},
 		"stale-header": func(t *testing.T, d *Disk) {
 			other := Key{Kind: "campaign", Version: 9, Fingerprint: testKey().Fingerprint}
-			blk := rawHeaderBlock(other)
+			blk := headerBlock(other)
 			writeRaw(t, d, testKey(), append(blk, "payload:stale"...))
 		},
 		"load-rejects-payload": func(t *testing.T, d *Disk) {
-			blk := rawHeaderBlock(testKey())
+			blk := headerBlock(testKey())
 			writeRaw(t, d, testKey(), append(blk, "garbage"...))
 		},
 	}
@@ -124,7 +125,7 @@ func TestDiskRawFileCorruptAndStaleEntriesFallBackToCreate(t *testing.T) {
 // writeRaw plants raw bytes at the key's .bin path.
 func writeRaw(t *testing.T, d *Disk, key Key, b []byte) {
 	t.Helper()
-	path := d.rawPath(key)
+	path := d.Path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +153,9 @@ func TestDiskOpenErrorIsLoggedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, dec, cre, enc := payloadCodec("payload:recomputed")
-	hit, err := d.GetOrCreate(testKey(), dec, cre, enc)
+	hit, err := d.GetOrCreateFile(testKey(), dec, cre, enc)
 	if err != nil || hit {
-		t.Fatalf("GetOrCreate: hit=%v err=%v, want miss", hit, err)
+		t.Fatalf("GetOrCreateFile: hit=%v err=%v, want miss", hit, err)
 	}
 	if *got != "payload:recomputed" {
 		t.Fatalf("product = %q", *got)
@@ -178,24 +179,30 @@ func TestDiskPruneRemovesStaleVersionsOnly(t *testing.T) {
 	var logs []string
 	d.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 
-	// Two stale entries under v1 (one stream, one raw), one live under v2,
-	// and an unrelated kind that must survive untouched.
+	// Two stale entries under v1, one live under v2, and an unrelated kind
+	// that must survive untouched. The live v2 directory also holds a
+	// legacy .art entry and a staging file a killed writer left behind;
+	// both are dead bytes.
 	stale1 := Key{Kind: "campaign", Version: 1, Fingerprint: 1}
 	stale2 := Key{Kind: "campaign", Version: 1, Fingerprint: 2}
 	live := Key{Kind: "campaign", Version: 2, Fingerprint: 3}
 	other := Key{Kind: "monitor", Version: 1, Fingerprint: 4}
-	var staleBytes int64
-	for _, k := range []Key{stale1, live, other} {
-		_, dec, cre, enc := payloadCodec("payload:" + k.String())
-		if _, err := d.GetOrCreate(k, dec, cre, enc); err != nil {
+	for _, k := range []Key{stale1, stale2, live, other} {
+		_, load, cre, enc := rawCodec("payload:" + k.String())
+		if _, err := d.GetOrCreateFile(k, load, cre, enc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, load, cre, enc := rawCodec("payload:raw-stale")
-	if _, err := d.GetOrCreateFile(stale2, load, cre, enc); err != nil {
-		t.Fatal(err)
+	liveDir := filepath.Dir(d.Path(live))
+	legacy := filepath.Join(liveDir, "0000000000000003.art")
+	staging := filepath.Join(liveDir, stagingPrefix+"123456")
+	for _, p := range []string{legacy, staging} {
+		if err := os.WriteFile(p, []byte("dead bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, p := range []string{d.path(stale1), d.rawPath(stale2)} {
+	var staleBytes int64
+	for _, p := range []string{d.Path(stale1), d.Path(stale2), legacy, staging} {
 		info, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
@@ -207,13 +214,15 @@ func TestDiskPruneRemovesStaleVersionsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prune: %v", err)
 	}
-	if entries != 2 || reclaimed != staleBytes {
-		t.Fatalf("Prune reclaimed %d bytes / %d entries, want %d / 2", reclaimed, entries, staleBytes)
+	if entries != 4 || reclaimed != staleBytes {
+		t.Fatalf("Prune reclaimed %d bytes / %d entries, want %d / 4", reclaimed, entries, staleBytes)
 	}
-	if _, err := os.Stat(filepath.Join(d.Root(), "campaign", "v1")); !os.IsNotExist(err) {
-		t.Fatalf("stale version dir survived prune (stat err %v)", err)
+	for _, p := range []string{filepath.Join(d.Root(), "campaign", "v1"), legacy, staging} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived prune (stat err %v)", p, err)
+		}
 	}
-	for _, p := range []string{d.path(live), d.path(other)} {
+	for _, p := range []string{d.Path(live), d.Path(other)} {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("prune removed a live entry: %v", err)
 		}
@@ -235,4 +244,76 @@ func TestDiskPruneRemovesStaleVersionsOnly(t *testing.T) {
 	if _, _, err := d.Prune("nope", 1); err != nil {
 		t.Fatalf("Prune of absent kind: %v", err)
 	}
+}
+
+func TestDiskPersistSurvivesUnlinkedStagingFile(t *testing.T) {
+	// A prune that runs while a writer is between its temp write and its
+	// rename reclaims the in-flight staging file. The writer must still
+	// hand back its product; it only loses the cache store.
+	d, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	d.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	got, load, cre, _ := rawCodec("payload:unlinked")
+	pruned := 0
+	enc := func(w io.Writer) error {
+		_, n, err := d.Prune(testKey().Kind, testKey().Version)
+		pruned = n
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, *got)
+		return err
+	}
+	hit, err := d.GetOrCreateFile(testKey(), load, cre, enc)
+	if err != nil || hit || *got != "payload:unlinked" {
+		t.Fatalf("GetOrCreateFile = hit %v, err %v, product %q; want a miss with the created product", hit, err, *got)
+	}
+	if pruned != 1 {
+		t.Fatalf("mid-write prune removed %d files, want the one staging file", pruned)
+	}
+	if _, err := os.Stat(d.Path(testKey())); !os.IsNotExist(err) {
+		t.Fatalf("an entry was published from an unlinked staging file (stat err %v)", err)
+	}
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "cannot persist") {
+		t.Fatalf("failed persist not logged; log lines:\n%s", joined)
+	}
+}
+
+// FuzzRawEntry writes arbitrary bytes as the published entry of a key and
+// looks the key up. The lookup must never panic or fail: it either hits
+// with a payload the loader accepted, or discards the entry and creates —
+// after which the entry is healthy and the next lookup hits. The seed
+// corpus under testdata/fuzz holds a valid entry, a garbage payload, a
+// stale and a truncated header, and an empty file.
+func FuzzRawEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		d, err := NewDisk(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRaw(t, d, testKey(), entry)
+		got, load, cre, enc := rawCodec("payload:fresh")
+		hit, err := d.GetOrCreateFile(testKey(), load, cre, enc)
+		if err != nil {
+			t.Fatalf("lookup over a fuzzed entry failed: %v", err)
+		}
+		if hit {
+			if len(entry) < headerSize || !bytes.Equal(entry[:headerSize], headerBlock(testKey())) ||
+				*got != string(entry[headerSize:]) {
+				t.Fatalf("hit on an entry the header check must reject: %q", entry)
+			}
+			return
+		}
+		if *got != "payload:fresh" {
+			t.Fatalf("miss returned %q, want the created product", *got)
+		}
+		got2, load2, _, enc2 := rawCodec("")
+		hit, err = d.GetOrCreateFile(testKey(), load2, func() error { t.Fatal("create ran after repersist"); return nil }, enc2)
+		if err != nil || !hit || *got2 != "payload:fresh" {
+			t.Fatalf("after repersist: hit=%v err=%v payload=%q", hit, err, *got2)
+		}
+	})
 }

@@ -14,14 +14,12 @@ import (
 
 // Columnar campaign encoding (campaign FormatVersion 4).
 //
-// The JSON encoding (Save/Load) decodes one Go object per sample — at
-// fleet scale the dominant warm-run cost. The columnar encoding stores the
-// same dataset as fixed-order little-endian column blocks, so a warm load
-// reinterprets the float columns in place ([]float64 views over the raw
-// bytes, borrowed straight from mmap-ed artifact pages) instead of parsing
-// and allocating per sample. Encoded bytes are a pure function of the
-// dataset — independent of worker count, host, and store — which keeps the
-// byte-determinism contract the JSON path established.
+// The columnar encoding stores a dataset as fixed-order little-endian
+// column blocks, so a warm load reinterprets the float columns in place
+// ([]float64 views over the raw bytes, borrowed straight from mmap-ed
+// artifact pages) instead of parsing and allocating per sample. Encoded
+// bytes are a pure function of the dataset — independent of worker count,
+// host, and store — which is the campaign byte-determinism contract.
 //
 // Layout (all integers little-endian):
 //
@@ -68,8 +66,8 @@ const (
 )
 
 // Meta flag bits: which optional parts are present (distinguishing nil
-// from empty so a decode → Save round trip is byte-identical to the
-// original JSON).
+// from empty so a decoded dataset is indistinguishable from the original,
+// down to its JSON rendering).
 const (
 	flagSamples = 1 << iota
 	flagEpisodes
@@ -344,10 +342,10 @@ func floatColumn(payload []byte, off, count int) ([]float64, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	end := off + 8*count
-	if off < 0 || end > len(payload) {
-		return nil, fmt.Errorf("dataset: columnar: float column [%d:%d) outside %d-byte section", off, end, len(payload))
+	if off < 0 || off > len(payload) || count < 0 || count > (len(payload)-off)/8 {
+		return nil, fmt.Errorf("dataset: columnar: float column of %d values at offset %d outside %d-byte section", count, off, len(payload))
 	}
+	end := off + 8*count
 	v, _ := mmapio.Float64s(payload[off:end:end])
 	return v, nil
 }
@@ -437,6 +435,11 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bound the declared shape by the blob before multiplying, so a crafted
+	// header cannot overflow the size arithmetic.
+	if nU > uint64(len(data)) || (nU > 0 && (mlpDimU > uint64(len(data))/nU || seqWidthU > uint64(len(data))/nU)) {
+		return nil, fmt.Errorf("dataset: columnar: %d samples of dims %d/%d cannot fit a %d-byte blob", nU, mlpDimU, seqWidthU, len(data))
+	}
 	if len(mlpPayload) != 8*n*mlpDim || len(seqPayload) != 8*n*seqWidth ||
 		len(scalarPayload) != 4*8*n || len(intPayload) != 4*8*n+n {
 		return nil, fmt.Errorf("dataset: columnar: column sections sized %d/%d/%d/%d for %d samples (dims %d/%d)",
@@ -493,10 +496,10 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	nEp := int(nEpU)
-	if e.remaining() != 16*nEp {
-		return nil, fmt.Errorf("dataset: columnar: episode index holds %d bytes for %d episodes", e.remaining(), nEp)
+	if e.remaining()%16 != 0 || nEpU != uint64(e.remaining()/16) {
+		return nil, fmt.Errorf("dataset: columnar: episode index holds %d bytes for %d episodes", e.remaining(), nEpU)
 	}
+	nEp := int(nEpU)
 	if flags&flagEpisodes != 0 || nEp > 0 {
 		d.EpisodeIndex = make([][2]int, nEp)
 		for i := range d.EpisodeIndex {
@@ -504,6 +507,9 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 			to, err := e.i64()
 			if err != nil {
 				return nil, err
+			}
+			if from < 0 || from > to || to > n {
+				return nil, fmt.Errorf("dataset: columnar: episode %d spans samples [%d,%d) of %d", i, from, to, n)
 			}
 			d.EpisodeIndex[i] = [2]int{from, to}
 		}
@@ -518,6 +524,9 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 		countU, err := sr.u64()
 		if err != nil {
 			return nil, err
+		}
+		if countU > uint64(sr.remaining()/4) { // every string carries a 4-byte length
+			return nil, fmt.Errorf("dataset: columnar: section %d lists %d strings in %d bytes", id, countU, sr.remaining())
 		}
 		count := int(countU)
 		if !present && count == 0 {
@@ -585,9 +594,8 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 }
 
 // DecodeColumnar reads a columnar blob from r. The bytes are buffered in
-// memory and the float columns become views into that buffer — cheaper
-// than JSON by orders of magnitude in allocations, but still one full
-// copy; LoadColumnarFile avoids even that by borrowing mmap-ed pages.
+// memory and the float columns become views into that buffer — still one
+// full copy; LoadColumnarFile avoids even that by borrowing mmap-ed pages.
 func DecodeColumnar(r io.Reader) (*Dataset, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -618,9 +626,8 @@ func LoadColumnarFile(path string, off int64) (*Dataset, error) {
 }
 
 // CachedColumnar is the get-or-create protocol for columnar-encoded
-// datasets: it loads the entry under key from the store (zero-copy via
-// the raw-file seam when the store offers one, streaming otherwise),
-// falling back to create on any miss and persisting the fresh dataset
+// datasets: it loads the entry under key from the store zero-copy (mmap-ed
+// via LoadColumnarFile), falling back to create on any miss and persisting the fresh dataset
 // columnar-encoded. requireSamples rejects cached empty datasets as
 // corrupt (campaigns must be non-empty; shard ranges may legitimately be
 // empty). A nil store always creates.
@@ -629,38 +636,22 @@ func CachedColumnar(store artifact.Store, key artifact.Key, create func() (*Data
 		ds, err = create()
 		return ds, false, err
 	}
-	validate := func() error {
-		if requireSamples && ds.Len() == 0 {
-			return fmt.Errorf("dataset: columnar: no samples")
-		}
-		return nil
-	}
-	doCreate := func() error {
-		var cerr error
-		ds, cerr = create()
-		return cerr
-	}
-	encode := func(w io.Writer) error { return ds.EncodeColumnar(w) }
-	if fs, ok := store.(artifact.FileStore); ok {
-		hit, err = fs.GetOrCreateFile(key,
-			func(path string, payloadOff int64) error {
-				var lerr error
-				if ds, lerr = LoadColumnarFile(path, payloadOff); lerr != nil {
-					return lerr
-				}
-				return validate()
-			},
-			doCreate, encode)
-		return ds, hit, err
-	}
-	hit, err = store.GetOrCreate(key,
-		func(r io.Reader) error {
+	hit, err = store.GetOrCreateFile(key,
+		func(path string, payloadOff int64) error {
 			var lerr error
-			if ds, lerr = DecodeColumnar(r); lerr != nil {
+			if ds, lerr = LoadColumnarFile(path, payloadOff); lerr != nil {
 				return lerr
 			}
-			return validate()
+			if requireSamples && ds.Len() == 0 {
+				return fmt.Errorf("dataset: columnar: no samples")
+			}
+			return nil
 		},
-		doCreate, encode)
+		func() error {
+			var cerr error
+			ds, cerr = create()
+			return cerr
+		},
+		func(w io.Writer) error { return ds.EncodeColumnar(w) })
 	return ds, hit, err
 }

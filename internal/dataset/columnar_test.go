@@ -2,17 +2,33 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"repro/internal/artifact"
 	"repro/internal/mmapio"
 )
 
-// Byte equality throughout this file goes through shard_test.go's saveBytes
-// (the JSON Save rendering): DeepEqual can't see past the unexported mmap
-// backing field, and Save is the format the -out contract actually promises.
+// Byte equality in this file compares renderings, not structs: DeepEqual
+// can't see past the unexported mmap backing field. The codec round-trip
+// tests compare JSON (jsonBytes), a reference independent of the columnar
+// codec; the store tests compare columnar bytes (shard_test.go's colBytes),
+// the format `apsim -out` writes.
+
+// jsonBytes renders a dataset as JSON.
+func jsonBytes(t *testing.T, ds *Dataset) []byte {
+	t.Helper()
+	b, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // benchCampaignConfig is the bench-preset campaign shape the repo's
 // BenchmarkCampaignLoad measures — the round-trip tests pin byte equality
@@ -47,8 +63,13 @@ func TestColumnarRoundTripMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DecodeColumnar: %v", name, err)
 		}
-		if got, want := saveBytes(t, back), saveBytes(t, d); !bytes.Equal(got, want) {
-			t.Fatalf("%s: decode→Save differs from original Save (%d vs %d bytes)", name, len(got), len(want))
+		if got, want := jsonBytes(t, back), jsonBytes(t, d); !bytes.Equal(got, want) {
+			t.Fatalf("%s: decoded dataset renders different JSON (%d vs %d bytes)", name, len(got), len(want))
+		}
+		// Re-encoding the decoded dataset must reproduce the blob — the
+		// property warm-run byte-identical output rests on.
+		if got := colBytes(t, back); !bytes.Equal(got, col.Bytes()) {
+			t.Fatalf("%s: re-encoded bytes differ from the original blob", name)
 		}
 	}
 }
@@ -76,7 +97,7 @@ func TestColumnarEncodeIndependentOfWorkers(t *testing.T) {
 func TestColumnarEmptyDatasetRoundTrip(t *testing.T) {
 	// A shard whose range holds no episodes persists a legitimate empty
 	// dataset; nil-vs-empty distinctions must survive the round trip so the
-	// JSON rendering (omitempty fields) stays byte-identical.
+	// decoded dataset is indistinguishable from the original.
 	for name, d := range map[string]*Dataset{
 		"zero": {Simulator: "glucosym", Window: 6, Horizon: 5, BGTarget: 100},
 		"empty-nonnil": {
@@ -93,8 +114,11 @@ func TestColumnarEmptyDatasetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DecodeColumnarBytes: %v", name, err)
 		}
-		if got, want := saveBytes(t, back), saveBytes(t, d); !bytes.Equal(got, want) {
+		if got, want := jsonBytes(t, back), jsonBytes(t, d); !bytes.Equal(got, want) {
 			t.Fatalf("%s: round trip changed the JSON rendering:\n got %s\nwant %s", name, got, want)
+		}
+		if got := colBytes(t, back); !bytes.Equal(got, buf.Bytes()) {
+			t.Fatalf("%s: round trip changed the columnar bytes", name)
 		}
 	}
 }
@@ -128,7 +152,7 @@ func rawEntryPath(t *testing.T, store *artifact.Disk, key artifact.Key) string {
 
 func TestCachedColumnarWarmLoadIsMappedAndByteIdentical(t *testing.T) {
 	store, key, cold := cachedOnDisk(t)
-	want := saveBytes(t, cold)
+	want := colBytes(t, cold)
 
 	warm, hit, err := CachedColumnar(store, key,
 		func() (*Dataset, error) { t.Fatal("warm run generated"); return nil, nil }, true)
@@ -138,8 +162,8 @@ func TestCachedColumnarWarmLoadIsMappedAndByteIdentical(t *testing.T) {
 	if mmapio.Supported() && !warm.Mapped() {
 		t.Fatal("warm load did not mmap on a supported platform")
 	}
-	if got := saveBytes(t, warm); !bytes.Equal(got, want) {
-		t.Fatal("mmap-loaded dataset renders different JSON than the generated one")
+	if got := colBytes(t, warm); !bytes.Equal(got, want) {
+		t.Fatal("mmap-loaded dataset encodes differently from the generated one")
 	}
 
 	// The -no-mmap escape hatch must load the same bytes by copying.
@@ -153,8 +177,8 @@ func TestCachedColumnarWarmLoadIsMappedAndByteIdentical(t *testing.T) {
 	if copied.Mapped() {
 		t.Fatal("dataset reports Mapped with mmap disabled")
 	}
-	if got := saveBytes(t, copied); !bytes.Equal(got, want) {
-		t.Fatal("copy-loaded dataset renders different JSON than the generated one")
+	if got := colBytes(t, copied); !bytes.Equal(got, want) {
+		t.Fatal("copy-loaded dataset encodes differently from the generated one")
 	}
 }
 
@@ -221,7 +245,7 @@ func TestCachedColumnarCorruptEntriesRegenerate(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			store, key, cold := cachedOnDisk(t)
-			want := saveBytes(t, cold)
+			want := colBytes(t, cold)
 			corrupt(t, rawEntryPath(t, store, key))
 
 			generated := 0
@@ -235,7 +259,7 @@ func TestCachedColumnarCorruptEntriesRegenerate(t *testing.T) {
 			if hit || generated != 1 {
 				t.Fatalf("corrupt entry served as a hit (hit=%v generated=%d)", hit, generated)
 			}
-			if got := saveBytes(t, ds); !bytes.Equal(got, want) {
+			if got := colBytes(t, ds); !bytes.Equal(got, want) {
 				t.Fatal("regenerated dataset differs from the original")
 			}
 			// The discard-and-repersist leaves a healthy entry behind.
@@ -244,7 +268,7 @@ func TestCachedColumnarCorruptEntriesRegenerate(t *testing.T) {
 			if err != nil || !hit {
 				t.Fatalf("rerun after regeneration: hit=%v err=%v", hit, err)
 			}
-			if got := saveBytes(t, warm); !bytes.Equal(got, want) {
+			if got := colBytes(t, warm); !bytes.Equal(got, want) {
 				t.Fatal("re-persisted entry differs from the original")
 			}
 		})
@@ -275,26 +299,126 @@ func TestCachedColumnarRejectsEmptyWhenSamplesRequired(t *testing.T) {
 	}
 }
 
-func TestCachedColumnarStreamingStoreFallback(t *testing.T) {
-	// Stores without the raw-file seam (the in-memory tier) use the
-	// streaming columnar path; the contract is identical minus the mmap.
-	store := artifact.NewMem()
-	cfg := CampaignConfig{Simulator: Glucosym, Profiles: 2, EpisodesPerProfile: 1, Steps: 80, Seed: 5}
-	cold, hit, err := CachedColumnar(store, cfg.ArtifactKey(),
-		func() (*Dataset, error) { return Generate(cfg) }, true)
-	if err != nil || hit {
-		t.Fatalf("cold mem CachedColumnar: hit=%v err=%v", hit, err)
+func TestCachedColumnarViewOutlivesRemovedEntry(t *testing.T) {
+	// A mapped view pins its pages, not the file's name: unlinking the
+	// entry (a discard) or pruning its whole version directory must leave
+	// a live dataset readable and unchanged.
+	for name, remove := range map[string]func(t *testing.T, store *artifact.Disk, key artifact.Key){
+		"unlink": func(t *testing.T, store *artifact.Disk, key artifact.Key) {
+			if err := os.Remove(store.Path(key)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"prune": func(t *testing.T, store *artifact.Disk, key artifact.Key) {
+			if _, n, err := store.Prune(key.Kind, key.Version+1); err != nil || n != 1 {
+				t.Fatalf("Prune removed %d entries (err %v), want the one campaign", n, err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store, key, cold := cachedOnDisk(t)
+			want := colBytes(t, cold)
+			warm, hit, err := CachedColumnar(store, key,
+				func() (*Dataset, error) { t.Fatal("warm run generated"); return nil, nil }, true)
+			if err != nil || !hit {
+				t.Fatalf("warm CachedColumnar: hit=%v err=%v", hit, err)
+			}
+			remove(t, store, key)
+			if _, err := os.Stat(store.Path(key)); !os.IsNotExist(err) {
+				t.Fatalf("entry still present after removal (stat err %v)", err)
+			}
+			if got := colBytes(t, warm); !bytes.Equal(got, want) {
+				t.Fatal("view changed after its entry was removed")
+			}
+		})
 	}
-	warm, hit, err := CachedColumnar(store, cfg.ArtifactKey(),
-		func() (*Dataset, error) { t.Fatal("warm run generated"); return nil, nil }, true)
-	if err != nil || !hit {
-		t.Fatalf("warm mem CachedColumnar: hit=%v err=%v", hit, err)
+}
+
+// viewWithin reports whether v, when it starts inside data, also ends
+// inside it. A view that starts elsewhere is a decoded copy.
+func viewWithin(data []byte, v []float64) bool {
+	if len(v) == 0 || len(data) == 0 {
+		return true
 	}
-	if warm.Mapped() {
-		t.Fatal("mem-store dataset reports Mapped")
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+	if start < base || start >= base+uintptr(len(data)) {
+		return true
 	}
-	if !bytes.Equal(saveBytes(t, warm), saveBytes(t, cold)) {
-		t.Fatal("mem round trip changed the dataset")
+	return start+8*uintptr(len(v)) <= base+uintptr(len(data))
+}
+
+// reseal returns a copy of blob whose section checksums match their
+// payloads, so fuzzed bytes reach the decoder's parsing past the CRC check.
+func reseal(blob []byte) []byte {
+	b := append([]byte(nil), blob...)
+	off := colHeaderSize
+	for off+secHeaderSize <= len(b) {
+		start := off + secHeaderSize
+		size := binary.LittleEndian.Uint64(b[off+8:])
+		if size > uint64(len(b)-start) {
+			break
+		}
+		end := start + int(size)
+		binary.LittleEndian.PutUint64(b[off+16:], uint64(crc32.Checksum(b[start:end], colCRC)))
+		off = end + (8-int(size)%8)%8
+	}
+	return b
+}
+
+// FuzzDecodeColumnarBytes feeds arbitrary blobs to the decoder, as given
+// and resealed. It must never panic; a blob it accepts must yield uniform
+// feature widths, views that stay inside the blob, episode ranges inside
+// the samples, and a dataset whose encoding round-trips. The seed corpus
+// under testdata/fuzz holds the encodings of a small campaign, its
+// normalized training split, and the two empty datasets of
+// TestColumnarEmptyDatasetRoundTrip.
+func FuzzDecodeColumnarBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, blob := range [][]byte{data, reseal(data)} {
+			checkDecoded(t, blob)
+		}
+	})
+}
+
+// checkDecoded decodes blob and, when the decoder accepts it, checks the
+// invariants FuzzDecodeColumnarBytes promises.
+func checkDecoded(t *testing.T, blob []byte) {
+	d, err := DecodeColumnarBytes(blob)
+	if err != nil {
+		return
+	}
+	var views [][]float64
+	for i := range d.Samples {
+		s := &d.Samples[i]
+		if len(s.MLP) != len(d.Samples[0].MLP) || len(s.Seq) != len(d.Samples[0].Seq) {
+			t.Fatalf("sample %d has widths %d/%d, sample 0 has %d/%d",
+				i, len(s.MLP), len(s.Seq), len(d.Samples[0].MLP), len(d.Samples[0].Seq))
+		}
+		views = append(views, s.MLP, s.Seq)
+	}
+	for _, nz := range []*Normalizer{d.MLPNorm, d.SeqNorm} {
+		if nz != nil {
+			views = append(views, nz.Mean, nz.Std)
+		}
+	}
+	for i, v := range views {
+		if !viewWithin(blob, v) {
+			t.Fatalf("view %d of %d values runs past the %d-byte blob", i, len(v), len(blob))
+		}
+	}
+	for i, r := range d.EpisodeIndex {
+		if r[0] < 0 || r[0] > r[1] || r[1] > len(d.Samples) {
+			t.Fatalf("episode %d range %v outside %d samples", i, r, len(d.Samples))
+		}
+	}
+	enc := colBytes(t, d)
+	back, err := DecodeColumnarBytes(enc)
+	if err != nil {
+		t.Fatalf("re-encoded blob does not decode: %v", err)
+	}
+	if !bytes.Equal(colBytes(t, back), enc) {
+		t.Fatal("re-encoded blob does not round-trip")
 	}
 }
 

@@ -91,8 +91,8 @@ type Dataset struct {
 	SeqNorm *Normalizer
 
 	// backing pins the mmap-ed artifact region a columnar load borrowed
-	// its feature columns from (nil for generated or JSON-loaded
-	// datasets). When set, Sample.MLP/Sample.Seq and the normalizer
+	// its feature columns from (nil for generated datasets and ones
+	// decoded from memory). When set, Sample.MLP/Sample.Seq and the normalizer
 	// statistics may be read-only views into mapped pages: the mapping
 	// lacks PROT_WRITE, so writing through them faults. Split/Filter/
 	// subset copy Sample structs but share the column views, so derived

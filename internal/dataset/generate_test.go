@@ -36,7 +36,7 @@ func TestCampaignParallelByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Save(&serial); err != nil {
+	if err := ds.EncodeColumnar(&serial); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
@@ -45,7 +45,7 @@ func TestCampaignParallelByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if err := dsp.Save(&par); err != nil {
+		if err := dsp.EncodeColumnar(&par); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(serial.Bytes(), par.Bytes()) {

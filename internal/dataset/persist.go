@@ -1,12 +1,6 @@
 package dataset
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"repro/internal/artifact"
-)
+import "repro/internal/artifact"
 
 // FormatVersion identifies the on-disk campaign encoding. Bump it whenever
 // the Dataset schema, the feature/label derivation, or the episode
@@ -21,11 +15,11 @@ import (
 // the slice dimension evaluation reports break confusion matrices down by.
 //
 // v4: campaigns and shards persist in the columnar binary encoding
-// (EncodeColumnar/DecodeColumnar) instead of JSON, loaded zero-copy via
-// mmap. A pure encoding bump: the generated data, the campaign
-// fingerprints, and the JSON Save/Load format (still used for -out files)
-// are all unchanged — only the artifact bytes moved, orphaning v3 cache
-// entries (reclaim them with `apsexperiments -cache-prune`).
+// (EncodeColumnar/DecodeColumnarBytes) instead of JSON, loaded zero-copy
+// via mmap. A pure encoding bump: the generated data and the campaign
+// fingerprints are unchanged — only the artifact bytes moved, orphaning v3
+// cache entries (reclaim them with `apsexperiments -cache-prune`). The
+// columnar blob is the only campaign encoding; `apsim -out` writes it too.
 const FormatVersion = 4
 
 // Fingerprint hashes the canonicalized campaign configuration (after
@@ -43,27 +37,4 @@ func (c CampaignConfig) Fingerprint() uint64 {
 // config generates.
 func (c CampaignConfig) ArtifactKey() artifact.Key {
 	return artifact.Key{Kind: "campaign", Version: FormatVersion, Fingerprint: c.Fingerprint()}
-}
-
-// Save writes the dataset — episodes, samples, labels, and any fitted
-// normalizers — as JSON. Go's JSON encoder renders float64 values in
-// shortest round-trip form, so Save→Load reproduces every sample and
-// normalizer statistic bit-exactly.
-func (d *Dataset) Save(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(d); err != nil {
-		return fmt.Errorf("dataset: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a dataset written by Save.
-func Load(r io.Reader) (*Dataset, error) {
-	d := &Dataset{}
-	if err := json.NewDecoder(r).Decode(d); err != nil {
-		return nil, fmt.Errorf("dataset: load: %w", err)
-	}
-	if len(d.Samples) == 0 {
-		return nil, fmt.Errorf("dataset: load: no samples")
-	}
-	return d, nil
 }

@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"bytes"
-	"reflect"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -19,8 +19,9 @@ func tinyCampaign(t *testing.T) CampaignConfig {
 }
 
 // TestSaveLoadRoundTrip checks the acceptance requirement that campaigns
-// round-trip exactly: every sample, label, episode boundary, and fitted
-// normalizer statistic must compare deeply equal after Save→Load —
+// round-trip exactly through the on-disk format (`apsim -out`): every
+// sample, label, episode boundary, and fitted normalizer statistic must
+// render identically after saving to a file and loading it back mapped —
 // including the train split, whose normalizers are set.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds, err := Generate(tinyCampaign(t))
@@ -31,39 +32,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	for name, d := range map[string]*Dataset{"full": ds, "train": train} {
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
+		saved := colBytes(t, d)
+		path := filepath.Join(dir, name+".col")
+		if err := os.WriteFile(path, saved, 0o644); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		got, err := Load(bytes.NewReader(buf.Bytes()))
+		got, err := LoadColumnarFile(path, 0)
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		if !reflect.DeepEqual(d, got) {
-			t.Fatalf("%s: Save→Load round trip is not exact", name)
+		if !bytes.Equal(jsonBytes(t, got), jsonBytes(t, d)) {
+			t.Fatalf("%s: save→load round trip is not exact", name)
 		}
 		// Re-saving the loaded dataset must produce identical bytes — the
 		// property warm-run byte-identical output rests on.
-		var buf2 bytes.Buffer
-		if err := got.Save(&buf2); err != nil {
-			t.Fatalf("%s: re-save: %v", name, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		if !bytes.Equal(colBytes(t, got), saved) {
 			t.Fatalf("%s: re-saved bytes differ from original", name)
 		}
-	}
-	if train.MLPNorm == nil || train.SeqNorm == nil {
-		t.Fatal("train split lost its normalizers")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage must not load")
-	}
-	if _, err := Load(strings.NewReader("{}")); err == nil {
-		t.Fatal("an empty dataset must not load")
+		if name == "train" && (got.MLPNorm == nil || got.SeqNorm == nil) {
+			t.Fatal("loaded train split lost its normalizers")
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ func MergeCampaigns(shards []*Dataset) (*Dataset, error) {
 // CachedShard returns the shard dataset for cfg, loading it from the
 // artifact store when a current entry exists and generating (then
 // persisting) it otherwise. Entries persist in the columnar binary
-// encoding and load zero-copy on stores with the raw-file seam. Unlike
+// encoding and load zero-copy. Unlike
 // campaign loads, empty shard datasets are accepted: a shard whose range
 // holds no episodes (Count > episode count) legitimately persists zero
 // samples. A nil store always generates. This is the unit of fleet work:

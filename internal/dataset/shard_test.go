@@ -7,12 +7,12 @@ import (
 	"repro/internal/artifact"
 )
 
-// saveBytes serializes a dataset the way the CLIs do, so byte-equality here
-// is exactly the CI `cmp` contract.
-func saveBytes(t *testing.T, ds *Dataset) []byte {
+// colBytes encodes a dataset the way `apsim -out` writes it, so
+// byte-equality here is exactly the CI `cmp` contract.
+func colBytes(t *testing.T, ds *Dataset) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := ds.Save(&b); err != nil {
+	if err := ds.EncodeColumnar(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -49,11 +49,11 @@ func TestShardMergeByteIdenticalToMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, mono)
+	want := colBytes(t, mono)
 	for _, n := range []int{1, 2, 4, 7} {
 		for _, workers := range []int{1, 8} {
 			merged := generateShards(t, benchScaleCampaign(workers), n)
-			if got := saveBytes(t, merged); !bytes.Equal(got, want) {
+			if got := colBytes(t, merged); !bytes.Equal(got, want) {
 				t.Errorf("shards=%d workers=%d: merged campaign bytes differ from monolithic Generate", n, workers)
 			}
 		}
@@ -139,7 +139,7 @@ func TestShardSurplusShardsAreEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := generateShards(t, cfg, n)
-	if !bytes.Equal(saveBytes(t, merged), saveBytes(t, mono)) {
+	if !bytes.Equal(colBytes(t, merged), colBytes(t, mono)) {
 		t.Fatalf("merging %d shards of a %d-episode campaign is not byte-identical to Generate", n, cfg.TotalEpisodes())
 	}
 	shards, err := cfg.Shard(n)
@@ -200,11 +200,15 @@ func TestShardFingerprints(t *testing.T) {
 
 // TestCachedShard pins the fleet caching contract: a second CachedShard call
 // against the same store hits and returns byte-identical data — including
-// for empty surplus shards, which Load would reject but loadShard must not.
+// for empty surplus shards, which a campaign lookup would reject as corrupt
+// but a shard lookup must not.
 func TestCachedShard(t *testing.T) {
 	cfg := benchScaleCampaign(1)
 	cfg.Profiles, cfg.EpisodesPerProfile = 2, 2
-	store := artifact.NewMem()
+	store, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	shards, err := cfg.Shard(5) // 4 episodes → one empty surplus shard
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +228,7 @@ func TestCachedShard(t *testing.T) {
 		if !hit {
 			t.Fatalf("warm shard %d missed the cache", sc.Index)
 		}
-		if !bytes.Equal(saveBytes(t, cold), saveBytes(t, warm)) {
+		if !bytes.Equal(colBytes(t, cold), colBytes(t, warm)) {
 			t.Fatalf("shard %d round-trip through the store is not byte-identical", sc.Index)
 		}
 	}

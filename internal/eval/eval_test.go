@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,12 +266,15 @@ func TestCachedReport(t *testing.T) {
 		t.Fatalf("nil store: hit=%v err=%v", hit, err)
 	}
 
-	mem := artifact.NewMem()
-	cold, hit, err := CachedReport(mem, cfg, compute)
+	store, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, hit, err := CachedReport(store, cfg, compute)
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
-	warm, hit, err := CachedReport(mem, cfg, compute)
+	warm, hit, err := CachedReport(store, cfg, compute)
 	if err != nil || !hit {
 		t.Fatalf("warm: hit=%v err=%v", hit, err)
 	}
@@ -290,7 +294,7 @@ func TestCachedReport(t *testing.T) {
 		"split":     func(c ReportConfig) ReportConfig { c.TrainFrac = 0.5; return c },
 		"campaign":  func(c ReportConfig) ReportConfig { c.Campaign.Seed++; return c },
 	} {
-		if _, hit, err := CachedReport(mem, mut(cfg), compute); err != nil || hit {
+		if _, hit, err := CachedReport(store, mut(cfg), compute); err != nil || hit {
 			t.Errorf("%s change hit the cache: hit=%v err=%v", name, hit, err)
 		}
 	}
@@ -299,7 +303,72 @@ func TestCachedReport(t *testing.T) {
 	w := cfg
 	w.Campaign.Workers = 8
 	w.Train.Workers = 8
-	if _, hit, err := CachedReport(mem, w, compute); err != nil || !hit {
+	if _, hit, err := CachedReport(store, w, compute); err != nil || !hit {
 		t.Errorf("worker counts invalidated the report: hit=%v err=%v", hit, err)
+	}
+}
+
+// damagedEntries derives the three ways a published entry goes bad from
+// its healthy bytes: a truncated header, a header naming another key, and
+// a garbage payload behind a valid header.
+func damagedEntries(entry []byte) map[string][]byte {
+	stale := bytes.Clone(entry)
+	stale[len("apsrepro-artifact-raw ")] ^= 0x20 // flips the case of the kind's first letter
+	return map[string][]byte{
+		"truncated-header": entry[:32],
+		"stale-header":     stale,
+		"garbage-payload":  append(bytes.Clone(entry[:64]), "garbage"...),
+	}
+}
+
+func TestCachedReportDamagedEntriesRecompute(t *testing.T) {
+	ds := testDataset()
+	m := thresholdMonitor{200}
+	cfg := ReportConfig{Monitor: m.Name(), Tolerance: 2}
+	computes := 0
+	compute := func() (*Report, error) {
+		computes++
+		return Evaluate(m, ds, Options{Tolerance: cfg.Tolerance, Workers: 1})
+	}
+	saved := func(rep *Report) []byte {
+		var b bytes.Buffer
+		if err := rep.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	store, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := CachedReport(store, cfg, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path(cfg.ArtifactKey())
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(entry[64:], saved(cold)) {
+		t.Fatal("entry payload is not the report's Save bytes")
+	}
+	for name, bad := range damagedEntries(entry) {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := computes
+			rep, hit, err := CachedReport(store, cfg, compute)
+			if err != nil || hit || computes != before+1 {
+				t.Fatalf("damaged entry: hit=%v err=%v computes=%d, want one recompute", hit, err, computes-before)
+			}
+			if !bytes.Equal(saved(rep), saved(cold)) {
+				t.Fatal("recomputed report differs from the original")
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+				t.Fatalf("re-persisted entry differs from the original (err %v)", err)
+			}
+		})
 	}
 }

@@ -167,12 +167,12 @@ func CachedReport(store artifact.Store, cfg ReportConfig, compute func() (*Repor
 		rep, err = compute()
 		return rep, false, err
 	}
-	hit, err = store.GetOrCreate(cfg.ArtifactKey(),
-		func(r io.Reader) error {
+	hit, err = store.GetOrCreateFile(cfg.ArtifactKey(),
+		artifact.ReaderLoad(func(r io.Reader) error {
 			var lerr error
 			rep, lerr = LoadReport(r)
 			return lerr
-		},
+		}),
 		func() error {
 			var cerr error
 			rep, cerr = compute()

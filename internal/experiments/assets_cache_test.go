@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,7 +73,8 @@ func renderFresh(t *testing.T, cfg Config) string {
 // a second run with an identical config must generate zero campaigns and
 // train zero monitors, yet produce byte-identical experiment output.
 func TestWarmRunSkipsAllWorkAndMatchesCold(t *testing.T) {
-	disk, err := artifact.NewDisk(t.TempDir())
+	root := t.TempDir()
+	disk, err := artifact.NewDisk(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +101,11 @@ func TestWarmRunSkipsAllWorkAndMatchesCold(t *testing.T) {
 	}
 	if warm != cold {
 		t.Fatalf("warm output differs from cold output\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	// Every kind the run caches lives in the one .bin container.
+	legacy, err := filepath.Glob(filepath.Join(root, "*", "v*", "*.art"))
+	if err != nil || len(legacy) != 0 {
+		t.Fatalf("cache root holds legacy .art entries %v (err %v)", legacy, err)
 	}
 
 	// A different seed must miss: content addressing, not blanket reuse.
@@ -173,12 +180,15 @@ func TestCachedMonitorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := monitor.TrainConfig{Arch: monitor.ArchMLP, Epochs: 2, Hidden1: 8, Hidden2: 4, Seed: 5}
-	mem := artifact.NewMem()
-	m1, hit, err := CachedMonitor(mem, train, camp, 0.5, tc)
+	store, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, hit, err := CachedMonitor(store, train, camp, 0.5, tc)
 	if err != nil || hit {
 		t.Fatalf("cold CachedMonitor: hit=%v err=%v", hit, err)
 	}
-	m2, hit, err := CachedMonitor(mem, train, camp, 0.5, tc)
+	m2, hit, err := CachedMonitor(store, train, camp, 0.5, tc)
 	if err != nil || !hit {
 		t.Fatalf("warm CachedMonitor: hit=%v err=%v", hit, err)
 	}
@@ -198,14 +208,84 @@ func TestCachedMonitorRoundTrip(t *testing.T) {
 	// A different training recipe must produce a different key.
 	tc2 := tc
 	tc2.Epochs = 3
-	if _, hit, err := CachedMonitor(mem, train, camp, 0.5, tc2); err != nil || hit {
+	if _, hit, err := CachedMonitor(store, train, camp, 0.5, tc2); err != nil || hit {
 		t.Fatalf("different recipe hit the cache: hit=%v err=%v", hit, err)
 	}
 	// SemanticWeight cannot affect a non-semantic monitor's weights, so it
 	// must not change the key either.
 	tc3 := tc
 	tc3.SemanticWeight = 2.0
-	if _, hit, err := CachedMonitor(mem, train, camp, 0.5, tc3); err != nil || !hit {
+	if _, hit, err := CachedMonitor(store, train, camp, 0.5, tc3); err != nil || !hit {
 		t.Fatalf("semantic weight invalidated a non-semantic monitor: hit=%v err=%v", hit, err)
+	}
+}
+
+// damagedEntries derives the three ways a published entry goes bad from
+// its healthy bytes: a truncated header, a header naming another key, and
+// a garbage payload behind a valid header.
+func damagedEntries(entry []byte) map[string][]byte {
+	stale := bytes.Clone(entry)
+	stale[len("apsrepro-artifact-raw ")] ^= 0x20 // flips the case of the kind's first letter
+	return map[string][]byte{
+		"truncated-header": entry[:32],
+		"stale-header":     stale,
+		"garbage-payload":  append(bytes.Clone(entry[:64]), "garbage"...),
+	}
+}
+
+func TestCachedMonitorDamagedEntriesRetrain(t *testing.T) {
+	camp := dataset.CampaignConfig{
+		Simulator: dataset.Glucosym, Profiles: 2, EpisodesPerProfile: 2, Steps: 60, Seed: 6,
+	}
+	ds, err := dataset.Generate(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, err := ds.Split(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := monitor.TrainConfig{Arch: monitor.ArchMLP, Epochs: 1, Hidden1: 4, Hidden2: 2, Seed: 6}
+	saved := func(m *monitor.MLMonitor) []byte {
+		var b bytes.Buffer
+		if err := m.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	store, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := CachedMonitor(store, train, camp, 0.5, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path(monitorKey(camp, 0.5, tc))
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(entry[64:], saved(cold)) {
+		t.Fatal("entry payload is not the monitor's Save bytes")
+	}
+	for name, bad := range damagedEntries(entry) {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, trained, restore := countWork()
+			defer restore()
+			m, hit, err := CachedMonitor(store, train, camp, 0.5, tc)
+			if err != nil || hit || trained.Load() != 1 {
+				t.Fatalf("damaged entry: hit=%v err=%v trainings=%d, want one retrain", hit, err, trained.Load())
+			}
+			if !bytes.Equal(saved(m), saved(cold)) {
+				t.Fatal("retrained monitor differs from the original")
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+				t.Fatalf("re-persisted entry differs from the original (err %v)", err)
+			}
+		})
 	}
 }

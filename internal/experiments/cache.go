@@ -41,8 +41,7 @@ func ActiveStore() artifact.Store {
 // CachedCampaign returns the labeled dataset for cfg, loading it from the
 // artifact store when a current entry exists and generating (then
 // persisting) it otherwise. Entries persist in the columnar binary
-// encoding and load zero-copy (mmap-ed feature-column views) on stores
-// with the raw-file seam. A nil store always generates. The reported hit
+// encoding and load zero-copy (mmap-ed feature-column views). A nil store always generates. The reported hit
 // tells callers whether simulation was skipped.
 func CachedCampaign(store artifact.Store, cfg dataset.CampaignConfig) (ds *dataset.Dataset, hit bool, err error) {
 	return dataset.CachedColumnar(store, cfg.ArtifactKey(),
@@ -70,12 +69,12 @@ func CachedMonitor(store artifact.Store, train *dataset.Dataset, camp dataset.Ca
 		m, err = trainFn(train, cfg)
 		return m, false, err
 	}
-	hit, err = store.GetOrCreate(monitorKey(camp, trainFrac, cfg),
-		func(r io.Reader) error {
+	hit, err = store.GetOrCreateFile(monitorKey(camp, trainFrac, cfg),
+		artifact.ReaderLoad(func(r io.Reader) error {
 			var lerr error
 			m, lerr = monitor.Load(r)
 			return lerr
-		},
+		}),
 		func() error {
 			var terr error
 			m, terr = trainFn(train, cfg)

@@ -11,8 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// kindCountingStore wraps a Store and counts GetOrCreate calls per artifact
-// kind — the instrument that proves a warm report run never even consults
+// kindCountingStore wraps a Store and counts lookups per artifact kind — the instrument that proves a warm report run never even consults
 // the monitor tier.
 type kindCountingStore struct {
 	inner artifact.Store
@@ -25,8 +24,8 @@ func newKindCountingStore(inner artifact.Store) *kindCountingStore {
 	return &kindCountingStore{inner: inner, calls: map[string]int{}, hits: map[string]int{}}
 }
 
-func (s *kindCountingStore) GetOrCreate(key artifact.Key, decode func(io.Reader) error, create func() error, encode func(io.Writer) error) (bool, error) {
-	hit, err := s.inner.GetOrCreate(key, decode, create, encode)
+func (s *kindCountingStore) GetOrCreateFile(key artifact.Key, load func(string, int64) error, create func() error, encode func(io.Writer) error) (bool, error) {
+	hit, err := s.inner.GetOrCreateFile(key, load, create, encode)
 	s.mu.Lock()
 	s.calls[key.Kind]++
 	if hit {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/artifact"
@@ -54,8 +55,11 @@ func TestMergedShardReportsByteIdenticalToMonolith(t *testing.T) {
 // shard from the store, a single fleet member touches only its own shard's
 // keys, and a stale shard artifact re-evaluates exactly that shard.
 func TestShardReportsIncrementalRecompute(t *testing.T) {
-	mem := artifact.NewMem()
-	store := newKindCountingStore(mem)
+	disk, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newKindCountingStore(disk)
 	SetStore(store)
 	defer SetStore(nil)
 	cfg := reportConfig()
@@ -110,8 +114,11 @@ func TestShardReportsIncrementalRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.ShardCount, rc.ShardIndex = shards, 2
-	if !mem.Corrupt(rc.ArtifactKey(), []byte("stale")) {
-		t.Fatalf("no stored artifact under %v", rc.ArtifactKey())
+	if _, err := os.Stat(disk.Path(rc.ArtifactKey())); err != nil {
+		t.Fatalf("no stored artifact under %v: %v", rc.ArtifactKey(), err)
+	}
+	if err := os.WriteFile(disk.Path(rc.ArtifactKey()), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	store.reset()
 	again, err := MergedShardReports(a, shards)
