@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -49,7 +50,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "apsattack:", err)
 		os.Exit(1)
 	}
@@ -89,9 +90,13 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 	return f
 }
 
-func run() error {
-	f := addFlags(flag.CommandLine)
-	flag.Parse()
+// run parses args into fs and runs one attack, writing the report to
+// stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	f := addFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	parallel, err := f.common.ApplyBudget()
 	if err != nil {
 		return err
@@ -158,7 +163,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("monitor %s on %s: clean F1=%.3f ACC=%.3f\n", m.Name(), simu, clean.F1(), clean.Accuracy())
+	fmt.Fprintf(stdout, "monitor %s on %s: clean F1=%.3f ACC=%.3f\n", m.Name(), simu, clean.F1(), clean.Accuracy())
 
 	// Every arm produces the attacked per-sample prediction vector, so the
 	// sliced attacked report comes from the same pass as the summary line.
@@ -182,12 +187,31 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("gaussian σ=%.2f·std: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
+		fmt.Fprintf(stdout, "gaussian σ=%.2f·std: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
 			level, c.F1(), clean.F1()-c.F1(), re)
-	case "fgsm":
+	case "fgsm", "pgd":
+		// Craft the adversarial matrix once: the attacked predictions feed
+		// both the F1 line and the robustness error.
 		labels := test.Labels()
 		p := experiments.FGSMPerturbation(m, labels, level)
-		advPred, err = experiments.Predictions(m, test, p)
+		what := fmt.Sprintf("white-box FGSM ε=%.2f", level)
+		if *f.kind == "pgd" {
+			p = experiments.PGDPerturbation(m, labels, test.Knowledge(), attack.PGDConfig{Eps: level})
+			what = fmt.Sprintf("white-box PGD ε=%.2f (10 steps)", level)
+		}
+		x, err := m.InputMatrix(test.Samples)
+		if err != nil {
+			return err
+		}
+		orig, err := experiments.PredictMatrixClasses(m, x)
+		if err != nil {
+			return err
+		}
+		adv, err := p(x)
+		if err != nil {
+			return err
+		}
+		advPred, err = experiments.PredictMatrixClasses(m, adv)
 		if err != nil {
 			return err
 		}
@@ -195,29 +219,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		re, err := experiments.RobustnessError(m, test, p)
+		re, err := metrics.RobustnessError(orig, advPred)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("white-box FGSM ε=%.2f: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
-	case "pgd":
-		labels := test.Labels()
-		p := experiments.PGDPerturbation(m, labels, test.Knowledge(), attack.PGDConfig{Eps: level})
-		advPred, err = experiments.Predictions(m, test, p)
-		if err != nil {
-			return err
-		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
-		if err != nil {
-			return err
-		}
-		re, err := experiments.RobustnessError(m, test, p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("white-box PGD ε=%.2f (10 steps): F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
+		fmt.Fprintf(stdout, "%s: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
+			what, c.F1(), clean.F1()-c.F1(), re)
 	case "blackbox":
 		qx, err := m.InputMatrix(train.Samples)
 		if err != nil {
@@ -239,7 +246,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		adv, err := attack.BlackBoxFGSM(sub, tx, tPred, level)
+		grad, err := sub.InputGradient(tx, tPred, nil)
+		if err != nil {
+			return err
+		}
+		adv, err := attack.FGSMStep(tx, grad, level)
 		if err != nil {
 			return err
 		}
@@ -251,7 +262,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("black-box FGSM ε=%.2f (substitute transfer): robustness error=%.3f\n", level, re)
+		fmt.Fprintf(stdout, "black-box FGSM ε=%.2f (substitute transfer): robustness error=%.3f\n", level, re)
 	default:
 		return fmt.Errorf("unknown attack %q", *f.kind)
 	}
@@ -262,7 +273,7 @@ func run() error {
 			return err
 		}
 		set := &eval.Set{Tolerance: delta, Reports: []*eval.Report{cleanRep, advRep}}
-		fmt.Print(experiments.RenderReportSet(set))
+		fmt.Fprint(stdout, experiments.RenderReportSet(set))
 		if *f.reportOut != "" {
 			file, err := os.Create(*f.reportOut)
 			if err != nil {
@@ -272,7 +283,7 @@ func run() error {
 			if err := set.Save(file); err != nil {
 				return err
 			}
-			fmt.Printf("report set written to %s\n", *f.reportOut)
+			fmt.Fprintf(stdout, "report set written to %s\n", *f.reportOut)
 		}
 	}
 	return nil

@@ -66,14 +66,28 @@ func FGSMWithKnowledge(model *nn.Model, x *mat.Matrix, labels []int, knowledge [
 	if err != nil {
 		return nil, fmt.Errorf("attack: fgsm gradient: %w", err)
 	}
+	return FGSMStep(x, grad, eps)
+}
+
+// FGSMStep returns x + ε·sign(grad) as a fresh matrix, leaving x and grad
+// untouched. sign(∇_x J) does not depend on ε, so a sweep over budgets
+// computes the input gradient once and calls FGSMStep per level; FGSM is
+// exactly InputGradient followed by FGSMStep.
+func FGSMStep(x, grad *mat.Matrix, eps float64) (*mat.Matrix, error) {
+	if eps < 0 {
+		return nil, fmt.Errorf("attack: negative epsilon %v", eps)
+	}
+	if grad.Rows() != x.Rows() || grad.Cols() != x.Cols() {
+		return nil, fmt.Errorf("attack: gradient %dx%d for input %dx%d", grad.Rows(), grad.Cols(), x.Rows(), x.Cols())
+	}
 	out := x.Clone()
 	signStep(out, grad, eps)
 	return out, nil
 }
 
 // signStep applies the FGSM update x ← x + ε·sign(g) in place — the single
-// home of the sign-step rule shared by FGSM, adversarial training, and the
-// PGD inner loop. Zero-gradient entries are left untouched.
+// home of the sign-step rule shared by FGSMStep and the PGD inner loop.
+// Zero-gradient entries are left untouched.
 func signStep(x, grad *mat.Matrix, eps float64) {
 	for i := 0; i < x.Rows(); i++ {
 		row := x.Row(i)
@@ -158,7 +172,9 @@ func TrainSubstitute(queryX *mat.Matrix, targetPred []int, cfg SubstituteConfig)
 }
 
 // BlackBoxFGSM crafts transfer attacks: FGSM perturbations generated on the
-// substitute model, to be applied against the (unseen) target.
+// substitute model, to be applied against the (unseen) target. A sweep over
+// budgets against one substitute takes the substitute's InputGradient once
+// and applies FGSMStep per ε instead.
 func BlackBoxFGSM(substitute *nn.Model, x *mat.Matrix, labels []int, eps float64) (*mat.Matrix, error) {
 	return FGSM(substitute, x, labels, eps)
 }

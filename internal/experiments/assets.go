@@ -74,17 +74,36 @@ func Configure(workers int, precision string) error {
 	return nil
 }
 
-// monitorEntry is one lazily-trained monitor slot: the sync.Once guarantees
-// exactly one training run per (simulator, monitor) key no matter how many
-// sweep cells request it concurrently.
-type monitorEntry struct {
+// lazy is one memoized slot: the sync.Once guarantees exactly one
+// resolution per key no matter how many sweep cells request it
+// concurrently.
+type lazy[T any] struct {
 	once sync.Once
-	m    monitor.Monitor
+	v    T
 	err  error
 }
 
+// get resolves the slot with fill on first use and returns the memoized
+// result ever after.
+func (l *lazy[T]) get(fill func() (T, error)) (T, error) {
+	l.once.Do(func() { l.v, l.err = fill() })
+	return l.v, l.err
+}
+
+// slot returns the named slot of m, creating it under mu on first request.
+func slot[T any](mu *sync.Mutex, m map[string]*lazy[T], name string) *lazy[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	l, ok := m[name]
+	if !ok {
+		l = &lazy[T]{}
+		m[name] = l
+	}
+	return l
+}
+
 // SimAssets bundles everything evaluated for one simulator. Monitor lookup
-// is two-tier: the in-process memory tier (the sync.Once slots below)
+// is two-tier: the in-process memory tier (the lazy slots below)
 // guarantees one resolution per (simulator, monitor) key per process, and
 // that single resolution consults the artifact store (disk tier) before
 // falling back to training — so a warm run loads weights instead of
@@ -102,7 +121,8 @@ type SimAssets struct {
 	campaign dataset.CampaignConfig
 
 	mu       sync.Mutex
-	monitors map[string]*monitorEntry
+	monitors map[string]*lazy[monitor.Monitor]
+	surfaces map[string]*lazy[*attackSurface]
 
 	labelsOnce sync.Once
 	testLabels []int
@@ -112,15 +132,7 @@ type SimAssets struct {
 // artifact store when possible, by training otherwise). Concurrent callers
 // for the same name share a single resolution.
 func (s *SimAssets) Monitor(name string) (monitor.Monitor, error) {
-	s.mu.Lock()
-	e, ok := s.monitors[name]
-	if !ok {
-		e = &monitorEntry{}
-		s.monitors[name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.m, e.err = s.trainMonitor(name) })
-	return e.m, e.err
+	return slot(&s.mu, s.monitors, name).get(func() (monitor.Monitor, error) { return s.trainMonitor(name) })
 }
 
 // MLMonitor returns a trained ML monitor by name.
@@ -291,7 +303,8 @@ func Build(cfg Config) (*Assets, error) {
 			Test:     test,
 			cfg:      cfg,
 			campaign: camp,
-			monitors: make(map[string]*monitorEntry, len(MonitorNames)),
+			monitors: make(map[string]*lazy[monitor.Monitor], len(MonitorNames)),
+			surfaces: make(map[string]*lazy[*attackSurface], len(MLMonitorNames)),
 		}, nil
 	})
 	if err != nil {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"io"
 	"testing"
+
+	"repro/internal/artifact"
 )
 
 // renderAll runs the experiments whose sweeps exercise every executor path
-// (level grids, pair grids, raw sweep.Map cells, FGSM model clones, lazy
-// monitor training) and concatenates their rendered tables.
+// (level grids, pair grids, raw sweep.Map cells, shared attack surfaces,
+// lazy monitor resolution) and concatenates their rendered tables.
 func renderAll(t *testing.T, a *Assets) string {
 	t.Helper()
 	out := ""
@@ -20,11 +23,21 @@ func renderAll(t *testing.T, a *Assets) string {
 		t.Fatal(err)
 	}
 	out += f5.Render()
+	f8, err := Fig8(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out += f8.Render()
 	f9, err := Fig9Both(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out += f9.Render()
+	f10, err := Fig10(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out += f10.Render()
 	ev, err := Evasion(a)
 	if err != nil {
 		t.Fatal(err)
@@ -33,19 +46,44 @@ func renderAll(t *testing.T, a *Assets) string {
 	return out
 }
 
+// monitorOnlyStore persists trained monitors and nothing else, so fresh
+// assets skip retraining while every campaign, report and sweep is still
+// computed at the worker count under test.
+type monitorOnlyStore struct{ artifact.Store }
+
+func (s monitorOnlyStore) GetOrCreateFile(key artifact.Key, load func(string, int64) error, create func() error, encode func(io.Writer) error) (bool, error) {
+	if key.Kind != "monitor" {
+		return artifact.Disabled{}.GetOrCreateFile(key, load, create, encode)
+	}
+	return s.Store.GetOrCreateFile(key, load, create, encode)
+}
+
 // TestSweepDeterminism is the acceptance test of the parallel executor: with
 // a fixed config seed, rendered output must be byte-identical between one
 // worker and many, because per-cell seeds derive from (seed, cell index) and
-// results are slotted by index.
+// results are slotted by index. Each worker count gets freshly built assets,
+// so the first fill of every lazy slot (monitors, attack surfaces) races
+// under that count's concurrent cells.
 func TestSweepDeterminism(t *testing.T) {
-	a := benchAssets(t)
+	disk, err := artifact.NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetStore(monitorOnlyStore{disk})
+	defer SetStore(nil)
 	defer SetWorkers(0)
 
-	SetWorkers(1)
-	serial := renderAll(t, a)
-	for _, workers := range []int{4, 13} {
+	var serial string
+	for _, workers := range []int{1, 4, 13} {
 		SetWorkers(workers)
-		if par := renderAll(t, a); par != serial {
+		a, err := Build(Bench())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := renderAll(t, a)
+		if workers == 1 {
+			serial = out
+		} else if out != serial {
 			t.Fatalf("workers=%d: rendered output differs from serial run", workers)
 		}
 	}

@@ -76,16 +76,22 @@ func GaussianScore(m monitor.Monitor, test *dataset.Dataset, sigma float64, seed
 // GaussianRobustness computes Eq (5) for an ML monitor under raw-window
 // Gaussian noise.
 func GaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, sigma float64, seed int64) (float64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	noisy, err := dataset.GaussianNoisySamples(rng, test, sigma)
-	if err != nil {
-		return 0, err
-	}
 	xc, err := m.InputMatrix(test.Samples)
 	if err != nil {
 		return 0, err
 	}
 	orig, err := PredictMatrixClasses(m, xc)
+	if err != nil {
+		return 0, err
+	}
+	return gaussianRobustness(m, test, orig, sigma, seed)
+}
+
+// gaussianRobustness is GaussianRobustness against precomputed clean
+// classes orig, so a σ sweep predicts the clean inputs once.
+func gaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, orig []int, sigma float64, seed int64) (float64, error) {
+	rng := rand.New(rand.NewSource(seed))
+	noisy, err := dataset.GaussianNoisySamples(rng, test, sigma)
 	if err != nil {
 		return 0, err
 	}
@@ -102,8 +108,11 @@ func GaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, sigma float
 
 // FGSMPerturbation crafts white-box adversarial inputs against the monitor's
 // own model using the true labels (Eqs 3-4). The gradient pass records
-// backward state on the model, so each invocation attacks a private clone —
-// which is what lets parallel sweep cells share one trained monitor.
+// backward state on the model, so each invocation attacks a private clone,
+// which lets concurrent callers share one trained monitor. Every invocation
+// recomputes the input gradient; the figure sweeps instead share one
+// gradient per (simulator, monitor) through the pair's attack surface and
+// apply attack.FGSMStep per ε, with identical results.
 func FGSMPerturbation(m *monitor.MLMonitor, labels []int, eps float64) Perturbation {
 	return func(x *mat.Matrix) (*mat.Matrix, error) {
 		model, err := m.Model().Clone()
@@ -119,8 +128,10 @@ func FGSMPerturbation(m *monitor.MLMonitor, labels []int, eps float64) Perturbat
 // Eq (2) indicators (dataset.Knowledge) when the monitor was trained with
 // the semantic loss, so Custom monitors are attacked on the loss surface
 // they were trained on — the plain losses ignore it, so passing it
-// unconditionally is safe. Like FGSMPerturbation, each invocation attacks a
-// private clone, letting parallel sweep cells share one trained monitor.
+// unconditionally is safe. Each invocation attacks a private clone, letting
+// concurrent callers share one trained monitor. Unlike FGSM, every PGD
+// iteration takes the gradient at the current adversarial point, so no
+// part of it can be shared across budgets.
 func PGDPerturbation(m *monitor.MLMonitor, labels []int, knowledge []float64, cfg attack.PGDConfig) Perturbation {
 	return func(x *mat.Matrix) (*mat.Matrix, error) {
 		model, err := m.Model().Clone()

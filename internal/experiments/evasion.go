@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
-	"repro/internal/mat"
-	"repro/internal/monitor"
 	"repro/internal/sweep"
 )
 
@@ -27,16 +25,14 @@ type EvasionResult struct {
 }
 
 // evasionPrep is the per-simulator shared state of the evasion sweep: the
-// unperturbed episode series plus the FGSM attack surface. Built once per
-// simulator, read concurrently by the level cells.
+// unperturbed episode series plus the LSTM monitor's attack surface. Built
+// once per simulator, read concurrently by the level cells.
 type evasionPrep struct {
 	sa        *SimAssets
 	bgStd     float64
 	lastBGCol int
 	orig      [][]float64
-	m         *monitor.MLMonitor
-	x         *mat.Matrix
-	labels    []int
+	sf        *attackSurface
 }
 
 // episodeSeries slices a per-sample scalar into per-episode series.
@@ -65,15 +61,10 @@ func Evasion(a *Assets) (*EvasionResult, error) {
 			sa:        sa,
 			bgStd:     test.SeqNorm.Std[dataset.SeqFeatBG],
 			lastBGCol: (test.Window-1)*dataset.SeqFeatureCount + dataset.SeqFeatBG,
-			labels:    sa.TestLabels(),
 		}
 		p.orig = episodeSeries(test, func(i int) float64 { return test.Samples[i].Seq[p.lastBGCol] })
-		m, err := sa.MLMonitor("lstm")
-		if err != nil {
-			return nil, err
-		}
-		p.m = m
-		p.x, err = m.InputMatrix(test.Samples)
+		var err error
+		p.sf, err = sa.surface("lstm")
 		if err != nil {
 			return nil, err
 		}
@@ -103,11 +94,13 @@ func Evasion(a *Assets) (*EvasionResult, error) {
 		}
 		eps := FGSMLevels[co[1]-len(GaussianLevels)]
 		// FGSM on the monitor input space, denormalized back to mg/dL.
-		adv, err := FGSMPerturbation(p.m, p.labels, eps)(p.x)
+		// FGSMStep returns a fresh matrix, so inverting it in place leaves
+		// the shared surface untouched.
+		adv, err := attack.FGSMStep(p.sf.x, p.sf.grad, eps)
 		if err != nil {
 			return 0, fmt.Errorf("evasion: %v ε=%v: %w", p.sa.Sim, eps, err)
 		}
-		p.m.Normalizer().Invert(adv)
+		p.sf.m.Normalizer().Invert(adv)
 		pert := episodeSeries(test, func(i int) float64 { return adv.At(i, p.lastBGCol) })
 		return attack.EvasionRate(p.orig, pert, p.bgStd)
 	})

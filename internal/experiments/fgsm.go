@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/mat"
 	"repro/internal/sweep"
@@ -17,18 +18,23 @@ type Fig8Result struct {
 }
 
 // Fig8 sweeps the FGSM ε budgets over the shared grid executor. FGSM is
-// deterministic given the model and labels, so cells need no seed.
+// deterministic given the model and labels, so cells need no seed; each
+// cell steps the pair's shared attack surface by its own ε.
 func Fig8(a *Assets) (*Fig8Result, error) {
 	f1, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
 		levels:   FGSMLevels,
 		tag:      tagFig8,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			sf, err := c.SA.surface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			conf, err := Score(m, c.SA.Test, a.Config.ToleranceDelta, FGSMPerturbation(m, c.SA.TestLabels(), c.Level))
+			pred, err := sf.fgsmClasses(c.Level)
+			if err != nil {
+				return 0, cellErr("fig8", c, err)
+			}
+			conf, err := ScoreEpisodes(pred, c.SA.Test, a.Config.ToleranceDelta)
 			if err != nil {
 				return 0, cellErr("fig8", c, err)
 			}
@@ -79,17 +85,13 @@ type Fig2Result struct {
 // case study (the paper's example uses a keep_insulin command context).
 func Fig2(a *Assets) (*Fig2Result, error) {
 	sa := a.Sims[dataset.Glucosym]
-	m, err := sa.MLMonitor("mlp")
+	sf, err := sa.surface("mlp")
 	if err != nil {
 		return nil, err
 	}
-	x, err := m.InputMatrix(sa.Test.Samples)
-	if err != nil {
-		return nil, err
-	}
-	labels := sa.TestLabels()
+	m, x, labels := sf.m, sf.x, sa.TestLabels()
 	const eps = 0.2
-	adv, err := FGSMPerturbation(m, labels, eps)(x)
+	adv, err := attack.FGSMStep(x, sf.grad, eps)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/metrics"
 )
 
 // HeatmapResult is a robustness-error heatmap: one row per
@@ -66,11 +66,15 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 		levels:   GaussianLevels,
 		tag:      tagFig9,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			sf, err := c.SA.surface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			re, err := GaussianRobustness(m, c.SA.Test, c.Level, c.Seed)
+			orig, err := sf.cleanClasses()
+			if err != nil {
+				return 0, err
+			}
+			re, err := gaussianRobustness(sf.m, c.SA.Test, orig, c.Level, c.Seed)
 			if err != nil {
 				return 0, cellErr("fig9 gaussian", c, err)
 			}
@@ -92,15 +96,19 @@ func Fig9FGSM(a *Assets) (*HeatmapResult, error) {
 		levels:   FGSMLevels,
 		tag:      tagFig9FGSM,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			sf, err := c.SA.surface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			re, err := RobustnessError(m, c.SA.Test, FGSMPerturbation(m, c.SA.TestLabels(), c.Level))
+			orig, err := sf.cleanClasses()
+			if err != nil {
+				return 0, err
+			}
+			pert, err := sf.fgsmClasses(c.Level)
 			if err != nil {
 				return 0, cellErr("fig9 fgsm", c, err)
 			}
-			return re, nil
+			return metrics.RobustnessError(orig, pert)
 		},
 	})
 	if err != nil {
@@ -117,14 +125,21 @@ const blackBoxQueryBudget = 600
 // Fig10 computes the robustness-error heatmap against black-box FGSM
 // attacks crafted on a substitute model trained from target queries. The
 // sweep cell is one (simulator, monitor) pair: the substitute is trained
-// once per pair and every ε budget transfers from it, so parallel execution
-// never retrains a substitute.
+// once per pair, its input gradient is taken once, and every ε budget
+// transfers from it, so parallel execution never retrains a substitute.
+//
+// Unlike Fig 9, every target prediction here (the substitute's query
+// labels, the clean test classes and the attacked classes) runs on the
+// canonical f64 path whatever the configured precision: the attacker's
+// observations stay bit-deterministic. The clean test classes therefore
+// come from the attack surface's f64 classes, never from cleanClasses.
 func Fig10(a *Assets) (*HeatmapResult, error) {
 	rows, err := runPairs(a, MLMonitorNames, tagFig10, func(c *GridCell) ([]float64, error) {
-		m, err := c.SA.MLMonitor(c.Monitor)
+		sf, err := c.SA.surface(c.Monitor)
 		if err != nil {
 			return nil, err
 		}
+		m := sf.m
 		// The attacker queries the target and fits the substitute to the
 		// responses. The query budget is limited — a realistic black-box
 		// constraint, and the reason transfer attacks are weaker than
@@ -151,18 +166,17 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 			return nil, cellErr("fig10 substitute", c, err)
 		}
 		// Perturbations crafted on the substitute using the target's
-		// (observed) predictions as labels, then transferred.
-		tx, err := m.InputMatrix(c.SA.Test.Samples)
+		// (observed) predictions as labels, then transferred. The
+		// substitute is private to this cell, so its gradient needs no
+		// clone.
+		tx, tPred := sf.x, sf.f64
+		grad, err := sub.InputGradient(tx, tPred, nil)
 		if err != nil {
-			return nil, err
-		}
-		tPred, err := m.PredictClasses(tx)
-		if err != nil {
-			return nil, err
+			return nil, cellErr("fig10 gradient", c, err)
 		}
 		row := make([]float64, 0, len(FGSMLevels))
 		for _, eps := range FGSMLevels {
-			adv, err := attack.BlackBoxFGSM(sub, tx, tPred, eps)
+			adv, err := attack.FGSMStep(tx, grad, eps)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +184,7 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			re, err := robustnessErr(tPred, advPred)
+			re, err := metrics.RobustnessError(tPred, advPred)
 			if err != nil {
 				return nil, err
 			}
@@ -183,22 +197,6 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 	}
 	return heatmapFromGrid("Robustness Error of ML Monitors Against Black-box Attacks",
 		"ε", FGSMLevels, rows), nil
-}
-
-func robustnessErr(orig, pert []int) (float64, error) {
-	if len(orig) != len(pert) {
-		return 0, fmt.Errorf("experiments: prediction length mismatch")
-	}
-	flipped := 0
-	for i := range orig {
-		if orig[i] != pert[i] {
-			flipped++
-		}
-	}
-	if len(orig) == 0 {
-		return 0, nil
-	}
-	return float64(flipped) / float64(len(orig)), nil
 }
 
 // Render formats the heatmap like Fig. 9/10.

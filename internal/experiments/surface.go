@@ -1,0 +1,82 @@
+package experiments
+
+import (
+	"repro/internal/attack"
+	"repro/internal/eval"
+	"repro/internal/mat"
+	"repro/internal/monitor"
+)
+
+// attackSurface is the level-invariant work of the robustness sweeps for
+// one (simulator, ML monitor) pair, computed once and shared read-only by
+// every σ/ε cell of Figs 2, 8, 9, 10 and the evasion table. FGSM's
+// sign(∇_x J(x, y)) does not depend on ε, and neither do the clean inputs
+// or their predictions, so a cell only applies its own level. Cells must
+// never write to x or grad: attacks derive fresh matrices from them.
+type attackSurface struct {
+	m *monitor.MLMonitor
+	// x is the normalized clean test matrix, InputMatrix(Test.Samples).
+	x *mat.Matrix
+	// grad is the white-box input gradient ∇_x J(x, TestLabels()) with no
+	// knowledge indicators, taken on a private clone of the model exactly
+	// as FGSMPerturbation takes it.
+	grad *mat.Matrix
+	// f64 holds the clean classes on the canonical f64 path.
+	f64 []int
+
+	// f32 holds the clean classes on the frozen float32 path, resolved on
+	// the first read under -precision f32.
+	f32 lazy[[]int]
+}
+
+// surface returns the named ML monitor's attack surface, building it on
+// first use. Concurrent callers for the same name share a single build.
+func (s *SimAssets) surface(name string) (*attackSurface, error) {
+	return slot(&s.mu, s.surfaces, name).get(func() (*attackSurface, error) { return s.buildSurface(name) })
+}
+
+func (s *SimAssets) buildSurface(name string) (*attackSurface, error) {
+	m, err := s.MLMonitor(name)
+	if err != nil {
+		return nil, err
+	}
+	x, err := m.InputMatrix(s.Test.Samples)
+	if err != nil {
+		return nil, err
+	}
+	f64, err := m.PredictClasses(x)
+	if err != nil {
+		return nil, err
+	}
+	// The gradient pass records backward state on the model, so it runs on
+	// a private clone and the shared monitor stays safe for concurrent
+	// inference.
+	model, err := m.Model().Clone()
+	if err != nil {
+		return nil, err
+	}
+	grad, err := model.InputGradient(x, s.TestLabels(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &attackSurface{m: m, x: x, grad: grad, f64: f64}, nil
+}
+
+// cleanClasses returns the clean-input classes under the configured
+// precision, the twin of PredictMatrixClasses(m, x).
+func (a *attackSurface) cleanClasses() ([]int, error) {
+	if Precision() != eval.PrecisionF32 {
+		return a.f64, nil
+	}
+	return a.f32.get(func() ([]int, error) { return a.m.PredictClassesF32(a.x) })
+}
+
+// fgsmClasses returns the monitor's classes, under the configured
+// precision, on the white-box FGSM inputs x + ε·sign(grad).
+func (a *attackSurface) fgsmClasses(eps float64) ([]int, error) {
+	adv, err := attack.FGSMStep(a.x, a.grad, eps)
+	if err != nil {
+		return nil, err
+	}
+	return PredictMatrixClasses(a.m, adv)
+}

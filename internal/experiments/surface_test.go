@@ -1,0 +1,266 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/attack"
+	"repro/internal/dataset"
+	"repro/internal/eval"
+	"repro/internal/mat"
+	"repro/internal/metrics"
+	"repro/internal/sweep"
+)
+
+// matBits serializes m bit-exactly (shape, then every element's IEEE bits).
+func matBits(m *mat.Matrix) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(m.Rows()))
+	out = binary.LittleEndian.AppendUint64(out, uint64(m.Cols()))
+	for _, v := range m.Data() {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// surfaceRefs assembles the Fig 8, Fig 9, Fig 10 and evasion-FGSM numbers
+// from the public per-cell helpers, recomputing every clean matrix,
+// clean prediction and gradient per cell: the path the sweeps took before
+// they shared one attack surface per (simulator, monitor).
+type surfaceRefs struct {
+	fig8, fig9g, fig9f map[string]map[string][]float64
+	fig10              map[string]map[string][]float64
+	evasion            map[string][]float64
+}
+
+func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
+	t.Helper()
+	r := surfaceRefs{
+		fig8:    map[string]map[string][]float64{},
+		fig9g:   map[string]map[string][]float64{},
+		fig9f:   map[string]map[string][]float64{},
+		fig10:   map[string]map[string][]float64{},
+		evasion: map[string][]float64{},
+	}
+	gauss := sweep.NewGrid(len(Simulators), len(MLMonitorNames), len(GaussianLevels))
+	gaussBase := sweep.Derive(a.Config.Seed, tagFig9)
+	pairs := sweep.NewGrid(len(Simulators), len(MLMonitorNames))
+	pairBase := sweep.Derive(a.Config.Seed, tagFig10)
+	for si, simu := range Simulators {
+		sa := a.Sims[simu]
+		labels := sa.Test.Labels()
+		sim := simu.String()
+		r.fig8[sim], r.fig9g[sim], r.fig9f[sim], r.fig10[sim] =
+			map[string][]float64{}, map[string][]float64{}, map[string][]float64{}, map[string][]float64{}
+		for mi, name := range MLMonitorNames {
+			m, err := sa.MLMonitor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, sigma := range GaussianLevels {
+				re, err := GaussianRobustness(m, sa.Test, sigma, sweep.CellSeed(gaussBase, gauss.Index(si, mi, li)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.fig9g[sim][name] = append(r.fig9g[sim][name], re)
+			}
+			for _, eps := range FGSMLevels {
+				conf, err := Score(m, sa.Test, a.Config.ToleranceDelta, FGSMPerturbation(m, labels, eps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.fig8[sim][name] = append(r.fig8[sim][name], conf.F1())
+				re, err := RobustnessError(m, sa.Test, FGSMPerturbation(m, labels, eps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.fig9f[sim][name] = append(r.fig9f[sim][name], re)
+			}
+
+			qx, err := m.InputMatrix(sa.Train.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qx.Rows() > blackBoxQueryBudget {
+				if qx, err = qx.SliceRows(0, blackBoxQueryBudget); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qPred, err := m.PredictClasses(qx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := attack.TrainSubstitute(qx, qPred, attack.SubstituteConfig{
+				Epochs: a.Config.Epochs,
+				Seed:   sweep.CellSeed(pairBase, pairs.Index(si, mi)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx, err := m.InputMatrix(sa.Test.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tPred, err := m.PredictClasses(tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, eps := range FGSMLevels {
+				adv, err := attack.BlackBoxFGSM(sub, tx, tPred, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				advPred, err := m.PredictClasses(adv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := metrics.RobustnessError(tPred, advPred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.fig10[sim][name] = append(r.fig10[sim][name], re)
+			}
+		}
+
+		lstm, err := sa.MLMonitor("lstm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := sa.Test
+		col := (test.Window-1)*dataset.SeqFeatureCount + dataset.SeqFeatBG
+		orig := episodeSeries(test, func(i int) float64 { return test.Samples[i].Seq[col] })
+		for _, eps := range FGSMLevels {
+			x, err := lstm.InputMatrix(test.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adv, err := FGSMPerturbation(lstm, labels, eps)(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lstm.Normalizer().Invert(adv)
+			pert := episodeSeries(test, func(i int) float64 { return adv.At(i, col) })
+			rate, err := attack.EvasionRate(orig, pert, test.SeqNorm.Std[dataset.SeqFeatBG])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.evasion[sim] = append(r.evasion[sim], rate)
+		}
+	}
+	return r
+}
+
+func sameSeries(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d levels, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s level %d: sweep %v, per-cell reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestAttackSurfaceMatchesPerCellPath pins that sharing one attack surface
+// per (simulator, monitor) changes no number: under both precisions, Figs
+// 8, 9 and 10 and the evasion FGSM rates equal a reference assembled cell
+// by cell from the public helpers. It then checks that Fig 10 ignores the
+// configured-precision clean classes and that no cell wrote to the shared
+// clean matrix or gradient.
+func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
+	a, err := Build(tinyCacheConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetWorkers(0)
+	defer func() { _ = SetPrecision(eval.PrecisionF64) }()
+	SetWorkers(4)
+	var want surfaceRefs
+	for _, prec := range []string{eval.PrecisionF64, eval.PrecisionF32} {
+		if err := SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		want = perCellRefs(t, a)
+		f8, err := Fig8(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f9, err := Fig9Both(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f10, err := Fig10(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := Evasion(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, simu := range Simulators {
+			sim := simu.String()
+			for _, name := range MLMonitorNames {
+				row := rowLabel(name, sim)
+				sameSeries(t, prec+" fig8 "+row, f8.F1[sim][name], want.fig8[sim][name])
+				sameSeries(t, prec+" fig9 gaussian "+row, f9.Gaussian.Errors[row], want.fig9g[sim][name])
+				sameSeries(t, prec+" fig9 fgsm "+row, f9.FGSM.Errors[row], want.fig9f[sim][name])
+				sameSeries(t, prec+" fig10 "+row, f10.Errors[row], want.fig10[sim][name])
+			}
+			sameSeries(t, prec+" evasion fgsm "+sim, ev.FGSM[sim], want.evasion[sim])
+		}
+	}
+
+	// Fig 10 reads the f64 clean classes whatever the precision: with the
+	// surfaces' f32 classes poisoned, the f32 run must not move.
+	for _, simu := range Simulators {
+		for _, name := range MLMonitorNames {
+			sf, err := a.Sims[simu].surface(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range sf.f32.v {
+				sf.f32.v[i] = 1 - c
+			}
+		}
+	}
+	f10, err := Fig10(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, simu := range Simulators {
+		for _, name := range MLMonitorNames {
+			row := rowLabel(name, simu.String())
+			sameSeries(t, "poisoned f32 fig10 "+row, f10.Errors[row], want.fig10[simu.String()][name])
+		}
+	}
+
+	for _, simu := range Simulators {
+		sa := a.Sims[simu]
+		for _, name := range MLMonitorNames {
+			sf, err := sa.surface(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := sf.m.InputMatrix(sa.Test.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, err := sf.m.Model().Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			grad, err := model.InputGradient(x, sa.Test.Labels(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(matBits(sf.x), matBits(x)) {
+				t.Fatalf("%v %s: a sweep wrote to the shared clean matrix", simu, name)
+			}
+			if !bytes.Equal(matBits(sf.grad), matBits(grad)) {
+				t.Fatalf("%v %s: a sweep wrote to the shared gradient", simu, name)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -24,21 +27,68 @@ func testModels(t *testing.T) map[string]*Model {
 }
 
 // TestInferMatchesForward pins the contract of the inference path: identical
-// numbers to Forward, with no backward state recorded.
+// numbers to Forward, bit for bit, with no backward state recorded. The
+// LSTM stacks cover a last layer that emits the whole sequence and one that
+// emits the final hidden state, at batch sizes from one row up.
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for name, m := range testModels(t) {
-		x := mat.RandNormal(rng, 7, m.InputSize(), 1)
-		fwd, err := m.Forward(x)
-		if err != nil {
-			t.Fatalf("%s forward: %v", name, err)
+	models := testModels(t)
+	lstmSeq, err := NewModel(3*5, nil, NewLSTM(rng, 5, 6, 3, true), NewDense(rng, 3*6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["lstm_seq"] = lstmSeq
+	lstmLast, err := NewModel(4*5, nil, NewLSTM(rng, 5, 6, 4, false), NewDense(rng, 6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["lstm_last"] = lstmLast
+	for name, m := range models {
+		for _, batch := range []int{1, 7, 32} {
+			x := mat.RandNormal(rng, batch, m.InputSize(), 1)
+			fwd, err := m.Forward(x)
+			if err != nil {
+				t.Fatalf("%s forward: %v", name, err)
+			}
+			inf, err := m.Infer(x)
+			if err != nil {
+				t.Fatalf("%s infer: %v", name, err)
+			}
+			if !bytes.Equal(matBytes(fwd), matBytes(inf)) {
+				t.Fatalf("%s batch=%d: Infer logits differ from Forward", name, batch)
+			}
 		}
-		inf, err := m.Infer(x)
-		if err != nil {
-			t.Fatalf("%s infer: %v", name, err)
+	}
+}
+
+// matBytes serializes m's shape and elements bit-exactly, so comparisons
+// distinguish -0 from +0 and every NaN payload.
+func matBytes(m *mat.Matrix) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(m.Rows()))
+	out = binary.LittleEndian.AppendUint64(out, uint64(m.Cols()))
+	for _, v := range m.Data() {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// TestLSTMInferAllocsIndependentOfSteps pins the per-call workspace of
+// LSTM.Infer: its allocations are fixed per call, so quadrupling the unroll
+// length at a fixed batch must not add any.
+func TestLSTMInferAllocsIndependentOfSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, returnSeqs := range []bool{true, false} {
+		allocs := func(steps int) float64 {
+			l := NewLSTM(rng, 5, 8, steps, returnSeqs)
+			x := mat.RandNormal(rng, 16, steps*5, 1)
+			return testing.AllocsPerRun(10, func() {
+				if _, err := l.Infer(x); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		if !mat.Equal(fwd, inf, 0) {
-			t.Fatalf("%s: Infer differs from Forward", name)
+		if a3, a12 := allocs(3), allocs(12); a12 > a3 {
+			t.Fatalf("returnSeqs=%v: %v allocs at 12 steps vs %v at 3, want no growth", returnSeqs, a12, a3)
 		}
 	}
 }

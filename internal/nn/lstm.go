@@ -251,30 +251,37 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 
 // Infer implements Layer: the unrolled forward pass without the backward
 // cache or shared scratch, so concurrent goroutines can share one trained
-// layer. It performs the exact arithmetic of Forward.
+// layer. It performs the exact arithmetic of Forward. Each call allocates
+// one private workspace up front (the step input, the pre-activations, the
+// four gates, tanh(c), and ping-pong hidden and cell states) and reuses it
+// across every unrolled step, so its allocations do not grow with the
+// unroll length.
 func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != l.steps*l.inputSize {
 		return nil, fmt.Errorf("nn: lstm forward: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
 	}
 	batch := x.Rows()
 	H := l.hidden
-	h := mat.New(batch, H)
-	cell := mat.New(batch, H)
+	xt := mat.New(batch, l.inputSize)
+	z, zh := mat.New(batch, 4*H), mat.New(batch, 4*H)
+	it, ft, gt, ot := mat.New(batch, H), mat.New(batch, H), mat.New(batch, H), mat.New(batch, H)
+	tc := mat.New(batch, H)
+	// h and cell start at zero; newH and newCell take each step's update,
+	// then the pairs swap.
+	h, newH := mat.New(batch, H), mat.New(batch, H)
+	cell, newCell := mat.New(batch, H), mat.New(batch, H)
 	var seqOut *mat.Matrix
 	if l.returnSeqs {
 		seqOut = mat.New(batch, l.steps*H)
 	}
 	for t := 0; t < l.steps; t++ {
-		xt, err := x.SliceCols(t*l.inputSize, (t+1)*l.inputSize)
-		if err != nil {
+		if err := mat.SliceColsInto(xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward step %d: %w", t, err)
 		}
-		z, err := mat.MatMul(xt, l.wx.W)
-		if err != nil {
+		if err := mat.MatMulInto(z, xt, l.wx.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wx step %d: %w", t, err)
 		}
-		zh, err := mat.MatMul(h, l.wh.W)
-		if err != nil {
+		if err := mat.MatMulInto(zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
 		if err := z.AddInPlace(zh); err != nil {
@@ -284,24 +291,25 @@ func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 			return nil, err
 		}
 
-		it := gateSlice(z, 0, H, sigmoid)
-		ft := gateSlice(z, H, H, sigmoid)
-		gt := gateSlice(z, 2*H, H, math.Tanh)
-		ot := gateSlice(z, 3*H, H, sigmoid)
+		gateSliceInto(it, z, 0, H, sigmoid)
+		gateSliceInto(ft, z, H, H, sigmoid)
+		gateSliceInto(gt, z, 2*H, H, math.Tanh)
+		gateSliceInto(ot, z, 3*H, H, sigmoid)
 
-		newCell := mat.New(batch, H)
 		for i := 0; i < batch; i++ {
 			cr, fr, ir, gr, nr := cell.Row(i), ft.Row(i), it.Row(i), gt.Row(i), newCell.Row(i)
 			for j := 0; j < H; j++ {
 				nr[j] = fr[j]*cr[j] + ir[j]*gr[j]
 			}
 		}
-		tc := newCell.Apply(math.Tanh)
-		newH, err := mat.Hadamard(ot, tc)
-		if err != nil {
+		if err := mat.ApplyInto(tc, newCell, math.Tanh); err != nil {
 			return nil, err
 		}
-		cell, h = newCell, newH
+		if err := mat.HadamardInto(newH, ot, tc); err != nil {
+			return nil, err
+		}
+		cell, newCell = newCell, cell
+		h, newH = newH, h
 
 		if l.returnSeqs {
 			if err := seqOut.SetCols(t*H, h); err != nil {
@@ -340,13 +348,6 @@ func (l *LSTM) Replicate() Layer {
 		wh:         shareParam(l.wh),
 		b:          shareParam(l.b),
 	}
-}
-
-// gateSlice extracts columns [from, from+width) of z and applies fn.
-func gateSlice(z *mat.Matrix, from, width int, fn func(float64) float64) *mat.Matrix {
-	out := mat.New(z.Rows(), width)
-	gateSliceInto(out, z, from, width, fn)
-	return out
 }
 
 // gateSliceInto extracts columns [from, from+width) of z into dst, applying
