@@ -65,12 +65,14 @@ func assets(b *testing.B) *experiments.Assets {
 // warmed first so the benchmark isolates sweep execution from lazy training.
 func benchSweep(b *testing.B, workers int) {
 	a := assets(b)
-	experiments.SetWorkers(workers)
-	mat.SetParallelism(workers)
-	defer func() {
-		experiments.SetWorkers(0)
-		mat.SetParallelism(0)
-	}()
+	if err := experiments.Configure(workers, experiments.Precision()); err != nil {
+		b.Fatal(err)
+	}
+	sweep.SetBudget(workers)
+	defer func(prev string) {
+		_ = experiments.Configure(0, prev)
+		sweep.SetBudget(0)
+	}(experiments.Precision())
 	if _, err := experiments.Fig5(a); err != nil {
 		b.Fatal(err)
 	}
@@ -640,12 +642,8 @@ func benchTrainMonitor(b *testing.B, simu dataset.Simulator, arch monitor.Arch, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	mat.SetParallelism(workers)
 	sweep.SetBudget(workers)
-	defer func() {
-		mat.SetParallelism(0)
-		sweep.SetBudget(0)
-	}()
+	defer sweep.SetBudget(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := monitor.Train(train, monitor.TrainConfig{
@@ -725,12 +723,8 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mat.SetParallelism(workers)
 	sweep.SetBudget(workers)
-	defer func() {
-		mat.SetParallelism(0)
-		sweep.SetBudget(0)
-	}()
+	defer sweep.SetBudget(0)
 	predict := m.PredictClasses
 	if f32 {
 		predict = m.PredictClassesF32

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/dataset"
-	"repro/internal/mat"
 	"repro/internal/mmapio"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -102,7 +101,6 @@ func (c *Common) ApplyBudget() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	mat.SetParallelism(n)
 	sweep.SetBudget(n)
 	mmapio.SetDisabled(c.NoMmap)
 	return n, nil

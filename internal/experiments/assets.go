@@ -23,37 +23,11 @@ var Simulators = []dataset.Simulator{dataset.Glucosym, dataset.T1DS}
 // workerCount is the configured sweep fan-out; 0 selects GOMAXPROCS.
 var workerCount atomic.Int32
 
-// SetWorkers sets how many goroutines the experiment grid sweeps fan out to.
-// n <= 0 restores the default (runtime.GOMAXPROCS(0)); n == 1 runs every
-// sweep serially. Results are byte-identical at every setting: per-cell RNG
-// seeds are derived from (config seed, cell index), never from execution
-// order.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int32(n))
-}
-
 // Workers returns the configured sweep fan-out (0 = GOMAXPROCS).
 func Workers() int { return int(workerCount.Load()) }
 
 // precisionMode holds the configured inference precision (empty = f64).
 var precisionMode atomic.Value // string
-
-// SetPrecision selects the inference arithmetic for every evaluation and
-// attack surface: eval.PrecisionF64 (the default, bit-deterministic) or
-// eval.PrecisionF32 (the frozen float32 fast path). Like Workers it is a
-// process-wide knob, but unlike Workers it changes report contents (by
-// float32 rounding), so it enters report fingerprints.
-func SetPrecision(p string) error {
-	norm, err := eval.NormalizePrecision(p)
-	if err != nil {
-		return err
-	}
-	precisionMode.Store(norm)
-	return nil
-}
 
 // Precision returns the configured inference precision.
 func Precision() string {
@@ -66,11 +40,29 @@ func Precision() string {
 // Configure installs the CLI-resolved worker count and inference precision
 // in one call — the single line the experiment binaries run after parsing
 // the shared cliconfig bundle.
+//
+// workers is how many goroutines the experiment grid sweeps fan out to:
+// n <= 0 restores the default (runtime.GOMAXPROCS(0)); n == 1 runs every
+// sweep serially. Results are byte-identical at every setting: per-cell RNG
+// seeds are derived from (config seed, cell index), never from execution
+// order.
+//
+// precision selects the inference arithmetic for every evaluation and
+// attack surface: eval.PrecisionF64 (the default, bit-deterministic) or
+// eval.PrecisionF32 (the frozen float32 fast path). Unlike workers it
+// changes report contents (by float32 rounding), so it enters report
+// fingerprints. An unknown precision is an error and changes neither
+// setting.
 func Configure(workers int, precision string) error {
-	if err := SetPrecision(precision); err != nil {
+	norm, err := eval.NormalizePrecision(precision)
+	if err != nil {
 		return err
 	}
-	SetWorkers(workers)
+	if workers < 0 {
+		workers = 0
+	}
+	precisionMode.Store(norm)
+	workerCount.Store(int32(workers))
 	return nil
 }
 

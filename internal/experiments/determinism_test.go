@@ -71,11 +71,13 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	SetStore(monitorOnlyStore{disk})
 	defer SetStore(nil)
-	defer SetWorkers(0)
+	defer func(prev string) { _ = Configure(0, prev) }(Precision())
 
 	var serial string
 	for _, workers := range []int{1, 4, 13} {
-		SetWorkers(workers)
+		if err := Configure(workers, Precision()); err != nil {
+			t.Fatal(err)
+		}
 		a, err := Build(Bench())
 		if err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 type Perturbation func(x *mat.Matrix) (*mat.Matrix, error)
 
 // PredictSamples classifies samples into 0/1 predictions under the
-// configured precision: the frozen float32 path when SetPrecision selected
-// it and the monitor provides one, the canonical f64 path otherwise.
+// configured precision: the frozen float32 path when Configure selected it
+// and the monitor provides one, the canonical f64 path otherwise.
 func PredictSamples(m monitor.Monitor, samples []dataset.Sample) ([]int, error) {
 	if Precision() == eval.PrecisionF32 {
 		if f32, ok := m.(monitor.F32Classifier); ok {

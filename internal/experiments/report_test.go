@@ -143,10 +143,12 @@ func TestReportsWarmRunServesFromStoreWithZeroMonitorWork(t *testing.T) {
 func TestReportsDeterministicAcrossWorkers(t *testing.T) {
 	cfg := reportConfig()
 	cfg.Seed = 124 // fresh assets either way; keep cache-test entries disjoint
-	defer SetWorkers(0)
+	defer func(prev string) { _ = Configure(0, prev) }(Precision())
 
 	render := func(workers int) (string, []byte) {
-		SetWorkers(workers)
+		if err := Configure(workers, Precision()); err != nil {
+			t.Fatalf("Configure: %v", err)
+		}
 		a, err := Build(cfg)
 		if err != nil {
 			t.Fatalf("Build: %v", err)

@@ -174,12 +174,10 @@ func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetWorkers(0)
-	defer func() { _ = SetPrecision(eval.PrecisionF64) }()
-	SetWorkers(4)
+	defer func(prev string) { _ = Configure(0, prev) }(Precision())
 	var want surfaceRefs
 	for _, prec := range []string{eval.PrecisionF64, eval.PrecisionF32} {
-		if err := SetPrecision(prec); err != nil {
+		if err := Configure(4, prec); err != nil {
 			t.Fatal(err)
 		}
 		want = perCellRefs(t, a)

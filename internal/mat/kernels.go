@@ -1,21 +1,23 @@
 package mat
 
-// Cache-blocked/tiled inner kernels for the three matrix products. Every
-// kernel preserves the exact floating-point semantics of the naive loops it
-// replaced: for each output element the contributions are added in the same
-// order (ascending k), Go never reassociates floating-point expressions, and
-// the zero-skip of the scalar paths (which matters for ReLU-sparse
-// activations) is preserved by falling back to the scalar loop whenever a
-// tile contains a zero multiplier. Results are therefore byte-identical to
+// Cache-blocked/tiled float64 inner kernels for the three matrix products
+// (the float32 set is in kernels32.go). Every kernel preserves the exact
+// floating-point semantics of the naive loops it replaced: for each output
+// element the contributions are added in the same order (ascending k), Go
+// never reassociates floating-point expressions, and the zero-skip of the
+// scalar paths (which matters for ReLU-sparse activations) is preserved by
+// falling back to the scalar loop whenever a tile contains a zero
+// multiplier. Results are therefore byte-identical to
 // the pre-tiling kernels at any blocking and any worker count — the
 // determinism contract the parallel row-block dispatch and the training
 // pipeline rely on.
 
-// matMulRows computes rows [lo, hi) of out = a × b with an ikj loop order,
-// unrolling k by 4: each pass streams four b rows against one output row, so
-// the output row is loaded and stored once per four rank-1 updates instead
-// of once per update. out must be zeroed (or hold the accumulation base).
-func matMulRows(out, a, b *Matrix, lo, hi int) {
+// matMulRows64 computes rows [lo, hi) of out = a × b with an ikj loop
+// order, unrolling k by 4: each pass streams four b rows against one output
+// row, so the output row is loaded and stored once per four rank-1 updates
+// instead of once per update. out must be zeroed (or hold the accumulation
+// base).
+func matMulRows64(out, a, b *Matrix, lo, hi int) {
 	ac, bc := a.cols, b.cols
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]
@@ -66,10 +68,10 @@ func matMulScalarK(orow, arow []float64, b *Matrix, from, to int) {
 	}
 }
 
-// matMulTRows computes rows [lo, hi) of out = a × bᵀ, unrolling the output
+// matMulTRows64 computes rows [lo, hi) of out = a × bᵀ, unrolling the output
 // column (b row) axis by 4: one streaming pass over the a row feeds four
 // independent dot-product accumulators, quartering the a-row traffic.
-func matMulTRows(out, a, b *Matrix, lo, hi int) {
+func matMulTRows64(out, a, b *Matrix, lo, hi int) {
 	ac, bc, bn := a.cols, b.cols, b.rows
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]
@@ -123,7 +125,7 @@ func tMatMulAccum(out, a, b *Matrix) {
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 				for j := range orow {
 					// Sequential adds, same rounding order as the scalar
-					// k-loop (see matMulRows).
+					// k-loop (see matMulRows64).
 					v := orow[j]
 					v += a0 * b0[j]
 					v += a1 * b1[j]

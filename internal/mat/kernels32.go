@@ -1,18 +1,18 @@
-package mat32
+package mat
 
-// 8-wide unrolled inner kernels for the frozen-inference products. Unlike
-// the f64 training kernels in internal/mat these carry no zero-skip: frozen
-// activations are dense, and straight-line unconditional loops are what the
-// compiler auto-vectorizes. Determinism still holds at any row-block split —
+// 8-wide unrolled float32 inner kernels for the frozen-inference products.
+// Unlike the float64 training kernels in kernels.go these carry no
+// zero-skip: frozen activations are dense, and straight-line unconditional
+// loops are what the compiler auto-vectorizes. Determinism still holds at any row-block split —
 // each output row accumulates in ascending-k order with sequential adds, so
 // which goroutine computes a row never changes its bits.
 
-// matMulRows computes rows [lo, hi) of out = a × b with an ikj loop order,
+// matMulRows32 computes rows [lo, hi) of out = a × b with an ikj loop order,
 // unrolling k by 8: one pass streams eight b rows against one output row.
 // Rows are zeroed here, so callers never pre-clear out. The slicing keeps
 // every inner index bounded by len(orow), which lets the compiler elide the
 // bounds checks in the 8-term update.
-func matMulRows(out, a, b *Matrix, lo, hi int) {
+func matMulRows32(out, a, b *Dense[float32], lo, hi int) {
 	ac, bc := a.cols, b.cols
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]
@@ -58,10 +58,10 @@ func matMulRows(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// matMulTRows computes rows [lo, hi) of out = a × bᵀ, unrolling the output
+// matMulTRows32 computes rows [lo, hi) of out = a × bᵀ, unrolling the output
 // column (b row) axis by 8: one streaming pass over the a row feeds eight
 // independent dot-product accumulators.
-func matMulTRows(out, a, b *Matrix, lo, hi int) {
+func matMulTRows32(out, a, b *Dense[float32], lo, hi int) {
 	ac, bc, bn := a.cols, b.cols, b.rows
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]

@@ -3,18 +3,21 @@ package mat
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
-// Naive reference kernels with the exact rounding order of the pre-tiling
-// implementations: one += per k-contribution, zero multipliers skipped.
+// Naive reference kernels with the exact rounding order of the tiled ones:
+// one += per k-contribution in ascending k. The float64 kernels skip zero
+// multipliers (skipZero); the float32 kernels have no zero-skip.
 
-func naiveMatMul(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.cols)
+func naiveMatMul[T Float](a, b *Dense[T], skipZero bool) *Dense[T] {
+	out := NewDense[T](a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {
 		arow := a.data[i*a.cols : (i+1)*a.cols]
 		orow := out.data[i*out.cols : (i+1)*out.cols]
 		for k, av := range arow {
-			if av == 0 {
+			if skipZero && av == 0 {
 				continue
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
@@ -26,13 +29,13 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-func naiveMatMulT(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.rows)
+func naiveMatMulT[T Float](a, b *Dense[T]) *Dense[T] {
+	out := NewDense[T](a.rows, b.rows)
 	for i := 0; i < a.rows; i++ {
 		arow := a.data[i*a.cols : (i+1)*a.cols]
 		for j := 0; j < b.rows; j++ {
 			brow := b.data[j*b.cols : (j+1)*b.cols]
-			var sum float64
+			var sum T
 			for k, av := range arow {
 				sum += av * brow[k]
 			}
@@ -60,40 +63,64 @@ func naiveTMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// randDense returns a rows×cols matrix of N(0, 1) entries of T.
+func randDense[T Float](rng *rand.Rand, rows, cols int) *Dense[T] {
+	m := NewDense[T](rows, cols)
+	for i := range m.data {
+		m.data[i] = T(rng.NormFloat64())
+	}
+	return m
+}
+
 // TestTiledKernelsBitIdenticalToNaive pins the "tiling is bit-invisible"
-// contract: the unrolled kernels must reproduce the naive one-add-per-k
-// rounding sequence exactly, including on ReLU-like sparse inputs that
-// exercise the zero-skip fallback paths, at shapes that hit both the
-// unrolled body and the tail loops.
+// contract for both element types: the unrolled kernels must reproduce the
+// naive one-add-per-k rounding sequence exactly, including on ReLU-like
+// sparse inputs that exercise the float64 zero-skip fallback paths, at
+// shapes that hit both the unrolled body (4-wide f64, 8-wide f32) and the
+// tail loops.
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
-	SetParallelism(1)
-	defer SetParallelism(0)
+	t.Run("f64", testTiledKernels[float64])
+	t.Run("f32", testTiledKernels[float32])
+}
+
+func testTiledKernels[T Float](t *testing.T) {
+	sweep.SetBudget(1)
+	defer sweep.SetBudget(0)
+	_, f64 := any(T(0)).(float64)
 	rng := rand.New(rand.NewSource(3))
-	sparsify := func(m *Matrix, frac float64) {
-		d := m.Data()
-		for i := range d {
+	sparsify := func(m *Dense[T], frac float64) {
+		for i := range m.data {
 			if rng.Float64() < frac {
-				d[i] = 0
+				m.data[i] = 0
 			}
 		}
 	}
-	shapes := [][3]int{{7, 13, 11}, {8, 16, 4}, {1, 5, 9}, {32, 39, 64}, {3, 4, 4}}
+	shapes := [][3]int{
+		{7, 13, 11}, {8, 16, 4}, {1, 5, 9}, {32, 39, 64}, {3, 4, 4},
+		{1, 1, 1}, {3, 8, 5}, {7, 16, 9}, {5, 13, 11}, {32, 24, 2}, {17, 33, 65},
+		{1, 3, 1}, {4, 8, 9}, {6, 17, 13}, {20, 5, 8},
+	}
 	for _, sparse := range []float64{0, 0.5} {
 		for _, s := range shapes {
 			m, k, n := s[0], s[1], s[2]
-			a := RandNormal(rng, m, k, 1)
-			b := RandNormal(rng, k, n, 1)
-			bt := RandNormal(rng, n, k, 1)
-			at := RandNormal(rng, k, m, 1)
+			a := randDense[T](rng, m, k)
+			b := randDense[T](rng, k, n)
+			bt := randDense[T](rng, n, k)
 			sparsify(a, sparse)
-			sparsify(at, sparse)
 
 			got, err := MatMul(a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !Equal(got, naiveMatMul(a, b), 0) {
+			if !Equal(got, naiveMatMul(a, b, f64), 0) {
 				t.Fatalf("MatMul %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
+			}
+			into := randDense[T](rng, m, n) // stale contents must be overwritten
+			if err := MatMulInto(into, a, b); err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(into, got, 0) {
+				t.Fatalf("MatMulInto %v sparse=%v differs from MatMul", s, sparse)
 			}
 			gotT, err := MatMulT(a, bt)
 			if err != nil {
@@ -102,11 +129,18 @@ func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 			if !Equal(gotT, naiveMatMulT(a, bt), 0) {
 				t.Fatalf("MatMulT %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
 			}
-			gotTM, err := TMatMul(at, b)
+			if !f64 {
+				continue
+			}
+			// TMatMul is float64-only: it serves the gradient path.
+			at := randDense[T](rng, k, m)
+			sparsify(at, sparse)
+			at64, b64 := any(at).(*Matrix), any(b).(*Matrix)
+			gotTM, err := TMatMul(at64, b64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !Equal(gotTM, naiveTMatMul(at, b), 0) {
+			if !Equal(gotTM, naiveTMatMul(at64, b64), 0) {
 				t.Fatalf("TMatMul %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
 			}
 		}

@@ -1,46 +1,73 @@
 // Package mat implements the small dense-matrix kernel used by the neural
-// network substrate. Matrices are row-major float64 with no external
-// dependencies. The API favours explicit destination-free operations that
-// return fresh matrices, plus a handful of in-place variants on the hot path
-// (training loops) to limit allocation.
+// network substrate, for both precisions the project computes in. Dense[T]
+// is a row-major matrix of float64 (Matrix: training, gradients and the
+// canonical f64 inference) or float32 (the frozen inference twin and the
+// serving path), with no external dependencies. The API favours explicit
+// destination-free operations that return fresh matrices, plus in-place
+// and caller-owned-destination variants for the hot paths (training loops,
+// frozen inference) to limit allocation.
+//
+// Only the product kernels differ between the precisions: float64 keeps
+// 4-wide zero-skipping kernels (ReLU-sparse training activations), float32
+// 8-wide dense ones. Products above a flop cutoff split into row blocks
+// across goroutines drawn from the shared sweep worker budget, and every
+// output row keeps its serial arithmetic order, so results are
+// byte-identical at any worker count.
 package mat
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/sweep"
 )
 
 // ErrShape is returned (wrapped) by operations whose operand shapes do not
 // conform.
 var ErrShape = errors.New("mat: shape mismatch")
 
-// Matrix is a dense, row-major matrix of float64.
+// Float is the element type of a Dense matrix.
+type Float interface{ float32 | float64 }
+
+// Dense is a dense, row-major matrix of T.
 //
-// The zero value is an empty 0x0 matrix ready for use with Reset/Resize.
-type Matrix struct {
+// The zero value is an empty 0x0 matrix.
+type Dense[T Float] struct {
 	rows, cols int
-	data       []float64
+	data       []T
 }
 
-// New returns a zeroed rows×cols matrix.
-func New(rows, cols int) *Matrix {
+// Matrix is the float64 matrix of training and canonical inference.
+type Matrix = Dense[float64]
+
+// NewDense returns a zeroed rows×cols matrix of T.
+func NewDense[T Float](rows, cols int) *Dense[T] {
 	if rows < 0 || cols < 0 {
 		rows, cols = 0, 0
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
+	return &Dense[T]{rows: rows, cols: cols, data: make([]T, rows*cols)}
 }
 
+// New returns a zeroed rows×cols float64 matrix.
+func New(rows, cols int) *Matrix { return NewDense[float64](rows, cols) }
+
 // FromSlice builds a rows×cols matrix backed by a copy of data (row-major).
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
+func FromSlice[T Float](rows, cols int, data []T) (*Dense[T], error) {
 	if len(data) != rows*cols {
 		return nil, fmt.Errorf("%w: %d values for %dx%d", ErrShape, len(data), rows, cols)
 	}
-	m := New(rows, cols)
+	m := NewDense[T](rows, cols)
 	copy(m.data, data)
 	return m, nil
+}
+
+// ToFloat32 narrows a float64 matrix to float32: the one-time weight (and
+// per-batch input) conversion of the frozen-inference path.
+func ToFloat32(src *Matrix) *Dense[float32] {
+	m := NewDense[float32](src.rows, src.cols)
+	for i, v := range src.data {
+		m.data[i] = float32(v)
+	}
+	return m
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.
@@ -60,32 +87,32 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 }
 
 // Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
+func (m *Dense[T]) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
+func (m *Dense[T]) Cols() int { return m.cols }
 
 // Len returns the total number of elements.
-func (m *Matrix) Len() int { return len(m.data) }
+func (m *Dense[T]) Len() int { return len(m.data) }
 
 // At returns the element at (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
+func (m *Dense[T]) At(i, j int) T { return m.data[i*m.cols+j] }
 
 // Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.data[i*m.cols+j] = v }
 
 // Add adds v to the element at (i, j).
-func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
+func (m *Dense[T]) Add(i, j int, v T) { m.data[i*m.cols+j] += v }
 
 // Data exposes the backing slice (row-major). Mutations are visible to the
 // matrix; callers that need isolation should Clone first.
-func (m *Matrix) Data() []float64 { return m.data }
+func (m *Dense[T]) Data() []T { return m.data }
 
 // Row returns row i as a view into the backing slice.
-func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
+func (m *Dense[T]) Row(i int) []T { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // SetRow copies r into row i.
-func (m *Matrix) SetRow(i int, r []float64) error {
+func (m *Dense[T]) SetRow(i int, r []T) error {
 	if len(r) != m.cols {
 		return fmt.Errorf("%w: SetRow got %d values, want %d", ErrShape, len(r), m.cols)
 	}
@@ -94,8 +121,8 @@ func (m *Matrix) SetRow(i int, r []float64) error {
 }
 
 // Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
+func (m *Dense[T]) Col(j int) []T {
+	out := make([]T, m.rows)
 	for i := 0; i < m.rows; i++ {
 		out[i] = m.data[i*m.cols+j]
 	}
@@ -103,14 +130,14 @@ func (m *Matrix) Col(j int) []float64 {
 }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	c := NewDense[T](m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
 }
 
 // CopyFrom copies src into m; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) error {
+func (m *Dense[T]) CopyFrom(src *Dense[T]) error {
 	if m.rows != src.rows || m.cols != src.cols {
 		return fmt.Errorf("%w: CopyFrom %dx%d into %dx%d", ErrShape, src.rows, src.cols, m.rows, m.cols)
 	}
@@ -119,21 +146,21 @@ func (m *Matrix) CopyFrom(src *Matrix) error {
 }
 
 // Zero sets every element to zero.
-func (m *Matrix) Zero() {
+func (m *Dense[T]) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
 }
 
 // Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
+func (m *Dense[T]) Fill(v T) {
 	for i := range m.data {
 		m.data[i] = v
 	}
 }
 
 // String renders the matrix for debugging.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	s := fmt.Sprintf("Matrix(%dx%d)[", m.rows, m.cols)
 	for i := 0; i < m.rows && i < 6; i++ {
 		if i > 0 {
@@ -150,85 +177,59 @@ func (m *Matrix) String() string {
 }
 
 // MatMul returns a × b. Products above a size cutoff are computed by
-// row-blocks across SetParallelism goroutines; the result is byte-identical
-// to the serial path because each output row keeps its serial arithmetic
-// order (the tiled kernels in kernels.go preserve per-element accumulation
-// order exactly).
-func MatMul(a, b *Matrix) (*Matrix, error) {
+// row blocks across goroutines drawn from the shared sweep budget; the
+// result is byte-identical to the serial path because each output row keeps
+// its serial arithmetic order (the tiled kernels preserve per-element
+// accumulation order exactly).
+func MatMul[T Float](a, b *Dense[T]) (*Dense[T], error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: MatMul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
-	out := New(a.rows, b.cols)
-	matMulDispatch(out, a, b)
+	out := NewDense[T](a.rows, b.cols)
+	matMulDispatch(out, a, b, productAB)
 	return out, nil
 }
 
 // MatMulInto computes dst = a × b into a caller-owned destination, avoiding
-// the allocation of MatMul on hot paths (training scratch buffers). dst must
-// not alias a or b.
-func MatMulInto(dst, a, b *Matrix) error {
+// the allocation of MatMul on hot paths (training scratch buffers, frozen
+// inference). Every element of dst is overwritten; dst must not alias a or
+// b.
+func MatMulInto[T Float](dst, a, b *Dense[T]) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("%w: MatMulInto %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	if dst.rows != a.rows || dst.cols != b.cols {
 		return fmt.Errorf("%w: MatMulInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.cols)
 	}
-	dst.Zero()
-	matMulDispatch(dst, a, b)
+	if kernelsOf[T]().clearAB {
+		dst.Zero()
+	}
+	matMulDispatch(dst, a, b, productAB)
 	return nil
 }
 
-// matMulDispatch fans the product out across row blocks when it is large
-// enough and the shared sweep budget grants workers. The kernel closure is
-// built only inside the granted branch, so the serial hot path — small
-// products, drained budget, parallelism 1 — allocates nothing.
-func matMulDispatch(out, a, b *Matrix) {
-	rows := a.rows
-	if workers := planWorkers(rows, rows*a.cols*b.cols); workers > 1 {
-		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulRows(out, a, b, lo, hi) })
-			sweep.ReleaseWorkers(granted)
-			return
-		}
-	}
-	matMulRows(out, a, b, 0, rows)
-}
-
 // MatMulT returns a × bᵀ, with the same row-blocked parallel path as MatMul.
-func MatMulT(a, b *Matrix) (*Matrix, error) {
+func MatMulT[T Float](a, b *Dense[T]) (*Dense[T], error) {
 	if a.cols != b.cols {
 		return nil, fmt.Errorf("%w: MatMulT %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
-	out := New(a.rows, b.rows)
-	matMulTDispatch(out, a, b)
+	out := NewDense[T](a.rows, b.rows)
+	matMulDispatch(out, a, b, productABt)
 	return out, nil
 }
 
 // MatMulTInto computes dst = a × bᵀ into a caller-owned destination. dst
 // must not alias a or b. Every element is overwritten; dst need not be
 // zeroed.
-func MatMulTInto(dst, a, b *Matrix) error {
+func MatMulTInto[T Float](dst, a, b *Dense[T]) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: MatMulTInto %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	if dst.rows != a.rows || dst.cols != b.rows {
 		return fmt.Errorf("%w: MatMulTInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.rows)
 	}
-	matMulTDispatch(dst, a, b)
+	matMulDispatch(dst, a, b, productABt)
 	return nil
-}
-
-// matMulTDispatch is matMulDispatch for out = a × bᵀ.
-func matMulTDispatch(out, a, b *Matrix) {
-	rows := a.rows
-	if workers := planWorkers(rows, rows*a.cols*b.rows); workers > 1 {
-		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulTRows(out, a, b, lo, hi) })
-			sweep.ReleaseWorkers(granted)
-			return
-		}
-	}
-	matMulTRows(out, a, b, 0, rows)
 }
 
 // TMatMul returns aᵀ × b. The product stays on the calling goroutine: its
@@ -259,8 +260,8 @@ func TMatMulAddInto(dst, a, b *Matrix) error {
 }
 
 // Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.cols, m.rows)
+func (m *Dense[T]) Transpose() *Dense[T] {
+	out := NewDense[T](m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
 			out.data[j*out.cols+i] = m.data[i*m.cols+j]
@@ -294,7 +295,7 @@ func SubM(a, b *Matrix) (*Matrix, error) {
 }
 
 // AddInPlace adds b into m.
-func (m *Matrix) AddInPlace(b *Matrix) error {
+func (m *Dense[T]) AddInPlace(b *Dense[T]) error {
 	if m.rows != b.rows || m.cols != b.cols {
 		return fmt.Errorf("%w: AddInPlace %dx%d += %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
 	}
@@ -305,7 +306,7 @@ func (m *Matrix) AddInPlace(b *Matrix) error {
 }
 
 // AddScaled adds s·b into m (axpy).
-func (m *Matrix) AddScaled(s float64, b *Matrix) error {
+func (m *Dense[T]) AddScaled(s T, b *Dense[T]) error {
 	if m.rows != b.rows || m.cols != b.cols {
 		return fmt.Errorf("%w: AddScaled %dx%d += s*%dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
 	}
@@ -316,14 +317,14 @@ func (m *Matrix) AddScaled(s float64, b *Matrix) error {
 }
 
 // Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
+func (m *Dense[T]) Scale(s T) {
 	for i := range m.data {
 		m.data[i] *= s
 	}
 }
 
 // MulInPlace multiplies m elementwise by b (m ⊙= b).
-func (m *Matrix) MulInPlace(b *Matrix) error {
+func (m *Dense[T]) MulInPlace(b *Dense[T]) error {
 	if m.rows != b.rows || m.cols != b.cols {
 		return fmt.Errorf("%w: MulInPlace %dx%d ⊙= %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
 	}
@@ -358,8 +359,8 @@ func Hadamard(a, b *Matrix) (*Matrix, error) {
 }
 
 // Apply returns a new matrix with f applied elementwise.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.rows, m.cols)
+func (m *Dense[T]) Apply(f func(T) T) *Dense[T] {
+	out := NewDense[T](m.rows, m.cols)
 	for i, v := range m.data {
 		out.data[i] = f(v)
 	}
@@ -368,7 +369,7 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 
 // ApplyInto computes dst = f(src) elementwise into a caller-owned
 // destination (the allocation-free form of Apply for training scratch).
-func ApplyInto(dst, src *Matrix, f func(float64) float64) error {
+func ApplyInto[T Float](dst, src *Dense[T], f func(T) T) error {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		return fmt.Errorf("%w: ApplyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
 	}
@@ -378,15 +379,33 @@ func ApplyInto(dst, src *Matrix, f func(float64) float64) error {
 	return nil
 }
 
+// ReLUInto computes dst = max(src, 0) elementwise: the branch-light special
+// case of ApplyInto on the frozen MLP hot path (no per-element function
+// call).
+func ReLUInto[T Float](dst, src *Dense[T]) error {
+	if dst.rows != src.rows || dst.cols != src.cols {
+		return fmt.Errorf("%w: ReLUInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
+	}
+	dd := dst.data
+	for i, v := range src.data {
+		if v > 0 {
+			dd[i] = v
+		} else {
+			dd[i] = 0
+		}
+	}
+	return nil
+}
+
 // ApplyInPlace applies f elementwise in place.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
+func (m *Dense[T]) ApplyInPlace(f func(T) T) {
 	for i, v := range m.data {
 		m.data[i] = f(v)
 	}
 }
 
 // AddRowVector adds a 1×cols row vector to every row of m, in place.
-func (m *Matrix) AddRowVector(v *Matrix) error {
+func (m *Dense[T]) AddRowVector(v *Dense[T]) error {
 	if v.rows != 1 || v.cols != m.cols {
 		return fmt.Errorf("%w: AddRowVector %dx%d += %dx%d", ErrShape, m.rows, m.cols, v.rows, v.cols)
 	}
@@ -401,8 +420,8 @@ func (m *Matrix) AddRowVector(v *Matrix) error {
 
 // SumRows returns the 1×cols column-sum of m (the gradient reduction used for
 // bias terms).
-func (m *Matrix) SumRows() *Matrix {
-	out := New(1, m.cols)
+func (m *Dense[T]) SumRows() *Dense[T] {
+	out := NewDense[T](1, m.cols)
 	for i := 0; i < m.rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -429,8 +448,8 @@ func AddSumRows(dst, m *Matrix) error {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
+func (m *Dense[T]) Sum() T {
+	var s T
 	for _, v := range m.data {
 		s += v
 	}
@@ -438,10 +457,10 @@ func (m *Matrix) Sum() float64 {
 }
 
 // MaxAbs returns the maximum absolute element value (0 for empty matrices).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
+func (m *Dense[T]) MaxAbs() T {
+	var mx T
 	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
+		if a := T(math.Abs(float64(v))); a > mx {
 			mx = a
 		}
 	}
@@ -449,21 +468,21 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	var s float64
+func (m *Dense[T]) Norm2() T {
+	var s T
 	for _, v := range m.data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return T(math.Sqrt(float64(s)))
 }
 
 // Equal reports whether a and b have identical shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
+func Equal[T Float](a, b *Dense[T], tol float64) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false
 	}
 	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
+		if math.Abs(float64(v-b.data[i])) > tol {
 			return false
 		}
 	}
@@ -471,11 +490,11 @@ func Equal(a, b *Matrix, tol float64) bool {
 }
 
 // SliceRows returns a copy of rows [from, to).
-func (m *Matrix) SliceRows(from, to int) (*Matrix, error) {
+func (m *Dense[T]) SliceRows(from, to int) (*Dense[T], error) {
 	if from < 0 || to > m.rows || from > to {
 		return nil, fmt.Errorf("%w: SliceRows [%d,%d) of %d rows", ErrShape, from, to, m.rows)
 	}
-	out := New(to-from, m.cols)
+	out := NewDense[T](to-from, m.cols)
 	copy(out.data, m.data[from*m.cols:to*m.cols])
 	return out, nil
 }
@@ -483,17 +502,18 @@ func (m *Matrix) SliceRows(from, to int) (*Matrix, error) {
 // RowsView returns rows [from, to) as a view sharing m's backing slice —
 // no copy, mutations are visible both ways. The training pipeline uses it
 // to hand contiguous minibatch blocks to per-worker shards without
-// re-gathering.
-func (m *Matrix) RowsView(from, to int) (*Matrix, error) {
+// re-gathering; the serving batcher, to run a fused classify over just the
+// occupied prefix of its staging buffer.
+func (m *Dense[T]) RowsView(from, to int) (*Dense[T], error) {
 	if from < 0 || to > m.rows || from > to {
 		return nil, fmt.Errorf("%w: RowsView [%d,%d) of %d rows", ErrShape, from, to, m.rows)
 	}
-	return &Matrix{rows: to - from, cols: m.cols, data: m.data[from*m.cols : to*m.cols]}, nil
+	return &Dense[T]{rows: to - from, cols: m.cols, data: m.data[from*m.cols : to*m.cols]}, nil
 }
 
 // SliceColsInto copies columns [from, to) of m into a caller-owned
 // destination (the allocation-free form of SliceCols).
-func SliceColsInto(dst, m *Matrix, from, to int) error {
+func SliceColsInto[T Float](dst, m *Dense[T], from, to int) error {
 	if from < 0 || to > m.cols || from > to {
 		return fmt.Errorf("%w: SliceColsInto [%d,%d) of %d cols", ErrShape, from, to, m.cols)
 	}
@@ -507,11 +527,11 @@ func SliceColsInto(dst, m *Matrix, from, to int) error {
 }
 
 // SliceCols returns a copy of columns [from, to).
-func (m *Matrix) SliceCols(from, to int) (*Matrix, error) {
+func (m *Dense[T]) SliceCols(from, to int) (*Dense[T], error) {
 	if from < 0 || to > m.cols || from > to {
 		return nil, fmt.Errorf("%w: SliceCols [%d,%d) of %d cols", ErrShape, from, to, m.cols)
 	}
-	out := New(m.rows, to-from)
+	out := NewDense[T](m.rows, to-from)
 	for i := 0; i < m.rows; i++ {
 		copy(out.Row(i), m.Row(i)[from:to])
 	}
@@ -519,7 +539,7 @@ func (m *Matrix) SliceCols(from, to int) (*Matrix, error) {
 }
 
 // SetCols copies src into columns [from, from+src.Cols()) of m.
-func (m *Matrix) SetCols(from int, src *Matrix) error {
+func (m *Dense[T]) SetCols(from int, src *Dense[T]) error {
 	if src.rows != m.rows || from < 0 || from+src.cols > m.cols {
 		return fmt.Errorf("%w: SetCols at %d with %dx%d into %dx%d", ErrShape, from, src.rows, src.cols, m.rows, m.cols)
 	}
@@ -543,9 +563,9 @@ func ConcatCols(a, b *Matrix) (*Matrix, error) {
 }
 
 // ArgmaxRow returns the index of the maximum element of row i.
-func (m *Matrix) ArgmaxRow(i int) int {
+func (m *Dense[T]) ArgmaxRow(i int) int {
 	row := m.Row(i)
-	best, bi := math.Inf(-1), 0
+	best, bi := T(math.Inf(-1)), 0
 	for j, v := range row {
 		if v > best {
 			best, bi = v, j

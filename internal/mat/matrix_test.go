@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func mustFromSlice(t *testing.T, rows, cols int, data []float64) *Matrix {
+func mustFromSlice[T Float](t *testing.T, rows, cols int, data []T) *Dense[T] {
 	t.Helper()
 	m, err := FromSlice(rows, cols, data)
 	if err != nil {
@@ -84,9 +84,29 @@ func TestMatMulKnown(t *testing.T) {
 }
 
 func TestMatMulShapeError(t *testing.T) {
-	a, b := New(2, 3), New(2, 3)
+	t.Run("f64", testMatMulShapeError[float64])
+	t.Run("f32", testMatMulShapeError[float32])
+}
+
+func testMatMulShapeError[T Float](t *testing.T) {
+	a, b := NewDense[T](2, 3), NewDense[T](2, 3)
 	if _, err := MatMul(a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("err = %v, want ErrShape", err)
+	}
+	if err := MatMulInto(NewDense[T](2, 3), a, b); !errors.Is(err, ErrShape) {
+		t.Fatalf("MatMulInto mismatched inner dims: %v", err)
+	}
+	if err := MatMulInto(NewDense[T](2, 2), a, NewDense[T](3, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("MatMulInto mismatched dst: %v", err)
+	}
+	if err := MatMulTInto(NewDense[T](2, 4), a, NewDense[T](4, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("MatMulTInto mismatched cols: %v", err)
+	}
+	if err := a.AddRowVector(NewDense[T](2, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("AddRowVector accepted a non-row bias: %v", err)
+	}
+	if _, err := FromSlice(2, 2, []T{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("FromSlice accepted short data: %v", err)
 	}
 }
 
@@ -173,17 +193,22 @@ func TestHadamardCommutes(t *testing.T) {
 }
 
 func TestAddRowVectorAndSumRows(t *testing.T) {
-	m := mustFromSlice(t, 2, 3, []float64{1, 2, 3, 4, 5, 6})
-	v := mustFromSlice(t, 1, 3, []float64{10, 20, 30})
+	t.Run("f64", testAddRowVectorAndSumRows[float64])
+	t.Run("f32", testAddRowVectorAndSumRows[float32])
+}
+
+func testAddRowVectorAndSumRows[T Float](t *testing.T) {
+	m := mustFromSlice(t, 2, 3, []T{1, 2, 3, 4, 5, 6})
+	v := mustFromSlice(t, 1, 3, []T{10, 20, 30})
 	if err := m.AddRowVector(v); err != nil {
 		t.Fatalf("AddRowVector: %v", err)
 	}
-	want := mustFromSlice(t, 2, 3, []float64{11, 22, 33, 14, 25, 36})
+	want := mustFromSlice(t, 2, 3, []T{11, 22, 33, 14, 25, 36})
 	if !Equal(m, want, 0) {
 		t.Fatalf("AddRowVector = %v, want %v", m, want)
 	}
 	sums := m.SumRows()
-	wantSums := mustFromSlice(t, 1, 3, []float64{25, 47, 69})
+	wantSums := mustFromSlice(t, 1, 3, []T{25, 47, 69})
 	if !Equal(sums, wantSums, 0) {
 		t.Fatalf("SumRows = %v, want %v", sums, wantSums)
 	}
@@ -222,6 +247,36 @@ func TestApplyAndScale(t *testing.T) {
 	}
 }
 
+// TestApplyIntoReLUInto checks the caller-owned-destination elementwise
+// ops of the frozen-inference activations.
+func TestApplyIntoReLUInto(t *testing.T) {
+	t.Run("f64", testApplyIntoReLUInto[float64])
+	t.Run("f32", testApplyIntoReLUInto[float32])
+}
+
+func testApplyIntoReLUInto[T Float](t *testing.T) {
+	src := mustFromSlice(t, 1, 4, []T{-1, 2, -3, 4})
+	dst := NewDense[T](1, 4)
+	if err := ApplyInto(dst, src, func(v T) T { return -v }); err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(dst, mustFromSlice(t, 1, 4, []T{1, -2, 3, -4}), 0) {
+		t.Fatalf("ApplyInto = %v", dst)
+	}
+	if err := ReLUInto(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(dst, mustFromSlice(t, 1, 4, []T{0, 2, 0, 4}), 0) {
+		t.Fatalf("ReLUInto = %v", dst)
+	}
+	if err := ApplyInto(NewDense[T](2, 2), src, func(v T) T { return v }); !errors.Is(err, ErrShape) {
+		t.Fatalf("ApplyInto shape mismatch: %v", err)
+	}
+	if err := ReLUInto(NewDense[T](4, 1), src); !errors.Is(err, ErrShape) {
+		t.Fatalf("ReLUInto shape mismatch: %v", err)
+	}
+}
+
 func TestSliceRowsCols(t *testing.T) {
 	m := mustFromSlice(t, 3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	r, err := m.SliceRows(1, 3)
@@ -249,8 +304,13 @@ func TestSliceRowsCols(t *testing.T) {
 }
 
 func TestSetColsRoundTrip(t *testing.T) {
-	m := New(2, 4)
-	src := mustFromSlice(t, 2, 2, []float64{1, 2, 3, 4})
+	t.Run("f64", testSetColsRoundTrip[float64])
+	t.Run("f32", testSetColsRoundTrip[float32])
+}
+
+func testSetColsRoundTrip[T Float](t *testing.T) {
+	m := NewDense[T](2, 4)
+	src := mustFromSlice(t, 2, 2, []T{1, 2, 3, 4})
 	if err := m.SetCols(1, src); err != nil {
 		t.Fatalf("SetCols: %v", err)
 	}
@@ -260,6 +320,19 @@ func TestSetColsRoundTrip(t *testing.T) {
 	}
 	if !Equal(got, src, 0) {
 		t.Fatalf("SetCols/SliceCols round trip = %v, want %v", got, src)
+	}
+	into := NewDense[T](2, 2)
+	if err := SliceColsInto(into, m, 1, 3); err != nil {
+		t.Fatalf("SliceColsInto: %v", err)
+	}
+	if !Equal(into, src, 0) {
+		t.Fatalf("SetCols/SliceColsInto round trip = %v, want %v", into, src)
+	}
+	if err := SliceColsInto(into, m, 0, 3); !errors.Is(err, ErrShape) {
+		t.Fatalf("SliceColsInto wrong dst width: %v", err)
+	}
+	if err := m.SetCols(3, src); !errors.Is(err, ErrShape) {
+		t.Fatalf("SetCols past the last column: %v", err)
 	}
 }
 
@@ -280,12 +353,33 @@ func TestConcatCols(t *testing.T) {
 }
 
 func TestArgmaxRow(t *testing.T) {
-	m := mustFromSlice(t, 2, 3, []float64{0.2, 0.7, 0.1, 5, -2, 4.9})
-	if got := m.ArgmaxRow(0); got != 1 {
-		t.Fatalf("ArgmaxRow(0) = %d, want 1", got)
+	t.Run("f64", testArgmaxRow[float64])
+	t.Run("f32", testArgmaxRow[float32])
+}
+
+func testArgmaxRow[T Float](t *testing.T) {
+	nan := T(math.NaN())
+	m := mustFromSlice(t, 4, 3, []T{0.2, 0.7, 0.1, 5, -2, 4.9, 0, -2.25, -3, nan, -1, -2})
+	// Row 2 ties at the first maximum; row 3 starts with NaN, which never
+	// compares greater, so the largest ordinary value wins.
+	for i, want := range []int{1, 0, 0, 1} {
+		if got := m.ArgmaxRow(i); got != want {
+			t.Fatalf("ArgmaxRow(%d) = %d, want %d", i, got, want)
+		}
 	}
-	if got := m.ArgmaxRow(1); got != 0 {
-		t.Fatalf("ArgmaxRow(1) = %d, want 0", got)
+}
+
+// TestToFloat32 checks the f64→f32 narrowing of the frozen-inference path.
+func TestToFloat32(t *testing.T) {
+	src := mustFromSlice(t, 2, 2, []float64{1.5, 0, 0, -2.25})
+	q := ToFloat32(src)
+	if q.Rows() != 2 || q.Cols() != 2 {
+		t.Fatalf("shape %dx%d, want 2x2", q.Rows(), q.Cols())
+	}
+	for i, v := range src.Data() {
+		if q.Data()[i] != float32(v) {
+			t.Fatalf("ToFloat32[%d] = %v, want %v", i, q.Data()[i], float32(v))
+		}
 	}
 }
 

@@ -4,63 +4,80 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // TestParallelMatMulMatchesSerial checks the acceptance property of the
-// blocked path: at every parallelism setting the product is byte-identical
-// to the serial loop, including ragged row counts that do not divide evenly
-// across workers.
+// blocked path for both element types: at every sweep budget the product
+// is byte-identical to the serial loop, including ragged row counts that do
+// not divide evenly across workers.
 func TestParallelMatMulMatchesSerial(t *testing.T) {
-	defer SetParallelism(0)
+	t.Run("f64", testParallelMatMul[float64])
+	t.Run("f32", testParallelMatMul[float32])
+}
+
+func testParallelMatMul[T Float](t *testing.T) {
+	defer sweep.SetBudget(0)
 	rng := rand.New(rand.NewSource(3))
 	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 2}, {17, 31, 13}, {64, 64, 64}, {129, 65, 70}, {200, 40, 300},
+		{1, 1, 1}, {3, 5, 2}, {17, 31, 13}, {64, 64, 64}, {129, 65, 70}, {128, 96, 80}, {200, 40, 300},
 	}
 	for _, s := range shapes {
-		a := RandNormal(rng, s.m, s.k, 1)
-		b := RandNormal(rng, s.k, s.n, 1)
-		SetParallelism(1)
+		a := randDense[T](rng, s.m, s.k)
+		b := randDense[T](rng, s.k, s.n)
+		bt := b.Transpose()
+		sweep.SetBudget(1)
 		serial, err := MatMul(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialT, err := MatMulT(a, b.Transpose())
+		serialT, err := MatMulT(a, bt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 3, 8, 1000} {
-			SetParallelism(workers)
+		for _, budget := range []int{2, 3, 8, 1000} {
+			sweep.SetBudget(budget)
 			par, err := MatMul(a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !Equal(serial, par, 0) {
-				t.Fatalf("%dx%dx%d workers=%d: MatMul differs from serial", s.m, s.k, s.n, workers)
+				t.Fatalf("%dx%dx%d budget=%d: MatMul differs from serial", s.m, s.k, s.n, budget)
 			}
-			parT, err := MatMulT(a, b.Transpose())
+			parT, err := MatMulT(a, bt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !Equal(serialT, parT, 0) {
-				t.Fatalf("%dx%dx%d workers=%d: MatMulT differs from serial", s.m, s.k, s.n, workers)
+				t.Fatalf("%dx%dx%d budget=%d: MatMulT differs from serial", s.m, s.k, s.n, budget)
 			}
 		}
 	}
 }
 
+// TestSetParallelism pins the forwarding shim: it sets and reads the one
+// sweep budget, so a configure-then-restore sequence through both names
+// (as the end-to-end benchmark does) leaves the budget where it was.
 func TestSetParallelism(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", Parallelism())
+	defer sweep.SetBudget(0)
+	for _, n := range []int{3, 1, 0, -5} {
+		SetParallelism(n)
+		if Parallelism() != sweep.BudgetCap() || Parallelism() < 1 {
+			t.Fatalf("SetParallelism(%d): Parallelism() = %d, BudgetCap() = %d", n, Parallelism(), sweep.BudgetCap())
+		}
 	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("default parallelism %d, want >= 1", Parallelism())
+	sweep.SetBudget(5)
+	if Parallelism() != 5 {
+		t.Fatalf("Parallelism() = %d after SetBudget(5)", Parallelism())
 	}
-	SetParallelism(-5)
-	if Parallelism() < 1 {
-		t.Fatal("negative setting must fall back to default")
+	prevBudget, prevPar := sweep.BudgetCap(), Parallelism()
+	sweep.SetBudget(2)
+	SetParallelism(2)
+	sweep.SetBudget(prevBudget)
+	SetParallelism(prevPar)
+	if sweep.BudgetCap() != 5 {
+		t.Fatalf("restored budget = %d, want 5", sweep.BudgetCap())
 	}
 }
 
@@ -68,17 +85,17 @@ func TestSetParallelism(t *testing.T) {
 // on, so the crossover point of the row-blocked fan-out is measured rather
 // than asserted.
 func BenchmarkMatMul(b *testing.B) {
-	defer SetParallelism(0)
+	defer sweep.SetBudget(0)
 	rng := rand.New(rand.NewSource(5))
 	for _, size := range []int{32, 64, 128, 256, 512} {
 		x := RandNormal(rng, size, size, 1)
 		y := RandNormal(rng, size, size, 1)
 		for _, mode := range []struct {
-			name    string
-			workers int
+			name   string
+			budget int
 		}{{"serial", 1}, {"parallel", 0}} {
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, size), func(b *testing.B) {
-				SetParallelism(mode.workers)
+				sweep.SetBudget(mode.budget)
 				b.SetBytes(int64(8 * size * size))
 				for i := 0; i < b.N; i++ {
 					if _, err := MatMul(x, y); err != nil {

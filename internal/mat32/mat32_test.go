@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/sweep"
 )
 
 // naiveMatMul is the reference ijk product the unrolled kernels must match
@@ -27,8 +26,9 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
-	for i := range m.data {
-		m.data[i] = float32(rng.NormFloat64())
+	data := m.Data()
+	for i := range data {
+		data[i] = float32(rng.NormFloat64())
 	}
 	return m
 }
@@ -37,16 +37,18 @@ func matricesEqual(a, b *Matrix) bool {
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		return false
 	}
-	for i, v := range a.data {
-		if v != b.data[i] {
+	bd := b.Data()
+	for i, v := range a.Data() {
+		if v != bd[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// TestMatMulMatchesNaive pins the unrolled kernel to the scalar reference at
-// shapes that exercise the 8-wide body, the remainder loop, and both.
+// TestMatMulMatchesNaive pins the float32 kernel behind the shim's Matrix to
+// the scalar reference at shapes that exercise the 8-wide body, the
+// remainder loop, and both.
 func TestMatMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range [][3]int{{1, 1, 1}, {3, 8, 5}, {7, 16, 9}, {5, 13, 11}, {32, 24, 2}, {17, 33, 65}} {
@@ -54,7 +56,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		b := randMatrix(rng, shape[1], shape[2])
 		want := naiveMatMul(a, b)
 		got := New(shape[0], shape[2])
-		if err := MatMulInto(got, a, b); err != nil {
+		if err := mat.MatMulInto(got, a, b); err != nil {
 			t.Fatalf("MatMulInto %v: %v", shape, err)
 		}
 		if !matricesEqual(got, want) {
@@ -77,7 +79,7 @@ func TestMatMulTMatchesTranspose(t *testing.T) {
 			}
 		}
 		got := New(shape[0], shape[2])
-		if err := MatMulTInto(got, a, b); err != nil {
+		if err := mat.MatMulTInto(got, a, b); err != nil {
 			t.Fatalf("MatMulTInto %v: %v", shape, err)
 		}
 		want := naiveMatMul(a, bt)
@@ -90,132 +92,5 @@ func TestMatMulTMatchesTranspose(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMatMulParallelByteIdentical pins the determinism contract: a product
-// big enough to fan out produces the same bits at every parallelism setting.
-func TestMatMulParallelByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMatrix(rng, 128, 96)
-	b := randMatrix(rng, 96, 80)
-
-	mat.SetParallelism(1)
-	serial := New(128, 80)
-	if err := MatMulInto(serial, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		mat.SetParallelism(workers)
-		sweep.SetBudget(workers)
-		got := New(128, 80)
-		if err := MatMulInto(got, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if !matricesEqual(got, serial) {
-			t.Fatalf("parallel(%d) product differs from serial", workers)
-		}
-	}
-	mat.SetParallelism(0)
-	sweep.SetBudget(0)
-}
-
-func TestAddBiasAndApply(t *testing.T) {
-	m, err := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bias, err := FromSlice(1, 3, []float32{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AddBias(m, bias); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{11, 22, 33, 14, 25, 36}
-	for i, v := range m.Data() {
-		if v != want[i] {
-			t.Fatalf("AddBias[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-
-	dst := New(2, 3)
-	if err := ApplyInto(dst, m, func(v float32) float32 { return -v }); err != nil {
-		t.Fatal(err)
-	}
-	if dst.At(1, 2) != -36 {
-		t.Fatalf("ApplyInto = %v, want -36", dst.At(1, 2))
-	}
-
-	neg, err := FromSlice(1, 4, []float32{-1, 2, -3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(1, 4)
-	if err := ReLUInto(r, neg); err != nil {
-		t.Fatal(err)
-	}
-	wantR := []float32{0, 2, 0, 4}
-	for i, v := range r.Data() {
-		if v != wantR[i] {
-			t.Fatalf("ReLUInto[%d] = %v, want %v", i, v, wantR[i])
-		}
-	}
-}
-
-func TestSliceSetColsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randMatrix(rng, 5, 12)
-	part := New(5, 4)
-	if err := SliceColsInto(part, m, 4, 8); err != nil {
-		t.Fatal(err)
-	}
-	back := New(5, 12)
-	if err := back.SetCols(4, part); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		for j := 4; j < 8; j++ {
-			if back.At(i, j) != m.At(i, j) {
-				t.Fatalf("round trip (%d,%d): %v != %v", i, j, back.At(i, j), m.At(i, j))
-			}
-		}
-	}
-}
-
-func TestQuantizeRoundTrip(t *testing.T) {
-	src := mat.New(2, 2)
-	src.Set(0, 0, 1.5)
-	src.Set(1, 1, -2.25)
-	q := FromF64(src)
-	if q.At(0, 0) != 1.5 || q.At(1, 1) != -2.25 {
-		t.Fatalf("FromF64 = %v", q.Data())
-	}
-	buf := New(2, 2)
-	if err := buf.QuantizeInto(src); err != nil {
-		t.Fatal(err)
-	}
-	if !matricesEqual(buf, q) {
-		t.Fatal("QuantizeInto differs from FromF64")
-	}
-	if q.ArgmaxRow(0) != 0 || q.ArgmaxRow(1) != 0 { // row 1 is [0, -2.25]
-		t.Fatalf("ArgmaxRow = %d,%d", q.ArgmaxRow(0), q.ArgmaxRow(1))
-	}
-}
-
-func TestShapeErrors(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 5)
-	if err := MatMulInto(New(2, 5), a, b); err == nil {
-		t.Fatal("MatMulInto accepted mismatched inner dims")
-	}
-	if err := MatMulTInto(New(2, 4), a, b); err == nil {
-		t.Fatal("MatMulTInto accepted mismatched cols")
-	}
-	if err := AddBias(a, New(2, 3)); err == nil {
-		t.Fatal("AddBias accepted non-row bias")
-	}
-	if _, err := FromSlice(2, 2, []float32{1}); err == nil {
-		t.Fatal("FromSlice accepted short data")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
-	"repro/internal/mat32"
 	"repro/internal/nn"
 )
 
@@ -41,7 +40,7 @@ func (m *MLMonitor) ClassifyMatrixF32(x *mat.Matrix) ([]Verdict, error) {
 	}
 	classes := make([]int, x.Rows())
 	conf := make([]float64, x.Rows())
-	if err := im.ClassifyInto(mat32.FromF64(x), classes, conf); err != nil {
+	if err := im.ClassifyInto(mat.ToFloat32(x), classes, conf); err != nil {
 		return nil, fmt.Errorf("monitor: %s classify f32: %w", m.Name(), err)
 	}
 	out := make([]Verdict, len(classes))
@@ -59,7 +58,7 @@ func (m *MLMonitor) PredictClassesF32(x *mat.Matrix) ([]int, error) {
 		return nil, err
 	}
 	classes := make([]int, x.Rows())
-	if err := im.ClassifyInto(mat32.FromF64(x), classes, nil); err != nil {
+	if err := im.ClassifyInto(mat.ToFloat32(x), classes, nil); err != nil {
 		return nil, fmt.Errorf("monitor: %s predict f32: %w", m.Name(), err)
 	}
 	return classes, nil

@@ -5,14 +5,15 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/mat32"
+	"repro/internal/mat"
 )
 
 // InferModel is the read-only float32 twin of a trained Model: weights are
-// quantized once at Freeze time, inference runs through the 8-wide mat32
-// kernels, and all intermediate activations live in per-goroutine pooled
-// workspaces — so a steady-state Infer performs zero allocations and any
-// number of goroutines may share one InferModel concurrently.
+// quantized once at Freeze time, inference runs through the 8-wide float32
+// kernels of mat.Dense[float32], and all intermediate activations live in
+// per-goroutine pooled workspaces — so a steady-state Infer performs zero
+// allocations and any number of goroutines may share one InferModel
+// concurrently.
 //
 // The twin is inference-only by construction (no gradients, no backward
 // caches, no optimizer state) and is never serialized: monitor.Save persists
@@ -32,7 +33,7 @@ type inferWorkspace struct {
 	slots []any
 	// in1 is the reusable 1×inSize input staging row for Classify1, created
 	// on the workspace's first single-row call.
-	in1 *mat32.Matrix
+	in1 *mat.Dense[float32]
 }
 
 // inferLayer is a frozen, read-only layer: infer computes the layer output
@@ -41,7 +42,7 @@ type inferWorkspace struct {
 // concurrency-safe.
 type inferLayer interface {
 	name() string
-	infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error)
+	infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error)
 }
 
 // Freeze quantizes the model into its float32 inference twin. The model's
@@ -55,8 +56,8 @@ func (m *Model) Freeze() (*InferModel, error) {
 			im.layers = append(im.layers, &denseInfer{
 				in:  v.in,
 				out: v.out,
-				w:   mat32.FromF64(v.w.W),
-				b:   mat32.FromF64(v.b.W),
+				w:   mat.ToFloat32(v.w.W),
+				b:   mat.ToFloat32(v.b.W),
 			})
 		case *LSTM:
 			im.layers = append(im.layers, &lstmInfer{
@@ -64,9 +65,9 @@ func (m *Model) Freeze() (*InferModel, error) {
 				hidden:     v.hidden,
 				steps:      v.steps,
 				returnSeqs: v.returnSeqs,
-				wx:         mat32.FromF64(v.wx.W),
-				wh:         mat32.FromF64(v.wh.W),
-				b:          mat32.FromF64(v.b.W),
+				wx:         mat.ToFloat32(v.wx.W),
+				wh:         mat.ToFloat32(v.wh.W),
+				b:          mat.ToFloat32(v.b.W),
 			})
 		case *ReLU:
 			im.layers = append(im.layers, &actInfer{kind: actReLU})
@@ -91,7 +92,7 @@ func (im *InferModel) OutputSize() int { return im.outSize }
 
 // run pushes x through the frozen stack using ws for scratch; the returned
 // matrix is workspace-owned.
-func (im *InferModel) run(ws *inferWorkspace, x *mat32.Matrix) (*mat32.Matrix, error) {
+func (im *InferModel) run(ws *inferWorkspace, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
 	out := x
 	var err error
 	for i, l := range im.layers {
@@ -106,7 +107,7 @@ func (im *InferModel) run(ws *inferWorkspace, x *mat32.Matrix) (*mat32.Matrix, e
 // Infer computes logits for a batch into dst (batch × OutputSize). At a
 // steady batch size it performs zero allocations; concurrent callers each
 // draw a private workspace from the pool.
-func (im *InferModel) Infer(x, dst *mat32.Matrix) error {
+func (im *InferModel) Infer(x, dst *mat.Dense[float32]) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: infer: %d input cols, want %d", x.Cols(), im.inSize)
 	}
@@ -120,8 +121,8 @@ func (im *InferModel) Infer(x, dst *mat32.Matrix) error {
 }
 
 // Logits is the allocating convenience form of Infer.
-func (im *InferModel) Logits(x *mat32.Matrix) (*mat32.Matrix, error) {
-	dst := mat32.New(x.Rows(), im.outSize)
+func (im *InferModel) Logits(x *mat.Dense[float32]) (*mat.Dense[float32], error) {
+	dst := mat.NewDense[float32](x.Rows(), im.outSize)
 	if err := im.Infer(x, dst); err != nil {
 		return nil, err
 	}
@@ -133,7 +134,7 @@ func (im *InferModel) Logits(x *mat32.Matrix) (*mat32.Matrix, error) {
 // must have x.Rows() entries. The softmax epilogue accumulates in float64
 // with a fixed iteration order, so results do not depend on the worker
 // count.
-func (im *InferModel) ClassifyInto(x *mat32.Matrix, classes []int, conf []float64) error {
+func (im *InferModel) ClassifyInto(x *mat.Dense[float32], classes []int, conf []float64) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: classify: %d input cols, want %d", x.Cols(), im.inSize)
 	}
@@ -149,22 +150,11 @@ func (im *InferModel) ClassifyInto(x *mat32.Matrix, classes []int, conf []float6
 	if err != nil {
 		return err
 	}
-	for i := 0; i < logits.Rows(); i++ {
-		row := logits.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		classes[i] = best
-		if conf != nil {
-			mx := float64(row[best])
-			var sum float64
-			for _, v := range row {
-				sum += math.Exp(float64(v) - mx)
-			}
-			conf[i] = 1 / sum
+	for i := range classes {
+		if conf == nil {
+			classes[i] = argmax(logits.Row(i))
+		} else {
+			classes[i], conf[i] = classifyRow(logits.Row(i))
 		}
 	}
 	return nil
@@ -175,7 +165,7 @@ func (im *InferModel) ClassifyInto(x *mat32.Matrix, classes []int, conf []float6
 // a steady stream of single-row calls performs zero allocations — the
 // batcher-bypass serving baseline and one-shot CLI paths want exactly this.
 // The arithmetic is identical to a 1-row ClassifyInto (and, because every
-// mat32 kernel computes each output row independently, to the same row
+// float32 kernel computes each output row independently, to the same row
 // scored inside any fused batch).
 func (im *InferModel) Classify1(row []float32) (class int, conf float64, err error) {
 	if len(row) != im.inSize {
@@ -184,47 +174,62 @@ func (im *InferModel) Classify1(row []float32) (class int, conf float64, err err
 	ws := im.pool.Get().(*inferWorkspace)
 	defer im.pool.Put(ws)
 	if ws.in1 == nil {
-		ws.in1 = mat32.New(1, im.inSize)
+		ws.in1 = mat.NewDense[float32](1, im.inSize)
 	}
 	copy(ws.in1.Data(), row)
 	logits, err := im.run(ws, ws.in1)
 	if err != nil {
 		return 0, 0, err
 	}
-	out := logits.Row(0)
+	class, conf = classifyRow(logits.Row(0))
+	return class, conf, nil
+}
+
+// argmax returns the index of the first maximum of row. It is seeded with
+// row[0], so a NaN there wins.
+func argmax(row []float32) int {
 	best := 0
-	for j, v := range out {
-		if v > out[best] {
+	for j, v := range row {
+		if v > row[best] {
 			best = j
 		}
 	}
-	mx := float64(out[best])
+	return best
+}
+
+// classifyRow is the softmax epilogue shared by ClassifyInto and Classify1:
+// the argmax of one logit row (the first maximum wins ties) and its softmax
+// probability, 1/Σexp(v−max), accumulated in float64 in index order so the
+// confidence does not depend on how the batch was split.
+func classifyRow(row []float32) (class int, conf float64) {
+	class = argmax(row)
+	mx := float64(row[class])
 	var sum float64
-	for _, v := range out {
+	for _, v := range row {
 		sum += math.Exp(float64(v) - mx)
 	}
-	return best, 1 / sum, nil
+	return class, 1 / sum
 }
 
 // denseInfer is the frozen fully-connected layer: y = x·W + b.
 type denseInfer struct {
 	in, out int
-	w       *mat32.Matrix // in×out
-	b       *mat32.Matrix // 1×out
+	w       *mat.Dense[float32] // in×out
+	b       *mat.Dense[float32] // 1×out
 }
 
 func (d *denseInfer) name() string { return "dense" }
 
-func (d *denseInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
-	y, ok := (*slot).(*mat32.Matrix)
+func (d *denseInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
+	y, ok := (*slot).(*mat.Dense[float32])
 	if !ok || y.Rows() != x.Rows() {
-		y = mat32.New(x.Rows(), d.out)
+		y = mat.NewDense[float32](x.Rows(), d.out)
 		*slot = y
 	}
-	if err := mat32.MatMulInto(y, x, d.w); err != nil {
+	if err := mat.MatMulInto(y, x, d.w); err != nil {
 		return nil, err
 	}
-	if err := mat32.AddBias(y, d.b); err != nil {
+	if err := y.AddRowVector(d.b); err != nil {
 		return nil, err
 	}
 	return y, nil
@@ -254,19 +259,19 @@ func (a *actInfer) name() string {
 	}
 }
 
-func (a *actInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
-	y, ok := (*slot).(*mat32.Matrix)
+func (a *actInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
+	y, ok := (*slot).(*mat.Dense[float32])
 	if !ok || y.Rows() != x.Rows() || y.Cols() != x.Cols() {
-		y = mat32.New(x.Rows(), x.Cols())
+		y = mat.NewDense[float32](x.Rows(), x.Cols())
 		*slot = y
 	}
 	switch a.kind {
 	case actReLU:
-		return y, mat32.ReLUInto(y, x)
+		return y, mat.ReLUInto(y, x)
 	case actTanh:
-		return y, mat32.ApplyInto(y, x, tanh32)
+		return y, mat.ApplyInto(y, x, tanh32)
 	default:
-		return y, mat32.ApplyInto(y, x, sigmoid32)
+		return y, mat.ApplyInto(y, x, sigmoid32)
 	}
 }
 
@@ -285,24 +290,24 @@ type lstmInfer struct {
 	steps      int
 	returnSeqs bool
 
-	wx *mat32.Matrix // inputSize × 4·hidden
-	wh *mat32.Matrix // hidden × 4·hidden
-	b  *mat32.Matrix // 1 × 4·hidden
+	wx *mat.Dense[float32] // inputSize × 4·hidden
+	wh *mat.Dense[float32] // hidden × 4·hidden
+	b  *mat.Dense[float32] // 1 × 4·hidden
 }
 
 // lstmInferScratch is the per-workspace recurrence state, sized for one
 // batch shape.
 type lstmInferScratch struct {
 	batch  int
-	xt     *mat32.Matrix // per-step input (batch × inputSize)
-	z, zh  *mat32.Matrix // packed pre-activations (batch × 4·hidden)
-	h, c   *mat32.Matrix // hidden / cell state (batch × hidden)
-	seqOut *mat32.Matrix // stacked hidden states when returnSeqs
+	xt     *mat.Dense[float32] // per-step input (batch × inputSize)
+	z, zh  *mat.Dense[float32] // packed pre-activations (batch × 4·hidden)
+	h, c   *mat.Dense[float32] // hidden / cell state (batch × hidden)
+	seqOut *mat.Dense[float32] // stacked hidden states when returnSeqs
 }
 
 func (l *lstmInfer) name() string { return "lstm" }
 
-func (l *lstmInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
+func (l *lstmInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
 	if x.Cols() != l.steps*l.inputSize {
 		return nil, fmt.Errorf("nn: lstm infer: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
 	}
@@ -312,33 +317,33 @@ func (l *lstmInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
 	if !ok || ws.batch != batch {
 		ws = &lstmInferScratch{
 			batch: batch,
-			xt:    mat32.New(batch, l.inputSize),
-			z:     mat32.New(batch, 4*H),
-			zh:    mat32.New(batch, 4*H),
-			h:     mat32.New(batch, H),
-			c:     mat32.New(batch, H),
+			xt:    mat.NewDense[float32](batch, l.inputSize),
+			z:     mat.NewDense[float32](batch, 4*H),
+			zh:    mat.NewDense[float32](batch, 4*H),
+			h:     mat.NewDense[float32](batch, H),
+			c:     mat.NewDense[float32](batch, H),
 		}
 		if l.returnSeqs {
-			ws.seqOut = mat32.New(batch, l.steps*H)
+			ws.seqOut = mat.NewDense[float32](batch, l.steps*H)
 		}
 		*slot = ws
 	}
 	ws.h.Zero()
 	ws.c.Zero()
 	for t := 0; t < l.steps; t++ {
-		if err := mat32.SliceColsInto(ws.xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
+		if err := mat.SliceColsInto(ws.xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer step %d: %w", t, err)
 		}
-		if err := mat32.MatMulInto(ws.z, ws.xt, l.wx); err != nil {
+		if err := mat.MatMulInto(ws.z, ws.xt, l.wx); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer Wx step %d: %w", t, err)
 		}
-		if err := mat32.MatMulInto(ws.zh, ws.h, l.wh); err != nil {
+		if err := mat.MatMulInto(ws.zh, ws.h, l.wh); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer Wh step %d: %w", t, err)
 		}
 		if err := ws.z.AddInPlace(ws.zh); err != nil {
 			return nil, err
 		}
-		if err := mat32.AddBias(ws.z, l.b); err != nil {
+		if err := ws.z.AddRowVector(l.b); err != nil {
 			return nil, err
 		}
 		// Fused gate/cell/hidden update (gate layout [i|f|g|o]). zh was

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/mat32"
+	"repro/internal/sweep"
 )
 
 // freezeTestModels builds one randomly initialized model per supported
@@ -81,7 +81,7 @@ func TestFreezeMatchesInfer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: f64 Infer: %v", name, err)
 			}
-			x32 := mat32.FromF64(x)
+			x32 := mat.ToFloat32(x)
 			got, err := im.Logits(x32)
 			if err != nil {
 				t.Fatalf("%s: f32 Infer: %v", name, err)
@@ -133,7 +133,7 @@ func TestFreezeSnapshotsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := mat32.FromF64(randBatch(rng, 2, 4))
+	x := mat.ToFloat32(randBatch(rng, 2, 4))
 	before, err := im.Logits(x)
 	if err != nil {
 		t.Fatal(err)
@@ -165,16 +165,16 @@ func TestInferModelZeroAlloc(t *testing.T) {
 	// Zero-alloc is a property of the compute path itself; pin the kernels to
 	// the serial path so a goroutine fan-out (which necessarily allocates)
 	// doesn't obscure it.
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(0)
+	sweep.SetBudget(1)
+	defer sweep.SetBudget(0)
 	rng := rand.New(rand.NewSource(13))
 	for name, m := range freezeTestModels(t, rng) {
 		im, err := m.Freeze()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		x := mat32.FromF64(randBatch(rng, 16, m.InputSize()))
-		dst := mat32.New(16, m.OutputSize())
+		x := mat.ToFloat32(randBatch(rng, 16, m.InputSize()))
+		dst := mat.NewDense[float32](16, m.OutputSize())
 		classes := make([]int, 16)
 		conf := make([]float64, 16)
 		// Warm up the pooled workspace at this batch size.
@@ -211,10 +211,10 @@ func TestInferModelConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := make([]*mat32.Matrix, 8)
-	want := make([]*mat32.Matrix, len(inputs))
+	inputs := make([]*mat.Dense[float32], 8)
+	want := make([]*mat.Dense[float32], len(inputs))
 	for i := range inputs {
-		inputs[i] = mat32.FromF64(randBatch(rng, 1+i%3, m.InputSize()))
+		inputs[i] = mat.ToFloat32(randBatch(rng, 1+i%3, m.InputSize()))
 		want[i], err = im.Logits(inputs[i])
 		if err != nil {
 			t.Fatal(err)

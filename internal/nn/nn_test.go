@@ -61,6 +61,35 @@ func TestSoftmaxPreservesArgmax(t *testing.T) {
 	}
 }
 
+// TestSoftmaxExtremeLogits checks Softmax at the epilogue's extreme logits:
+// every row sums to 1, holds no NaN or Inf, and peaks at the same class.
+func TestSoftmaxExtremeLogits(t *testing.T) {
+	for _, tc := range extremeLogits {
+		row := make([]float64, len(tc.row))
+		for j, v := range tc.row {
+			row[j] = float64(v)
+		}
+		logits, err := mat.FromSlice(1, len(row), row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Softmax(logits)
+		var sum float64
+		for j, v := range p.Row(0) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: p[%d] = %v", tc.name, j, v)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%s: row sums to %v", tc.name, sum)
+		}
+		if got := p.ArgmaxRow(0); got != tc.class {
+			t.Errorf("%s: argmax = %d, want %d", tc.name, got, tc.class)
+		}
+	}
+}
+
 func TestCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over 2 classes → loss = ln 2.
 	logits := mat.New(1, 2)

@@ -5,8 +5,8 @@
 // inference calls on the frozen float32 engine — N concurrent 1-row GEMVs
 // become one N-row GEMM.
 //
-// Batching changes latency, never results: every mat32 kernel (and the f64
-// predict path) computes each output row independently, so a row's verdict
+// Batching changes latency, never results: every float32 kernel (and the
+// f64 predict path) computes each output row independently, so a row's verdict
 // is bit-identical whether it is classified alone, inside any fused batch,
 // or through the batcher-bypass path.
 package serve
@@ -294,6 +294,18 @@ func (b *Batcher) loop() {
 			}
 		}
 		b.rows -= n
+		// Count the flush before any caller is released, so a caller that
+		// has its verdicts also sees them in Stats.
+		b.stats.Flushes++
+		b.stats.FusedRows += int64(n)
+		switch {
+		case n == b.cfg.MaxBatch:
+			b.stats.SizeFlushes++
+		case closing:
+			b.stats.DrainFlushes++
+		default:
+			b.stats.DeadlineFlushes++
+		}
 		b.mu.Unlock()
 		signal(b.space)
 
@@ -330,16 +342,6 @@ func (b *Batcher) loop() {
 			r.staged = len(r.rows)
 			b.queue[0] = nil
 			b.queue = b.queue[1:]
-		}
-		b.stats.Flushes++
-		b.stats.FusedRows += int64(n)
-		switch {
-		case n == b.cfg.MaxBatch:
-			b.stats.SizeFlushes++
-		case closing:
-			b.stats.DrainFlushes++
-		default:
-			b.stats.DeadlineFlushes++
 		}
 		b.mu.Unlock()
 	}

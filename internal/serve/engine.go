@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/mat32"
 	"repro/internal/monitor"
 )
 
@@ -28,7 +27,7 @@ func newBatchClassify(m *monitor.MLMonitor, precision string, maxBatch int) (Cla
 		if err != nil {
 			return nil, err
 		}
-		staging := mat32.New(maxBatch, in)
+		staging := mat.NewDense[float32](maxBatch, in)
 		return func(rows [][]float64, classes []int, conf []float64) error {
 			x, err := staging.RowsView(0, len(rows))
 			if err != nil {
