@@ -708,9 +708,11 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // benchInfer measures one full test-set classification pass of a trained
-// MLP monitor through either the frozen float32 engine (the -precision f32
-// fast path, including the per-call f64→f32 input quantization it pays in
-// production) or the canonical f64 model, at a fixed worker count.
+// MLP monitor through the generic frozen stack, either at float32 (the
+// -precision f32 fast path, including the per-call f64→f32 input
+// quantization it pays in production) or at f64 (the canonical Model.Infer,
+// which runs the same stack over the live weights on a per-call workspace),
+// at a fixed worker count.
 func benchInfer(b *testing.B, workers int, f32 bool) {
 	b.Helper()
 	a := assets(b)
@@ -742,8 +744,8 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 
 // BenchmarkInferF32 is the float32 inference engine's headline number:
 // serial and 8-way frozen-twin classification of the bench test set, with
-// the canonical f64 path (f64twin) as the in-run comparison point. Gated in
-// CI against BENCH_BASELINE.json.
+// the same generic stack at f64 (f64twin, the canonical Model.Infer) as the
+// in-run comparison point. Gated in CI against BENCH_BASELINE.json.
 func BenchmarkInferF32(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchInfer(b, 1, true) })
 	b.Run("parallel8", func(b *testing.B) { benchInfer(b, 8, true) })

@@ -334,18 +334,6 @@ func (m *Dense[T]) MulInPlace(b *Dense[T]) error {
 	return nil
 }
 
-// HadamardInto computes dst = a ⊙ b into a caller-owned destination.
-func HadamardInto(dst, a, b *Matrix) error {
-	if a.rows != b.rows || a.cols != b.cols || dst.rows != a.rows || dst.cols != a.cols {
-		return fmt.Errorf("%w: HadamardInto %dx%d = %dx%d ⊙ %dx%d",
-			ErrShape, dst.rows, dst.cols, a.rows, a.cols, b.rows, b.cols)
-	}
-	for i, v := range a.data {
-		dst.data[i] = v * b.data[i]
-	}
-	return nil
-}
-
 // Hadamard returns the elementwise product a ⊙ b.
 func Hadamard(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows || a.cols != b.cols {

@@ -11,7 +11,7 @@ import (
 // Frozen returns the monitor's float32 inference twin, building it on first
 // use. The twin snapshots the current weights; a monitor is immutable after
 // training, so one freeze is enough for its lifetime.
-func (m *MLMonitor) Frozen() (*nn.InferModel, error) {
+func (m *MLMonitor) Frozen() (*nn.InferModel[float32], error) {
 	m.frozenOnce.Do(func() {
 		m.frozen, m.frozenErr = m.model.Freeze()
 		if m.frozenErr != nil {

@@ -49,7 +49,7 @@ type MLMonitor struct {
 	// Never serialized: Save persists only the canonical f64 model, and the
 	// twin is rebuilt on first f32 use after Load.
 	frozenOnce sync.Once
-	frozen     *nn.InferModel
+	frozen     *nn.InferModel[float32]
 	frozenErr  error
 }
 

@@ -41,11 +41,6 @@ func (r *ReLU) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	return r.out, nil
 }
 
-// Infer implements Layer.
-func (r *ReLU) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	return x.Apply(func(v float64) float64 { return math.Max(0, v) }), nil
-}
-
 // CloneLayer implements Layer.
 func (r *ReLU) CloneLayer() Layer { return &ReLU{} }
 
@@ -94,11 +89,6 @@ func (t *Tanh) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	return t.out, nil
 }
 
-// Infer implements Layer.
-func (t *Tanh) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	return x.Apply(math.Tanh), nil
-}
-
 // CloneLayer implements Layer.
 func (t *Tanh) CloneLayer() Layer { return &Tanh{} }
 
@@ -145,15 +135,10 @@ func (s *Sigmoid) OutputSize(inputSize int) (int, error) { return inputSize, nil
 // valid until the next Forward on this layer.
 func (s *Sigmoid) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	s.out = s.outs.get(x.Rows(), x.Cols())
-	if err := mat.ApplyInto(s.out, x, sigmoid); err != nil {
+	if err := mat.ApplyInto(s.out, x, sigmoidT[float64]); err != nil {
 		return nil, err
 	}
 	return s.out, nil
-}
-
-// Infer implements Layer.
-func (s *Sigmoid) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	return x.Apply(sigmoid), nil
 }
 
 // CloneLayer implements Layer.
@@ -180,8 +165,6 @@ func (s *Sigmoid) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 
 // Params implements Layer.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // Softmax converts a row of logits into a probability distribution. It is
 // provided as a standalone function because the losses fuse softmax with

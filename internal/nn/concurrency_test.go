@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -29,7 +30,10 @@ func testModels(t *testing.T) map[string]*Model {
 // TestInferMatchesForward pins the contract of the inference path: identical
 // numbers to Forward, bit for bit, with no backward state recorded. The
 // LSTM stacks cover a last layer that emits the whole sequence and one that
-// emits the final hidden state, at batch sizes from one row up.
+// emits the final hidden state, at batch sizes from one row up; the MLP
+// stacks cover each activation. The "nonfinite" batch holds NaN, ±Inf and
+// −0, alone in a row and mixed with finite values: both paths must agree on
+// them too (ReLU maps NaN to 0 in Forward, so Infer must as well).
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	models := testModels(t)
@@ -43,9 +47,21 @@ func TestInferMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	models["lstm_last"] = lstmLast
+	for name, act := range map[string]Layer{"relu": NewReLU(), "tanh": NewTanh(), "sigmoid": NewSigmoid()} {
+		m, err := NewModel(6, nil, NewDense(rng, 6, 10), act, NewDense(rng, 10, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models["mlp_"+name] = m
+	}
 	for name, m := range models {
+		batches := map[string]*mat.Matrix{
+			"nonfinite": nonFiniteBatch(rng, m.InputSize()),
+		}
 		for _, batch := range []int{1, 7, 32} {
-			x := mat.RandNormal(rng, batch, m.InputSize(), 1)
+			batches[fmt.Sprintf("batch=%d", batch)] = mat.RandNormal(rng, batch, m.InputSize(), 1)
+		}
+		for bname, x := range batches {
 			fwd, err := m.Forward(x)
 			if err != nil {
 				t.Fatalf("%s forward: %v", name, err)
@@ -55,10 +71,28 @@ func TestInferMatchesForward(t *testing.T) {
 				t.Fatalf("%s infer: %v", name, err)
 			}
 			if !bytes.Equal(matBytes(fwd), matBytes(inf)) {
-				t.Fatalf("%s batch=%d: Infer logits differ from Forward", name, batch)
+				t.Fatalf("%s %s: Infer logits differ from Forward\nforward %v\ninfer   %v",
+					name, bname, fwd.Data(), inf.Data())
 			}
 		}
 	}
+}
+
+// nonFiniteBatch returns, for each of NaN, +Inf, −Inf and −0, one row
+// holding only that value and one row holding it in every third column
+// between normal draws, plus a finite control row.
+func nonFiniteBatch(rng *rand.Rand, cols int) *mat.Matrix {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	x := mat.RandNormal(rng, 2*len(specials)+1, cols, 1)
+	for k, v := range specials {
+		for j := 0; j < cols; j++ {
+			x.Set(2*k, j, v)
+			if j%3 == 0 {
+				x.Set(2*k+1, j, v)
+			}
+		}
+	}
+	return x
 }
 
 // matBytes serializes m's shape and elements bit-exactly, so comparisons
@@ -73,16 +107,24 @@ func matBytes(m *mat.Matrix) []byte {
 }
 
 // TestLSTMInferAllocsIndependentOfSteps pins the per-call workspace of
-// LSTM.Infer: its allocations are fixed per call, so quadrupling the unroll
-// length at a fixed batch must not add any.
+// Model.Infer on an LSTM model: its allocations are fixed per call, so
+// quadrupling the unroll length at a fixed batch must not add any.
 func TestLSTMInferAllocsIndependentOfSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, returnSeqs := range []bool{true, false} {
 		allocs := func(steps int) float64 {
 			l := NewLSTM(rng, 5, 8, steps, returnSeqs)
+			out, err := l.OutputSize(steps * 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewModel(steps*5, nil, l, NewDense(rng, out, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
 			x := mat.RandNormal(rng, 16, steps*5, 1)
 			return testing.AllocsPerRun(10, func() {
-				if _, err := l.Infer(x); err != nil {
+				if _, err := m.Infer(x); err != nil {
 					t.Fatal(err)
 				}
 			})

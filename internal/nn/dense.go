@@ -18,7 +18,7 @@ type Dense struct {
 	// Training-path scratch, reused across the recent batch shapes (the
 	// per-model workspace that kills the per-batch allocations — including
 	// the epoch's alternation between full and short final blocks). The
-	// concurrency-safe Infer path never touches these.
+	// concurrency-safe Model.Infer path never touches these.
 	y   *mat.Matrix // forward output (current shape)
 	gx  *mat.Matrix // backward input-gradient (current shape)
 	ys  scratchCache
@@ -79,22 +79,6 @@ func (d *Dense) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("nn: dense forward bias: %w", err)
 	}
 	return d.y, nil
-}
-
-// Infer implements Layer: the forward product without the backward cache or
-// scratch reuse, so any number of goroutines may share the layer.
-func (d *Dense) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	if x.Cols() != d.in {
-		return nil, fmt.Errorf("nn: dense forward: %d input cols, want %d", x.Cols(), d.in)
-	}
-	y, err := mat.MatMul(x, d.w.W)
-	if err != nil {
-		return nil, fmt.Errorf("nn: dense forward: %w", err)
-	}
-	if err := y.AddRowVector(d.b.W); err != nil {
-		return nil, fmt.Errorf("nn: dense forward bias: %w", err)
-	}
-	return y, nil
 }
 
 // CloneLayer implements Layer.

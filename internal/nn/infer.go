@@ -8,91 +8,105 @@ import (
 	"repro/internal/mat"
 )
 
-// InferModel is the read-only float32 twin of a trained Model: weights are
-// quantized once at Freeze time, inference runs through the 8-wide float32
-// kernels of mat.Dense[float32], and all intermediate activations live in
-// per-goroutine pooled workspaces — so a steady-state Infer performs zero
-// allocations and any number of goroutines may share one InferModel
-// concurrently.
+// InferModel is the frozen, read-only inference stack of a trained Model,
+// for either precision. The layers never record backward state and never
+// mutate themselves: all intermediate activations live in a workspace, so
+// any number of goroutines may share one InferModel concurrently.
 //
-// The twin is inference-only by construction (no gradients, no backward
-// caches, no optimizer state) and is never serialized: monitor.Save persists
-// the canonical f64 model, and the frozen twin is rebuilt lazily after Load.
-// Training, and any path that needs bit-deterministic f64 arithmetic, stays
-// on Model.
-type InferModel struct {
+// Two instantiations exist:
+//   - InferModel[float32], built by Freeze: the weights are quantized once,
+//     inference runs through the 8-wide float32 kernels, and workspaces are
+//     pooled per goroutine, so a steady-state Infer performs zero
+//     allocations. It snapshots the weights and is never serialized:
+//     monitor.Save persists the canonical f64 model, and the twin is rebuilt
+//     lazily after Load.
+//   - InferModel[float64], built once inside each Model: its layers alias
+//     the live f64 weights, so it always computes exactly what Forward does.
+//     Model.Infer runs it on a fresh per-call workspace.
+type InferModel[T mat.Float] struct {
 	inSize, outSize int
-	layers          []inferLayer
-	pool            sync.Pool // *inferWorkspace
+	layers          []inferLayer[T]
+	pool            sync.Pool // *inferWorkspace[T]
 }
 
 // inferWorkspace holds one goroutine's per-layer scratch. Each layer owns
 // one slot and re-creates its contents when the batch shape changes, so a
 // workspace reused at a steady batch size allocates nothing.
-type inferWorkspace struct {
+type inferWorkspace[T mat.Float] struct {
 	slots []any
 	// in1 is the reusable 1×inSize input staging row for Classify1, created
 	// on the workspace's first single-row call.
-	in1 *mat.Dense[float32]
+	in1 *mat.Dense[T]
 }
 
 // inferLayer is a frozen, read-only layer: infer computes the layer output
 // for x into (reused) scratch stored in slot. Implementations never mutate
 // the layer itself, only the slot — that is what makes a shared InferModel
 // concurrency-safe.
-type inferLayer interface {
+type inferLayer[T mat.Float] interface {
 	name() string
-	infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error)
+	infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error)
 }
 
 // Freeze quantizes the model into its float32 inference twin. The model's
 // weights are copied (narrowed to f32) once; later training steps on the
 // source model do NOT propagate — freeze after training, or re-freeze.
-func (m *Model) Freeze() (*InferModel, error) {
-	im := &InferModel{inSize: m.inSize, outSize: m.OutputSize()}
+func (m *Model) Freeze() (*InferModel[float32], error) {
+	return freeze(m, mat.ToFloat32)
+}
+
+// freeze builds the frozen stack of m, passing every weight matrix through
+// conv: a narrowing copy for the float32 twin, the identity for the f64
+// stack behind Model.Infer.
+func freeze[T mat.Float](m *Model, conv func(*mat.Matrix) *mat.Dense[T]) (*InferModel[T], error) {
+	im := &InferModel[T]{inSize: m.inSize, outSize: m.OutputSize()}
 	for _, l := range m.layers {
 		switch v := l.(type) {
 		case *Dense:
-			im.layers = append(im.layers, &denseInfer{
+			im.layers = append(im.layers, &denseInfer[T]{
 				in:  v.in,
 				out: v.out,
-				w:   mat.ToFloat32(v.w.W),
-				b:   mat.ToFloat32(v.b.W),
+				w:   conv(v.w.W),
+				b:   conv(v.b.W),
 			})
 		case *LSTM:
-			im.layers = append(im.layers, &lstmInfer{
+			im.layers = append(im.layers, &lstmInfer[T]{
 				inputSize:  v.inputSize,
 				hidden:     v.hidden,
 				steps:      v.steps,
 				returnSeqs: v.returnSeqs,
-				wx:         mat.ToFloat32(v.wx.W),
-				wh:         mat.ToFloat32(v.wh.W),
-				b:          mat.ToFloat32(v.b.W),
+				wx:         conv(v.wx.W),
+				wh:         conv(v.wh.W),
+				b:          conv(v.b.W),
 			})
 		case *ReLU:
-			im.layers = append(im.layers, &actInfer{kind: actReLU})
+			im.layers = append(im.layers, &actInfer[T]{kind: actReLU})
 		case *Tanh:
-			im.layers = append(im.layers, &actInfer{kind: actTanh})
+			im.layers = append(im.layers, &actInfer[T]{kind: actTanh})
 		case *Sigmoid:
-			im.layers = append(im.layers, &actInfer{kind: actSigmoid})
+			im.layers = append(im.layers, &actInfer[T]{kind: actSigmoid})
 		default:
 			return nil, fmt.Errorf("nn: freeze: unsupported layer type %q", l.Name())
 		}
 	}
-	n := len(im.layers)
-	im.pool.New = func() any { return &inferWorkspace{slots: make([]any, n)} }
+	im.pool.New = func() any { return im.newWorkspace() }
 	return im, nil
 }
 
+// newWorkspace returns an empty workspace with one slot per layer.
+func (im *InferModel[T]) newWorkspace() *inferWorkspace[T] {
+	return &inferWorkspace[T]{slots: make([]any, len(im.layers))}
+}
+
 // InputSize returns the expected number of input features.
-func (im *InferModel) InputSize() int { return im.inSize }
+func (im *InferModel[T]) InputSize() int { return im.inSize }
 
 // OutputSize returns the number of classes (final logit width).
-func (im *InferModel) OutputSize() int { return im.outSize }
+func (im *InferModel[T]) OutputSize() int { return im.outSize }
 
 // run pushes x through the frozen stack using ws for scratch; the returned
 // matrix is workspace-owned.
-func (im *InferModel) run(ws *inferWorkspace, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
+func (im *InferModel[T]) run(ws *inferWorkspace[T], x *mat.Dense[T]) (*mat.Dense[T], error) {
 	out := x
 	var err error
 	for i, l := range im.layers {
@@ -107,11 +121,11 @@ func (im *InferModel) run(ws *inferWorkspace, x *mat.Dense[float32]) (*mat.Dense
 // Infer computes logits for a batch into dst (batch × OutputSize). At a
 // steady batch size it performs zero allocations; concurrent callers each
 // draw a private workspace from the pool.
-func (im *InferModel) Infer(x, dst *mat.Dense[float32]) error {
+func (im *InferModel[T]) Infer(x, dst *mat.Dense[T]) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: infer: %d input cols, want %d", x.Cols(), im.inSize)
 	}
-	ws := im.pool.Get().(*inferWorkspace)
+	ws := im.pool.Get().(*inferWorkspace[T])
 	defer im.pool.Put(ws)
 	out, err := im.run(ws, x)
 	if err != nil {
@@ -121,8 +135,8 @@ func (im *InferModel) Infer(x, dst *mat.Dense[float32]) error {
 }
 
 // Logits is the allocating convenience form of Infer.
-func (im *InferModel) Logits(x *mat.Dense[float32]) (*mat.Dense[float32], error) {
-	dst := mat.NewDense[float32](x.Rows(), im.outSize)
+func (im *InferModel[T]) Logits(x *mat.Dense[T]) (*mat.Dense[T], error) {
+	dst := mat.NewDense[T](x.Rows(), im.outSize)
 	if err := im.Infer(x, dst); err != nil {
 		return nil, err
 	}
@@ -134,7 +148,7 @@ func (im *InferModel) Logits(x *mat.Dense[float32]) (*mat.Dense[float32], error)
 // must have x.Rows() entries. The softmax epilogue accumulates in float64
 // with a fixed iteration order, so results do not depend on the worker
 // count.
-func (im *InferModel) ClassifyInto(x *mat.Dense[float32], classes []int, conf []float64) error {
+func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []float64) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: classify: %d input cols, want %d", x.Cols(), im.inSize)
 	}
@@ -144,7 +158,7 @@ func (im *InferModel) ClassifyInto(x *mat.Dense[float32], classes []int, conf []
 	if conf != nil && len(conf) != x.Rows() {
 		return fmt.Errorf("nn: classify: %d confidence slots for %d rows", len(conf), x.Rows())
 	}
-	ws := im.pool.Get().(*inferWorkspace)
+	ws := im.pool.Get().(*inferWorkspace[T])
 	defer im.pool.Put(ws)
 	logits, err := im.run(ws, x)
 	if err != nil {
@@ -165,16 +179,16 @@ func (im *InferModel) ClassifyInto(x *mat.Dense[float32], classes []int, conf []
 // a steady stream of single-row calls performs zero allocations — the
 // batcher-bypass serving baseline and one-shot CLI paths want exactly this.
 // The arithmetic is identical to a 1-row ClassifyInto (and, because every
-// float32 kernel computes each output row independently, to the same row
+// matrix kernel computes each output row independently, to the same row
 // scored inside any fused batch).
-func (im *InferModel) Classify1(row []float32) (class int, conf float64, err error) {
+func (im *InferModel[T]) Classify1(row []T) (class int, conf float64, err error) {
 	if len(row) != im.inSize {
 		return 0, 0, fmt.Errorf("nn: classify1: %d input cols, want %d", len(row), im.inSize)
 	}
-	ws := im.pool.Get().(*inferWorkspace)
+	ws := im.pool.Get().(*inferWorkspace[T])
 	defer im.pool.Put(ws)
 	if ws.in1 == nil {
-		ws.in1 = mat.NewDense[float32](1, im.inSize)
+		ws.in1 = mat.NewDense[T](1, im.inSize)
 	}
 	copy(ws.in1.Data(), row)
 	logits, err := im.run(ws, ws.in1)
@@ -187,7 +201,7 @@ func (im *InferModel) Classify1(row []float32) (class int, conf float64, err err
 
 // argmax returns the index of the first maximum of row. It is seeded with
 // row[0], so a NaN there wins.
-func argmax(row []float32) int {
+func argmax[T mat.Float](row []T) int {
 	best := 0
 	for j, v := range row {
 		if v > row[best] {
@@ -201,7 +215,7 @@ func argmax(row []float32) int {
 // the argmax of one logit row (the first maximum wins ties) and its softmax
 // probability, 1/Σexp(v−max), accumulated in float64 in index order so the
 // confidence does not depend on how the batch was split.
-func classifyRow(row []float32) (class int, conf float64) {
+func classifyRow[T mat.Float](row []T) (class int, conf float64) {
 	class = argmax(row)
 	mx := float64(row[class])
 	var sum float64
@@ -212,18 +226,18 @@ func classifyRow(row []float32) (class int, conf float64) {
 }
 
 // denseInfer is the frozen fully-connected layer: y = x·W + b.
-type denseInfer struct {
+type denseInfer[T mat.Float] struct {
 	in, out int
-	w       *mat.Dense[float32] // in×out
-	b       *mat.Dense[float32] // 1×out
+	w       *mat.Dense[T] // in×out
+	b       *mat.Dense[T] // 1×out
 }
 
-func (d *denseInfer) name() string { return "dense" }
+func (d *denseInfer[T]) name() string { return "dense" }
 
-func (d *denseInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
-	y, ok := (*slot).(*mat.Dense[float32])
+func (d *denseInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
+	y, ok := (*slot).(*mat.Dense[T])
 	if !ok || y.Rows() != x.Rows() {
-		y = mat.NewDense[float32](x.Rows(), d.out)
+		y = mat.NewDense[T](x.Rows(), d.out)
 		*slot = y
 	}
 	if err := mat.MatMulInto(y, x, d.w); err != nil {
@@ -236,7 +250,7 @@ func (d *denseInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32
 }
 
 // actInfer is a frozen elementwise activation.
-type actInfer struct {
+type actInfer[T mat.Float] struct {
 	kind actKind
 }
 
@@ -248,7 +262,7 @@ const (
 	actSigmoid
 )
 
-func (a *actInfer) name() string {
+func (a *actInfer[T]) name() string {
 	switch a.kind {
 	case actReLU:
 		return "relu"
@@ -259,72 +273,75 @@ func (a *actInfer) name() string {
 	}
 }
 
-func (a *actInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
-	y, ok := (*slot).(*mat.Dense[float32])
+func (a *actInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
+	y, ok := (*slot).(*mat.Dense[T])
 	if !ok || y.Rows() != x.Rows() || y.Cols() != x.Cols() {
-		y = mat.NewDense[float32](x.Rows(), x.Cols())
+		y = mat.NewDense[T](x.Rows(), x.Cols())
 		*slot = y
 	}
 	switch a.kind {
 	case actReLU:
 		return y, mat.ReLUInto(y, x)
 	case actTanh:
-		return y, mat.ApplyInto(y, x, tanh32)
+		return y, mat.ApplyInto(y, x, tanhT[T])
 	default:
-		return y, mat.ApplyInto(y, x, sigmoid32)
+		return y, mat.ApplyInto(y, x, sigmoidT[T])
 	}
 }
 
-func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }
+// tanhT and sigmoidT evaluate in float64 and round once to T; at T =
+// float64 they are exactly math.Tanh and the training path's logistic.
+func tanhT[T mat.Float](v T) T { return T(math.Tanh(float64(v))) }
 
-func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+func sigmoidT[T mat.Float](v T) T { return T(1 / (1 + math.Exp(-float64(v)))) }
 
-// lstmInfer is the frozen recurrent layer. Instead of materializing the four
-// gate matrices like the training path, the gate nonlinearities, the cell
-// update and the hidden update are fused into one elementwise pass per step
-// over the packed pre-activations — the frozen path needs no per-gate
-// backward state.
-type lstmInfer struct {
+// lstmInfer is the frozen recurrent layer. It runs LSTM.Forward's step,
+// including its elementwise half lstmCell, but keeps no per-step state: the
+// gate activations go to one scratch row reused by every row and step, and
+// the hidden and cell states are updated in place.
+type lstmInfer[T mat.Float] struct {
 	inputSize  int
 	hidden     int
 	steps      int
 	returnSeqs bool
 
-	wx *mat.Dense[float32] // inputSize × 4·hidden
-	wh *mat.Dense[float32] // hidden × 4·hidden
-	b  *mat.Dense[float32] // 1 × 4·hidden
+	wx *mat.Dense[T] // inputSize × 4·hidden
+	wh *mat.Dense[T] // hidden × 4·hidden
+	b  *mat.Dense[T] // 1 × 4·hidden
 }
 
 // lstmInferScratch is the per-workspace recurrence state, sized for one
 // batch shape.
-type lstmInferScratch struct {
+type lstmInferScratch[T mat.Float] struct {
 	batch  int
-	xt     *mat.Dense[float32] // per-step input (batch × inputSize)
-	z, zh  *mat.Dense[float32] // packed pre-activations (batch × 4·hidden)
-	h, c   *mat.Dense[float32] // hidden / cell state (batch × hidden)
-	seqOut *mat.Dense[float32] // stacked hidden states when returnSeqs
+	xt     *mat.Dense[T] // per-step input (batch × inputSize)
+	z, zh  *mat.Dense[T] // packed pre-activations (batch × 4·hidden)
+	h, c   *mat.Dense[T] // hidden / cell state (batch × hidden)
+	gates  []T           // lstmCell's discarded activations (5·hidden)
+	seqOut *mat.Dense[T] // stacked hidden states when returnSeqs
 }
 
-func (l *lstmInfer) name() string { return "lstm" }
+func (l *lstmInfer[T]) name() string { return "lstm" }
 
-func (l *lstmInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32], error) {
+func (l *lstmInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
 	if x.Cols() != l.steps*l.inputSize {
 		return nil, fmt.Errorf("nn: lstm infer: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
 	}
 	batch := x.Rows()
 	H := l.hidden
-	ws, ok := (*slot).(*lstmInferScratch)
+	ws, ok := (*slot).(*lstmInferScratch[T])
 	if !ok || ws.batch != batch {
-		ws = &lstmInferScratch{
+		ws = &lstmInferScratch[T]{
 			batch: batch,
-			xt:    mat.NewDense[float32](batch, l.inputSize),
-			z:     mat.NewDense[float32](batch, 4*H),
-			zh:    mat.NewDense[float32](batch, 4*H),
-			h:     mat.NewDense[float32](batch, H),
-			c:     mat.NewDense[float32](batch, H),
+			xt:    mat.NewDense[T](batch, l.inputSize),
+			z:     mat.NewDense[T](batch, 4*H),
+			zh:    mat.NewDense[T](batch, 4*H),
+			h:     mat.NewDense[T](batch, H),
+			c:     mat.NewDense[T](batch, H),
+			gates: make([]T, 5*H),
 		}
 		if l.returnSeqs {
-			ws.seqOut = mat.NewDense[float32](batch, l.steps*H)
+			ws.seqOut = mat.NewDense[T](batch, l.steps*H)
 		}
 		*slot = ws
 	}
@@ -346,22 +363,12 @@ func (l *lstmInfer) infer(slot *any, x *mat.Dense[float32]) (*mat.Dense[float32]
 		if err := ws.z.AddRowVector(l.b); err != nil {
 			return nil, err
 		}
-		// Fused gate/cell/hidden update (gate layout [i|f|g|o]). zh was
-		// computed from the previous h above, so updating h and c in place
-		// is safe.
+		// zh was computed from the previous h above, so updating h and c in
+		// place is safe.
+		g := ws.gates
 		for i := 0; i < batch; i++ {
-			zr := ws.z.Row(i)
 			cr := ws.c.Row(i)
-			hr := ws.h.Row(i)
-			for j := 0; j < H; j++ {
-				ig := sigmoid32(zr[j])
-				fg := sigmoid32(zr[H+j])
-				gg := tanh32(zr[2*H+j])
-				og := sigmoid32(zr[3*H+j])
-				cv := fg*cr[j] + ig*gg
-				cr[j] = cv
-				hr[j] = og * tanh32(cv)
-			}
+			lstmCell(ws.z.Row(i), cr, cr, ws.h.Row(i), g[:H], g[H:2*H], g[2*H:3*H], g[3*H:4*H], g[4*H:])
 		}
 		if l.returnSeqs {
 			if err := ws.seqOut.SetCols(t*H, ws.h); err != nil {

@@ -266,7 +266,6 @@ type fakeLayer struct{}
 func (fakeLayer) Name() string                                { return "fake" }
 func (fakeLayer) OutputSize(in int) (int, error)              { return in, nil }
 func (fakeLayer) Forward(x *mat.Matrix) (*mat.Matrix, error)  { return x, nil }
-func (fakeLayer) Infer(x *mat.Matrix) (*mat.Matrix, error)    { return x, nil }
 func (fakeLayer) Backward(g *mat.Matrix) (*mat.Matrix, error) { return g, nil }
 func (fakeLayer) CloneLayer() Layer                           { return fakeLayer{} }
 func (fakeLayer) Replicate() Layer                            { return fakeLayer{} }

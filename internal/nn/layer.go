@@ -33,11 +33,12 @@ func newParam(name string, w *mat.Matrix) *Param {
 // Backward consumes the gradient w.r.t. the layer output, accumulates
 // parameter gradients, and returns the gradient w.r.t. the layer input.
 //
-// Forward/Backward are single-goroutine training paths. Infer computes the
-// same output without recording backward state, so any number of goroutines
-// may Infer through a shared trained layer concurrently — the property the
-// parallel experiment sweeps rely on. Gradient work under concurrency goes
-// through CloneLayer (via Model.Clone) instead.
+// Forward/Backward are single-goroutine training paths. Concurrency-safe
+// inference is Model.Infer: it runs the frozen stack built from the layers
+// (see InferModel), which computes Forward's output without recording
+// backward state, so any number of goroutines may share one trained model —
+// the property the parallel experiment sweeps rely on. Gradient work under
+// concurrency goes through CloneLayer (via Model.Clone) instead.
 type Layer interface {
 	// Name identifies the layer type for serialization.
 	Name() string
@@ -47,9 +48,6 @@ type Layer interface {
 	// Forward computes the layer output for a batch and records the state
 	// Backward needs.
 	Forward(x *mat.Matrix) (*mat.Matrix, error)
-	// Infer computes the layer output without recording backward state; safe
-	// for concurrent use on a shared layer.
-	Infer(x *mat.Matrix) (*mat.Matrix, error)
 	// Backward propagates gradients; must follow a Forward call.
 	Backward(gradOut *mat.Matrix) (*mat.Matrix, error)
 	// CloneLayer deep-copies the layer: independent parameters, gradient

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -32,7 +31,7 @@ type LSTM struct {
 	// (the per-model workspace that kills the per-batch allocations). wss
 	// retains one workspace per recent batch size so an epoch alternating
 	// between full and short final blocks doesn't rebuild the whole set on
-	// every flip. The concurrency-safe Infer path never touches them.
+	// every flip. The concurrency-safe Model.Infer path never touches them.
 	ws  *lstmScratch
 	wss []*lstmScratch
 	// cache marks the workspace as holding a recorded forward pass.
@@ -216,25 +215,11 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 			return nil, err
 		}
 
-		gateSliceInto(ws.is[t], ws.z, 0, H, sigmoid)
-		gateSliceInto(ws.fs[t], ws.z, H, H, sigmoid)
-		gateSliceInto(ws.gs[t], ws.z, 2*H, H, math.Tanh)
-		gateSliceInto(ws.os[t], ws.z, 3*H, H, sigmoid)
-
-		newCell := ws.cs[t]
 		for i := 0; i < batch; i++ {
-			cr, fr, ir, gr, nr := cell.Row(i), ws.fs[t].Row(i), ws.is[t].Row(i), ws.gs[t].Row(i), newCell.Row(i)
-			for j := 0; j < H; j++ {
-				nr[j] = fr[j]*cr[j] + ir[j]*gr[j]
-			}
+			lstmCell(ws.z.Row(i), cell.Row(i), ws.cs[t].Row(i), ws.hs[t].Row(i),
+				ws.is[t].Row(i), ws.fs[t].Row(i), ws.gs[t].Row(i), ws.os[t].Row(i), ws.tcs[t].Row(i))
 		}
-		if err := mat.ApplyInto(ws.tcs[t], newCell, math.Tanh); err != nil {
-			return nil, err
-		}
-		if err := mat.HadamardInto(ws.hs[t], ws.os[t], ws.tcs[t]); err != nil {
-			return nil, err
-		}
-		cell, h = newCell, ws.hs[t]
+		cell, h = ws.cs[t], ws.hs[t]
 
 		if l.returnSeqs {
 			if err := ws.seqOut.SetCols(t*H, h); err != nil {
@@ -247,80 +232,6 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		return ws.seqOut, nil
 	}
 	return ws.hs[l.steps-1], nil
-}
-
-// Infer implements Layer: the unrolled forward pass without the backward
-// cache or shared scratch, so concurrent goroutines can share one trained
-// layer. It performs the exact arithmetic of Forward. Each call allocates
-// one private workspace up front (the step input, the pre-activations, the
-// four gates, tanh(c), and ping-pong hidden and cell states) and reuses it
-// across every unrolled step, so its allocations do not grow with the
-// unroll length.
-func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	if x.Cols() != l.steps*l.inputSize {
-		return nil, fmt.Errorf("nn: lstm forward: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
-	}
-	batch := x.Rows()
-	H := l.hidden
-	xt := mat.New(batch, l.inputSize)
-	z, zh := mat.New(batch, 4*H), mat.New(batch, 4*H)
-	it, ft, gt, ot := mat.New(batch, H), mat.New(batch, H), mat.New(batch, H), mat.New(batch, H)
-	tc := mat.New(batch, H)
-	// h and cell start at zero; newH and newCell take each step's update,
-	// then the pairs swap.
-	h, newH := mat.New(batch, H), mat.New(batch, H)
-	cell, newCell := mat.New(batch, H), mat.New(batch, H)
-	var seqOut *mat.Matrix
-	if l.returnSeqs {
-		seqOut = mat.New(batch, l.steps*H)
-	}
-	for t := 0; t < l.steps; t++ {
-		if err := mat.SliceColsInto(xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
-			return nil, fmt.Errorf("nn: lstm forward step %d: %w", t, err)
-		}
-		if err := mat.MatMulInto(z, xt, l.wx.W); err != nil {
-			return nil, fmt.Errorf("nn: lstm forward Wx step %d: %w", t, err)
-		}
-		if err := mat.MatMulInto(zh, h, l.wh.W); err != nil {
-			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
-		}
-		if err := z.AddInPlace(zh); err != nil {
-			return nil, err
-		}
-		if err := z.AddRowVector(l.b.W); err != nil {
-			return nil, err
-		}
-
-		gateSliceInto(it, z, 0, H, sigmoid)
-		gateSliceInto(ft, z, H, H, sigmoid)
-		gateSliceInto(gt, z, 2*H, H, math.Tanh)
-		gateSliceInto(ot, z, 3*H, H, sigmoid)
-
-		for i := 0; i < batch; i++ {
-			cr, fr, ir, gr, nr := cell.Row(i), ft.Row(i), it.Row(i), gt.Row(i), newCell.Row(i)
-			for j := 0; j < H; j++ {
-				nr[j] = fr[j]*cr[j] + ir[j]*gr[j]
-			}
-		}
-		if err := mat.ApplyInto(tc, newCell, math.Tanh); err != nil {
-			return nil, err
-		}
-		if err := mat.HadamardInto(newH, ot, tc); err != nil {
-			return nil, err
-		}
-		cell, newCell = newCell, cell
-		h, newH = newH, h
-
-		if l.returnSeqs {
-			if err := seqOut.SetCols(t*H, h); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if l.returnSeqs {
-		return seqOut, nil
-	}
-	return h, nil
 }
 
 // CloneLayer implements Layer.
@@ -350,15 +261,24 @@ func (l *LSTM) Replicate() Layer {
 	}
 }
 
-// gateSliceInto extracts columns [from, from+width) of z into dst, applying
-// fn elementwise.
-func gateSliceInto(dst, z *mat.Matrix, from, width int, fn func(float64) float64) {
-	for i := 0; i < z.Rows(); i++ {
-		zr := z.Row(i)[from : from+width]
-		or := dst.Row(i)
-		for j, v := range zr {
-			or[j] = fn(v)
-		}
+// lstmCell is the elementwise half of one LSTM step for one batch row, with
+// gate layout [i|f|g|o] in the pre-activations z: c = f⊙cPrev + i⊙g and
+// h = o⊙tanh(c). The gate activations and tanh(c) land in ig, fg, gg, og
+// and tc: Forward keeps them for Backward, the frozen stack passes one
+// reused scratch row. c may alias cPrev. Forward and the frozen stack both
+// run this one function, so they agree bit for bit — down to which NaN a
+// non-finite input turns into.
+func lstmCell[T mat.Float](z, cPrev, c, h, ig, fg, gg, og, tc []T) {
+	H := len(c)
+	for j := range c {
+		i := sigmoidT(z[j])
+		f := sigmoidT(z[H+j])
+		g := tanhT(z[2*H+j])
+		o := sigmoidT(z[3*H+j])
+		cv := f*cPrev[j] + i*g
+		tv := tanhT(cv)
+		ig[j], fg[j], gg[j], og[j], tc[j] = i, f, g, o, tv
+		c[j], h[j] = cv, o*tv
 	}
 }
 
@@ -457,8 +377,12 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		if err := gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
 			return nil, err
 		}
-		if err := mat.MatMulTInto(dhNext, dz, l.wh.W); err != nil {
-			return nil, err
+		// The recurrent gradient feeds step t−1 only; at t = 0 nothing
+		// reads it.
+		if t > 0 {
+			if err := mat.MatMulTInto(dhNext, dz, l.wh.W); err != nil {
+				return nil, err
+			}
 		}
 		dcNext, dcPrev = dcPrev, dcNext
 	}

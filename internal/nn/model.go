@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -13,6 +14,13 @@ type Model struct {
 	layers []Layer
 	loss   Loss
 	inSize int // expected input feature count
+
+	// infer is the f64 frozen stack behind Infer, built on first use. Its
+	// layers alias the live weights, which only ever change in place (the
+	// optimizer, Load's CopyFrom), so it always sees the current model.
+	inferOnce sync.Once
+	infer     *InferModel[float64]
+	inferErr  error
 }
 
 // NewModel builds a model from layers, validating that the layer shapes chain
@@ -86,20 +94,20 @@ func (m *Model) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 
 // Infer runs the stack without recording backward state, so any number of
 // goroutines may share one trained model — the inference path under the
-// parallel experiment sweeps.
+// parallel experiment sweeps. It computes Forward's logits bit for bit
+// through the f64 instantiation of the frozen stack, on a workspace private
+// to the call, so the returned matrix belongs to the caller.
 func (m *Model) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != m.inSize {
 		return nil, fmt.Errorf("nn: model infer: %d input cols, want %d", x.Cols(), m.inSize)
 	}
-	out := x
-	var err error
-	for i, l := range m.layers {
-		out, err = l.Infer(out)
-		if err != nil {
-			return nil, fmt.Errorf("nn: infer layer %d (%s): %w", i, l.Name(), err)
-		}
+	m.inferOnce.Do(func() {
+		m.infer, m.inferErr = freeze(m, func(w *mat.Matrix) *mat.Matrix { return w })
+	})
+	if m.inferErr != nil {
+		return nil, m.inferErr
 	}
-	return out, nil
+	return m.infer.run(m.infer.newWorkspace(), x)
 }
 
 // Predict returns class probabilities (softmax of the logits). Safe for

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,6 +87,52 @@ func TestSoftmaxExtremeLogits(t *testing.T) {
 		}
 		if got := p.ArgmaxRow(0); got != tc.class {
 			t.Errorf("%s: argmax = %d, want %d", tc.name, got, tc.class)
+		}
+	}
+}
+
+// TestLossExtremeLogits pins both losses at logits whose unshifted
+// exponentials overflow: for every label and knowledge indicator the loss is
+// finite and at most the clamped −log(1e-12) plus the semantic weight, every
+// gradient entry is finite, and each cross-entropy gradient row (p − onehot)
+// sums to zero.
+func TestLossExtremeLogits(t *testing.T) {
+	rows := [][]float64{{1000, 1001}, {-1000, 1000}}
+	losses := []struct {
+		loss   Loss
+		weight float64
+	}{
+		{CrossEntropy{}, 0},
+		{SemanticLoss{Weight: 1, UnsafeClass: 1}, 1},
+	}
+	for _, row := range rows {
+		logits, err := mat.FromSlice(1, len(row), row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range []int{0, 1} {
+			for _, know := range []float64{0, 1} {
+				for _, lc := range losses {
+					name := fmt.Sprintf("%s logits=%v label=%d knowledge=%v", lc.loss.LossName(), row, label, know)
+					loss, grad, err := lc.loss.Compute(logits, []int{label}, []float64{know})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if bound := -math.Log(1e-12) + lc.weight; math.IsNaN(loss) || math.IsInf(loss, 0) || loss > bound {
+						t.Errorf("%s: loss %v, want finite and <= %v", name, loss, bound)
+					}
+					var sum float64
+					for j, g := range grad.Row(0) {
+						if math.IsNaN(g) || math.IsInf(g, 0) {
+							t.Errorf("%s: grad[%d] = %v", name, j, g)
+						}
+						sum += g
+					}
+					if _, ce := lc.loss.(CrossEntropy); ce && math.Abs(sum) > 1e-12 {
+						t.Errorf("%s: gradient row sums to %v, want 0", name, sum)
+					}
+				}
+			}
 		}
 	}
 }
