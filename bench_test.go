@@ -69,7 +69,7 @@ func benchSweep(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	sweep.SetBudget(workers)
-	defer func(prev string) {
+	defer func(prev monitor.Precision) {
 		_ = experiments.Configure(0, prev)
 		sweep.SetBudget(0)
 	}(experiments.Precision())
@@ -708,12 +708,12 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // benchInfer measures one full test-set classification pass of a trained
-// MLP monitor through the generic frozen stack, either at float32 (the
+// MLP monitor through MLMonitor.ClassifyInto, either at f32 (the
 // -precision f32 fast path, including the per-call f64→f32 input
-// quantization it pays in production) or at f64 (the canonical Model.Infer,
-// which runs the same stack over the live weights on a per-call workspace),
-// at a fixed worker count.
-func benchInfer(b *testing.B, workers int, f32 bool) {
+// quantization it pays in production) or at f64 (the canonical path, which
+// runs the same generic stack over the live weights on a per-call
+// workspace), at a fixed worker count.
+func benchInfer(b *testing.B, workers int, p monitor.Precision) {
 	b.Helper()
 	a := assets(b)
 	sa := a.Sims[dataset.Glucosym]
@@ -727,16 +727,14 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 	}
 	sweep.SetBudget(workers)
 	defer sweep.SetBudget(0)
-	predict := m.PredictClasses
-	if f32 {
-		predict = m.PredictClassesF32
-		if _, err := m.Frozen(); err != nil { // one-time freeze outside the timer
-			b.Fatal(err)
-		}
+	classes := make([]int, x.Rows())
+	// One untimed pass builds the stack (the f32 freeze, or the f64 stack).
+	if err := m.ClassifyInto(p, x, classes, nil); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := predict(x); err != nil {
+		if err := m.ClassifyInto(p, x, classes, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -744,12 +742,12 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 
 // BenchmarkInferF32 is the float32 inference engine's headline number:
 // serial and 8-way frozen-twin classification of the bench test set, with
-// the same generic stack at f64 (f64twin, the canonical Model.Infer) as the
+// the same generic stack at f64 (f64twin, the canonical path) as the
 // in-run comparison point. Gated in CI against BENCH_BASELINE.json.
 func BenchmarkInferF32(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchInfer(b, 1, true) })
-	b.Run("parallel8", func(b *testing.B) { benchInfer(b, 8, true) })
-	b.Run("f64twin", func(b *testing.B) { benchInfer(b, 1, false) })
+	b.Run("serial", func(b *testing.B) { benchInfer(b, 1, monitor.F32) })
+	b.Run("parallel8", func(b *testing.B) { benchInfer(b, 8, monitor.F32) })
+	b.Run("f64twin", func(b *testing.B) { benchInfer(b, 1, monitor.F64) })
 }
 
 // BenchmarkCampaignLoad contrasts the two warm-load paths for the bench

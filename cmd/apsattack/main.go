@@ -76,7 +76,7 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 		common: cliconfig.AddCommon(fs, cliconfig.CommonDefaults{
 			Seed:      1,
 			Parallel:  runtime.GOMAXPROCS(0),
-			Precision: eval.PrecisionF64,
+			Precision: monitor.F64,
 		}),
 		simu:   cliconfig.AddSim(fs),
 		arch:   cliconfig.AddArch(fs),

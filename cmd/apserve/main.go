@@ -86,7 +86,7 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 		common: cliconfig.AddCommon(fs, cliconfig.CommonDefaults{
 			Seed:      1,
 			Parallel:  runtime.GOMAXPROCS(0),
-			Precision: serve.PrecisionF32,
+			Precision: monitor.F32,
 		}),
 		simu:   cliconfig.AddSim(fs),
 		arch:   cliconfig.AddArch(fs),

@@ -100,7 +100,7 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 			Seed:           0,
 			SeedUsage:      "override: campaign/training seed",
 			Parallel:       runtime.GOMAXPROCS(0),
-			Precision:      eval.PrecisionF64,
+			Precision:      monitor.F64,
 			ScenariosUsage: "override: campaign scenario mix, e.g. 'nominal:1,random_fault:1,sensor_drift:0.5' (see README)",
 		}),
 		shape:  cliconfig.AddShape(fs, 0, 0, 0),
@@ -255,7 +255,7 @@ func run() error {
 // bumps orphan old entries (their keys become unreachable), so a long-lived
 // -cache root accumulates dead bytes — notably v3 JSON campaigns after the
 // v4 columnar migration.
-func runCachePrune(cache *artifact.Flags) error {
+func runCachePrune(cache *cliconfig.Cache) error {
 	if cache.Disabled || cache.Root == "" {
 		return fmt.Errorf("-cache-prune needs a disk cache (not -no-cache)")
 	}

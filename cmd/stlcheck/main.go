@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/artifact"
+	"repro/internal/cliconfig"
 	"repro/internal/stl"
 )
 
@@ -47,7 +48,7 @@ func run() error {
 	step := flag.Int("step", 0, "evaluation step")
 	all := flag.Bool("all", false, "evaluate at every step and summarize")
 	listSignals := flag.Bool("signals", false, "list the trace's signals and exit")
-	cache := artifact.AddFlags(flag.CommandLine)
+	cache := cliconfig.AddCache(flag.CommandLine)
 	flag.Parse()
 
 	if *tracePath == "" {

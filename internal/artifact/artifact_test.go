@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -225,39 +224,5 @@ func TestDisabledStoreAlwaysCreates(t *testing.T) {
 		if err != nil || hit || *got != "payload:fresh" {
 			t.Fatalf("round %d: hit=%v err=%v payload=%q", i, hit, err, *got)
 		}
-	}
-}
-
-func TestFlagsOpen(t *testing.T) {
-	lookup := func(s Store) bool {
-		t.Helper()
-		_, load, cre, enc := payloadCodec("payload:flags")
-		hit, err := s.GetOrCreateFile(testKey(), load, cre, enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hit
-	}
-
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := AddFlags(fs)
-	root := filepath.Join(t.TempDir(), "cacheroot")
-	if err := fs.Parse([]string{"-cache", root}); err != nil {
-		t.Fatal(err)
-	}
-	if s := f.Open(nil); lookup(s) || !lookup(s) {
-		t.Fatalf("-cache %s: want a miss that persists, then a hit", root)
-	}
-	if _, err := os.Stat((&Disk{root: root}).Path(testKey())); err != nil {
-		t.Fatalf("entry not persisted under the cache root: %v", err)
-	}
-
-	fs2 := flag.NewFlagSet("x", flag.ContinueOnError)
-	f2 := AddFlags(fs2)
-	if err := fs2.Parse([]string{"-no-cache"}); err != nil {
-		t.Fatal(err)
-	}
-	if s := f2.Open(nil); lookup(s) || lookup(s) {
-		t.Fatal("-no-cache: want every lookup to miss")
 	}
 }

@@ -32,7 +32,7 @@ type CommonDefaults struct {
 	Parallel int
 	// Precision is the -precision default; "" skips registering the flag
 	// (apsim has no inference arithmetic to select).
-	Precision string
+	Precision monitor.Precision
 	// ScenariosUsage overrides the -scenarios usage string ("" = the
 	// canonical mix description).
 	ScenariosUsage string
@@ -42,10 +42,10 @@ type CommonDefaults struct {
 type Common struct {
 	Seed      int64
 	Parallel  int
-	Precision string
+	Precision monitor.Precision
 	Scenarios string
 	NoMmap    bool
-	Cache     *artifact.Flags
+	Cache     *Cache
 }
 
 // AddCommon registers the shared flag bundle on fs with the CLI's defaults
@@ -64,13 +64,13 @@ func AddCommon(fs *flag.FlagSet, d CommonDefaults) *Common {
 	fs.IntVar(&c.Parallel, "parallel", d.Parallel,
 		"worker goroutines for generation, training, evaluation and matrix products (0 = all cores, 1 = serial)")
 	if d.Precision != "" {
-		fs.StringVar(&c.Precision, "precision", d.Precision,
+		fs.StringVar((*string)(&c.Precision), "precision", string(d.Precision),
 			"inference arithmetic: f64 (canonical) or f32 (frozen fast path)")
 	}
 	fs.StringVar(&c.Scenarios, "scenarios", "", scenariosUsage)
 	fs.BoolVar(&c.NoMmap, "no-mmap", false,
 		"load cached campaign artifacts by copying instead of mmap (escape hatch for filesystems where mapping misbehaves)")
-	c.Cache = artifact.AddFlags(fs)
+	c.Cache = AddCache(fs)
 	return c
 }
 

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -135,12 +137,64 @@ func TestHelpTextNormalizesMachineDependentDefaults(t *testing.T) {
 	if !strings.Contains(out, fmt.Sprintf("core count (default %d)", nproc)) {
 		t.Errorf("decoy default was normalized too:\n%s", out)
 	}
-	if root := artifact.DefaultRoot(); root != "" {
+	if root := DefaultRoot(); root != "" {
 		if strings.Contains(out, root) {
 			t.Errorf("cache root leaked into help text:\n%s", out)
 		}
 		if !strings.Contains(out, "$APSREPRO_CACHE_DEFAULT") {
 			t.Errorf("cache root placeholder missing:\n%s", out)
 		}
+	}
+}
+
+// TestFlagsOpen pins how the -cache/-no-cache pair resolves into a store:
+// -cache DIR persists entries under DIR (a miss, then a hit), and -no-cache
+// misses on every lookup.
+func TestFlagsOpen(t *testing.T) {
+	key := artifact.Key{Kind: "campaign", Version: 1, Fingerprint: 0xabcdef}
+	lookup := func(s artifact.Store) bool {
+		t.Helper()
+		var got string
+		hit, err := s.GetOrCreateFile(key,
+			artifact.ReaderLoad(func(r io.Reader) error {
+				b, err := io.ReadAll(r)
+				got = string(b)
+				return err
+			}),
+			func() error { got = "payload:flags"; return nil },
+			func(w io.Writer) error { _, err := io.WriteString(w, got); return err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != "payload:flags" {
+			t.Fatalf("payload %q", got)
+		}
+		return hit
+	}
+
+	fs := newFlagSet()
+	c := AddCache(fs)
+	root := filepath.Join(t.TempDir(), "cacheroot")
+	if err := fs.Parse([]string{"-cache", root}); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Open(nil); lookup(s) || !lookup(s) {
+		t.Fatalf("-cache %s: want a miss that persists, then a hit", root)
+	}
+	disk, err := artifact.NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(disk.Path(key)); err != nil {
+		t.Fatalf("entry not persisted under the cache root: %v", err)
+	}
+
+	fs2 := newFlagSet()
+	c2 := AddCache(fs2)
+	if err := fs2.Parse([]string{"-no-cache"}); err != nil {
+		t.Fatal(err)
+	}
+	if s := c2.Open(nil); lookup(s) || lookup(s) {
+		t.Fatal("-no-cache: want every lookup to miss")
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"os"
 	"regexp"
 	"strings"
-
-	"repro/internal/artifact"
 )
 
 // Help-text goldens: every CLI pins its full flag surface (names, defaults,
@@ -34,7 +32,7 @@ func HelpText(fs *flag.FlagSet) string {
 	fs.SetOutput(&buf)
 	fs.PrintDefaults()
 	out := buf.String()
-	if root := artifact.DefaultRoot(); root != "" {
+	if root := DefaultRoot(); root != "" {
 		out = strings.ReplaceAll(out, fmt.Sprintf("%q", root), "$APSREPRO_CACHE_DEFAULT")
 	}
 	// Only -parallel defaults to a core count; its "(default N)" lives on

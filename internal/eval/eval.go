@@ -44,34 +44,20 @@ type Options struct {
 	// they carry state across episodes, so per-episode batching (and
 	// Reset at boundaries) is part of their semantics.
 	Workers int
-	// Precision selects the inference arithmetic: "" or "f64" is the
-	// canonical double-precision path; "f32" routes monitors implementing
-	// monitor.F32Classifier through their frozen float32 engine (monitors
-	// without one — e.g. rule_based, which has no arithmetic to quantize —
-	// fall back to f64). Unlike Workers, precision changes report contents
-	// (by float32 rounding), so it is part of the report fingerprint.
-	Precision string
+	// Precision selects the inference arithmetic of ML monitors ("" is
+	// monitor.F64). Other monitors — e.g. rule_based, which has no
+	// arithmetic to quantize — classify the same at either precision.
+	// Unlike Workers, precision changes report contents (by float32
+	// rounding), so it is part of the report fingerprint.
+	Precision monitor.Precision
 }
 
-// Precision names accepted by Options.Precision and ReportConfig.Precision.
+// PrecisionF64 and PrecisionF32 are the former names of monitor.F64 and
+// monitor.F32, kept for callers outside this module.
 const (
-	PrecisionF64 = "f64"
-	PrecisionF32 = "f32"
+	PrecisionF64 = monitor.F64
+	PrecisionF32 = monitor.F32
 )
-
-// NormalizePrecision canonicalizes a precision name: "" and "f64" mean the
-// double-precision path, "f32" the frozen float32 path; anything else is an
-// error.
-func NormalizePrecision(p string) (string, error) {
-	switch p {
-	case "", PrecisionF64:
-		return PrecisionF64, nil
-	case PrecisionF32:
-		return PrecisionF32, nil
-	default:
-		return "", fmt.Errorf("eval: unknown precision %q (want %s or %s)", p, PrecisionF64, PrecisionF32)
-	}
-}
 
 // BinaryPredictions converts monitor verdicts into the 0/1 prediction vector
 // the metrics operate on — the one canonical copy of the verdict→prediction
@@ -86,13 +72,27 @@ func BinaryPredictions(verdicts []monitor.Verdict) []int {
 	return pred
 }
 
-// Predict classifies samples with a monitor and returns 0/1 predictions.
-func Predict(m monitor.Monitor, samples []dataset.Sample) ([]int, error) {
-	verdicts, err := m.Classify(samples)
+// Predict classifies samples with a monitor at precision p and returns 0/1
+// predictions — the one sample-level entry point: ML monitors classify
+// through MLMonitor.ClassifyInto, every other monitor through Classify.
+func Predict(m monitor.Monitor, p monitor.Precision, samples []dataset.Sample) ([]int, error) {
+	ml, ok := m.(*monitor.MLMonitor)
+	if !ok {
+		verdicts, err := m.Classify(samples)
+		if err != nil {
+			return nil, err
+		}
+		return BinaryPredictions(verdicts), nil
+	}
+	x, err := ml.InputMatrix(samples)
 	if err != nil {
 		return nil, err
 	}
-	return BinaryPredictions(verdicts), nil
+	pred := make([]int, len(samples))
+	if err := ml.ClassifyInto(p, x, pred, nil); err != nil {
+		return nil, err
+	}
+	return pred, nil
 }
 
 // Evaluate scores a monitor on a dataset episode by episode: each episode is
@@ -104,22 +104,12 @@ func Predict(m monitor.Monitor, samples []dataset.Sample) ([]int, error) {
 // episodes at Workers > 1 — see Options.Workers for the concurrency
 // contract this places on the monitor.
 func Evaluate(m monitor.Monitor, ds *dataset.Dataset, opts Options) (*Report, error) {
-	precision, err := NormalizePrecision(opts.Precision)
+	p, err := monitor.ParsePrecision(string(opts.Precision))
 	if err != nil {
-		return nil, err
-	}
-	classify := m.Classify
-	if precision == PrecisionF32 {
-		if f32, ok := m.(monitor.F32Classifier); ok {
-			classify = f32.ClassifyF32
-		}
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 	return evaluate(m.Name(), ds, opts, func(_ int, samples []dataset.Sample) ([]int, error) {
-		verdicts, err := classify(samples)
-		if err != nil {
-			return nil, err
-		}
-		return BinaryPredictions(verdicts), nil
+		return Predict(m, p, samples)
 	})
 }
 

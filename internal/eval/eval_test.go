@@ -173,7 +173,7 @@ func TestEvaluatePredictionsMatchesEvaluate(t *testing.T) {
 	ds := testDataset()
 	m := thresholdMonitor{200}
 	direct := mustEvaluate(t, m, ds, Options{Tolerance: 2, Workers: 1})
-	pred, err := Predict(m, ds.Samples)
+	pred, err := Predict(m, monitor.F64, ds.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}

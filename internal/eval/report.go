@@ -114,7 +114,7 @@ type ReportConfig struct {
 	// and "f64" are the same canonical path). f32 reports differ from f64
 	// ones by float32 rounding, so non-default precision enters the
 	// fingerprint.
-	Precision string
+	Precision monitor.Precision
 	// ShardCount/ShardIndex restrict the report to one shard of the
 	// campaign's episode range (0/0 = the whole test split). Sharded
 	// reports cache under the shard's sub-fingerprint, so incremental
@@ -133,9 +133,7 @@ func (c ReportConfig) Fingerprint() uint64 {
 		"delta", c.Tolerance}
 	// The canonical f64 path is deliberately not mixed in, so reports cached
 	// before precision existed stay addressable.
-	if p, err := NormalizePrecision(c.Precision); err == nil && p != PrecisionF64 {
-		parts = append(parts, "precision", p)
-	} else if err != nil {
+	if p, err := monitor.ParsePrecision(string(c.Precision)); err != nil || p != monitor.F64 {
 		parts = append(parts, "precision", c.Precision)
 	}
 	// Unsharded reports (ShardCount 0) likewise keep their pre-shard keys;

@@ -27,14 +27,14 @@ var workerCount atomic.Int32
 func Workers() int { return int(workerCount.Load()) }
 
 // precisionMode holds the configured inference precision (empty = f64).
-var precisionMode atomic.Value // string
+var precisionMode atomic.Value // monitor.Precision
 
 // Precision returns the configured inference precision.
-func Precision() string {
-	if p, ok := precisionMode.Load().(string); ok {
+func Precision() monitor.Precision {
+	if p, ok := precisionMode.Load().(monitor.Precision); ok {
 		return p
 	}
-	return eval.PrecisionF64
+	return monitor.F64
 }
 
 // Configure installs the CLI-resolved worker count and inference precision
@@ -48,13 +48,13 @@ func Precision() string {
 // order.
 //
 // precision selects the inference arithmetic for every evaluation and
-// attack surface: eval.PrecisionF64 (the default, bit-deterministic) or
-// eval.PrecisionF32 (the frozen float32 fast path). Unlike workers it
-// changes report contents (by float32 rounding), so it enters report
+// attack surface: monitor.F64 (the default, bit-deterministic; "" means
+// the same) or monitor.F32 (the frozen float32 fast path). Unlike workers
+// it changes report contents (by float32 rounding), so it enters report
 // fingerprints. An unknown precision is an error and changes neither
 // setting.
-func Configure(workers int, precision string) error {
-	norm, err := eval.NormalizePrecision(precision)
+func Configure(workers int, precision monitor.Precision) error {
+	norm, err := monitor.ParsePrecision(string(precision))
 	if err != nil {
 		return err
 	}

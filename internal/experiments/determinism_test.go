@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/monitor"
 )
 
 // renderAll runs the experiments whose sweeps exercise every executor path
@@ -71,7 +72,7 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	SetStore(monitorOnlyStore{disk})
 	defer SetStore(nil)
-	defer func(prev string) { _ = Configure(0, prev) }(Precision())
+	defer func(prev monitor.Precision) { _ = Configure(0, prev) }(Precision())
 
 	var serial string
 	for _, workers := range []int{1, 4, 13} {

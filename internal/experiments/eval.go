@@ -15,28 +15,19 @@ import (
 type Perturbation func(x *mat.Matrix) (*mat.Matrix, error)
 
 // PredictSamples classifies samples into 0/1 predictions under the
-// configured precision: the frozen float32 path when Configure selected it
-// and the monitor provides one, the canonical f64 path otherwise.
+// configured precision.
 func PredictSamples(m monitor.Monitor, samples []dataset.Sample) ([]int, error) {
-	if Precision() == eval.PrecisionF32 {
-		if f32, ok := m.(monitor.F32Classifier); ok {
-			verdicts, err := f32.ClassifyF32(samples)
-			if err != nil {
-				return nil, err
-			}
-			return eval.BinaryPredictions(verdicts), nil
-		}
-	}
-	return eval.Predict(m, samples)
+	return eval.Predict(m, Precision(), samples)
 }
 
 // PredictMatrixClasses runs an ML monitor over a pre-assembled input matrix
 // under the configured precision.
 func PredictMatrixClasses(m *monitor.MLMonitor, x *mat.Matrix) ([]int, error) {
-	if Precision() == eval.PrecisionF32 {
-		return m.PredictClassesF32(x)
+	classes := make([]int, x.Rows())
+	if err := m.ClassifyInto(Precision(), x, classes, nil); err != nil {
+		return nil, err
 	}
-	return m.PredictClasses(x)
+	return classes, nil
 }
 
 // NoPerturbation passes inputs through unchanged.

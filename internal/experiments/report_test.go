@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 )
 
@@ -143,7 +144,7 @@ func TestReportsWarmRunServesFromStoreWithZeroMonitorWork(t *testing.T) {
 func TestReportsDeterministicAcrossWorkers(t *testing.T) {
 	cfg := reportConfig()
 	cfg.Seed = 124 // fresh assets either way; keep cache-test entries disjoint
-	defer func(prev string) { _ = Configure(0, prev) }(Precision())
+	defer func(prev monitor.Precision) { _ = Configure(0, prev) }(Precision())
 
 	render := func(workers int) (string, []byte) {
 		if err := Configure(workers, Precision()); err != nil {

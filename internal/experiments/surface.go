@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/attack"
-	"repro/internal/eval"
 	"repro/internal/mat"
 	"repro/internal/monitor"
 )
@@ -65,10 +64,10 @@ func (s *SimAssets) buildSurface(name string) (*attackSurface, error) {
 // cleanClasses returns the clean-input classes under the configured
 // precision, the twin of PredictMatrixClasses(m, x).
 func (a *attackSurface) cleanClasses() ([]int, error) {
-	if Precision() != eval.PrecisionF32 {
+	if Precision() == monitor.F64 {
 		return a.f64, nil
 	}
-	return a.f32.get(func() ([]int, error) { return a.m.PredictClassesF32(a.x) })
+	return a.f32.get(func() ([]int, error) { return PredictMatrixClasses(a.m, a.x) })
 }
 
 // fgsmClasses returns the monitor's classes, under the configured

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
-	"repro/internal/eval"
 	"repro/internal/mat"
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/sweep"
 )
 
@@ -174,9 +174,9 @@ func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(prev string) { _ = Configure(0, prev) }(Precision())
+	defer func(prev monitor.Precision) { _ = Configure(0, prev) }(Precision())
 	var want surfaceRefs
-	for _, prec := range []string{eval.PrecisionF64, eval.PrecisionF32} {
+	for _, prec := range []monitor.Precision{monitor.F64, monitor.F32} {
 		if err := Configure(4, prec); err != nil {
 			t.Fatal(err)
 		}
@@ -201,12 +201,12 @@ func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
 			sim := simu.String()
 			for _, name := range MLMonitorNames {
 				row := rowLabel(name, sim)
-				sameSeries(t, prec+" fig8 "+row, f8.F1[sim][name], want.fig8[sim][name])
-				sameSeries(t, prec+" fig9 gaussian "+row, f9.Gaussian.Errors[row], want.fig9g[sim][name])
-				sameSeries(t, prec+" fig9 fgsm "+row, f9.FGSM.Errors[row], want.fig9f[sim][name])
-				sameSeries(t, prec+" fig10 "+row, f10.Errors[row], want.fig10[sim][name])
+				sameSeries(t, string(prec)+" fig8 "+row, f8.F1[sim][name], want.fig8[sim][name])
+				sameSeries(t, string(prec)+" fig9 gaussian "+row, f9.Gaussian.Errors[row], want.fig9g[sim][name])
+				sameSeries(t, string(prec)+" fig9 fgsm "+row, f9.FGSM.Errors[row], want.fig9f[sim][name])
+				sameSeries(t, string(prec)+" fig10 "+row, f10.Errors[row], want.fig10[sim][name])
 			}
-			sameSeries(t, prec+" evasion fgsm "+sim, ev.FGSM[sim], want.evasion[sim])
+			sameSeries(t, string(prec)+" evasion fgsm "+sim, ev.FGSM[sim], want.evasion[sim])
 		}
 	}
 

@@ -26,12 +26,9 @@ func TestFrozenTwinSurvivesSaveLoad(t *testing.T) {
 		if err := orig.Save(&before); err != nil {
 			t.Fatalf("Save before freeze: %v", err)
 		}
-		vo, err := orig.ClassifyF32(sub)
-		if err != nil {
-			t.Fatalf("%s ClassifyF32: %v", orig.Name(), err)
-		}
+		co, po := classifyF32(t, orig, sub)
 		if orig.frozen == nil {
-			t.Fatalf("%s: ClassifyF32 did not build the frozen twin", orig.Name())
+			t.Fatalf("%s: classifying at F32 did not build the frozen twin", orig.Name())
 		}
 		var after bytes.Buffer
 		if err := orig.Save(&after); err != nil {
@@ -48,20 +45,31 @@ func TestFrozenTwinSurvivesSaveLoad(t *testing.T) {
 		if loaded.frozen != nil {
 			t.Fatalf("%s: loaded monitor has an eager frozen twin, want lazy rebuild", orig.Name())
 		}
-		vl, err := loaded.ClassifyF32(sub)
-		if err != nil {
-			t.Fatalf("%s loaded ClassifyF32: %v", orig.Name(), err)
-		}
+		cl, pl := classifyF32(t, loaded, sub)
 		if loaded.frozen == nil {
 			t.Fatalf("%s: loaded monitor did not rebuild the frozen twin", orig.Name())
 		}
-		for i := range vo {
-			if vo[i] != vl[i] {
-				t.Fatalf("%s: f32 verdict %d differs after round trip: %+v vs %+v",
-					orig.Name(), i, vo[i], vl[i])
+		for i := range co {
+			if co[i] != cl[i] || po[i] != pl[i] {
+				t.Fatalf("%s: f32 verdict %d differs after round trip: class %d conf %v vs class %d conf %v",
+					orig.Name(), i, co[i], po[i], cl[i], pl[i])
 			}
 		}
 	}
+}
+
+// classifyF32 classifies samples through m's frozen float32 twin.
+func classifyF32(t *testing.T, m *MLMonitor, samples []dataset.Sample) ([]int, []float64) {
+	t.Helper()
+	x, err := m.InputMatrix(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, conf := make([]int, x.Rows()), make([]float64, x.Rows())
+	if err := m.ClassifyInto(F32, x, classes, conf); err != nil {
+		t.Fatal(err)
+	}
+	return classes, conf
 }
 
 // TestClassifyMatrixF32AgreesWithF64 sanity-checks the f32 fast path against
@@ -82,8 +90,8 @@ func TestClassifyMatrixF32AgreesWithF64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p32, err := m.PredictClassesF32(x)
-		if err != nil {
+		p32 := make([]int, x.Rows())
+		if err := m.ClassifyInto(F32, x, p32, nil); err != nil {
 			t.Fatal(err)
 		}
 		flips := 0

@@ -45,7 +45,7 @@ type MLMonitor struct {
 	window   int
 	seqFeats int
 
-	// Lazily built float32 inference twin behind the ClassifyF32 fast path.
+	// Lazily built float32 inference twin behind ClassifyInto at F32.
 	// Never serialized: Save persists only the canonical f64 model, and the
 	// twin is rebuilt on first f32 use after Load.
 	frozenOnce sync.Once
@@ -140,17 +140,21 @@ func (m *MLMonitor) Classify(samples []dataset.Sample) ([]Verdict, error) {
 	return m.ClassifyMatrix(x)
 }
 
-// ClassifyMatrix judges pre-assembled (already normalized) inputs — the
-// attack generators perturb these matrices directly.
+// ClassifyMatrix judges pre-assembled (already normalized) inputs at F64 —
+// the attack generators perturb these matrices directly.
 func (m *MLMonitor) ClassifyMatrix(x *mat.Matrix) ([]Verdict, error) {
-	probs, err := m.model.Predict(x)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: %s predict: %w", m.Name(), err)
+	classes, conf := make([]int, x.Rows()), make([]float64, x.Rows())
+	if err := m.ClassifyInto(F64, x, classes, conf); err != nil {
+		return nil, err
 	}
-	return verdictsFromProbs(probs), nil
+	out := make([]Verdict, len(classes))
+	for i, cls := range classes {
+		out[i] = Verdict{Unsafe: cls == 1, Confidence: conf[i]}
+	}
+	return out, nil
 }
 
-// PredictClasses returns 0/1 classes for pre-assembled inputs.
+// PredictClasses returns 0/1 classes for pre-assembled inputs at F64.
 func (m *MLMonitor) PredictClasses(x *mat.Matrix) ([]int, error) {
 	return m.model.PredictClasses(x)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/mat"
 	"repro/internal/stl"
 )
 
@@ -27,19 +26,6 @@ type Monitor interface {
 	Name() string
 	// Classify judges a batch of samples and returns one verdict per sample.
 	Classify(samples []dataset.Sample) ([]Verdict, error)
-}
-
-// F32Classifier is implemented by monitors that offer a float32 fast
-// inference path (the frozen-model twin of the ML monitors). Callers that
-// are asked for f32 precision should use ClassifyF32 when the monitor
-// provides it and fall back to Classify otherwise (the rule-based monitor
-// has no arithmetic to quantize).
-type F32Classifier interface {
-	Monitor
-	// ClassifyF32 judges a batch through the float32 inference engine. Same
-	// contract as Classify; verdicts may differ from the f64 path only by
-	// float32 rounding.
-	ClassifyF32(samples []dataset.Sample) ([]Verdict, error)
 }
 
 // RuleBased is the pure domain-knowledge monitor: it alerts iff any Table I
@@ -69,15 +55,4 @@ func (r *RuleBased) Classify(samples []dataset.Sample) ([]Verdict, error) {
 		out[i] = Verdict{Unsafe: unsafe, Confidence: 1}
 	}
 	return out, nil
-}
-
-// verdictsFromProbs converts class probabilities (column 1 = unsafe) into
-// verdicts.
-func verdictsFromProbs(probs *mat.Matrix) []Verdict {
-	out := make([]Verdict, probs.Rows())
-	for i := range out {
-		cls := probs.ArgmaxRow(i)
-		out[i] = Verdict{Unsafe: cls == 1, Confidence: probs.At(i, cls)}
-	}
-	return out
 }

@@ -20,9 +20,10 @@ import (
 //     allocations. It snapshots the weights and is never serialized:
 //     monitor.Save persists the canonical f64 model, and the twin is rebuilt
 //     lazily after Load.
-//   - InferModel[float64], built once inside each Model: its layers alias
-//     the live f64 weights, so it always computes exactly what Forward does.
-//     Model.Infer runs it on a fresh per-call workspace.
+//   - InferModel[float64], built once inside each Model (Model.Stack): its
+//     layers alias the live f64 weights, so it always computes exactly what
+//     Forward does. Model.Infer and Model.ClassifyInto run it on a fresh
+//     per-call workspace.
 type InferModel[T mat.Float] struct {
 	inSize, outSize int
 	layers          []inferLayer[T]
@@ -149,6 +150,14 @@ func (im *InferModel[T]) Logits(x *mat.Dense[T]) (*mat.Dense[T], error) {
 // with a fixed iteration order, so results do not depend on the worker
 // count.
 func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []float64) error {
+	ws := im.pool.Get().(*inferWorkspace[T])
+	defer im.pool.Put(ws)
+	return im.classifyInto(ws, x, classes, conf)
+}
+
+// classifyInto is ClassifyInto on the workspace ws — the one logits→class
+// epilogue behind every batch classification, at either precision.
+func (im *InferModel[T]) classifyInto(ws *inferWorkspace[T], x *mat.Dense[T], classes []int, conf []float64) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: classify: %d input cols, want %d", x.Cols(), im.inSize)
 	}
@@ -158,8 +167,6 @@ func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []flo
 	if conf != nil && len(conf) != x.Rows() {
 		return fmt.Errorf("nn: classify: %d confidence slots for %d rows", len(conf), x.Rows())
 	}
-	ws := im.pool.Get().(*inferWorkspace[T])
-	defer im.pool.Put(ws)
 	logits, err := im.run(ws, x)
 	if err != nil {
 		return err
@@ -211,7 +218,7 @@ func argmax[T mat.Float](row []T) int {
 	return best
 }
 
-// classifyRow is the softmax epilogue shared by ClassifyInto and Classify1:
+// classifyRow is the softmax epilogue shared by classifyInto and Classify1:
 // the argmax of one logit row (the first maximum wins ties) and its softmax
 // probability, 1/Σexp(v−max), accumulated in float64 in index order so the
 // confidence does not depend on how the batch was split.

@@ -15,7 +15,7 @@ type Model struct {
 	loss   Loss
 	inSize int // expected input feature count
 
-	// infer is the f64 frozen stack behind Infer, built on first use. Its
+	// infer is the f64 frozen stack behind Stack, built on first use. Its
 	// layers alias the live weights, which only ever change in place (the
 	// optimizer, Load's CopyFrom), so it always sees the current model.
 	inferOnce sync.Once
@@ -92,6 +92,16 @@ func (m *Model) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
+// Stack returns the f64 frozen stack over the live weights, built on first
+// use. Its own methods draw pooled workspaces, which suits bounded batches
+// (serving); Infer and ClassifyInto below run it on per-call workspaces.
+func (m *Model) Stack() (*InferModel[float64], error) {
+	m.inferOnce.Do(func() {
+		m.infer, m.inferErr = freeze(m, func(w *mat.Matrix) *mat.Matrix { return w })
+	})
+	return m.infer, m.inferErr
+}
+
 // Infer runs the stack without recording backward state, so any number of
 // goroutines may share one trained model — the inference path under the
 // parallel experiment sweeps. It computes Forward's logits bit for bit
@@ -101,13 +111,23 @@ func (m *Model) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != m.inSize {
 		return nil, fmt.Errorf("nn: model infer: %d input cols, want %d", x.Cols(), m.inSize)
 	}
-	m.inferOnce.Do(func() {
-		m.infer, m.inferErr = freeze(m, func(w *mat.Matrix) *mat.Matrix { return w })
-	})
-	if m.inferErr != nil {
-		return nil, m.inferErr
+	im, err := m.Stack()
+	if err != nil {
+		return nil, err
 	}
-	return m.infer.run(m.infer.newWorkspace(), x)
+	return im.run(im.newWorkspace(), x)
+}
+
+// ClassifyInto is InferModel.ClassifyInto over the live f64 weights, on a
+// workspace private to the call: the argmax class per row and, when conf is
+// non-nil, its softmax probability. Safe for concurrent use on a shared
+// model.
+func (m *Model) ClassifyInto(x *mat.Matrix, classes []int, conf []float64) error {
+	im, err := m.Stack()
+	if err != nil {
+		return err
+	}
+	return im.classifyInto(im.newWorkspace(), x, classes, conf)
 }
 
 // Predict returns class probabilities (softmax of the logits). Safe for
@@ -120,18 +140,11 @@ func (m *Model) Predict(x *mat.Matrix) (*mat.Matrix, error) {
 	return Softmax(logits), nil
 }
 
-// PredictClasses returns the argmax class per row. Safe for concurrent use
-// on a shared model.
+// PredictClasses returns the argmax class per row (ClassifyInto without
+// confidences). Safe for concurrent use on a shared model.
 func (m *Model) PredictClasses(x *mat.Matrix) ([]int, error) {
-	logits, err := m.Infer(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, logits.Rows())
-	for i := range out {
-		out[i] = logits.ArgmaxRow(i)
-	}
-	return out, nil
+	classes := make([]int, x.Rows())
+	return classes, m.ClassifyInto(x, classes, nil)
 }
 
 // backward pushes a logit gradient through the stack and returns the gradient

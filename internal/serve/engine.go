@@ -6,124 +6,95 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/monitor"
+	"repro/internal/nn"
 )
 
-// Precision names accepted by Config.Precision (mirrors eval's constants:
-// f32 is the frozen fast path and the serving default, f64 the canonical
-// escape hatch).
-const (
-	PrecisionF32 = "f32"
-	PrecisionF64 = "f64"
-)
-
-// newBatchClassify builds the fused ClassifyFunc the dispatcher flushes
-// through: a single GEMM over a persistent staging buffer. Only the
-// dispatcher goroutine calls it, so the staging state needs no locking.
-func newBatchClassify(m *monitor.MLMonitor, precision string, maxBatch int) (ClassifyFunc, error) {
-	in := m.Model().InputSize()
-	switch precision {
-	case "", PrecisionF32:
-		im, err := m.Frozen()
+// newClassify resolves cfg's precision ("" is f32, the serving default)
+// and builds the server's ClassifyFunc over the matching frozen stack: the
+// monitor's float32 twin, or the f64 stack over its live weights. Serving
+// batches are at most MaxBatch rows, so both stacks run on pooled
+// workspaces.
+func newClassify(cfg *Config) (ClassifyFunc, error) {
+	if cfg.Precision == "" {
+		cfg.Precision = monitor.F32
+	}
+	p, err := monitor.ParsePrecision(string(cfg.Precision))
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if p == monitor.F32 {
+		im, err := cfg.Monitor.Frozen()
 		if err != nil {
 			return nil, err
 		}
-		staging := mat.NewDense[float32](maxBatch, in)
-		return func(rows [][]float64, classes []int, conf []float64) error {
-			x, err := staging.RowsView(0, len(rows))
-			if err != nil {
+		return engine(im, cfg), nil
+	}
+	im, err := cfg.Monitor.Model().Stack()
+	if err != nil {
+		return nil, err
+	}
+	return engine(im, cfg), nil
+}
+
+func engine[T mat.Float](im *nn.InferModel[T], cfg *Config) ClassifyFunc {
+	if cfg.Bypass {
+		return directClassify(im)
+	}
+	return batchClassify(im, cfg.Batcher.MaxBatch)
+}
+
+// batchClassify builds the fused ClassifyFunc the dispatcher flushes
+// through: a single GEMM over a persistent staging buffer. Only the
+// dispatcher goroutine calls it, so the staging state needs no locking.
+func batchClassify[T mat.Float](im *nn.InferModel[T], maxBatch int) ClassifyFunc {
+	staging := mat.NewDense[T](maxBatch, im.InputSize())
+	return func(rows [][]float64, classes []int, conf []float64) error {
+		x, err := staging.RowsView(0, len(rows))
+		if err != nil {
+			return err
+		}
+		for i, r := range rows {
+			if err := stage(x.Row(i), r); err != nil {
 				return err
 			}
-			for i, r := range rows {
-				dst := x.Row(i)
-				for j, v := range r {
-					dst[j] = float32(v)
-				}
-			}
-			return im.ClassifyInto(x, classes, conf)
-		}, nil
-	case PrecisionF64:
-		staging := mat.New(maxBatch, in)
-		return func(rows [][]float64, classes []int, conf []float64) error {
-			x, err := staging.RowsView(0, len(rows))
-			if err != nil {
-				return err
-			}
-			for i, r := range rows {
-				if err := x.SetRow(i, r); err != nil {
-					return err
-				}
-			}
-			verdicts, err := m.ClassifyMatrix(x)
-			if err != nil {
-				return err
-			}
-			for i, v := range verdicts {
-				classes[i] = 0
-				if v.Unsafe {
-					classes[i] = 1
-				}
-				conf[i] = v.Confidence
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown precision %q (want %s or %s)", precision, PrecisionF32, PrecisionF64)
+		}
+		return im.ClassifyInto(x, classes, conf)
 	}
 }
 
-// newDirectClassify builds the batcher-bypass classifier: every row is
-// scored on the caller's goroutine with no cross-request fusion — the
-// per-request baseline BenchmarkServe compares against. It must be safe for
-// concurrent calls (the f32 path rides Classify1's pooled workspaces; the
-// f64 path allocates per call like the offline evaluator).
-func newDirectClassify(m *monitor.MLMonitor, precision string) (ClassifyFunc, error) {
-	in := m.Model().InputSize()
-	switch precision {
-	case "", PrecisionF32:
-		im, err := m.Frozen()
-		if err != nil {
-			return nil, err
+// directClassify builds the batcher-bypass classifier: every row is scored
+// on the caller's goroutine with no cross-request fusion — the per-request
+// baseline BenchmarkServe compares against. It is safe for concurrent
+// calls: rows stage through pooled buffers into Classify1's pooled
+// workspaces.
+func directClassify[T mat.Float](im *nn.InferModel[T]) ClassifyFunc {
+	in := im.InputSize()
+	pool := sync.Pool{New: func() any { return make([]T, in) }}
+	return func(rows [][]float64, classes []int, conf []float64) error {
+		buf := pool.Get().([]T)
+		defer pool.Put(buf)
+		for i, r := range rows {
+			if err := stage(buf, r); err != nil {
+				return err
+			}
+			class, c, err := im.Classify1(buf)
+			if err != nil {
+				return err
+			}
+			classes[i] = class
+			conf[i] = c
 		}
-		pool := sync.Pool{New: func() any { return make([]float32, in) }}
-		return func(rows [][]float64, classes []int, conf []float64) error {
-			buf := pool.Get().([]float32)
-			defer pool.Put(buf)
-			for i, r := range rows {
-				if len(r) != in {
-					return fmt.Errorf("serve: row of %d features, want %d", len(r), in)
-				}
-				for j, v := range r {
-					buf[j] = float32(v)
-				}
-				class, c, err := im.Classify1(buf)
-				if err != nil {
-					return err
-				}
-				classes[i] = class
-				conf[i] = c
-			}
-			return nil
-		}, nil
-	case PrecisionF64:
-		return func(rows [][]float64, classes []int, conf []float64) error {
-			x, err := mat.FromRows(rows)
-			if err != nil {
-				return err
-			}
-			verdicts, err := m.ClassifyMatrix(x)
-			if err != nil {
-				return err
-			}
-			for i, v := range verdicts {
-				classes[i] = 0
-				if v.Unsafe {
-					classes[i] = 1
-				}
-				conf[i] = v.Confidence
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown precision %q (want %s or %s)", precision, PrecisionF32, PrecisionF64)
+		return nil
 	}
+}
+
+// stage converts one assembled feature row into the stack's precision.
+func stage[T mat.Float](dst []T, r []float64) error {
+	if len(r) != len(dst) {
+		return fmt.Errorf("serve: row of %d features, want %d", len(r), len(dst))
+	}
+	for j, v := range r {
+		dst[j] = T(v)
+	}
+	return nil
 }

@@ -289,8 +289,8 @@ func TestServeDeterminism(t *testing.T) {
 
 // TestServeDeterminismF64 pins the same contract for the f64 escape hatch.
 func TestServeDeterminismF64(t *testing.T) {
-	a := loadDigest(t, serve.Config{Precision: serve.PrecisionF64}, "stream")
-	b := loadDigest(t, serve.Config{Precision: serve.PrecisionF64, Bypass: true}, "request")
+	a := loadDigest(t, serve.Config{Precision: monitor.F64}, "stream")
+	b := loadDigest(t, serve.Config{Precision: monitor.F64, Bypass: true}, "request")
 	if a.Digest != b.Digest {
 		t.Fatalf("f64 batched %s vs bypass %s", a.Digest, b.Digest)
 	}
@@ -319,6 +319,73 @@ func TestServeBatcherFusion(t *testing.T) {
 		t.Fatalf("occupancy %.2f: no cross-session fusion (stats %+v)", st.Occupancy(), st)
 	}
 	t.Logf("occupancy %.2f over %d flushes", st.Occupancy(), st.Flushes)
+}
+
+// TestServerBodyCaps pins the request size caps: an oversize session
+// config, JSON append or NDJSON line is refused with 413, a malformed small
+// body still gets 400, and a session opened before the attempts keeps
+// serving verdicts afterwards.
+func TestServerBodyCaps(t *testing.T) {
+	srv, err := serve.New(serve.Config{Monitor: testMonitor(t), IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	do := func(path, ctype string, body []byte) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	create := func() string {
+		t.Helper()
+		rec := do("/v1/sessions", "application/json", []byte("{}"))
+		var out struct{ ID string }
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+		return out.ID
+	}
+	pad := func(n int) []byte { return bytes.Repeat([]byte("a"), n) }
+
+	keep := create()
+	victim := create()
+	window := srv.Window()
+	script := serve.Script(3, 0, window)
+	line, err := json.Marshal(script[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, ctype string
+		body              []byte
+		want              int
+	}{
+		{"config over cap", "/v1/sessions", "application/json",
+			append(append([]byte(`{"pad":"`), pad(65<<10)...), `"}`...), http.StatusRequestEntityTooLarge},
+		{"malformed config", "/v1/sessions", "application/json", []byte(`{"debounce_m":`), http.StatusBadRequest},
+		{"append over cap", "/v1/sessions/" + victim + "/samples", "application/json",
+			append(append([]byte(`[{"pad":"`), pad(8<<20)...), `"}]`...), http.StatusRequestEntityTooLarge},
+		{"ndjson line over cap", "/v1/sessions/" + victim + "/samples", "application/x-ndjson",
+			append(append(append(line, '\n'), pad(65<<10)...), '\n'), http.StatusRequestEntityTooLarge},
+	} {
+		if rec := do(tc.path, tc.ctype, tc.body); rec.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, rec.Body, tc.want)
+		}
+	}
+
+	body, err := json.Marshal(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := do("/v1/sessions/"+keep+"/samples", "application/json", body)
+	var out struct{ Verdicts []serve.Verdict }
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || len(out.Verdicts) != 1 {
+		t.Fatalf("append after refused bodies: %d %s, want one verdict", rec.Code, rec.Body)
+	}
+	create()
 }
 
 func TestServerRejectsBadConfig(t *testing.T) {

@@ -21,10 +21,10 @@ import (
 type Config struct {
 	// Monitor is the trained monitor to serve (required).
 	Monitor *monitor.MLMonitor
-	// Precision selects the inference arithmetic: "" or "f32" (default) is
-	// the frozen float32 engine, "f64" the canonical double-precision
-	// escape hatch.
-	Precision string
+	// Precision selects the inference arithmetic: "" or monitor.F32
+	// (default) is the frozen float32 engine, monitor.F64 the canonical
+	// double-precision escape hatch.
+	Precision monitor.Precision
 	// Bypass disables the micro-batching dispatcher: every request is
 	// classified inline on its own goroutine (the per-request baseline).
 	Bypass bool
@@ -40,6 +40,16 @@ type Config struct {
 	// them at creation.
 	Session SessionConfig
 }
+
+// Request body caps. Bodies are hostile input: a session config is a few
+// numbers, a JSON append a bounded block of samples, and an NDJSON stream
+// may run indefinitely but one sample per line. A body or line over its cap
+// is refused with 413 and touches no other session.
+const (
+	maxConfigBytes = 64 << 10
+	maxAppendBytes = 8 << 20
+	maxLineBytes   = 64 << 10
+)
 
 // Server is the streaming monitor-as-a-service HTTP handler.
 //
@@ -96,16 +106,14 @@ func New(cfg Config) (*Server, error) {
 	if s.protoM, s.protoC, err = buildWrappers(cfg.Session); err != nil {
 		return nil, fmt.Errorf("serve: default session config: %w", err)
 	}
+	classify, err := newClassify(&s.cfg)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Bypass {
-		if s.direct, err = newDirectClassify(cfg.Monitor, cfg.Precision); err != nil {
-			return nil, err
-		}
+		s.direct = classify
 	} else {
-		fused, err := newBatchClassify(cfg.Monitor, cfg.Precision, cfg.Batcher.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		s.batcher = NewBatcher(cfg.Batcher, fused)
+		s.batcher = NewBatcher(cfg.Batcher, classify)
 	}
 	if cfg.IdleTimeout > 0 {
 		s.evictStop = make(chan struct{})
@@ -282,8 +290,8 @@ func (s *Server) lookup(id string) *session {
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	cfg := s.cfg.Session
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			httpError(w, http.StatusBadRequest, "bad session config: "+err.Error())
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxConfigBytes)).Decode(&cfg); err != nil {
+			bodyError(w, "bad session config", err)
 			return
 		}
 	}
@@ -340,8 +348,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, sess *session) {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, sess *session) {
 	var raw []Sample
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, "bad samples: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBytes)).Decode(&raw); err != nil {
+		bodyError(w, "bad samples", err)
 		return
 	}
 	verdicts, err := sess.ingest(r.Context(), s.cfg.Monitor, s.classifyReject, raw)
@@ -366,7 +374,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, sess *sess
 // free. Samples within a session stay strictly ordered either way, which
 // is what keeps the verdict stream bit-identical across chunk shapes.
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess *session) {
-	br := bufio.NewReaderSize(r.Body, 64<<10)
+	// ReadSlice fails with bufio.ErrBufferFull on a line longer than the
+	// buffer, so the buffer size is the line cap.
+	br := bufio.NewReaderSize(r.Body, maxLineBytes)
 	chunk := make([]Sample, 0, s.chunkCap)
 	accepted, emitted := 0, 0
 	flush := func() bool {
@@ -384,7 +394,12 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess
 		return true
 	}
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("sample %d: line exceeds %d bytes", accepted+len(chunk), maxLineBytes))
+			return
+		}
 		if len(bytes.TrimSpace(line)) > 0 {
 			var smp Sample
 			if uerr := json.Unmarshal(line, &smp); uerr != nil {
@@ -410,6 +425,17 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": accepted, "verdicts": emitted})
+}
+
+// bodyError answers a request body that failed to decode: 413 when it
+// crossed its size cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, what+": "+err.Error())
 }
 
 func appendError(w http.ResponseWriter, err error) {
@@ -525,7 +551,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"samples":   samples,
 		"verdicts":  verdicts,
 		"window":    s.window,
-		"precision": precisionName(s.cfg.Precision),
+		"precision": s.cfg.Precision,
 		"bypass":    s.cfg.Bypass,
 	}
 	if s.batcher != nil {
@@ -534,13 +560,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["occupancy"] = bs.Occupancy()
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-func precisionName(p string) string {
-	if p == "" {
-		return PrecisionF32
-	}
-	return p
 }
 
 func queryInt(r *http.Request, key string, def int) int {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/monitor"
 )
 
 // TestF32VerdictAgreement is the acceptance gate of the float32 inference
@@ -30,40 +31,42 @@ func TestF32VerdictAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %s: %v", sa.Sim, name, err)
 			}
-			v64, err := m.Classify(sa.Test.Samples)
+			x, err := m.InputMatrix(sa.Test.Samples)
 			if err != nil {
-				t.Fatalf("%v %s Classify: %v", sa.Sim, name, err)
+				t.Fatalf("%v %s: %v", sa.Sim, name, err)
 			}
-			v32, err := m.ClassifyF32(sa.Test.Samples)
-			if err != nil {
-				t.Fatalf("%v %s ClassifyF32: %v", sa.Sim, name, err)
+			n := x.Rows()
+			c64, p64 := make([]int, n), make([]float64, n)
+			if err := m.ClassifyInto(monitor.F64, x, c64, p64); err != nil {
+				t.Fatalf("%v %s f64: %v", sa.Sim, name, err)
 			}
-			if len(v32) != len(v64) {
-				t.Fatalf("%v %s: %d f32 verdicts for %d windows", sa.Sim, name, len(v32), len(v64))
+			c32, p32 := make([]int, n), make([]float64, n)
+			if err := m.ClassifyInto(monitor.F32, x, c32, p32); err != nil {
+				t.Fatalf("%v %s f32: %v", sa.Sim, name, err)
 			}
 			flips := 0
-			for i := range v64 {
-				if v64[i].Unsafe != v32[i].Unsafe {
+			for i := range c64 {
+				if c64[i] != c32[i] {
 					flips++
 					if flips <= 8 {
 						s := sa.Test.Samples[i]
 						t.Logf("%v %s: window %d (episode %d step %d, label %d) flipped: "+
-							"f64 unsafe=%v conf=%.6f, f32 unsafe=%v conf=%.6f",
+							"f64 class=%d conf=%.6f, f32 class=%d conf=%.6f",
 							sa.Sim, name, i, s.EpisodeID, s.Step, s.Label,
-							v64[i].Unsafe, v64[i].Confidence, v32[i].Unsafe, v32[i].Confidence)
+							c64[i], p64[i], c32[i], p32[i])
 					}
 				}
 			}
-			if frac := float64(flips) / float64(len(v64)); frac > maxFlipFrac {
+			if frac := float64(flips) / float64(n); frac > maxFlipFrac {
 				t.Errorf("%v %s: f32 flips %d/%d alarms (%.3f%%), want < %.1f%% — see flip diagnostics above",
-					sa.Sim, name, flips, len(v64), 100*frac, 100*maxFlipFrac)
+					sa.Sim, name, flips, n, 100*frac, 100*maxFlipFrac)
 			}
 
-			r64, err := eval.Evaluate(m, sa.Test, eval.Options{Tolerance: a.Config.ToleranceDelta, Precision: eval.PrecisionF64})
+			r64, err := eval.Evaluate(m, sa.Test, eval.Options{Tolerance: a.Config.ToleranceDelta, Precision: monitor.F64})
 			if err != nil {
 				t.Fatalf("%v %s f64 report: %v", sa.Sim, name, err)
 			}
-			r32, err := eval.Evaluate(m, sa.Test, eval.Options{Tolerance: a.Config.ToleranceDelta, Precision: eval.PrecisionF32})
+			r32, err := eval.Evaluate(m, sa.Test, eval.Options{Tolerance: a.Config.ToleranceDelta, Precision: monitor.F32})
 			if err != nil {
 				t.Fatalf("%v %s f32 report: %v", sa.Sim, name, err)
 			}
