@@ -11,6 +11,13 @@ package mat
 // the pre-tiling kernels at any blocking and any worker count — the
 // determinism contract the parallel row-block dispatch and the training
 // pipeline rely on.
+//
+// The row updates axpy4 and axpy1 and the 4×4 blocks of matMulTBlocks run
+// AVX2 assembly on amd64 CPUs that have it (kernels_amd64.go), and the Go
+// loops below everywhere else. The assembly vectorizes across output
+// columns only: each lane does one multiply, then one add, per k, in
+// ascending k, exactly like the Go loop, so the two agree bit for bit. The
+// zero checks stay here in Go, shared by both paths.
 
 // matMulRows64 computes rows [lo, hi) of out = a × b with an ikj loop
 // order, unrolling k by 4: each pass streams four b rows against one output
@@ -26,22 +33,7 @@ func matMulRows64(out, a, b *Matrix, lo, hi int) {
 		for ; k+4 <= ac; k += 4 {
 			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				b0 := b.data[k*bc : (k+1)*bc]
-				b1 := b.data[(k+1)*bc : (k+2)*bc]
-				b2 := b.data[(k+2)*bc : (k+3)*bc]
-				b3 := b.data[(k+3)*bc : (k+4)*bc]
-				for j := range orow {
-					// Four SEQUENTIAL adds into a local (not a fused
-					// four-term sum): each add rounds exactly like one
-					// iteration of the scalar k-loop, which is what keeps
-					// the tile bit-identical to the untiled kernel.
-					v := orow[j]
-					v += a0 * b0[j]
-					v += a1 * b1[j]
-					v += a2 * b2[j]
-					v += a3 * b3[j]
-					orow[j] = v
-				}
+				axpy4(orow, b.data[k*bc:(k+4)*bc], a0, a1, a2, a3)
 				continue
 			}
 			// A zero multiplier in the tile: take the scalar path so zero
@@ -57,21 +49,46 @@ func matMulRows64(out, a, b *Matrix, lo, hi int) {
 func matMulScalarK(orow, arow []float64, b *Matrix, from, to int) {
 	bc := b.cols
 	for k := from; k < to; k++ {
-		av := arow[k]
-		if av == 0 {
-			continue
-		}
-		brow := b.data[k*bc : (k+1)*bc]
-		for j, bv := range brow {
-			orow[j] += av * bv
+		if av := arow[k]; av != 0 {
+			axpy1(orow, b.data[k*bc:(k+1)*bc], av)
 		}
 	}
 }
 
-// matMulTRows64 computes rows [lo, hi) of out = a × bᵀ, unrolling the output
-// column (b row) axis by 4: one streaming pass over the a row feeds four
-// independent dot-product accumulators, quartering the a-row traffic.
+// axpy4Go is the Go rank-4 row update behind axpy4: b holds four rows of
+// len(o) back to back.
+func axpy4Go(o, b []float64, a0, a1, a2, a3 float64) {
+	n := len(o)
+	b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+	for j := range o {
+		// Four SEQUENTIAL adds into a local (not a fused four-term sum):
+		// each add rounds exactly like one iteration of the scalar k-loop,
+		// which is what keeps the tile bit-identical to the untiled kernel.
+		v := o[j]
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		o[j] = v
+	}
+}
+
+// axpy1Go is the Go rank-1 row update behind axpy1: o[j] += a·b[j].
+func axpy1Go(o, b []float64, a float64) {
+	b = b[:len(o)]
+	for j, bv := range b {
+		o[j] += a * bv
+	}
+}
+
+// matMulTRows64 computes rows [lo, hi) of out = a × bᵀ: in 4×4 blocks
+// where matMulTBlocks takes the product, else row by row, unrolling the
+// output column (b row) axis by 4: one streaming pass over the a row feeds
+// four independent dot-product accumulators, quartering the a-row traffic.
 func matMulTRows64(out, a, b *Matrix, lo, hi int) {
+	if matMulTBlocks(out, a, b, lo, hi) {
+		return
+	}
 	ac, bc, bn := a.cols, b.cols, b.rows
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]
@@ -115,49 +132,19 @@ func tMatMulAccum(out, a, b *Matrix) {
 		a1r := a.data[(k+1)*ac : (k+2)*ac]
 		a2r := a.data[(k+2)*ac : (k+3)*ac]
 		a3r := a.data[(k+3)*ac : (k+4)*ac]
-		b0 := b.data[k*bc : (k+1)*bc]
-		b1 := b.data[(k+1)*bc : (k+2)*bc]
-		b2 := b.data[(k+2)*bc : (k+3)*bc]
-		b3 := b.data[(k+3)*bc : (k+4)*bc]
+		b4 := b.data[k*bc : (k+4)*bc]
 		for i := 0; i < ac; i++ {
 			a0, a1, a2, a3 := a0r[i], a1r[i], a2r[i], a3r[i]
 			orow := out.data[i*bc : (i+1)*bc]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				for j := range orow {
-					// Sequential adds, same rounding order as the scalar
-					// k-loop (see matMulRows64).
-					v := orow[j]
-					v += a0 * b0[j]
-					v += a1 * b1[j]
-					v += a2 * b2[j]
-					v += a3 * b3[j]
-					orow[j] = v
-				}
+				axpy4(orow, b4, a0, a1, a2, a3)
 				continue
 			}
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			// Mixed tile: per-contribution scalar loops keep the zero-skip
-			// semantics of the untiled kernel.
-			if a0 != 0 {
-				for j, bv := range b0 {
-					orow[j] += a0 * bv
-				}
-			}
-			if a1 != 0 {
-				for j, bv := range b1 {
-					orow[j] += a1 * bv
-				}
-			}
-			if a2 != 0 {
-				for j, bv := range b2 {
-					orow[j] += a2 * bv
-				}
-			}
-			if a3 != 0 {
-				for j, bv := range b3 {
-					orow[j] += a3 * bv
+			// A zero in the tile: per-contribution rank-1 updates keep the
+			// zero-skip semantics of the untiled kernel.
+			for r, av := range [4]float64{a0, a1, a2, a3} {
+				if av != 0 {
+					axpy1(orow, b4[r*bc:(r+1)*bc], av)
 				}
 			}
 		}
@@ -166,12 +153,8 @@ func tMatMulAccum(out, a, b *Matrix) {
 		arow := a.data[k*ac : (k+1)*ac]
 		brow := b.data[k*bc : (k+1)*bc]
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*bc : (i+1)*bc]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			if av != 0 {
+				axpy1(out.data[i*bc:(i+1)*bc], brow, av)
 			}
 		}
 	}

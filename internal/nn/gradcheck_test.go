@@ -71,7 +71,7 @@ func analyticGrads(t *testing.T, m *Model, x *mat.Matrix, labels []int, know []f
 		t.Fatalf("loss: %v", err)
 	}
 	ZeroGrads(m.Params())
-	gin, err := m.backward(gradLogits)
+	gin, err := m.backward(gradLogits, true)
 	if err != nil {
 		t.Fatalf("backward: %v", err)
 	}
@@ -191,4 +191,63 @@ func TestGradCheckTanhSigmoidLayers(t *testing.T) {
 	x := mat.RandNormal(rng, 4, 3, 1)
 	labels := []int{0, 1, 1, 0}
 	checkModelGradients(t, m, x, labels, nil, 1e-4)
+}
+
+// TestTrainingBackwardSkipsInputGradient pins the training step's shortcut:
+// backward without the input gradient leaves exactly the parameter
+// gradients of the full backward, bit for bit, and returns no input
+// gradient.
+func TestTrainingBackwardSkipsInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	mlp, err := NewMLPClassifier(rng, 5, MLPConfig{Hidden1: 7, Hidden2: 4, Classes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lstm, err := NewLSTMClassifier(rng, 3, LSTMConfig{Hidden1: 6, Hidden2: 5, Steps: 4, Classes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{mlp, lstm} {
+		x := mat.RandNormal(rng, 9, m.InputSize(), 1)
+		labels := make([]int, x.Rows())
+		for i := range labels {
+			labels[i] = i % 2
+		}
+		grads := func(inputGrad bool) ([]*mat.Matrix, *mat.Matrix) {
+			logits, err := m.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, gradLogits, err := m.Loss().Compute(logits, labels, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ZeroGrads(m.Params())
+			gin, err := m.backward(gradLogits, inputGrad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gs []*mat.Matrix
+			for _, p := range m.Params() {
+				gs = append(gs, p.G.Clone())
+			}
+			return gs, gin
+		}
+		full, gin := grads(true)
+		if gin == nil {
+			t.Fatalf("%s: full backward returned no input gradient", m.layers[0].Name())
+		}
+		short, none := grads(false)
+		if none != nil {
+			t.Fatalf("%s: training backward returned an input gradient", m.layers[0].Name())
+		}
+		for i := range full {
+			for j, v := range full[i].Data() {
+				if math.Float64bits(v) != math.Float64bits(short[i].Data()[j]) {
+					t.Fatalf("%s: param %d grad element %d = %v, want %v",
+						m.layers[0].Name(), i, j, short[i].Data()[j], v)
+				}
+			}
+		}
+	}
 }

@@ -63,6 +63,14 @@ type Layer interface {
 	Params() []*Param
 }
 
+// paramBackwarder is a Layer whose backward pass can stop at its parameter
+// gradients, skipping the input gradient. A training step asks this of the
+// model's first layer, whose input gradient nothing reads; FGSM and
+// InputGradient run the full Backward.
+type paramBackwarder interface {
+	backwardParams(gradOut *mat.Matrix) error
+}
+
 // cloneParam deep-copies a parameter with a fresh (zeroed) gradient.
 func cloneParam(p *Param) *Param {
 	return newParam(p.Name, p.W.Clone())

@@ -285,6 +285,19 @@ func lstmCell[T mat.Float](z, cPrev, c, h, ig, fg, gg, og, tc []T) {
 // Backward implements Layer. The returned gradient is layer-owned scratch,
 // valid until the next Forward/Backward on this layer.
 func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
+	return l.backward(gradOut, true)
+}
+
+// backwardParams accumulates the parameter gradients of Backward without
+// the per-step input gradients (see paramBackwarder).
+func (l *LSTM) backwardParams(gradOut *mat.Matrix) error {
+	_, err := l.backward(gradOut, false)
+	return err
+}
+
+// backward runs backpropagation through time. It returns the input
+// gradient when inputGrad is set, else nil.
+func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
 	ws := l.cache
 	if ws == nil {
 		return nil, ErrNotReady
@@ -300,7 +313,6 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 			gradOut.Rows(), gradOut.Cols(), batch, wantCols)
 	}
 
-	gradX := ws.gradX
 	dhNext, dhStage := ws.dhA, ws.dhB
 	dcNext, dcPrev := ws.dcA, ws.dcB
 	dhNext.Zero()
@@ -371,11 +383,13 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		}
 
 		// Input and recurrent gradients.
-		if err := mat.MatMulTInto(ws.dxt, dz, l.wx.W); err != nil {
-			return nil, err
-		}
-		if err := gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
-			return nil, err
+		if inputGrad {
+			if err := mat.MatMulTInto(ws.dxt, dz, l.wx.W); err != nil {
+				return nil, err
+			}
+			if err := ws.gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
+				return nil, err
+			}
 		}
 		// The recurrent gradient feeds step t−1 only; at t = 0 nothing
 		// reads it.
@@ -386,7 +400,10 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		}
 		dcNext, dcPrev = dcPrev, dcNext
 	}
-	return gradX, nil
+	if !inputGrad {
+		return nil, nil
+	}
+	return ws.gradX, nil
 }
 
 // Params implements Layer.

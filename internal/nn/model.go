@@ -148,12 +148,18 @@ func (m *Model) PredictClasses(x *mat.Matrix) ([]int, error) {
 }
 
 // backward pushes a logit gradient through the stack and returns the gradient
-// with respect to the model input.
-func (m *Model) backward(gradLogits *mat.Matrix) (*mat.Matrix, error) {
+// with respect to the model input. With inputGrad false (a training step,
+// which reads only the parameter gradients) the first layer stops at its
+// parameter gradients when it can, and the result is nil.
+func (m *Model) backward(gradLogits *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
 	grad := gradLogits
 	var err error
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		grad, err = m.layers[i].Backward(grad)
+		if pb, ok := m.layers[i].(paramBackwarder); ok && i == 0 && !inputGrad {
+			grad, err = nil, pb.backwardParams(grad)
+		} else {
+			grad, err = m.layers[i].Backward(grad)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("nn: backward layer %d (%s): %w", i, m.layers[i].Name(), err)
 		}
@@ -174,7 +180,7 @@ func (m *Model) TrainBatch(x *mat.Matrix, labels []int, knowledge []float64, opt
 	}
 	params := m.Params()
 	ZeroGrads(params)
-	if _, err := m.backward(gradLogits); err != nil {
+	if _, err := m.backward(gradLogits, false); err != nil {
 		return 0, err
 	}
 	if err := opt.Step(params); err != nil {
@@ -231,7 +237,7 @@ func (m *Model) InputGradient(x *mat.Matrix, labels []int, knowledge []float64) 
 	if err != nil {
 		return nil, err
 	}
-	gradIn, err := m.backward(gradLogits)
+	gradIn, err := m.backward(gradLogits, true)
 	if err != nil {
 		return nil, err
 	}
