@@ -121,3 +121,24 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 		}
 	}
 }
+
+// TestActivationAssemblyRuns pins that the activation kernels reach their
+// assembly on a host that selects it, so the match-math test compares the
+// assembly and not the scalar fallback twice.
+func TestActivationAssemblyRuns(t *testing.T) {
+	if !useAVX2 || !hasFMA {
+		t.Skip("CPU without AVX2 and FMA: only the scalar activations run")
+	}
+	src := []float64{-1, 0.5, 3, -0.25, 9, 700.5, 2, 1}
+	dst := make([]float64, len(src))
+	if n := sigmoidVec(dst, src); n != 4 {
+		t.Errorf("sigmoidVec wrote %d elements, want 4 (stop before 700.5's group)", n)
+	}
+	src[5] = 44.5
+	if n := tanhVec(dst, src); n != 4 {
+		t.Errorf("tanhVec wrote %d elements, want 4 (stop before 44.5's group)", n)
+	}
+	if n := tanhVec(dst, src[:4]); n != 4 {
+		t.Errorf("tanhVec wrote %d of 4 in-range elements", n)
+	}
+}

@@ -222,6 +222,13 @@ func testTiledKernels[T Float](t *testing.T) {
 	}
 }
 
+// kernelArms run a function on what this host dispatches to, and on the Go
+// loops and scalar math alone.
+var kernelArms = []struct {
+	name string
+	wrap func(func())
+}{{"dispatch", func(f func()) { f() }}, {"go", goKernels}}
+
 // BenchmarkKernels64 times the three float64 training products at the
 // models' block shapes, each as the forward/backward trio of one layer:
 // ab is y = x·W (m×k · k×n), abt is dx = dy·Wᵀ (m×n · (k×n)ᵀ) and atb is
@@ -244,10 +251,7 @@ func BenchmarkKernels64(b *testing.B) {
 			{"atb", func() error { return TMatMulAddInto(dw, x, dy) }},
 		}
 		for _, op := range ops {
-			for _, arm := range []struct {
-				name string
-				wrap func(func())
-			}{{"dispatch", func(f func()) { f() }}, {"go", goKernels}} {
+			for _, arm := range kernelArms {
 				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, m, k, n, arm.name), func(b *testing.B) {
 					b.ReportAllocs()
 					arm.wrap(func() {

@@ -3,6 +3,7 @@ package monitor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
@@ -72,5 +73,59 @@ func TestNaNLogitClassAgreement(t *testing.T) {
 		if class != 0 {
 			t.Errorf("%s: class %d, want 0 (all paths: %v)", path, class, got)
 		}
+	}
+}
+
+// TestNonFiniteClassAgreement runs non-finite inputs through untrained MLP
+// and LSTM monitors: every row whose f64 logits hold a NaN must get the same
+// class from ClassifyInto at both precisions. Rows hold NaN, ±Inf or −0 in
+// every column or in every third one.
+func TestNonFiniteClassAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mlp, err := nn.NewMLPClassifier(rng, 9, nn.MLPConfig{Hidden1: 24, Hidden2: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lstm, err := nn.NewLSTMClassifier(rng, 5, nn.LSTMConfig{Hidden1: 12, Hidden2: 8, Steps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanRows := 0
+	for _, m := range []*MLMonitor{{arch: ArchMLP, model: mlp}, {arch: ArchLSTM, model: lstm}} {
+		cols := m.model.InputSize()
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+		x := mat.RandNormal(rng, 2*len(specials), cols, 1)
+		for k, v := range specials {
+			for j := 0; j < cols; j++ {
+				x.Set(2*k, j, v)
+				if j%3 == 0 {
+					x.Set(2*k+1, j, v)
+				}
+			}
+		}
+		logits, err := m.model.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := map[Precision][]int{}
+		for _, p := range []Precision{F64, F32} {
+			classes[p] = make([]int, x.Rows())
+			if err := m.ClassifyInto(p, x, classes[p], make([]float64, x.Rows())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < x.Rows(); i++ {
+			row := logits.Row(i)
+			if !slices.ContainsFunc(row, math.IsNaN) {
+				continue
+			}
+			nanRows++
+			if classes[F32][i] != classes[F64][i] {
+				t.Errorf("%s row %d (logits %v): f32 class %d, f64 class %d", m.arch, i, row, classes[F32][i], classes[F64][i])
+			}
+		}
+	}
+	if nanRows == 0 {
+		t.Error("no row produced a NaN logit; the check saw nothing")
 	}
 }

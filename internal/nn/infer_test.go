@@ -121,6 +121,64 @@ func TestFreezeMatchesInfer(t *testing.T) {
 	}
 }
 
+// TestFreezeNonFiniteMatchesInfer pins the frozen f32 stack against the f64
+// one on NaN, ±Inf and −0 inputs (nonFiniteBatch), for the MLP and LSTM
+// classifiers: a logit is NaN at f32 exactly where it is NaN at f64, and
+// every row whose logits hold a NaN gets the same class from both
+// precisions' ClassifyInto, the two calls MLMonitor.ClassifyInto chooses
+// between. ReLU maps NaN to 0, so the MLP's logits mostly stay finite; the
+// LSTM's carry NaN rows through to the class check.
+func TestFreezeNonFiniteMatchesInfer(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	models := freezeTestModels(t, rng)
+	nanRows := 0
+	for _, name := range []string{"mlp", "lstm"} {
+		m := models[name]
+		im, err := m.Freeze()
+		if err != nil {
+			t.Fatalf("%s: Freeze: %v", name, err)
+		}
+		x := nonFiniteBatch(rng, m.InputSize())
+		x32 := mat.ToFloat32(x)
+		want, err := m.Infer(x)
+		if err != nil {
+			t.Fatalf("%s: f64 Infer: %v", name, err)
+		}
+		got, err := im.Logits(x32)
+		if err != nil {
+			t.Fatalf("%s: f32 Infer: %v", name, err)
+		}
+		rows := x.Rows()
+		want64, want32 := make([]int, rows), make([]int, rows)
+		if err := m.ClassifyInto(x, want64, nil); err != nil {
+			t.Fatalf("%s: f64 ClassifyInto: %v", name, err)
+		}
+		if err := im.ClassifyInto(x32, want32, make([]float64, rows)); err != nil {
+			t.Fatalf("%s: f32 ClassifyInto: %v", name, err)
+		}
+		for i := 0; i < rows; i++ {
+			hasNaN := false
+			for j := 0; j < m.OutputSize(); j++ {
+				w, g := want.At(i, j), float64(got.At(i, j))
+				if math.IsNaN(g) != math.IsNaN(w) {
+					t.Errorf("%s row %d logit %d: f32 %v, f64 %v", name, i, j, g, w)
+				}
+				hasNaN = hasNaN || math.IsNaN(w)
+			}
+			if !hasNaN {
+				continue
+			}
+			nanRows++
+			if want32[i] != want64[i] {
+				t.Errorf("%s row %d (logits %v): f32 class %d, f64 class %d", name, i, want.Row(i), want32[i], want64[i])
+			}
+		}
+	}
+	if nanRows == 0 {
+		t.Error("no NaN logits from the non-finite batches; the class check saw nothing")
+	}
+}
+
 // TestFreezeSnapshotsWeights pins that Freeze copies weights: mutating the
 // source model afterwards must not change frozen outputs.
 func TestFreezeSnapshotsWeights(t *testing.T) {

@@ -270,15 +270,43 @@ func (l *LSTM) Replicate() Layer {
 // non-finite input turns into.
 func lstmCell[T mat.Float](z, cPrev, c, h, ig, fg, gg, og, tc []T) {
 	H := len(c)
+	sigmoidSlice(ig, z[:H])
+	sigmoidSlice(fg, z[H:2*H])
+	tanhSlice(gg, z[2*H:3*H])
+	sigmoidSlice(og, z[3*H:4*H])
+	// Operand order decides which NaN survives when two meet (x86 keeps
+	// the first source's payload and sign, and gc makes the left operand
+	// the first source), so reordering these products changes the NaNs a
+	// non-finite input produces.
 	for j := range c {
-		i := sigmoidT(z[j])
-		f := sigmoidT(z[H+j])
-		g := tanhT(z[2*H+j])
-		o := sigmoidT(z[3*H+j])
-		cv := f*cPrev[j] + i*g
-		tv := tanhT(cv)
-		ig[j], fg[j], gg[j], og[j], tc[j] = i, f, g, o, tv
-		c[j], h[j] = cv, o*tv
+		c[j] = cPrev[j]*fg[j] + gg[j]*ig[j]
+	}
+	tanhSlice(tc, c)
+	for j := range c {
+		h[j] = tc[j] * og[j]
+	}
+}
+
+// sigmoidSlice and tanhSlice set dst[j] = sigmoidT(src[j]) and
+// tanhT(src[j]). At float64 they run mat's slice kernels, which return the
+// same bits four lanes at a time; float32 stays on the scalar functions.
+func sigmoidSlice[T mat.Float](dst, src []T) {
+	if d, ok := any(dst).([]float64); ok {
+		mat.Sigmoid64(d, any(src).([]float64))
+		return
+	}
+	for j, v := range src {
+		dst[j] = sigmoidT(v)
+	}
+}
+
+func tanhSlice[T mat.Float](dst, src []T) {
+	if d, ok := any(dst).([]float64); ok {
+		mat.Tanh64(d, any(src).([]float64))
+		return
+	}
+	for j, v := range src {
+		dst[j] = tanhT(v)
 	}
 }
 
