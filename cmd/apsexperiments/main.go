@@ -68,6 +68,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/monitor"
+	"repro/internal/stl"
 )
 
 func main() {
@@ -272,6 +273,7 @@ func runCachePrune(cache *cliconfig.Cache) error {
 		{"campaignshard", dataset.FormatVersion},
 		{"monitor", monitor.FormatVersion},
 		{"evalreport", eval.FormatVersion},
+		{"stlsummary", stl.SummaryFormatVersion},
 	}
 	var totalBytes int64
 	var totalEntries int

@@ -1,9 +1,12 @@
 // Command apslint runs the repo-invariant static-analysis suite
 // (internal/lint) over the named packages and exits nonzero on any
 // finding. It is the CI gate that turns the determinism and
-// fingerprint-completeness contracts into compile-time properties:
+// fingerprint-completeness contracts into compile-time properties. Run
+// from the repository root with no package arguments, it loads the whole
+// repository, the root module and the e2ebench module, which is the load
+// the reach analyzer needs to see every caller:
 //
-//	go run ./cmd/apslint ./...
+//	go run ./cmd/apslint
 //
 // Findings are suppressed line-by-line with
 //
@@ -55,11 +58,7 @@ func main() {
 		}
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.LoadPackages(".", patterns...)
+	pkgs, err := lint.LoadPackages(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apslint: %v\n", err)
 		os.Exit(2)

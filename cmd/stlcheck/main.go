@@ -30,11 +30,6 @@ import (
 	"repro/internal/stl"
 )
 
-// summaryFormatVersion identifies the cached -all summary encoding. Bump it
-// whenever the rendered summary or the evaluation semantics change — stale
-// entries then become unreachable and are re-evaluated.
-const summaryFormatVersion = 1
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "stlcheck:", err)
@@ -111,7 +106,7 @@ func run() error {
 func cachedSummary(store artifact.Store, raw []byte, trace *stl.MapTrace, formula stl.Formula) ([]byte, error) {
 	key := artifact.Key{
 		Kind:        "stlsummary",
-		Version:     summaryFormatVersion,
+		Version:     stl.SummaryFormatVersion,
 		Fingerprint: artifact.Fingerprint("stlcheck", string(raw), formula.String()),
 	}
 	verdictLine := fmt.Sprintf("%q satisfied at ", formula.String())

@@ -25,6 +25,8 @@ import (
 // Gaussian adds N(0, σ²) noise to the listed columns of x (the sensor dims)
 // and returns the perturbed copy. In normalized feature space σ is the
 // paper's noise level (a fraction of each signal's standard deviation).
+//
+//apslint:allow reach the paper's normalized-space Gaussian attack beside FGSM and PGD; the figures noise raw windows instead, so only its tests call it
 func Gaussian(rng *rand.Rand, x *mat.Matrix, sensorDims []int, sigma float64) (*mat.Matrix, error) {
 	if sigma < 0 {
 		return nil, fmt.Errorf("attack: negative sigma %v", sigma)

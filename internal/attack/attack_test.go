@@ -93,20 +93,28 @@ func TestGaussianValidation(t *testing.T) {
 	}
 }
 
-func TestFGSMIncreasesLoss(t *testing.T) {
-	m, x, labels := trainedToyModel(t, 10)
-	before, err := m.EvalLoss(x, labels, nil)
+// crossEntropy is the toy model's training loss on a batch.
+func crossEntropy(t *testing.T, m *nn.Model, x *mat.Matrix, labels []int) float64 {
+	t.Helper()
+	logits, err := m.Infer(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loss, _, err := nn.CrossEntropy{}.Compute(logits, labels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss
+}
+
+func TestFGSMIncreasesLoss(t *testing.T) {
+	m, x, labels := trainedToyModel(t, 10)
+	before := crossEntropy(t, m, x, labels)
 	adv, err := FGSM(m, x, labels, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := m.EvalLoss(adv, labels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := crossEntropy(t, m, adv, labels)
 	if after <= before {
 		t.Fatalf("FGSM must increase loss: %v → %v", before, after)
 	}
@@ -299,7 +307,7 @@ func TestCUSUMTwoSided(t *testing.T) {
 	if idx := c.DetectSeries(series); idx < 0 {
 		t.Fatal("negative shift not detected")
 	}
-	pos, neg := c.Statistics()
+	pos, neg := c.sPos, c.sNeg
 	if neg <= pos {
 		t.Fatalf("negative statistic %v should dominate %v", neg, pos)
 	}

@@ -34,9 +34,6 @@ func NewCUSUM(mean, std float64) *CUSUM {
 // Reset clears the accumulated statistics.
 func (c *CUSUM) Reset() { c.sPos, c.sNeg = 0, 0 }
 
-// Statistics returns the current positive and negative sums (σ units).
-func (c *CUSUM) Statistics() (pos, neg float64) { return c.sPos, c.sNeg }
-
 // Observe consumes one sample and reports whether the detector alarms.
 func (c *CUSUM) Observe(x float64) bool {
 	std := c.Std

@@ -34,6 +34,8 @@ func (c *PGDConfig) fill() {
 // gradient uses the model's own training loss with no semantic knowledge
 // indicators; use PGDWithKnowledge to attack semantic ("Custom") monitors
 // on the Eq (2) surface they were trained on.
+//
+//apslint:allow reach BenchmarkAblationPGDvsFGSM in bench_test.go compares it against FGSM
 func PGD(model *nn.Model, x *mat.Matrix, labels []int, cfg PGDConfig) (*mat.Matrix, error) {
 	return PGDWithKnowledge(model, x, labels, nil, cfg)
 }

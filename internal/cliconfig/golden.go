@@ -56,6 +56,8 @@ type TB interface {
 
 // CheckHelpGolden compares HelpText(fs) against the golden file, rewriting
 // the file instead when UpdateEnv is set.
+//
+//apslint:allow reach test seam: the help-golden tests of five cmd packages call it
 func CheckHelpGolden(t TB, fs *flag.FlagSet, goldenPath string) {
 	t.Helper()
 	got := HelpText(fs)

@@ -105,6 +105,8 @@ type Dataset struct {
 // Mapped reports whether the dataset's feature columns borrow mmap-ed
 // artifact pages (the zero-copy load path) rather than owning their
 // memory. Benchmarks and tests use it to confirm which path a load took.
+//
+//apslint:allow reach BenchmarkCampaignLoad and the columnar tests check through it which load path ran
 func (d *Dataset) Mapped() bool { return d.backing != nil && d.backing.Mapped() }
 
 // Len returns the number of samples.
@@ -175,19 +177,10 @@ func (d *Dataset) SeqMatrix() (*mat.Matrix, error) {
 // SensorDimsMLP returns the aggregated-feature columns derived from sensor
 // data (the dims Gaussian noise perturbs; control-command dims are excluded,
 // matching §III of the paper).
+//
+//apslint:allow reach BenchmarkAblationFGSMSensorsOnly in bench_test.go restricts FGSM to these columns
 func SensorDimsMLP() []int {
 	return []int{MLPFeatMeanBG, MLPFeatSlopeBG, MLPFeatMeanIOB, MLPFeatSlopeIOB, MLPFeatLastBG, MLPFeatLastIOB}
-}
-
-// SensorDimsSeq returns the raw-window columns derived from sensor data for
-// a window of w steps.
-func SensorDimsSeq(w int) []int {
-	var dims []int
-	for s := 0; s < w; s++ {
-		base := s * SeqFeatureCount
-		dims = append(dims, base+SeqFeatBG, base+SeqFeatIOB, base+SeqFeatDeltaBG, base+SeqFeatDeltaIOB)
-	}
-	return dims
 }
 
 // windowFeatures computes the aggregated and raw features for the window of

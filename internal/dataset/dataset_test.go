@@ -235,17 +235,6 @@ func TestSensorDims(t *testing.T) {
 	if got := SensorDimsMLP(); len(got) != 6 {
 		t.Fatalf("MLP sensor dims = %v", got)
 	}
-	dims := SensorDimsSeq(6)
-	if len(dims) != 6*4 {
-		t.Fatalf("seq sensor dims = %d, want 24", len(dims))
-	}
-	// Rate and action columns must not be included.
-	for _, d := range dims {
-		f := d % SeqFeatureCount
-		if f == SeqFeatRate || f == SeqFeatAction {
-			t.Fatalf("sensor dims include command column %d", d)
-		}
-	}
 }
 
 func TestGenerateDeterminism(t *testing.T) {

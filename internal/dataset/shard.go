@@ -26,13 +26,6 @@ type ShardConfig struct {
 	To   int
 }
 
-// TotalEpisodes returns the campaign's episode count after defaults are
-// filled — the range Shard partitions.
-func (c CampaignConfig) TotalEpisodes() int {
-	c.fill()
-	return c.Profiles * c.EpisodesPerProfile
-}
-
 // Shard splits the campaign into n disjoint shard configs covering every
 // episode exactly once. Ranges are the balanced contiguous partition
 // [i·E/n, (i+1)·E/n) over E = Profiles × EpisodesPerProfile, so shard sizes
@@ -87,9 +80,6 @@ func (s ShardConfig) validate() error {
 	}
 	return nil
 }
-
-// Episodes returns the number of episodes in the shard's range.
-func (s ShardConfig) Episodes() int { return s.To - s.From }
 
 // Fingerprint sub-fingerprints the shard under its parent campaign: the
 // parent fingerprint plus the shard's split position and episode range. Two

@@ -9,6 +9,13 @@ import (
 
 // colBytes encodes a dataset the way `apsim -out` writes it, so
 // byte-equality here is exactly the CI `cmp` contract.
+// totalEpisodes returns the campaign's episode count after defaults are
+// filled — the range Shard partitions.
+func totalEpisodes(c CampaignConfig) int {
+	c.fill()
+	return c.Profiles * c.EpisodesPerProfile
+}
+
 func colBytes(t *testing.T, ds *Dataset) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -65,7 +72,7 @@ func TestShardMergeByteIdenticalToMonolith(t *testing.T) {
 // balanced to within one episode.
 func TestShardRangesPartitionCampaign(t *testing.T) {
 	cfg := benchScaleCampaign(1)
-	total := cfg.TotalEpisodes()
+	total := totalEpisodes(cfg)
 	if total != 12 {
 		t.Fatalf("benchScaleCampaign has %d episodes, want 12", total)
 	}
@@ -86,10 +93,10 @@ func TestShardRangesPartitionCampaign(t *testing.T) {
 				t.Fatalf("Shard(%d)[%d] starts at %d, want %d (contiguous)", n, i, sc.From, next)
 			}
 			next = sc.To
-			if e := sc.Episodes(); e < min {
+			if e := sc.To - sc.From; e < min {
 				min = e
 			}
-			if e := sc.Episodes(); e > max {
+			if e := sc.To - sc.From; e > max {
 				max = e
 			}
 		}
@@ -119,7 +126,7 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.To = cfg.TotalEpisodes() + 1
+	sc.To = totalEpisodes(cfg) + 1
 	if _, err := GenerateShard(sc); err == nil {
 		t.Error("GenerateShard with range past the campaign succeeded, want error")
 	}
@@ -133,14 +140,14 @@ func TestShardValidation(t *testing.T) {
 // shards generate empty datasets and merge as no-ops.
 func TestShardSurplusShardsAreEmpty(t *testing.T) {
 	cfg := benchScaleCampaign(1)
-	n := cfg.TotalEpisodes() + 3
+	n := totalEpisodes(cfg) + 3
 	mono, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := generateShards(t, cfg, n)
 	if !bytes.Equal(colBytes(t, merged), colBytes(t, mono)) {
-		t.Fatalf("merging %d shards of a %d-episode campaign is not byte-identical to Generate", n, cfg.TotalEpisodes())
+		t.Fatalf("merging %d shards of a %d-episode campaign is not byte-identical to Generate", n, totalEpisodes(cfg))
 	}
 	shards, err := cfg.Shard(n)
 	if err != nil {
@@ -148,7 +155,7 @@ func TestShardSurplusShardsAreEmpty(t *testing.T) {
 	}
 	empty := 0
 	for _, sc := range shards {
-		if sc.Episodes() == 0 {
+		if sc.To == sc.From {
 			empty++
 			ds, err := GenerateShard(sc)
 			if err != nil {

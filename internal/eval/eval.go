@@ -37,12 +37,9 @@ type Options struct {
 	// 1 = serial; additionally clamped by the shared sweep budget). Reports
 	// are byte-identical at every setting, provided the monitor's Classify
 	// is safe for concurrent calls and free of cross-batch state — true of
-	// the rule-based and ML monitors. Stateful wrappers (monitor.Debounced,
-	// monitor.MOfN, monitor.CUSUM) must either be evaluated with
-	// Workers = 1 or fanned out as private per-worker instances via their
-	// Reset()/Clone() API — never shared across goroutines. Even serially
-	// they carry state across episodes, so per-episode batching (and
-	// Reset at boundaries) is part of their semantics.
+	// the rule-based and ML monitors. The stateful verdict filters
+	// (monitor.MOfN, monitor.CUSUM) are not monitors and never run in an
+	// evaluation pass: serve gives each session private instances.
 	Workers int
 	// Precision selects the inference arithmetic of ML monitors ("" is
 	// monitor.F64). Other monitors — e.g. rule_based, which has no

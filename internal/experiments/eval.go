@@ -33,22 +33,6 @@ func PredictMatrixClasses(m *monitor.MLMonitor, x *mat.Matrix) ([]int, error) {
 // NoPerturbation passes inputs through unchanged.
 func NoPerturbation(x *mat.Matrix) (*mat.Matrix, error) { return x, nil }
 
-// GaussianPerturbation adds σ-scaled sensor noise directly in the monitor's
-// normalized input space (§III: noise applies to sensor data only). The
-// figure experiments instead use GaussianScore/GaussianRobustness, which
-// perturb the raw sensor stream and recompute derived features; this
-// matrix-space variant is kept for ablations.
-func GaussianPerturbation(m *monitor.MLMonitor, window int, sigma float64, seed int64) Perturbation {
-	dims := dataset.SensorDimsMLP()
-	if m.Arch() == monitor.ArchLSTM {
-		dims = dataset.SensorDimsSeq(window)
-	}
-	return func(x *mat.Matrix) (*mat.Matrix, error) {
-		rng := rand.New(rand.NewSource(seed))
-		return attack.Gaussian(rng, x, dims, sigma)
-	}
-}
-
 // GaussianScore evaluates a monitor on raw-window-noised samples (σ in
 // multiples of each sensor signal's std) with the tolerance-window metric.
 func GaussianScore(m monitor.Monitor, test *dataset.Dataset, sigma float64, seed int64, delta int) (metrics.Confusion, error) {

@@ -38,7 +38,7 @@ func wrap[T Renderer](r T, err error) (Renderer, error) {
 
 // experimentOrder is the canonical run order: the paper's artifacts first
 // (Table III, then the figures in number order), extensions last. Every
-// entry must exist in Registry — ValidateRegistry enforces the invariant.
+// entry must exist in Registry — TestValidateRegistry enforces the invariant.
 var experimentOrder = []string{
 	"table3", "fig1b", "fig2", "fig3", "fig4", "fig5", "fig6",
 	"fig7", "fig8", "fig9", "fig10", "evasion",
@@ -65,28 +65,6 @@ func ExperimentIDs() []string {
 	}
 	sort.Strings(extra)
 	return append(ids, extra...)
-}
-
-// ValidateRegistry checks that experimentOrder and Registry agree: every
-// ordered ID is registered and every registered ID is ordered. The runner
-// test calls it so a drifting registry fails fast.
-func ValidateRegistry() error {
-	inOrder := make(map[string]bool, len(experimentOrder))
-	for _, id := range experimentOrder {
-		if inOrder[id] {
-			return fmt.Errorf("experiments: duplicate id %q in experimentOrder", id)
-		}
-		inOrder[id] = true
-		if _, ok := Registry[id]; !ok {
-			return fmt.Errorf("experiments: ordered id %q is not registered", id)
-		}
-	}
-	for id := range Registry {
-		if !inOrder[id] {
-			return fmt.Errorf("experiments: registered id %q missing from experimentOrder", id)
-		}
-	}
-	return nil
 }
 
 // Fig9BothResult pairs the two Fig. 9 heatmaps.

@@ -78,6 +78,8 @@ func (r *Table3Result) Render() string {
 }
 
 // Row returns the row for a simulator/monitor pair.
+//
+//apslint:allow reach BenchmarkTable3 in bench_test.go reports F1 per row through it
 func (r *Table3Result) Row(simu dataset.Simulator, monitorName string) (Table3Row, bool) {
 	for _, row := range r.Rows {
 		if row.Simulator == simu.String() && row.Monitor == monitorName {

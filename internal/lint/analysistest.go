@@ -145,6 +145,8 @@ func CheckFixture(t TB, pkg *Package, analyzers ...*Analyzer) {
 
 // Fixture loads testdata/<elem...> relative to this source file and runs
 // CheckFixture with the given package path.
+//
+//apslint:allow reach test seam: every analyzer's fixture test calls it
 func Fixture(t TB, pkgPath string, analyzers []*Analyzer, elem ...string) {
 	t.Helper()
 	pkg, err := LoadFixture(testdataDir(elem...), pkgPath)

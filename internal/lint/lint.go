@@ -1,5 +1,5 @@
 // Package lint implements apslint, the repo-invariant static-analysis
-// suite. Five analyzers turn the invariants every subsystem leans on into
+// suite. Six analyzers turn the invariants every subsystem leans on into
 // compile-time properties:
 //
 //   - detpure: determinism-critical packages must not read wall clocks,
@@ -14,12 +14,15 @@
 //   - viewsafe: dataset.Sample's feature columns may be read-only views
 //     into mmap-ed artifact pages; element writes through them must copy
 //     the column first.
+//   - reach: every exported function or method under internal/ is
+//     referenced by non-test code somewhere in the repository (root module
+//     and e2ebench), so dead API cannot accumulate.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer/Pass/Diagnostic) so the suite can be rebased onto
 // the real multichecker if the dependency ever becomes available; it is
-// built on the standard library alone so `go run ./cmd/apslint ./...`
-// works offline in a bare module.
+// built on the standard library alone so `go run ./cmd/apslint` works
+// offline in a bare module.
 //
 // # Escape hatches
 //
@@ -66,6 +69,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	uses   *useSet // the load's reach use set; nil on a partial load
 	report func(token.Pos, string)
 }
 
@@ -86,7 +90,7 @@ func (d Diagnostic) String() string {
 }
 
 // All is the full analyzer suite in the order diagnostics are grouped.
-var All = []*Analyzer{Detpure, Fpcomplete, Budgetguard, Fixedorder, Viewsafe}
+var All = []*Analyzer{Detpure, Fpcomplete, Budgetguard, Fixedorder, Viewsafe, Reach}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {
@@ -204,8 +208,14 @@ func suppressed(d Diagnostic, allows []allowDirective) bool {
 
 // RunPackage runs the analyzers over one loaded package and returns the
 // surviving diagnostics: findings without a matching allow directive, plus
-// any malformed directives, sorted by position.
+// any malformed directives, sorted by position. The package is taken as a
+// closed universe: reach counts only its own non-test uses, which is what a
+// fixture package, importing nothing of the module, needs.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	return runPackage(pkg, analyzers, newUseSet([]*Package{pkg}))
+}
+
+func runPackage(pkg *Package, analyzers []*Analyzer, uses *useSet) ([]Diagnostic, error) {
 	allows, diags := parseDirectives(pkg)
 	for _, a := range analyzers {
 		var found []Diagnostic
@@ -216,6 +226,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
+			uses:      uses,
 			report: func(pos token.Pos, msg string) {
 				found = append(found, Diagnostic{
 					Pos:      pkg.Fset.Position(pos),
@@ -237,11 +248,21 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunPackages runs the analyzers over every package.
+// RunPackages runs the analyzers over every package. The reach use set is
+// built once, from all of pkgs, and only for a whole-repo load (one that
+// holds repro/e2ebench): on a partial load reach stays silent, since a use
+// outside the load would be invisible to it.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var uses *useSet
+	for _, pkg := range pkgs {
+		if pkg.Path == "repro/e2ebench" {
+			uses = newUseSet(pkgs)
+			break
+		}
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		ds, err := RunPackage(pkg, analyzers)
+		ds, err := runPackage(pkg, analyzers, uses)
 		if err != nil {
 			return nil, err
 		}

@@ -74,20 +74,25 @@ func TestByName(t *testing.T) {
 }
 
 // TestRepoTreeCleanUnderFullSuite is the same gate CI runs via
-// `go run ./cmd/apslint ./...`: the entire module must be finding-free.
-// Every suppression in the tree is a documented //apslint:allow or
-// fp:ignore, so a regression anywhere — a new wall-clock read in eval, a
-// config field missing from a Fingerprint — fails this test.
+// `go run ./cmd/apslint`: the whole repository, the root module and the
+// e2ebench module, must be finding-free. Every suppression in the tree is a
+// documented //apslint:allow or fp:ignore, so a regression anywhere — a new
+// wall-clock read in eval, a config field missing from a Fingerprint, an
+// exported function nothing calls — fails this test.
 func TestRepoTreeCleanUnderFullSuite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
+		t.Skip("type-checks the whole repository from source")
 	}
-	pkgs, err := LoadPackages(filepath.Join("..", ".."), "./...")
+	pkgs, err := LoadPackages(filepath.Join("..", ".."))
 	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
+		t.Fatalf("loading repository packages: %v", err)
 	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; the module should have at least 20", len(pkgs))
+	whole := false
+	for _, p := range pkgs {
+		whole = whole || p.Path == "repro/e2ebench"
+	}
+	if len(pkgs) < 20 || !whole {
+		t.Fatalf("loaded %d packages (repro/e2ebench among them: %v); want the whole repository", len(pkgs), whole)
 	}
 	diags, err := RunPackages(pkgs, All)
 	if err != nil {

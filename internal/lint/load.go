@@ -47,15 +47,18 @@ type listedPkg struct {
 	Standard   bool
 }
 
-// LoadPackages resolves patterns (e.g. "./...") with the go tool from dir,
-// parses every matched module package, and type-checks them in dependency
-// order. Standard-library imports are type-checked from source on demand by
-// a shared importer, so the loader works offline with a bare GOPATH and no
+// LoadPackages resolves patterns (e.g. "./internal/eval") with the go tool
+// from dir, parses every matched module package, and type-checks them in
+// dependency order. With no patterns it loads the whole repository rooted at
+// dir: the e2ebench module, which replaces repro with ../, lists itself and
+// every root-module package when asked for "./..." and "repro/...".
+// Standard-library imports are type-checked from source on demand by a
+// shared importer, so the loader works offline with a bare GOPATH and no
 // third-party dependencies. Any parse or type error aborts the load: the
 // analyzers only run on trees the compiler would accept.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+		dir, patterns = filepath.Join(dir, "e2ebench"), []string{"./...", "repro/..."}
 	}
 	listed, err := goList(dir, patterns)
 	if err != nil {

@@ -1,0 +1,9 @@
+package reachbad
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	if OnlyTested() != 1 {
+		t.Fatal("OnlyTested changed")
+	}
+}

@@ -79,7 +79,7 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 			fillKernelInput(rng, a, 0.1, 0.05)
 			fillKernelInput(rng, b, 0.1, 0.05)
 			var abt *Matrix
-			goKernels(func() { abt, _ = MatMulT(a, b) })
+			goKernels(func() { abt, _ = mulT(a, b) })
 			// Three spare columns per output row must stay untouched.
 			ldo := 4*nb + 3
 			want := randDense[float64](rng, 4, ldo)
@@ -106,7 +106,7 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 		}
 		products := func() [3]*Matrix {
 			ab, _ := MatMul(a, b)
-			abt, _ := MatMulT(a, bt)
+			abt, _ := mulT(a, bt)
 			atb := base.Clone()
 			if err := TMatMulAddInto(atb, at, b); err != nil {
 				t.Fatal(err)

@@ -187,7 +187,7 @@ func testTiledKernels[T Float](t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameBits(t, what("MatMulInto"), into, got)
-			gotT, err := MatMulT(a, bt)
+			gotT, err := mulT(a, bt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func testTiledKernels[T Float](t *testing.T) {
 			at := randDense[T](rng, k, m)
 			fillKernelInput(rng, at, fill.zeros, fill.specials)
 			at64, b64 := any(at).(*Matrix), any(b).(*Matrix)
-			gotTM, err := TMatMul(at64, b64)
+			gotTM, err := tMul(at64, b64)
 			if err != nil {
 				t.Fatal(err)
 			}

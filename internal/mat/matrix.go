@@ -92,9 +92,6 @@ func (m *Dense[T]) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Dense[T]) Cols() int { return m.cols }
 
-// Len returns the total number of elements.
-func (m *Dense[T]) Len() int { return len(m.data) }
-
 // At returns the element at (i, j).
 func (m *Dense[T]) At(i, j int) T { return m.data[i*m.cols+j] }
 
@@ -208,16 +205,6 @@ func MatMulInto[T Float](dst, a, b *Dense[T]) error {
 	return nil
 }
 
-// MatMulT returns a × bᵀ, with the same row-blocked parallel path as MatMul.
-func MatMulT[T Float](a, b *Dense[T]) (*Dense[T], error) {
-	if a.cols != b.cols {
-		return nil, fmt.Errorf("%w: MatMulT %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := NewDense[T](a.rows, b.rows)
-	matMulDispatch(out, a, b, productABt)
-	return out, nil
-}
-
 // MatMulTInto computes dst = a × bᵀ into a caller-owned destination. dst
 // must not alias a or b. Every element is overwritten; dst need not be
 // zeroed.
@@ -230,19 +217,6 @@ func MatMulTInto[T Float](dst, a, b *Dense[T]) error {
 	}
 	matMulDispatch(dst, a, b, productABt)
 	return nil
-}
-
-// TMatMul returns aᵀ × b. The product stays on the calling goroutine: its
-// k-outer accumulation cannot be split across rows without reordering sums,
-// and its operands on the training path are per-block minibatch slices that
-// are too small to amortize a fan-out.
-func TMatMul(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows {
-		return nil, fmt.Errorf("%w: TMatMul (%dx%d)ᵀ × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.cols, b.cols)
-	tMatMulAccum(out, a, b)
-	return out, nil
 }
 
 // TMatMulAddInto accumulates dst += aᵀ × b — the fused form of the gradient
@@ -260,6 +234,8 @@ func TMatMulAddInto(dst, a, b *Matrix) error {
 }
 
 // Transpose returns mᵀ.
+//
+//apslint:allow reach reference transpose the product-kernel tests build their expected values from
 func (m *Dense[T]) Transpose() *Dense[T] {
 	out := NewDense[T](m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
@@ -268,18 +244,6 @@ func (m *Dense[T]) Transpose() *Dense[T] {
 		}
 	}
 	return out
-}
-
-// AddM returns a + b.
-func AddM(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: AddM %dx%d + %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
 }
 
 // SubM returns a − b.
@@ -334,29 +298,8 @@ func (m *Dense[T]) MulInPlace(b *Dense[T]) error {
 	return nil
 }
 
-// Hadamard returns the elementwise product a ⊙ b.
-func Hadamard(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: Hadamard %dx%d ⊙ %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] *= v
-	}
-	return out, nil
-}
-
-// Apply returns a new matrix with f applied elementwise.
-func (m *Dense[T]) Apply(f func(T) T) *Dense[T] {
-	out := NewDense[T](m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
 // ApplyInto computes dst = f(src) elementwise into a caller-owned
-// destination (the allocation-free form of Apply for training scratch).
+// destination, allocation-free for training scratch.
 func ApplyInto[T Float](dst, src *Dense[T], f func(T) T) error {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		return fmt.Errorf("%w: ApplyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
@@ -385,13 +328,6 @@ func ReLUInto[T Float](dst, src *Dense[T]) error {
 	return nil
 }
 
-// ApplyInPlace applies f elementwise in place.
-func (m *Dense[T]) ApplyInPlace(f func(T) T) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-}
-
 // AddRowVector adds a 1×cols row vector to every row of m, in place.
 func (m *Dense[T]) AddRowVector(v *Dense[T]) error {
 	if v.rows != 1 || v.cols != m.cols {
@@ -406,22 +342,9 @@ func (m *Dense[T]) AddRowVector(v *Dense[T]) error {
 	return nil
 }
 
-// SumRows returns the 1×cols column-sum of m (the gradient reduction used for
-// bias terms).
-func (m *Dense[T]) SumRows() *Dense[T] {
-	out := NewDense[T](1, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j] += v
-		}
-	}
-	return out
-}
-
 // AddSumRows accumulates the 1×cols column-sums of m into dst (dst += Σ
-// rows), row by row in row order — the fused form of the bias-gradient
-// update G += gy.SumRows() that skips the intermediate matrix.
+// rows), row by row in row order — the bias-gradient update G += Σ gy,
+// with no intermediate matrix.
 func AddSumRows(dst, m *Matrix) error {
 	if dst.rows != 1 || dst.cols != m.cols {
 		return fmt.Errorf("%w: AddSumRows %dx%d += colsums of %dx%d", ErrShape, dst.rows, dst.cols, m.rows, m.cols)
@@ -435,15 +358,6 @@ func AddSumRows(dst, m *Matrix) error {
 	return nil
 }
 
-// Sum returns the sum of all elements.
-func (m *Dense[T]) Sum() T {
-	var s T
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
 // MaxAbs returns the maximum absolute element value (0 for empty matrices).
 func (m *Dense[T]) MaxAbs() T {
 	var mx T
@@ -455,16 +369,9 @@ func (m *Dense[T]) MaxAbs() T {
 	return mx
 }
 
-// Norm2 returns the Frobenius norm.
-func (m *Dense[T]) Norm2() T {
-	var s T
-	for _, v := range m.data {
-		s += v * v
-	}
-	return T(math.Sqrt(float64(s)))
-}
-
 // Equal reports whether a and b have identical shape and elements within tol.
+//
+//apslint:allow reach test seam: the shared matrix comparison of the mat, nn, attack and dataset tests
 func Equal[T Float](a, b *Dense[T], tol float64) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false
@@ -500,7 +407,7 @@ func (m *Dense[T]) RowsView(from, to int) (*Dense[T], error) {
 }
 
 // SliceColsInto copies columns [from, to) of m into a caller-owned
-// destination (the allocation-free form of SliceCols).
+// destination.
 func SliceColsInto[T Float](dst, m *Dense[T], from, to int) error {
 	if from < 0 || to > m.cols || from > to {
 		return fmt.Errorf("%w: SliceColsInto [%d,%d) of %d cols", ErrShape, from, to, m.cols)
@@ -514,18 +421,6 @@ func SliceColsInto[T Float](dst, m *Dense[T], from, to int) error {
 	return nil
 }
 
-// SliceCols returns a copy of columns [from, to).
-func (m *Dense[T]) SliceCols(from, to int) (*Dense[T], error) {
-	if from < 0 || to > m.cols || from > to {
-		return nil, fmt.Errorf("%w: SliceCols [%d,%d) of %d cols", ErrShape, from, to, m.cols)
-	}
-	out := NewDense[T](m.rows, to-from)
-	for i := 0; i < m.rows; i++ {
-		copy(out.Row(i), m.Row(i)[from:to])
-	}
-	return out, nil
-}
-
 // SetCols copies src into columns [from, from+src.Cols()) of m.
 func (m *Dense[T]) SetCols(from int, src *Dense[T]) error {
 	if src.rows != m.rows || from < 0 || from+src.cols > m.cols {
@@ -537,20 +432,9 @@ func (m *Dense[T]) SetCols(from int, src *Dense[T]) error {
 	return nil
 }
 
-// ConcatCols concatenates a and b side by side.
-func ConcatCols(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows {
-		return nil, fmt.Errorf("%w: ConcatCols %dx%d | %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, a.cols+b.cols)
-	for i := 0; i < a.rows; i++ {
-		copy(out.Row(i)[:a.cols], a.Row(i))
-		copy(out.Row(i)[a.cols:], b.Row(i))
-	}
-	return out, nil
-}
-
 // ArgmaxRow returns the index of the maximum element of row i.
+//
+//apslint:allow reach reference argmax the nn tests check the classify epilogue against
 func (m *Dense[T]) ArgmaxRow(i int) int {
 	row := m.Row(i)
 	best, bi := T(math.Inf(-1)), 0

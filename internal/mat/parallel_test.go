@@ -32,7 +32,7 @@ func testParallelMatMul[T Float](t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialT, err := MatMulT(a, bt)
+		serialT, err := mulT(a, bt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func testParallelMatMul[T Float](t *testing.T) {
 			if !Equal(serial, par, 0) {
 				t.Fatalf("%dx%dx%d budget=%d: MatMul differs from serial", s.m, s.k, s.n, budget)
 			}
-			parT, err := MatMulT(a, bt)
+			parT, err := mulT(a, bt)
 			if err != nil {
 				t.Fatal(err)
 			}

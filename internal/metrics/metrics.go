@@ -114,6 +114,8 @@ func ToleranceWindow(pred, truth []int, delta int) (Confusion, error) {
 
 // SampleLevel computes the plain per-sample confusion matrix (tolerance 0
 // against the label sequence itself).
+//
+//apslint:allow reach reference confusion matrix that TestToleranceWindowZeroDeltaIsSampleLevel checks the tolerance window against
 func SampleLevel(pred, labels []int) (Confusion, error) {
 	var c Confusion
 	if len(pred) != len(labels) {

@@ -57,6 +57,8 @@ func Disabled() bool { return disabled.Load() }
 
 // Supported reports whether this platform build carries a real mmap
 // implementation (tests use it to decide whether a warm load must map).
+//
+//apslint:allow reach test seam: the columnar test and BenchmarkCampaignLoad skip their mapped-path check through it where mmap is unavailable
 func Supported() bool { return mmapSupported }
 
 // Open returns a read-only Region over the whole file at path: a borrowed

@@ -13,9 +13,8 @@ import "fmt"
 // nominal behaviour plus slack) and H the accumulated-evidence alarm
 // threshold; larger H trades detection latency for fewer false alarms.
 //
-// A CUSUM is NOT safe for concurrent use. Like MOfN, construct one per
-// session or worker — typically by Clone()ing a validated prototype — and
-// Reset() it at episode boundaries.
+// A CUSUM is NOT safe for concurrent use. Like MOfN, give each session its
+// own detector by Clone()ing an idle, validated prototype.
 type CUSUM struct {
 	k, h float64
 	s    float64
@@ -42,12 +41,6 @@ func (c *CUSUM) Update(pUnsafe float64) bool {
 	}
 	return c.s > c.h
 }
-
-// Value returns the current accumulated statistic S.
-func (c *CUSUM) Value() float64 { return c.s }
-
-// Reset clears the accumulated statistic (between episodes).
-func (c *CUSUM) Reset() { c.s = 0 }
 
 // Clone returns an independent detector with the same configuration and a
 // private copy of the accumulated state.

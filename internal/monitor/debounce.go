@@ -1,20 +1,16 @@
 package monitor
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/dataset"
-)
-
-// MOfN is the bare rolling m-of-n alarm filter: Update reports true when at
-// least M of the last N raw verdicts were unsafe. It is the stateful core
-// shared by the Debounced monitor wrapper (offline evaluation) and the
-// serving sessions (online streams), exposed so every concurrent consumer
-// can own a private instance instead of sharing one.
+// MOfN is the rolling m-of-n alarm filter, the standard medical-alarm
+// practice: Update reports true when at least M of the last N raw verdicts
+// were unsafe, suppressing single-sample flickers (which both CGM noise and
+// transient perturbations produce). Serving sessions run one per online
+// stream, so every concurrent consumer owns a private instance instead of
+// sharing one.
 //
-// An MOfN is NOT safe for concurrent use. Construct one per session or
-// worker — typically by Clone()ing a validated prototype — and Reset()
-// it at episode boundaries.
+// An MOfN is NOT safe for concurrent use. Give each session its own
+// filter by Clone()ing an idle, validated prototype.
 type MOfN struct {
 	m, n    int
 	history []bool
@@ -44,94 +40,13 @@ func (f *MOfN) Update(unsafe bool) bool {
 	return count >= f.m
 }
 
-// Reset clears the rolling verdict history (between episodes).
-func (f *MOfN) Reset() { f.history = f.history[:0] }
-
 // Clone returns an independent filter with the same configuration and a
-// private copy of the rolling state. Cloning an idle (freshly constructed
-// or Reset) prototype is the safe way to hand each session or evaluation
-// worker its own filter.
+// private copy of the rolling state. Cloning an idle (freshly constructed)
+// prototype is the safe way to hand each session its own filter.
 func (f *MOfN) Clone() *MOfN {
 	c := &MOfN{m: f.m, n: f.n}
 	if len(f.history) > 0 {
 		c.history = append(c.history, f.history...)
 	}
 	return c
-}
-
-// Debounced wraps a Monitor with m-of-n alarm stabilization, the standard
-// medical-alarm practice: an alert is raised only when at least M of the
-// last N per-sample verdicts are unsafe, suppressing single-sample flickers
-// (which both CGM noise and transient perturbations produce). Samples must
-// be presented in episode order; call Reset between episodes, or use
-// ClassifyEpisodes with episode boundaries.
-//
-// Like MOfN, a Debounced is stateful and not safe for concurrent Classify
-// calls; give each worker its own instance via Clone.
-type Debounced struct {
-	inner  Monitor
-	filter MOfN
-}
-
-var _ Monitor = (*Debounced)(nil)
-
-// NewDebounced wraps inner with an M-of-N filter.
-func NewDebounced(inner Monitor, m, n int) (*Debounced, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("monitor: debounce needs a monitor")
-	}
-	f, err := NewMOfN(m, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Debounced{inner: inner, filter: *f}, nil
-}
-
-// Name implements Monitor.
-func (d *Debounced) Name() string {
-	return fmt.Sprintf("%s_debounced_%dof%d", d.inner.Name(), d.filter.m, d.filter.n)
-}
-
-// Reset clears the rolling verdict history (between episodes).
-func (d *Debounced) Reset() { d.filter.Reset() }
-
-// Clone returns a wrapper with the same configuration, a private copy of the
-// rolling window, and the SAME inner monitor — sharing the inner is safe for
-// the stateless monitors (RuleBased, MLMonitor), which is exactly what makes
-// Clone the right way to fan a debounced monitor out across eval workers or
-// serving sessions.
-func (d *Debounced) Clone() *Debounced {
-	return &Debounced{inner: d.inner, filter: *d.filter.Clone()}
-}
-
-// Classify implements Monitor: verdicts are filtered sequentially with the
-// rolling m-of-n window.
-func (d *Debounced) Classify(samples []dataset.Sample) ([]Verdict, error) {
-	raw, err := d.inner.Classify(samples)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Verdict, len(raw))
-	for i, v := range raw {
-		out[i] = Verdict{Unsafe: d.filter.Update(v.Unsafe), Confidence: v.Confidence}
-	}
-	return out, nil
-}
-
-// ClassifyEpisodes filters each episode range independently (resetting the
-// window at boundaries), matching how datasets index episodes.
-func (d *Debounced) ClassifyEpisodes(samples []dataset.Sample, episodes [][2]int) ([]Verdict, error) {
-	out := make([]Verdict, len(samples))
-	for _, r := range episodes {
-		if r[0] < 0 || r[1] > len(samples) || r[0] > r[1] {
-			return nil, fmt.Errorf("monitor: episode range %v out of bounds", r)
-		}
-		d.Reset()
-		v, err := d.Classify(samples[r[0]:r[1]])
-		if err != nil {
-			return nil, err
-		}
-		copy(out[r[0]:r[1]], v)
-	}
-	return out, nil
 }

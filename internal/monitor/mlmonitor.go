@@ -67,9 +67,6 @@ func (m *MLMonitor) Name() string {
 // Arch returns the monitor architecture.
 func (m *MLMonitor) Arch() Arch { return m.arch }
 
-// Custom reports whether the monitor was trained with the semantic loss.
-func (m *MLMonitor) Custom() bool { return m.custom }
-
 // Model exposes the underlying network (the attack generators need its input
 // gradients; white-box FGSM assumes full access to the model).
 func (m *MLMonitor) Model() *nn.Model { return m.model }

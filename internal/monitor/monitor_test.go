@@ -117,8 +117,8 @@ func TestTrainMLPCustomMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if m.Name() != "mlp_custom" || !m.Custom() {
-		t.Fatalf("name = %q custom = %v", m.Name(), m.Custom())
+	if m.Name() != "mlp_custom" || !m.custom {
+		t.Fatalf("name = %q custom = %v", m.Name(), m.custom)
 	}
 	acc := accuracyOf(t, m, test)
 	if acc < 0.7 {

@@ -1,33 +1,66 @@
 package monitor
 
-import (
-	"testing"
-
-	"repro/internal/controller"
-	"repro/internal/dataset"
-)
+import "testing"
 
 func TestMOfNUpdateSemantics(t *testing.T) {
-	if _, err := NewMOfN(0, 3); err == nil {
-		t.Fatal("want error for m=0")
+	for _, mn := range [][2]int{{0, 3}, {4, 3}, {1, 0}} {
+		if _, err := NewMOfN(mn[0], mn[1]); err == nil {
+			t.Fatalf("want error for m=%d n=%d", mn[0], mn[1])
+		}
 	}
-	if _, err := NewMOfN(4, 3); err == nil {
-		t.Fatal("want error for m>n")
-	}
-	f, err := NewMOfN(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := []bool{true, false, true, true, false, false, false}
-	want := []bool{false, false, true, true, true, false, false}
-	for i, u := range seq {
-		if got := f.Update(u); got != want[i] {
-			t.Fatalf("step %d: Update(%t) = %t, want %t", i, u, got, want[i])
+	const T, F = true, false
+	for _, tc := range []struct {
+		name      string
+		m, n      int
+		seq, want []bool
+	}{
+		{"mixed", 2, 3, []bool{T, F, T, T, F, F, F}, []bool{F, F, T, T, T, F, F}},
+		// Isolated unsafe verdicts among safe ones never alarm.
+		{"flicker suppressed", 2, 3,
+			[]bool{T, F, F, T, F, F, T, F, F, T, F, F},
+			[]bool{F, F, F, F, F, F, F, F, F, F, F, F}},
+		// A sustained alarm passes from the first step that can satisfy m.
+		{"sustained alarm", 2, 3, []bool{T, T, T, T, T}, []bool{F, T, T, T, T}},
+	} {
+		f, err := NewMOfN(tc.m, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range tc.seq {
+			if got := f.Update(u); got != tc.want[i] {
+				t.Fatalf("%s: step %d: Update(%t) = %t, want %t", tc.name, i, u, got, tc.want[i])
+			}
 		}
 	}
 }
 
 func TestMOfNResetAndClone(t *testing.T) {
+	const T, F = true, false
+	// Each episode runs on a fresh Clone of one idle prototype, as each
+	// serving session does: history never leaks across a boundary.
+	for _, tc := range []struct {
+		name           string
+		m, n           int
+		episodes, want [][]bool
+	}{
+		{"single unsafe per episode", 2, 2, [][]bool{{T}, {T}}, [][]bool{{F}, {F}}},
+		{"trailing alarm does not leak", 2, 2,
+			[][]bool{{F, F, T, T}, {F, F}}, [][]bool{{F, F, F, T}, {F, F}}},
+	} {
+		proto, err := NewMOfN(tc.m, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e, ep := range tc.episodes {
+			f := proto.Clone()
+			for i, u := range ep {
+				if got := f.Update(u); got != tc.want[e][i] {
+					t.Fatalf("%s: episode %d step %d: Update(%t) = %t, want %t", tc.name, e, i, u, got, tc.want[e][i])
+				}
+			}
+		}
+	}
+
 	f, err := NewMOfN(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -41,44 +74,6 @@ func TestMOfNResetAndClone(t *testing.T) {
 	if got := f.Update(false); got {
 		t.Fatal("original contaminated by clone updates")
 	}
-	// Reset clears history: a single unsafe can no longer satisfy 2-of-2.
-	c.Reset()
-	if got := c.Update(true); got {
-		t.Fatal("Reset did not clear the rolling window")
-	}
-}
-
-func TestDebouncedClone(t *testing.T) {
-	rb := NewRuleBased(140)
-	d, err := NewDebounced(rb, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsafe := dataset.Sample{BG: 200, DeltaBG: 2, DeltaIOB: -0.01, Action: controller.ActionDecrease}
-	if _, err := d.Classify([]dataset.Sample{unsafe}); err != nil {
-		t.Fatal(err)
-	}
-	c := d.Clone()
-	if c.Name() != d.Name() {
-		t.Fatalf("clone name %q, want %q", c.Name(), d.Name())
-	}
-	// The clone carries the copied window (one unsafe seen), so one more
-	// unsafe satisfies 2-of-2 — and must not leak back into the original.
-	v, err := c.Classify([]dataset.Sample{unsafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v[0].Unsafe {
-		t.Fatal("clone lost the copied debounce state")
-	}
-	d.Reset()
-	v, err = d.Classify([]dataset.Sample{unsafe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[0].Unsafe {
-		t.Fatal("original state contaminated: Reset + 1 unsafe cannot satisfy 2-of-2")
-	}
 }
 
 func TestCUSUMDriftDetection(t *testing.T) {
@@ -88,18 +83,19 @@ func TestCUSUMDriftDetection(t *testing.T) {
 	if _, err := NewCUSUM(0.5, 0); err == nil {
 		t.Fatal("want error for non-positive threshold")
 	}
-	c, err := NewCUSUM(0.5, 1)
+	proto, err := NewCUSUM(0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := proto.Clone()
 	// Nominal traffic (p below the allowance) never accumulates.
 	for i := 0; i < 100; i++ {
 		if c.Update(0.2) {
 			t.Fatalf("alarm on nominal traffic at step %d", i)
 		}
 	}
-	if c.Value() != 0 {
-		t.Fatalf("statistic drifted to %g on nominal traffic", c.Value())
+	if c.s != 0 {
+		t.Fatalf("statistic drifted to %g on nominal traffic", c.s)
 	}
 	// Sustained sub-threshold drift (p = 0.9, never a hard verdict flip on
 	// its own) accumulates 0.4 per step and alarms once S exceeds 1.
@@ -114,9 +110,8 @@ func TestCUSUMDriftDetection(t *testing.T) {
 		t.Fatalf("alarm after %d sub-threshold steps, want 3", steps)
 	}
 	clone := c.Clone()
-	c.Reset()
-	if c.Update(0.9) {
-		t.Fatal("Reset did not clear the statistic")
+	if proto.Clone().Update(0.9) {
+		t.Fatal("a clone of the idle prototype carried state")
 	}
 	if !clone.Update(0.9) {
 		t.Fatal("clone lost the accumulated statistic")

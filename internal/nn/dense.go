@@ -52,9 +52,6 @@ func newDenseZero(in, out int) *Dense {
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
 
-// InputSize returns the expected number of input features.
-func (d *Dense) InputSize() int { return d.in }
-
 // OutputSize implements Layer.
 func (d *Dense) OutputSize(inputSize int) (int, error) {
 	if inputSize != d.in {

@@ -8,6 +8,17 @@ import (
 	"repro/internal/mat"
 )
 
+// evalLoss computes the model's loss on a batch without touching
+// parameters or gradients.
+func evalLoss(m *Model, x *mat.Matrix, labels []int, knowledge []float64) (float64, error) {
+	logits, err := m.Infer(x)
+	if err != nil {
+		return 0, err
+	}
+	loss, _, err := m.loss.Compute(logits, labels, knowledge)
+	return loss, err
+}
+
 // numericalInputGrad estimates d(loss)/d(input) by central differences.
 func numericalInputGrad(t *testing.T, m *Model, x *mat.Matrix, labels []int, know []float64) *mat.Matrix {
 	t.Helper()
@@ -17,14 +28,14 @@ func numericalInputGrad(t *testing.T, m *Model, x *mat.Matrix, labels []int, kno
 		for j := 0; j < x.Cols(); j++ {
 			orig := x.At(i, j)
 			x.Set(i, j, orig+h)
-			lp, err := m.EvalLoss(x, labels, know)
+			lp, err := evalLoss(m, x, labels, know)
 			if err != nil {
-				t.Fatalf("EvalLoss(+h): %v", err)
+				t.Fatalf("evalLoss(+h): %v", err)
 			}
 			x.Set(i, j, orig-h)
-			lm, err := m.EvalLoss(x, labels, know)
+			lm, err := evalLoss(m, x, labels, know)
 			if err != nil {
-				t.Fatalf("EvalLoss(-h): %v", err)
+				t.Fatalf("evalLoss(-h): %v", err)
 			}
 			x.Set(i, j, orig)
 			grad.Set(i, j, (lp-lm)/(2*h))
@@ -42,14 +53,14 @@ func numericalParamGrad(t *testing.T, m *Model, p *Param, x *mat.Matrix, labels 
 		for j := 0; j < p.W.Cols(); j++ {
 			orig := p.W.At(i, j)
 			p.W.Set(i, j, orig+h)
-			lp, err := m.EvalLoss(x, labels, know)
+			lp, err := evalLoss(m, x, labels, know)
 			if err != nil {
-				t.Fatalf("EvalLoss(+h): %v", err)
+				t.Fatalf("evalLoss(+h): %v", err)
 			}
 			p.W.Set(i, j, orig-h)
-			lm, err := m.EvalLoss(x, labels, know)
+			lm, err := evalLoss(m, x, labels, know)
 			if err != nil {
-				t.Fatalf("EvalLoss(-h): %v", err)
+				t.Fatalf("evalLoss(-h): %v", err)
 			}
 			p.W.Set(i, j, orig)
 			grad.Set(i, j, (lp-lm)/(2*h))
@@ -66,7 +77,7 @@ func analyticGrads(t *testing.T, m *Model, x *mat.Matrix, labels []int, know []f
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
-	_, gradLogits, err := m.Loss().Compute(logits, labels, know)
+	_, gradLogits, err := m.loss.Compute(logits, labels, know)
 	if err != nil {
 		t.Fatalf("loss: %v", err)
 	}
@@ -101,7 +112,7 @@ func checkModelGradients(t *testing.T, m *Model, x *mat.Matrix, labels []int, kn
 		t.Errorf("input gradient mismatch: max rel diff %g > %g", d, tol)
 	}
 	// Snapshot analytic parameter grads before finite differences perturb
-	// parameters (EvalLoss does not touch grads, so accumulators survive,
+	// parameters (evalLoss does not touch grads, so accumulators survive,
 	// but copy for clarity).
 	for _, p := range m.Params() {
 		analytic := p.G.Clone()
@@ -218,7 +229,7 @@ func TestTrainingBackwardSkipsInputGradient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, gradLogits, err := m.Loss().Compute(logits, labels, nil)
+			_, gradLogits, err := m.loss.Compute(logits, labels, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,9 +102,6 @@ func (im *InferModel[T]) newWorkspace() *inferWorkspace[T] {
 // InputSize returns the expected number of input features.
 func (im *InferModel[T]) InputSize() int { return im.inSize }
 
-// OutputSize returns the number of classes (final logit width).
-func (im *InferModel[T]) OutputSize() int { return im.outSize }
-
 // run pushes x through the frozen stack using ws for scratch; the returned
 // matrix is workspace-owned.
 func (im *InferModel[T]) run(ws *inferWorkspace[T], x *mat.Dense[T]) (*mat.Dense[T], error) {
@@ -122,6 +119,8 @@ func (im *InferModel[T]) run(ws *inferWorkspace[T], x *mat.Dense[T]) (*mat.Dense
 // Infer computes logits for a batch into dst (batch × OutputSize). At a
 // steady batch size it performs zero allocations; concurrent callers each
 // draw a private workspace from the pool.
+//
+//apslint:allow reach test seam: the nn tests compare frozen against training logits and pin the pooled zero-alloc contract through it
 func (im *InferModel[T]) Infer(x, dst *mat.Dense[T]) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: infer: %d input cols, want %d", x.Cols(), im.inSize)
@@ -133,15 +132,6 @@ func (im *InferModel[T]) Infer(x, dst *mat.Dense[T]) error {
 		return err
 	}
 	return dst.CopyFrom(out)
-}
-
-// Logits is the allocating convenience form of Infer.
-func (im *InferModel[T]) Logits(x *mat.Dense[T]) (*mat.Dense[T], error) {
-	dst := mat.NewDense[T](x.Rows(), im.outSize)
-	if err := im.Infer(x, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // ClassifyInto computes, per input row, the argmax class and its softmax

@@ -61,6 +61,12 @@ func randBatch(rng *rand.Rand, rows, cols int) *mat.Matrix {
 	return x
 }
 
+// logits runs the frozen stack into a fresh batch × classes matrix.
+func logits[T mat.Float](im *InferModel[T], x *mat.Dense[T]) (*mat.Dense[T], error) {
+	dst := mat.NewDense[T](x.Rows(), im.outSize)
+	return dst, im.Infer(x, dst)
+}
+
 // TestFreezeMatchesInfer is the property test behind the f32 path: for every
 // architecture, the frozen twin's logits agree with the f64 Infer within
 // float32 tolerance, and the argmax class agrees on every row.
@@ -71,9 +77,9 @@ func TestFreezeMatchesInfer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Freeze: %v", name, err)
 		}
-		if im.InputSize() != m.InputSize() || im.OutputSize() != m.OutputSize() {
+		if im.InputSize() != m.InputSize() || im.outSize != m.OutputSize() {
 			t.Fatalf("%s: frozen sizes %d→%d, want %d→%d", name,
-				im.InputSize(), im.OutputSize(), m.InputSize(), m.OutputSize())
+				im.InputSize(), im.outSize, m.InputSize(), m.OutputSize())
 		}
 		for _, batch := range []int{1, 3, 17} {
 			x := randBatch(rng, batch, m.InputSize())
@@ -82,7 +88,7 @@ func TestFreezeMatchesInfer(t *testing.T) {
 				t.Fatalf("%s: f64 Infer: %v", name, err)
 			}
 			x32 := mat.ToFloat32(x)
-			got, err := im.Logits(x32)
+			got, err := logits(im, x32)
 			if err != nil {
 				t.Fatalf("%s: f32 Infer: %v", name, err)
 			}
@@ -144,7 +150,7 @@ func TestFreezeNonFiniteMatchesInfer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: f64 Infer: %v", name, err)
 		}
-		got, err := im.Logits(x32)
+		got, err := logits(im, x32)
 		if err != nil {
 			t.Fatalf("%s: f32 Infer: %v", name, err)
 		}
@@ -192,14 +198,14 @@ func TestFreezeSnapshotsWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.ToFloat32(randBatch(rng, 2, 4))
-	before, err := im.Logits(x)
+	before, err := logits(im, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range m.Params() {
 		p.W.Scale(-3)
 	}
-	after, err := im.Logits(x)
+	after, err := logits(im, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,7 @@ func TestInferModelConcurrent(t *testing.T) {
 	want := make([]*mat.Dense[float32], len(inputs))
 	for i := range inputs {
 		inputs[i] = mat.ToFloat32(randBatch(rng, 1+i%3, m.InputSize()))
-		want[i], err = im.Logits(inputs[i])
+		want[i], err = logits(im, inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +292,7 @@ func TestInferModelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 25; iter++ {
 				idx := (g + iter) % len(inputs)
-				got, err := im.Logits(inputs[idx])
+				got, err := logits(im, inputs[idx])
 				if err != nil {
 					errs <- err
 					return

@@ -103,18 +103,6 @@ func newLSTMZero(inputSize, hidden, steps int, returnSeqs bool) *LSTM {
 // Name implements Layer.
 func (l *LSTM) Name() string { return "lstm" }
 
-// Steps returns the unroll length.
-func (l *LSTM) Steps() int { return l.steps }
-
-// Hidden returns the hidden-state width.
-func (l *LSTM) Hidden() int { return l.hidden }
-
-// InputSize returns the per-step feature count.
-func (l *LSTM) InputSize() int { return l.inputSize }
-
-// ReturnSequences reports whether the layer emits all hidden states.
-func (l *LSTM) ReturnSequences() bool { return l.returnSeqs }
-
 // OutputSize implements Layer.
 func (l *LSTM) OutputSize(inputSize int) (int, error) {
 	if inputSize != l.steps*l.inputSize {

@@ -9,7 +9,7 @@ import (
 )
 
 // Model is a feed-forward stack of layers with a classification loss.
-// The final layer emits logits; Predict applies softmax.
+// The final layer emits logits; ClassifyInto takes their softmax argmax.
 type Model struct {
 	layers []Layer
 	loss   Loss
@@ -58,13 +58,6 @@ func (m *Model) OutputSize() int {
 // Layers exposes the layer stack (used by serialization and tests).
 func (m *Model) Layers() []Layer { return m.layers }
 
-// Loss returns the configured training loss.
-func (m *Model) Loss() Loss { return m.loss }
-
-// SetLoss replaces the training loss (e.g. to retrain a baseline monitor with
-// the semantic loss).
-func (m *Model) SetLoss(l Loss) { m.loss = l }
-
 // Params returns all trainable parameters in layer order.
 func (m *Model) Params() []*Param {
 	var ps []*Param
@@ -103,10 +96,11 @@ func (m *Model) Stack() (*InferModel[float64], error) {
 }
 
 // Infer runs the stack without recording backward state, so any number of
-// goroutines may share one trained model — the inference path under the
-// parallel experiment sweeps. It computes Forward's logits bit for bit
-// through the f64 instantiation of the frozen stack, on a workspace private
-// to the call, so the returned matrix belongs to the caller.
+// goroutines may share one trained model. It computes Forward's logits bit
+// for bit through the f64 instantiation of the frozen stack, on a workspace
+// private to the call, so the returned matrix belongs to the caller.
+//
+//apslint:allow reach reference f64 logits: the nn, attack and monitor tests check Forward and the frozen stacks against it
 func (m *Model) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != m.inSize {
 		return nil, fmt.Errorf("nn: model infer: %d input cols, want %d", x.Cols(), m.inSize)
@@ -128,16 +122,6 @@ func (m *Model) ClassifyInto(x *mat.Matrix, classes []int, conf []float64) error
 		return err
 	}
 	return im.classifyInto(im.newWorkspace(), x, classes, conf)
-}
-
-// Predict returns class probabilities (softmax of the logits). Safe for
-// concurrent use on a shared model.
-func (m *Model) Predict(x *mat.Matrix) (*mat.Matrix, error) {
-	logits, err := m.Infer(x)
-	if err != nil {
-		return nil, err
-	}
-	return Softmax(logits), nil
 }
 
 // PredictClasses returns the argmax class per row (ClassifyInto without
@@ -187,17 +171,6 @@ func (m *Model) TrainBatch(x *mat.Matrix, labels []int, knowledge []float64, opt
 		return 0, err
 	}
 	return loss, nil
-}
-
-// EvalLoss computes the loss on a batch without updating parameters. Safe
-// for concurrent use on a shared model.
-func (m *Model) EvalLoss(x *mat.Matrix, labels []int, knowledge []float64) (float64, error) {
-	logits, err := m.Infer(x)
-	if err != nil {
-		return 0, err
-	}
-	loss, _, err := m.loss.Compute(logits, labels, knowledge)
-	return loss, err
 }
 
 // InputGradient and TrainBatch mutate per-layer backward caches and the

@@ -36,10 +36,22 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
+// predict returns the model's class probabilities (softmax of the logits).
+func predict(m *Model, x *mat.Matrix) (*mat.Matrix, error) {
+	logits, err := m.Infer(x)
+	if err != nil {
+		return nil, err
+	}
+	return Softmax(logits), nil
+}
+
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logits := mat.RandNormal(rng, 3, 4, 2)
-	shifted := logits.Apply(func(v float64) float64 { return v + 1000 })
+	shifted := mat.New(3, 4)
+	if err := mat.ApplyInto(shifted, logits, func(v float64) float64 { return v + 1000 }); err != nil {
+		t.Fatal(err)
+	}
 	if !mat.Equal(Softmax(logits), Softmax(shifted), 1e-9) {
 		t.Fatal("softmax must be invariant to per-row shifts")
 	}
@@ -273,7 +285,7 @@ func TestMLPTrainsWithSGDMomentum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := trainToy(t, m, NewSGD(0.05, 0.9), 250); acc < 0.9 {
+	if acc := trainToy(t, m, &SGD{LR: 0.05, Momentum: 0.9}, 250); acc < 0.9 {
 		t.Fatalf("SGD training accuracy = %v, want ≥ 0.9", acc)
 	}
 }
@@ -339,7 +351,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.RandNormal(rng, 4, 9, 1)
-	want, err := orig.Predict(x)
+	want, err := predict(orig, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,16 +364,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	got, err := loaded.Predict(x)
+	got, err := predict(loaded, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !mat.Equal(got, want, 1e-12) {
 		t.Fatal("loaded model predictions differ from original")
 	}
-	sl, ok := loaded.Loss().(SemanticLoss)
+	sl, ok := loaded.loss.(SemanticLoss)
 	if !ok || sl.Weight != 0.4 || sl.UnsafeClass != 1 {
-		t.Fatalf("loss not restored: %#v", loaded.Loss())
+		t.Fatalf("loss not restored: %#v", loaded.loss)
 	}
 }
 
@@ -376,7 +388,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("Clone: %v", err)
 	}
 	x := mat.RandNormal(rng, 2, 3, 1)
-	before, err := clone.Predict(x)
+	before, err := predict(clone, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +399,7 @@ func TestCloneIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := clone.Predict(x)
+	after, err := predict(clone, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +526,7 @@ func TestOptimizerDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		probs, err := m.Predict(x)
+		probs, err := predict(m, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,8 +625,8 @@ func TestLSTMReturnSequencesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastFromSeq, err := seq.SliceCols(16, 20)
-	if err != nil {
+	lastFromSeq := mat.New(2, 4)
+	if err := mat.SliceColsInto(lastFromSeq, seq, 16, 20); err != nil {
 		t.Fatal(err)
 	}
 	if !mat.Equal(last, lastFromSeq, 1e-12) {
@@ -634,8 +646,8 @@ func TestLSTMOutputSizeValidation(t *testing.T) {
 	if _, err := l.Forward(mat.New(1, 7)); err == nil {
 		t.Fatal("want forward error for wrong width")
 	}
-	if l.Steps() != 5 || l.Hidden() != 4 || l.InputSize() != 3 || l.ReturnSequences() {
-		t.Fatal("accessors broken")
+	if l.steps != 5 || l.hidden != 4 || l.inputSize != 3 || l.returnSeqs {
+		t.Fatal("constructor fields broken")
 	}
 }
 
@@ -689,7 +701,7 @@ func TestBatchSizeIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.RandNormal(rng, 5, 6, 1)
-	batch, err := m.Predict(x)
+	batch, err := predict(m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +710,7 @@ func TestBatchSizeIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := m.Predict(row)
+		single, err := predict(m, row)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,11 +26,6 @@ type SGD struct {
 
 var _ Optimizer = (*SGD)(nil)
 
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*mat.Matrix)}
-}
-
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) error {
 	for _, p := range params {
@@ -41,8 +36,7 @@ func (s *SGD) Step(params []*Param) error {
 			continue
 		}
 		if s.velocity == nil {
-			// Lazy init so &SGD{LR: l, Momentum: m} literals work without
-			// going through NewSGD.
+			// Lazy init: the zero value and struct literals are ready to use.
 			s.velocity = make(map[*Param]*mat.Matrix)
 		}
 		v, ok := s.velocity[p]

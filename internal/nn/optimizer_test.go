@@ -17,27 +17,30 @@ func quadParam(t *testing.T, vals []float64) *Param {
 }
 
 // TestSGDLiteralLazyInit is the regression test for the nil-map panic: an
-// &SGD{...} literal (bypassing NewSGD) must work and match the constructed
-// optimizer exactly.
+// &SGD{...} literal must work and follow heavy-ball momentum exactly.
 func TestSGDLiteralLazyInit(t *testing.T) {
-	step := func(s *SGD) []float64 {
-		p := quadParam(t, []float64{3, -2})
-		for i := 0; i < 4; i++ {
-			p.G.Zero()
-			if err := p.G.AddScaled(2, p.W); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Step([]*Param{p}); err != nil {
-				t.Fatalf("Step: %v", err)
-			}
+	p := quadParam(t, []float64{3, -2})
+	s := &SGD{LR: 0.1, Momentum: 0.9}
+	for i := 0; i < 4; i++ {
+		p.G.Zero()
+		if err := p.G.AddScaled(2, p.W); err != nil {
+			t.Fatal(err)
 		}
-		return append([]float64(nil), p.W.Data()...)
+		if err := s.Step([]*Param{p}); err != nil { // used to panic on s.velocity[p]
+			t.Fatalf("Step: %v", err)
+		}
 	}
-	lit := step(&SGD{LR: 0.1, Momentum: 0.9}) // used to panic on s.velocity[p]
-	con := step(NewSGD(0.1, 0.9))
-	for i := range lit {
-		if lit[i] != con[i] {
-			t.Fatalf("literal SGD diverged from NewSGD: %v vs %v", lit, con)
+	// Reference: v ← μ·v − η·g, w ← w + v, on the gradient g = 2w.
+	want, v := []float64{3, -2}, make([]float64, 2)
+	for i := 0; i < 4; i++ {
+		for j := range want {
+			v[j] = 0.9*v[j] - 0.1*2*want[j]
+			want[j] += v[j]
+		}
+	}
+	for j, w := range p.W.Data() {
+		if math.Abs(w-want[j]) > 1e-12 {
+			t.Fatalf("literal SGD = %v, want %v", p.W.Data(), want)
 		}
 	}
 }

@@ -44,9 +44,6 @@ func New(method Method) *Integrator {
 	return &Integrator{method: method}
 }
 
-// Method reports the configured scheme.
-func (in *Integrator) Method() Method { return in.method }
-
 func (in *Integrator) resize(n int) {
 	if len(in.k1) != n {
 		in.k1 = make([]float64, n)

@@ -113,9 +113,6 @@ func (g *Glucosym) Params() GlucosymParams { return g.params }
 // BG implements Model.
 func (g *Glucosym) BG() float64 { return g.y[0] }
 
-// PlasmaInsulin returns Ip (µU/mL), used in tests.
-func (g *Glucosym) PlasmaInsulin() float64 { return g.y[2] }
-
 // BasalRate implements Model: the infusion that holds Ip at Ib.
 // From dIp/dt = −n·Ip + ki·u/60 at steady state: u_b = 60·n·Ib/ki.
 func (g *Glucosym) BasalRate() float64 {

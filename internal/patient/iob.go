@@ -57,6 +57,3 @@ func (c *IOBCalculator) IOB(t float64) float64 {
 	c.entries = keep
 	return iob
 }
-
-// Reset clears the delivery history.
-func (c *IOBCalculator) Reset() { c.entries = c.entries[:0] }

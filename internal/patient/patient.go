@@ -71,15 +71,6 @@ func (s MealSchedule) Rate(t float64) float64 {
 	return r
 }
 
-// TotalCarbs returns the total grams in the schedule.
-func (s MealSchedule) TotalCarbs() float64 {
-	var g float64
-	for _, m := range s {
-		g += m.Grams
-	}
-	return g
-}
-
 func validateProfile(id, n int) error {
 	if id < 0 || id >= n {
 		return fmt.Errorf("patient: profile id %d out of range [0,%d)", id, n)

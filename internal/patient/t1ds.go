@@ -145,9 +145,6 @@ func (t *T1DS) Params() T1DSParams { return t.params }
 // BG implements Model.
 func (t *T1DS) BG() float64 { return t.y[0] / t.params.VG() * 18 }
 
-// PlasmaInsulin returns I (mU/L), used in tests.
-func (t *T1DS) PlasmaInsulin() float64 { return t.y[4] }
-
 // BasalRate implements Model.
 func (t *T1DS) BasalRate() float64 { return t.basal }
 

@@ -125,9 +125,6 @@ func NewBatcher(cfg BatcherConfig, classify ClassifyFunc) *Batcher {
 	return b
 }
 
-// Config returns the effective (default-filled) configuration.
-func (b *Batcher) Config() BatcherConfig { return b.cfg }
-
 // Stats snapshots the dispatcher counters.
 func (b *Batcher) Stats() BatcherStats {
 	b.mu.Lock()

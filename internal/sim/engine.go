@@ -115,16 +115,6 @@ func (t *Trace) HazardSteps() []int {
 	return out
 }
 
-// AnyHazard reports whether the episode ever reached a hazard.
-func (t *Trace) AnyHazard() bool {
-	for _, r := range t.Records {
-		if r.Hazard {
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes one closed-loop episode.
 func Run(cfg Config) (*Trace, error) {
 	if cfg.Patient == nil || cfg.Controller == nil {

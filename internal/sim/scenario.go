@@ -130,13 +130,6 @@ func (r *ScenarioRegistry) Lookup(name string) (Scenario, error) {
 	return s, nil
 }
 
-// Names returns the registered names in registration order.
-func (r *ScenarioRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
 func (r *ScenarioRegistry) sortedNamesLocked() []string {
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)

@@ -42,7 +42,7 @@ func TestBuiltinScenarioNames(t *testing.T) {
 		ScenarioStuck, ScenarioMaxRate, ScenarioRandomFault, ScenarioSensorDropout,
 		ScenarioSensorDrift, ScenarioMissedMeal, ScenarioIrregularMeals, ScenarioCompound,
 	}
-	got := Scenarios.Names()
+	got := Scenarios.order
 	if len(got) != len(want) {
 		t.Fatalf("builtin scenarios = %v, want %v", got, want)
 	}
@@ -220,7 +220,7 @@ func TestScenarioShapes(t *testing.T) {
 		t.Fatal("compound must inject a fault, degrade the sensor and raise noise")
 	}
 	// Every scenario still runs end to end.
-	for _, name := range Scenarios.Names() {
+	for _, name := range Scenarios.order {
 		cfg, err := BuildGlucosymEpisode(EpisodeConfig{ProfileID: 0, Seed: 7, Scenario: name}, 60)
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)

@@ -9,6 +9,12 @@ import (
 	"strings"
 )
 
+// SummaryFormatVersion identifies the cached encoding of stlcheck's -all
+// summary (artifact kind "stlsummary"). Bump it whenever the rendered
+// summary or the evaluation semantics change: stale entries then become
+// unreachable, are re-evaluated, and -cache-prune reclaims them.
+const SummaryFormatVersion = 1
+
 // Trace supplies named scalar signals sampled at discrete steps.
 type Trace interface {
 	// Value returns the signal sample at step, and whether it exists.
@@ -202,9 +208,6 @@ func (a And) Robustness(tr Trace, step int) (float64, error) {
 type Or struct{ Fs []Formula }
 
 var _ Formula = Or{}
-
-// NewOr builds a disjunction.
-func NewOr(fs ...Formula) Or { return Or{Fs: fs} }
 
 // String implements fmt.Stringer.
 func (o Or) String() string { return joinFormulas(o.Fs, " | ") }

@@ -33,15 +33,6 @@ func Parse(input string) (Formula, error) {
 	return f, nil
 }
 
-// MustParse is Parse that panics on error; for tests and static rule tables.
-func MustParse(input string) Formula {
-	f, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 type tokKind int
 
 const (

@@ -76,7 +76,7 @@ func TestBooleanConnectives(t *testing.T) {
 	if mustEval(t, NewAnd(aPos, bPos), trace, 0) {
 		t.Fatal("And should fail")
 	}
-	if !mustEval(t, NewOr(aPos, bPos), trace, 0) {
+	if !mustEval(t, Or{Fs: []Formula{aPos, bPos}}, trace, 0) {
 		t.Fatal("Or should hold")
 	}
 	if !mustEval(t, Not{bPos}, trace, 0) {
@@ -98,7 +98,7 @@ func TestRobustnessSignSoundness(t *testing.T) {
 		formulas := []Formula{
 			Atom{"a", OpGT, 0, 0},
 			NewAnd(Atom{"a", OpGT, 0, 0}, Atom{"b", OpLT, 1, 0}),
-			NewOr(Atom{"a", OpLT, -1, 0}, Atom{"b", OpGE, 0, 0}),
+			Or{Fs: []Formula{Atom{"a", OpLT, -1, 0}, Atom{"b", OpGE, 0, 0}}},
 			Not{Atom{"b", OpGT, 0.5, 0}},
 			Implies{L: Atom{"a", OpGT, 0, 0}, R: Atom{"b", OpGT, 0, 0}},
 		}
@@ -223,15 +223,15 @@ func TestParseEvaluatesCorrectly(t *testing.T) {
 		"BG":  {160, 170, 185},
 		"BG'": {2, 2, 3},
 	})
-	f := MustParse("(BG > 150) & (BG' > 0)")
+	f := mustParse("(BG > 150) & (BG' > 0)")
 	if !mustEval(t, f, trace, 0) {
 		t.Fatal("parsed conjunction should hold")
 	}
-	g := MustParse("F[0,2](BG > 180)")
+	g := mustParse("F[0,2](BG > 180)")
 	if !mustEval(t, g, trace, 0) {
 		t.Fatal("parsed eventually should hold at step 2")
 	}
-	h := MustParse("G[0,2](BG > 180)")
+	h := mustParse("G[0,2](BG > 180)")
 	if mustEval(t, h, trace, 0) {
 		t.Fatal("parsed globally should fail")
 	}
@@ -257,13 +257,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// mustParse is Parse that panics on error.
+func mustParse(input string) Formula {
+	f, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestMustParsePanicsOnBadInput(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustParse should panic")
+			t.Fatal("mustParse should panic")
 		}
 	}()
-	MustParse("not a formula !!!")
+	mustParse("not a formula !!!")
 }
 
 func ctx(bg, dbg, diob float64, a controller.Action) Trace {
@@ -448,7 +457,7 @@ func TestParsePrecedence(t *testing.T) {
 	trace := tr(map[string][]float64{"a": {1}, "b": {-1}, "c": {1}})
 	// a>0 & b>0 | c>0  ≡  (a&b) | c  → true. If parsed a & (b|c) it is also
 	// true, so use a discriminating assignment: a=1 b=-1 c=1.
-	f := MustParse("a > 0 & b > 0 | c > 0")
+	f := mustParse("a > 0 & b > 0 | c > 0")
 	or, ok := f.(Or)
 	if !ok {
 		t.Fatalf("top-level connective = %T, want Or", f)
@@ -460,7 +469,7 @@ func TestParsePrecedence(t *testing.T) {
 		t.Fatal("(a&b)|c should hold")
 	}
 	// Arrow is top level.
-	g := MustParse("a > 0 & b > 0 -> c > 0")
+	g := mustParse("a > 0 & b > 0 -> c > 0")
 	if _, ok := g.(Implies); !ok {
 		t.Fatalf("top-level connective = %T, want Implies", g)
 	}
@@ -468,7 +477,7 @@ func TestParsePrecedence(t *testing.T) {
 
 func TestParseNotBindsTightly(t *testing.T) {
 	trace := tr(map[string][]float64{"a": {1}, "b": {1}})
-	f := MustParse("!a > 0 & b > 0") // (!a>0) & (b>0) → false
+	f := mustParse("!a > 0 & b > 0") // (!a>0) & (b>0) → false
 	if mustEval(t, f, trace, 0) {
 		t.Fatal("! must bind to the atom, not the conjunction")
 	}
@@ -542,7 +551,7 @@ func TestNestedTemporalFormulas(t *testing.T) {
 	// F[0,4](G[0,1](x > 0)): somewhere in the next 5 steps, x stays positive
 	// for 2 consecutive steps.
 	trace := tr(map[string][]float64{"x": {-1, 1, -1, 1, 1, -1}})
-	f := MustParse("F[0,4](G[0,1](x > 0))")
+	f := mustParse("F[0,4](G[0,1](x > 0))")
 	if !mustEval(t, f, trace, 0) {
 		t.Fatal("should find the positive pair at steps 3-4")
 	}
@@ -598,7 +607,7 @@ step,bg,action,fault
 		t.Fatal("string column should be dropped")
 	}
 	// And formulas evaluate against it.
-	f := MustParse("F[0,2](bg > 109)")
+	f := mustParse("F[0,2](bg > 109)")
 	ok, err := f.Eval(trace, 0)
 	if err != nil || !ok {
 		t.Fatalf("eval = %v, %v", ok, err)
