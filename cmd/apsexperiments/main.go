@@ -45,10 +45,11 @@
 // rounding — so f32 reports are cached under distinct keys; at a fixed
 // precision, output remains byte-identical across -parallel settings.
 //
-// Generated campaigns and trained monitors are cached content-addressed
-// under -cache (default $APSREPRO_CACHE or ~/.cache/apsrepro), so a second
-// run with an identical configuration skips all simulation and training and
-// produces byte-identical output. Cache events are logged to stderr; stdout
+// Generated campaigns, trained monitors and the Fig 10 black-box
+// substitutes are cached content-addressed under -cache (default
+// $APSREPRO_CACHE or ~/.cache/apsrepro), so a second run with an identical
+// configuration skips all simulation and training and produces
+// byte-identical output. Cache events are logged to stderr; stdout
 // carries only the experiment artifacts. -no-cache disables persistence.
 // Format-version bumps orphan old cache entries; -cache-prune deletes every
 // entry stored under a stale version, reports the bytes reclaimed, and exits.
@@ -63,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/attack"
 	"repro/internal/cliconfig"
 	"repro/internal/dataset"
 	"repro/internal/eval"
@@ -272,6 +274,7 @@ func runCachePrune(cache *cliconfig.Cache) error {
 		{"campaign", dataset.FormatVersion},
 		{"campaignshard", dataset.FormatVersion},
 		{"monitor", monitor.FormatVersion},
+		{"substitute", attack.SubstituteFormatVersion},
 		{"evalreport", eval.FormatVersion},
 		{"stlsummary", stl.SummaryFormatVersion},
 	}

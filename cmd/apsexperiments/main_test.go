@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/cliconfig"
 	"repro/internal/stl"
 )
@@ -26,26 +27,39 @@ func TestHelpGolden(t *testing.T) {
 // summaries stlcheck caches: a stale-version stlsummary entry goes, the
 // current-version one stays.
 func TestCachePrunePrunesStaleSTLSummaries(t *testing.T) {
+	checkPrunesStale(t, "stlsummary", stl.SummaryFormatVersion)
+}
+
+// TestCachePrunePrunesStaleSubstitutes pins the same for the Fig 10
+// black-box substitutes.
+func TestCachePrunePrunesStaleSubstitutes(t *testing.T) {
+	checkPrunesStale(t, "substitute", attack.SubstituteFormatVersion)
+}
+
+// checkPrunesStale plants an entry of kind at version−1 and one at
+// version, runs -cache-prune, and checks that only the stale one went.
+func checkPrunesStale(t *testing.T, kind string, version int) {
+	t.Helper()
 	root := t.TempDir()
 	entry := func(version int) string {
-		dir := filepath.Join(root, "stlsummary", fmt.Sprintf("v%d", version))
+		dir := filepath.Join(root, kind, fmt.Sprintf("v%d", version))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, "00000000000000aa.bin")
-		if err := os.WriteFile(path, []byte("summary"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(kind), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	stale, current := entry(stl.SummaryFormatVersion-1), entry(stl.SummaryFormatVersion)
+	stale, current := entry(version-1), entry(version)
 	if err := runCachePrune(&cliconfig.Cache{Root: root}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale stlsummary entry survived the prune (stat err %v)", err)
+		t.Fatalf("stale %s entry survived the prune (stat err %v)", kind, err)
 	}
 	if _, err := os.Stat(current); err != nil {
-		t.Fatalf("current stlsummary entry was pruned: %v", err)
+		t.Fatalf("current %s entry was pruned: %v", kind, err)
 	}
 }

@@ -1,16 +1,14 @@
-// Package attack implements the three input-perturbation strategies of §III
-// of the paper:
+// Package attack implements the adversarial input perturbations of §III of
+// the paper (the accidental Gaussian noise, applied to raw windows, lives in
+// dataset.GaussianNoisySamples):
 //
-//   - accidental environment noise: zero-mean Gaussian noise on the sensor
-//     channels, with standard deviation expressed as a fraction of the data's
-//     standard deviation;
 //   - white-box FGSM: ∆x = ε·sign(∇_x J(x, y)) on the full multivariate
 //     input (sensor values and control commands), Eqs (3)-(4);
 //   - black-box FGSM: white-box FGSM against a substitute model trained from
 //     the target monitor's query responses, transferred to the target.
 //
 // All perturbations operate on the monitors' normalized feature space, where
-// each column has unit variance on the training set, so σ and ε budgets
+// each column has unit variance on the training set, so ε budgets
 // correspond directly to the paper's "fractions of a standard deviation".
 package attack
 
@@ -18,36 +16,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/artifact"
 	"repro/internal/mat"
 	"repro/internal/nn"
 )
-
-// Gaussian adds N(0, σ²) noise to the listed columns of x (the sensor dims)
-// and returns the perturbed copy. In normalized feature space σ is the
-// paper's noise level (a fraction of each signal's standard deviation).
-//
-//apslint:allow reach the paper's normalized-space Gaussian attack beside FGSM and PGD; the figures noise raw windows instead, so only its tests call it
-func Gaussian(rng *rand.Rand, x *mat.Matrix, sensorDims []int, sigma float64) (*mat.Matrix, error) {
-	if sigma < 0 {
-		return nil, fmt.Errorf("attack: negative sigma %v", sigma)
-	}
-	out := x.Clone()
-	if sigma == 0 || len(sensorDims) == 0 {
-		return out, nil
-	}
-	for _, j := range sensorDims {
-		if j < 0 || j >= x.Cols() {
-			return nil, fmt.Errorf("attack: sensor dim %d out of range [0,%d)", j, x.Cols())
-		}
-	}
-	for i := 0; i < out.Rows(); i++ {
-		row := out.Row(i)
-		for _, j := range sensorDims {
-			row[j] += rng.NormFloat64() * sigma
-		}
-	}
-	return out, nil
-}
 
 // FGSM crafts white-box adversarial examples against model: x + ε·sign(∇_x J)
 // using the true labels (Eq 3-4). The perturbation touches every input
@@ -115,6 +87,20 @@ type SubstituteConfig struct {
 	LR float64
 	// Seed drives substitute weight init and shuffling.
 	Seed int64
+}
+
+// SubstituteFormatVersion identifies how a cached substitute was produced:
+// its architecture (nn.NewSubstituteMLP) and the TrainSubstitute algorithm.
+// Bump it whenever either changes, so stored substitutes trained by the old
+// code become unreachable.
+const SubstituteFormatVersion = 1
+
+// Fingerprint hashes every field that determines the trained substitute,
+// after defaults are filled, so an explicit default and a zero value key
+// the same entry.
+func (c SubstituteConfig) Fingerprint() uint64 {
+	c.fill()
+	return artifact.Fingerprint("substitute", c.Epochs, c.BatchSize, c.LR, c.Seed)
 }
 
 func (c *SubstituteConfig) fill() {

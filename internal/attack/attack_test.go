@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -37,60 +36,6 @@ func trainedToyModel(t *testing.T, seed int64) (*nn.Model, *mat.Matrix, []int) {
 		}
 	}
 	return m, x, labels
-}
-
-func TestGaussianPerturbsOnlySensorDims(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := mat.New(10, 4)
-	pert, err := Gaussian(rng, x, []int{0, 2}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if pert.At(i, 1) != 0 || pert.At(i, 3) != 0 {
-			t.Fatal("command dims must be untouched")
-		}
-		if pert.At(i, 0) == 0 && pert.At(i, 2) == 0 {
-			t.Fatal("sensor dims should receive noise")
-		}
-	}
-	// The original must not be modified.
-	if x.MaxAbs() != 0 {
-		t.Fatal("Gaussian must not mutate its input")
-	}
-}
-
-func TestGaussianSigmaScaling(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := mat.New(4000, 1)
-	pert, err := Gaussian(rng, x, []int{0}, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sq float64
-	for i := 0; i < pert.Rows(); i++ {
-		sq += pert.At(i, 0) * pert.At(i, 0)
-	}
-	std := math.Sqrt(sq / float64(pert.Rows()))
-	if math.Abs(std-0.25) > 0.02 {
-		t.Fatalf("noise std = %v, want ≈ 0.25", std)
-	}
-}
-
-func TestGaussianValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := mat.New(2, 2)
-	if _, err := Gaussian(rng, x, []int{0}, -1); err == nil {
-		t.Fatal("want error for negative sigma")
-	}
-	if _, err := Gaussian(rng, x, []int{5}, 0.1); err == nil {
-		t.Fatal("want error for out-of-range dim")
-	}
-	// Zero sigma is a clean copy.
-	pert, err := Gaussian(rng, x, []int{0}, 0)
-	if err != nil || !mat.Equal(pert, x, 0) {
-		t.Fatalf("zero-sigma copy: %v", err)
-	}
 }
 
 // crossEntropy is the toy model's training loss on a batch.

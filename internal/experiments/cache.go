@@ -5,16 +5,20 @@ import (
 	"sync"
 
 	"repro/internal/artifact"
+	"repro/internal/attack"
 	"repro/internal/dataset"
+	"repro/internal/mat"
 	"repro/internal/monitor"
+	"repro/internal/nn"
 )
 
 // Production seams: the artifact-store lookups below call these instead of
 // the packages directly so tests can count (or forbid) real work. A warm
-// run with an identical config must never reach either one.
+// run with an identical config must never reach any of them.
 var (
-	generateFn = dataset.Generate
-	trainFn    = monitor.Train
+	generateFn   = dataset.Generate
+	trainFn      = monitor.Train
+	substituteFn = attack.TrainSubstitute
 )
 
 var (
@@ -83,4 +87,49 @@ func CachedMonitor(store artifact.Store, train *dataset.Dataset, camp dataset.Ca
 		func(w io.Writer) error { return m.Save(w) },
 	)
 	return m, hit, err
+}
+
+// substituteKey addresses a black-box substitute by everything that
+// determines its weights: the target monitor (its artifact key, which fixes
+// the query inputs and the labels the target answers with), the query
+// budget, and the substitute's training recipe. Precision is deliberately
+// absent: the attacker's query labels come from MLMonitor.PredictClasses,
+// which runs f64 at every -precision.
+func substituteKey(target artifact.Key, budget int, cfg attack.SubstituteConfig) artifact.Key {
+	return artifact.Key{
+		Kind:    "substitute",
+		Version: attack.SubstituteFormatVersion,
+		Fingerprint: artifact.Fingerprint("substitute", target.Fingerprint,
+			"budget", budget, cfg.Fingerprint()),
+	}
+}
+
+// CachedSubstitute returns the black-box substitute of the target monitor
+// stored under target, loading it from the artifact store when a current
+// entry exists and training (then persisting) it otherwise. queries builds
+// the attacker's query set, at most budget rows of inputs and the target's
+// answers; it runs only on a miss.
+func CachedSubstitute(store artifact.Store, target artifact.Key, budget int, cfg attack.SubstituteConfig,
+	queries func() (*mat.Matrix, []int, error)) (sub *nn.Model, hit bool, err error) {
+	create := func() error {
+		qx, qPred, cerr := queries()
+		if cerr != nil {
+			return cerr
+		}
+		sub, cerr = substituteFn(qx, qPred, cfg)
+		return cerr
+	}
+	if store == nil {
+		return sub, false, create()
+	}
+	hit, err = store.GetOrCreateFile(substituteKey(target, budget, cfg),
+		artifact.ReaderLoad(func(r io.Reader) error {
+			var lerr error
+			sub, lerr = nn.Load(r)
+			return lerr
+		}),
+		create,
+		func(w io.Writer) error { return sub.Save(w) },
+	)
+	return sub, hit, err
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/mat"
 	"repro/internal/metrics"
 )
 
@@ -124,8 +125,9 @@ const blackBoxQueryBudget = 600
 
 // Fig10 computes the robustness-error heatmap against black-box FGSM
 // attacks crafted on a substitute model trained from target queries. The
-// sweep cell is one (simulator, monitor) pair: the substitute is trained
-// once per pair, its input gradient is taken once, and every ε budget
+// sweep cell is one (simulator, monitor) pair: the substitute is resolved
+// once per pair (loaded from the artifact store when it holds one, trained
+// otherwise), its input gradient is taken once, and every ε budget
 // transfers from it, so parallel execution never retrains a substitute.
 //
 // Unlike Fig 9, every target prediction here (the substitute's query
@@ -140,28 +142,29 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 			return nil, err
 		}
 		m := sf.m
+		tc, _, err := c.SA.trainConfig(c.Monitor)
+		if err != nil {
+			return nil, err
+		}
 		// The attacker queries the target and fits the substitute to the
 		// responses. The query budget is limited — a realistic black-box
 		// constraint, and the reason transfer attacks are weaker than
-		// white-box ones (§IV-G).
-		qx, err := m.InputMatrix(c.SA.Train.Samples)
-		if err != nil {
-			return nil, err
-		}
-		if qx.Rows() > blackBoxQueryBudget {
-			qx, err = qx.SliceRows(0, blackBoxQueryBudget)
-			if err != nil {
-				return nil, err
-			}
-		}
-		qPred, err := m.PredictClasses(qx)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := attack.TrainSubstitute(qx, qPred, attack.SubstituteConfig{
-			Epochs: a.Config.Epochs,
-			Seed:   c.Seed,
-		})
+		// white-box ones (§IV-G). A stored substitute skips both.
+		sub, _, err := CachedSubstitute(ActiveStore(), monitorKey(c.SA.campaign, c.SA.cfg.TrainFrac, tc),
+			blackBoxQueryBudget, attack.SubstituteConfig{Epochs: a.Config.Epochs, Seed: c.Seed},
+			func() (*mat.Matrix, []int, error) {
+				qx, err := m.InputMatrix(c.SA.Train.Samples)
+				if err != nil {
+					return nil, nil, err
+				}
+				if qx.Rows() > blackBoxQueryBudget {
+					if qx, err = qx.SliceRows(0, blackBoxQueryBudget); err != nil {
+						return nil, nil, err
+					}
+				}
+				qPred, err := m.PredictClasses(qx)
+				return qx, qPred, err
+			})
 		if err != nil {
 			return nil, cellErr("fig10 substitute", c, err)
 		}

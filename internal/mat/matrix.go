@@ -400,10 +400,22 @@ func (m *Dense[T]) SliceRows(from, to int) (*Dense[T], error) {
 // re-gathering; the serving batcher, to run a fused classify over just the
 // occupied prefix of its staging buffer.
 func (m *Dense[T]) RowsView(from, to int) (*Dense[T], error) {
-	if from < 0 || to > m.rows || from > to {
-		return nil, fmt.Errorf("%w: RowsView [%d,%d) of %d rows", ErrShape, from, to, m.rows)
+	v := &Dense[T]{}
+	if err := m.RowsViewInto(v, from, to); err != nil {
+		return nil, err
 	}
-	return &Dense[T]{rows: to - from, cols: m.cols, data: m.data[from*m.cols : to*m.cols]}, nil
+	return v, nil
+}
+
+// RowsViewInto is RowsView into a caller-owned header: it points view at
+// rows [from, to) of m without allocating, so a loop over row tiles of one
+// matrix reuses a single header.
+func (m *Dense[T]) RowsViewInto(view *Dense[T], from, to int) error {
+	if from < 0 || to > m.rows || from > to {
+		return fmt.Errorf("%w: RowsView [%d,%d) of %d rows", ErrShape, from, to, m.rows)
+	}
+	*view = Dense[T]{rows: to - from, cols: m.cols, data: m.data[from*m.cols : to*m.cols]}
+	return nil
 }
 
 // SliceColsInto copies columns [from, to) of m into a caller-owned

@@ -14,6 +14,14 @@
 // under memory pressure and faults them back in on the next read; leaking
 // the virtual range is the price of never dangling.
 //
+// Because regions live forever, Open interns them: every Open of one file
+// returns the same Region, so a process that loads one artifact many times
+// holds one mapping of it, not one per load. The intern table is keyed by
+// path and file identity (device, inode, size). The artifact store
+// publishes by rename, so a regenerated entry is a new inode and maps anew,
+// and since a mapping keeps its inode allocated, an inode number cannot be
+// reused under a live key. The copying fallback is not interned.
+//
 // Everything returned from this package is read-only by contract: the
 // kernel maps the pages without PROT_WRITE, so a write through a borrowed
 // view is a segfault, not a corruption. The repo-wide viewsafe lint
@@ -26,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -45,6 +54,24 @@ func (r *Region) Data() []byte { return r.data }
 // (true) or privately copied (false).
 func (r *Region) Mapped() bool { return r.mapped }
 
+// regionKey identifies one mapped file: its path and its identity on disk.
+type regionKey struct {
+	path string
+	id   fileID
+}
+
+var (
+	internMu sync.Mutex
+	interned = map[regionKey]*Region{}
+	mappings atomic.Int64
+)
+
+// Mappings returns how many files this process has mapped so far. A
+// repeated Open of an unchanged file reuses its Region and does not count.
+//
+//apslint:allow reach test seam: the experiments tests pin that repeated Builds map each campaign once through it
+func Mappings() int64 { return mappings.Load() }
+
 // disabled is the process-wide -no-mmap switch (1 = copy, never map).
 var disabled atomic.Bool
 
@@ -63,7 +90,8 @@ func Supported() bool { return mmapSupported }
 
 // Open returns a read-only Region over the whole file at path: a borrowed
 // mapping when the platform supports it and mapping is enabled, a private
-// copy otherwise. Mapping failures (exotic filesystems, mount options)
+// copy otherwise. A file already mapped, and unchanged since, returns its
+// existing Region. Mapping failures (exotic filesystems, mount options)
 // degrade to the copying path, never to an error the caller must branch
 // on.
 func Open(path string) (*Region, error) {
@@ -86,11 +114,20 @@ func Open(path string) (*Region, error) {
 	if size != int64(int(size)) {
 		return readAll(path) // larger than the address space can map
 	}
+	key := regionKey{path: path, id: identify(st)}
+	internMu.Lock()
+	defer internMu.Unlock()
+	if r := interned[key]; r != nil {
+		return r, nil
+	}
 	b, err := mapFile(f, int(size))
 	if err != nil {
 		return readAll(path)
 	}
-	return &Region{data: b, mapped: true}, nil
+	r := &Region{data: b, mapped: true}
+	interned[key] = r
+	mappings.Add(1)
+	return r, nil
 }
 
 // readAll is the copying fallback behind Open.

@@ -139,3 +139,49 @@ func TestFloat64sEmpty(t *testing.T) {
 		t.Fatal("empty block must yield nil, no view")
 	}
 }
+
+// TestOpenInternsByFileIdentity pins the intern table: a second Open of an
+// unchanged file returns the same Region without a new mapping, and a file
+// replaced by rename (a new inode, as the artifact store publishes) is
+// mapped anew and serves its new bytes, even at the same size.
+func TestOpenInternsByFileIdentity(t *testing.T) {
+	if !Supported() {
+		t.Skip("no mmap on this platform")
+	}
+	old := bytes.Repeat([]byte{0x11}, 4096)
+	path := writeTemp(t, old)
+	before := Mappings()
+	r1, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 || !r1.Mapped() {
+		t.Fatalf("reopening an unchanged file gave a new region (same: %v, mapped: %v)", r1 == r2, r1.Mapped())
+	}
+	if n := Mappings() - before; n != 1 {
+		t.Fatalf("two Opens of one file made %d mappings, want 1", n)
+	}
+
+	fresh := bytes.Repeat([]byte{0x22}, len(old))
+	tmp := path + ".new"
+	if err := os.WriteFile(tmp, fresh, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	r3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3 == r1 || !bytes.Equal(r3.Data(), fresh) {
+		t.Fatalf("replaced file served the old region (same: %v, first byte %#x)", r3 == r1, r3.Data()[0])
+	}
+	if !bytes.Equal(r1.Data(), old) {
+		t.Fatal("the old region changed under its views")
+	}
+}

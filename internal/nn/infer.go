@@ -13,31 +13,74 @@ import (
 // mutate themselves: all intermediate activations live in a workspace, so
 // any number of goroutines may share one InferModel concurrently.
 //
+// Infer and ClassifyInto push their input through the stack inferTile rows
+// at a time on a workspace drawn from a per-model pool, so the scratch
+// stays tile-sized however large the batch, and a steady stream of calls
+// performs zero allocations, whatever mix of batch sizes it carries.
+//
 // Two instantiations exist:
-//   - InferModel[float32], built by Freeze: the weights are quantized once,
-//     inference runs through the 8-wide float32 kernels, and workspaces are
-//     pooled per goroutine, so a steady-state Infer performs zero
-//     allocations. It snapshots the weights and is never serialized:
-//     monitor.Save persists the canonical f64 model, and the twin is rebuilt
-//     lazily after Load.
+//   - InferModel[float32], built by Freeze: the weights are quantized once
+//     and inference runs through the 8-wide float32 kernels. It snapshots
+//     the weights and is never serialized: monitor.Save persists the
+//     canonical f64 model, and the twin is rebuilt lazily after Load.
 //   - InferModel[float64], built once inside each Model (Model.Stack): its
 //     layers alias the live f64 weights, so it always computes exactly what
-//     Forward does. Model.Infer and Model.ClassifyInto run it on a fresh
-//     per-call workspace.
+//     Forward does. Model.ClassifyInto runs it on the pool like any other
+//     caller; Model.Infer, which hands its logits to the caller, runs it
+//     untiled on a workspace of its own.
 type InferModel[T mat.Float] struct {
 	inSize, outSize int
 	layers          []inferLayer[T]
 	pool            sync.Pool // *inferWorkspace[T]
 }
 
+// inferTile is how many rows Infer and ClassifyInto push through the stack
+// at once. Every inference kernel computes each row on its own (the
+// per-row products, zero-skip and epilogues), so the tile size cannot move
+// a bit; it only bounds the scratch, which at 64 rows stays in cache where
+// a whole test set would not.
+const inferTile = 64
+
 // inferWorkspace holds one goroutine's per-layer scratch. Each layer owns
-// one slot and re-creates its contents when the batch shape changes, so a
-// workspace reused at a steady batch size allocates nothing.
+// one slot of grow-only scratch (growScratch), so a workspace reused at any
+// batch size up to the largest it has seen allocates nothing.
 type inferWorkspace[T mat.Float] struct {
 	slots []any
+	// tile is the header the tiled paths point at each input tile in turn.
+	tile mat.Dense[T]
 	// in1 is the reusable 1×inSize input staging row for Classify1, created
 	// on the workspace's first single-row call.
 	in1 *mat.Dense[T]
+}
+
+// growScratch is one grow-only scratch matrix: it reallocates only when a
+// batch needs more rows than it holds (or another width), and a smaller
+// batch gets a prefix of it through a header it owns, so switching batch
+// sizes allocates nothing.
+type growScratch[T mat.Float] struct {
+	buf  *mat.Dense[T]
+	view mat.Dense[T]
+}
+
+// get returns a rows×cols matrix whose contents are whatever the last use
+// left behind; callers overwrite it in full.
+func (s *growScratch[T]) get(rows, cols int) *mat.Dense[T] {
+	if s.buf == nil || s.buf.Rows() < rows || s.buf.Cols() != cols {
+		s.buf = mat.NewDense[T](rows, cols)
+	}
+	_ = s.buf.RowsViewInto(&s.view, 0, rows) // 0 ≤ rows ≤ buf.Rows()
+	return &s.view
+}
+
+// scratchIn returns the growScratch kept in a layer's workspace slot,
+// creating it on first use.
+func scratchIn[T mat.Float](slot *any) *growScratch[T] {
+	s, ok := (*slot).(*growScratch[T])
+	if !ok {
+		s = &growScratch[T]{}
+		*slot = s
+	}
+	return s
 }
 
 // inferLayer is a frozen, read-only layer: infer computes the layer output
@@ -116,38 +159,48 @@ func (im *InferModel[T]) run(ws *inferWorkspace[T], x *mat.Dense[T]) (*mat.Dense
 	return out, nil
 }
 
-// Infer computes logits for a batch into dst (batch × OutputSize). At a
-// steady batch size it performs zero allocations; concurrent callers each
-// draw a private workspace from the pool.
+// tiles pushes x through the stack inferTile rows at a time on a pooled
+// workspace and hands emit each tile's first row and its workspace-owned
+// logits.
+func (im *InferModel[T]) tiles(x *mat.Dense[T], emit func(lo int, logits *mat.Dense[T])) error {
+	ws := im.pool.Get().(*inferWorkspace[T])
+	defer im.pool.Put(ws)
+	for lo := 0; lo < x.Rows(); lo += inferTile {
+		if err := x.RowsViewInto(&ws.tile, lo, min(lo+inferTile, x.Rows())); err != nil {
+			return err
+		}
+		logits, err := im.run(ws, &ws.tile)
+		if err != nil {
+			return err
+		}
+		emit(lo, logits)
+	}
+	return nil
+}
+
+// Infer computes logits for a batch into dst (batch × OutputSize) on a
+// pooled workspace, so concurrent callers never share scratch.
 //
 //apslint:allow reach test seam: the nn tests compare frozen against training logits and pin the pooled zero-alloc contract through it
 func (im *InferModel[T]) Infer(x, dst *mat.Dense[T]) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: infer: %d input cols, want %d", x.Cols(), im.inSize)
 	}
-	ws := im.pool.Get().(*inferWorkspace[T])
-	defer im.pool.Put(ws)
-	out, err := im.run(ws, x)
-	if err != nil {
-		return err
+	if dst.Rows() != x.Rows() || dst.Cols() != im.outSize {
+		return fmt.Errorf("%w: infer dst %dx%d, want %dx%d", mat.ErrShape, dst.Rows(), dst.Cols(), x.Rows(), im.outSize)
 	}
-	return dst.CopyFrom(out)
+	return im.tiles(x, func(lo int, logits *mat.Dense[T]) {
+		copy(dst.Data()[lo*im.outSize:], logits.Data())
+	})
 }
 
 // ClassifyInto computes, per input row, the argmax class and its softmax
 // probability, written into classes and conf (conf may be nil). Both slices
 // must have x.Rows() entries. The softmax epilogue accumulates in float64
 // with a fixed iteration order, so results do not depend on the worker
-// count.
+// count or the tiling. This is the one logits→class epilogue behind every
+// batch classification, at either precision.
 func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []float64) error {
-	ws := im.pool.Get().(*inferWorkspace[T])
-	defer im.pool.Put(ws)
-	return im.classifyInto(ws, x, classes, conf)
-}
-
-// classifyInto is ClassifyInto on the workspace ws — the one logits→class
-// epilogue behind every batch classification, at either precision.
-func (im *InferModel[T]) classifyInto(ws *inferWorkspace[T], x *mat.Dense[T], classes []int, conf []float64) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: classify: %d input cols, want %d", x.Cols(), im.inSize)
 	}
@@ -157,18 +210,15 @@ func (im *InferModel[T]) classifyInto(ws *inferWorkspace[T], x *mat.Dense[T], cl
 	if conf != nil && len(conf) != x.Rows() {
 		return fmt.Errorf("nn: classify: %d confidence slots for %d rows", len(conf), x.Rows())
 	}
-	logits, err := im.run(ws, x)
-	if err != nil {
-		return err
-	}
-	for i := range classes {
-		if conf == nil {
-			classes[i] = argmax(logits.Row(i))
-		} else {
-			classes[i], conf[i] = classifyRow(logits.Row(i))
+	return im.tiles(x, func(lo int, logits *mat.Dense[T]) {
+		for i := 0; i < logits.Rows(); i++ {
+			if conf == nil {
+				classes[lo+i] = argmax(logits.Row(i))
+			} else {
+				classes[lo+i], conf[lo+i] = classifyRow(logits.Row(i))
+			}
 		}
-	}
-	return nil
+	})
 }
 
 // Classify1 scores a single feature row: the argmax class and its softmax
@@ -208,7 +258,7 @@ func argmax[T mat.Float](row []T) int {
 	return best
 }
 
-// classifyRow is the softmax epilogue shared by classifyInto and Classify1:
+// classifyRow is the softmax epilogue shared by ClassifyInto and Classify1:
 // the argmax of one logit row (the first maximum wins ties) and its softmax
 // probability, 1/Σexp(v−max), accumulated in float64 in index order so the
 // confidence does not depend on how the batch was split.
@@ -232,11 +282,7 @@ type denseInfer[T mat.Float] struct {
 func (d *denseInfer[T]) name() string { return "dense" }
 
 func (d *denseInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
-	y, ok := (*slot).(*mat.Dense[T])
-	if !ok || y.Rows() != x.Rows() {
-		y = mat.NewDense[T](x.Rows(), d.out)
-		*slot = y
-	}
+	y := scratchIn[T](slot).get(x.Rows(), d.out)
 	if err := mat.MatMulInto(y, x, d.w); err != nil {
 		return nil, err
 	}
@@ -271,11 +317,7 @@ func (a *actInfer[T]) name() string {
 }
 
 func (a *actInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
-	y, ok := (*slot).(*mat.Dense[T])
-	if !ok || y.Rows() != x.Rows() || y.Cols() != x.Cols() {
-		y = mat.NewDense[T](x.Rows(), x.Cols())
-		*slot = y
-	}
+	y := scratchIn[T](slot).get(x.Rows(), x.Cols())
 	switch a.kind {
 	case actReLU:
 		return y, mat.ReLUInto(y, x)
@@ -307,15 +349,13 @@ type lstmInfer[T mat.Float] struct {
 	b  *mat.Dense[T] // 1 × 4·hidden
 }
 
-// lstmInferScratch is the per-workspace recurrence state, sized for one
-// batch shape.
+// lstmInferScratch is the per-workspace recurrence state.
 type lstmInferScratch[T mat.Float] struct {
-	batch  int
-	xt     *mat.Dense[T] // per-step input (batch × inputSize)
-	z, zh  *mat.Dense[T] // packed pre-activations (batch × 4·hidden)
-	h, c   *mat.Dense[T] // hidden / cell state (batch × hidden)
-	gates  []T           // lstmCell's discarded activations (5·hidden)
-	seqOut *mat.Dense[T] // stacked hidden states when returnSeqs
+	xt     growScratch[T] // per-step input (batch × inputSize)
+	z, zh  growScratch[T] // packed pre-activations (batch × 4·hidden)
+	h, c   growScratch[T] // hidden / cell state (batch × hidden)
+	seqOut growScratch[T] // stacked hidden states when returnSeqs
+	gates  []T            // lstmCell's discarded activations (5·hidden)
 }
 
 func (l *lstmInfer[T]) name() string { return "lstm" }
@@ -327,54 +367,46 @@ func (l *lstmInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) 
 	batch := x.Rows()
 	H := l.hidden
 	ws, ok := (*slot).(*lstmInferScratch[T])
-	if !ok || ws.batch != batch {
-		ws = &lstmInferScratch[T]{
-			batch: batch,
-			xt:    mat.NewDense[T](batch, l.inputSize),
-			z:     mat.NewDense[T](batch, 4*H),
-			zh:    mat.NewDense[T](batch, 4*H),
-			h:     mat.NewDense[T](batch, H),
-			c:     mat.NewDense[T](batch, H),
-			gates: make([]T, 5*H),
-		}
-		if l.returnSeqs {
-			ws.seqOut = mat.NewDense[T](batch, l.steps*H)
-		}
+	if !ok {
+		ws = &lstmInferScratch[T]{gates: make([]T, 5*H)}
 		*slot = ws
 	}
-	ws.h.Zero()
-	ws.c.Zero()
+	xt := ws.xt.get(batch, l.inputSize)
+	z, zh := ws.z.get(batch, 4*H), ws.zh.get(batch, 4*H)
+	h, c := ws.h.get(batch, H), ws.c.get(batch, H)
+	var seqOut *mat.Dense[T]
+	if l.returnSeqs {
+		seqOut = ws.seqOut.get(batch, l.steps*H)
+	}
+	h.Zero()
+	c.Zero()
+	b := l.b.Data()
 	for t := 0; t < l.steps; t++ {
-		if err := mat.SliceColsInto(ws.xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
+		if err := mat.SliceColsInto(xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer step %d: %w", t, err)
 		}
-		if err := mat.MatMulInto(ws.z, ws.xt, l.wx); err != nil {
+		if err := mat.MatMulInto(z, xt, l.wx); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer Wx step %d: %w", t, err)
 		}
-		if err := mat.MatMulInto(ws.zh, ws.h, l.wh); err != nil {
+		if err := mat.MatMulInto(zh, h, l.wh); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer Wh step %d: %w", t, err)
-		}
-		if err := ws.z.AddInPlace(ws.zh); err != nil {
-			return nil, err
-		}
-		if err := ws.z.AddRowVector(l.b); err != nil {
-			return nil, err
 		}
 		// zh was computed from the previous h above, so updating h and c in
 		// place is safe.
 		g := ws.gates
 		for i := 0; i < batch; i++ {
-			cr := ws.c.Row(i)
-			lstmCell(ws.z.Row(i), cr, cr, ws.h.Row(i), g[:H], g[H:2*H], g[2*H:3*H], g[3*H:4*H], g[4*H:])
+			zr, cr := z.Row(i), c.Row(i)
+			addPreact(zr, zh.Row(i), b)
+			lstmCell(zr, cr, cr, h.Row(i), g[:H], g[H:2*H], g[2*H:3*H], g[3*H:4*H], g[4*H:])
 		}
 		if l.returnSeqs {
-			if err := ws.seqOut.SetCols(t*H, ws.h); err != nil {
+			if err := seqOut.SetCols(t*H, h); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if l.returnSeqs {
-		return ws.seqOut, nil
+		return seqOut, nil
 	}
-	return ws.h, nil
+	return h, nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -258,6 +259,113 @@ func TestInferModelZeroAlloc(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Fatalf("%s: ClassifyInto allocates %v objects per run in steady state", name, allocs)
+		}
+
+		// Changing batch sizes (16→7→16) and a batch of three tiles, the
+		// last one short, reuse the grown scratch: after one pass over the
+		// sequence, the f32 twin and the f64 model classify and infer
+		// without allocating.
+		var batches []*mat.Matrix
+		for _, rows := range []int{16, 7, 16, 3*inferTile - 5} {
+			batches = append(batches, randBatch(rng, rows, m.InputSize()))
+		}
+		xs32 := make([]*mat.Dense[float32], len(batches))
+		dsts := make([]*mat.Dense[float32], len(batches))
+		for i, b := range batches {
+			xs32[i] = mat.ToFloat32(b)
+			dsts[i] = mat.NewDense[float32](b.Rows(), m.OutputSize())
+		}
+		classes = make([]int, batches[len(batches)-1].Rows())
+		conf = make([]float64, len(classes))
+		run := func() {
+			for i, b := range batches {
+				n := b.Rows()
+				if err := im.Infer(xs32[i], dsts[i]); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := im.ClassifyInto(xs32[i], classes[:n], conf[:n]); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := m.ClassifyInto(b, classes[:n], nil); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Fatalf("%s: the 16→7→16→3-tile sequence allocates %v objects per run", name, allocs)
+		}
+	}
+}
+
+// tileBatch is a rows×cols batch of random rows in which every third row
+// carries one of NaN, ±Inf and −0 in alternate columns, so non-finite rows
+// land in every tile and at tile edges.
+func tileBatch(rng *rand.Rand, rows, cols int) *mat.Matrix {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	x := randBatch(rng, rows, cols)
+	for i := 0; i < rows; i += 3 {
+		v := specials[(i/3)%len(specials)]
+		for j := i % 2; j < cols; j += 2 {
+			x.Set(i, j, v)
+		}
+	}
+	return x
+}
+
+// checkTiled compares im's tiled Infer and ClassifyInto on x bit for bit
+// against the whole batch pushed through the stack at once.
+func checkTiled[T mat.Float](t *testing.T, label string, im *InferModel[T], x *mat.Dense[T]) {
+	t.Helper()
+	want, err := im.run(im.newWorkspace(), x)
+	if err != nil {
+		t.Fatalf("%s: untiled run: %v", label, err)
+	}
+	rows := x.Rows()
+	got := mat.NewDense[T](rows, im.outSize)
+	if err := im.Infer(x, got); err != nil {
+		t.Fatalf("%s: Infer: %v", label, err)
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+			t.Fatalf("%s: logit %d: tiled %v, untiled %v", label, i, g, w)
+		}
+	}
+	classes, bare, conf := make([]int, rows), make([]int, rows), make([]float64, rows)
+	if err := im.ClassifyInto(x, classes, conf); err != nil {
+		t.Fatalf("%s: ClassifyInto: %v", label, err)
+	}
+	if err := im.ClassifyInto(x, bare, nil); err != nil {
+		t.Fatalf("%s: ClassifyInto without conf: %v", label, err)
+	}
+	for i := 0; i < rows; i++ {
+		wc, wconf := classifyRow(want.Row(i))
+		if classes[i] != wc || math.Float64bits(conf[i]) != math.Float64bits(wconf) || bare[i] != argmax(want.Row(i)) {
+			t.Fatalf("%s: row %d: tiled class %d/%d conf %v, untiled class %d conf %v",
+				label, i, classes[i], bare[i], conf[i], wc, wconf)
+		}
+	}
+}
+
+// TestTiledInferenceMatchesUntiled pins that running inference in
+// inferTile-row tiles moves no bit: logits, argmax classes and softmax
+// confidences equal the untiled stack's at batch sizes around the tile
+// edges, at both precisions, with non-finite inputs in the batch.
+func TestTiledInferenceMatchesUntiled(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for name, m := range freezeTestModels(t, rng) {
+		im32, err := m.Freeze()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		im64, err := m.Stack()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rows := range []int{0, 1, inferTile - 1, inferTile, inferTile + 1, 200} {
+			x := tileBatch(rng, rows, m.InputSize())
+			checkTiled(t, fmt.Sprintf("%s f64 %d rows", name, rows), im64, x)
+			checkTiled(t, fmt.Sprintf("%s f32 %d rows", name, rows), im32, mat.ToFloat32(x))
 		}
 	}
 }

@@ -59,7 +59,7 @@ type lstmScratch struct {
 
 	// Backward temporaries.
 	dz       *mat.Matrix // gate pre-activation grads (batch × 4·hidden)
-	dhA, dhB *mat.Matrix // recurrent / staged hidden-state grads
+	dhNext   *mat.Matrix // recurrent hidden-state grad
 	dcA, dcB *mat.Matrix // cell-state grads (ping-pong)
 	dxt      *mat.Matrix // per-step input grad
 	gradX    *mat.Matrix // full input grad (batch × steps·inputSize)
@@ -125,26 +125,25 @@ func newLSTMScratch(l *LSTM, batch int) *lstmScratch {
 		return ms
 	}
 	ws := &lstmScratch{
-		batch: batch,
-		xs:    perStep(l.inputSize),
-		is:    perStep(H),
-		fs:    perStep(H),
-		gs:    perStep(H),
-		os:    perStep(H),
-		cs:    perStep(H),
-		hs:    perStep(H),
-		tcs:   perStep(H),
-		z:     mat.New(batch, 4*H),
-		zh:    mat.New(batch, 4*H),
-		h0:    mat.New(batch, H),
-		c0:    mat.New(batch, H),
-		dz:    mat.New(batch, 4*H),
-		dhA:   mat.New(batch, H),
-		dhB:   mat.New(batch, H),
-		dcA:   mat.New(batch, H),
-		dcB:   mat.New(batch, H),
-		dxt:   mat.New(batch, l.inputSize),
-		gradX: mat.New(batch, T*l.inputSize),
+		batch:  batch,
+		xs:     perStep(l.inputSize),
+		is:     perStep(H),
+		fs:     perStep(H),
+		gs:     perStep(H),
+		os:     perStep(H),
+		cs:     perStep(H),
+		hs:     perStep(H),
+		tcs:    perStep(H),
+		z:      mat.New(batch, 4*H),
+		zh:     mat.New(batch, 4*H),
+		h0:     mat.New(batch, H),
+		c0:     mat.New(batch, H),
+		dz:     mat.New(batch, 4*H),
+		dhNext: mat.New(batch, H),
+		dcA:    mat.New(batch, H),
+		dcB:    mat.New(batch, H),
+		dxt:    mat.New(batch, l.inputSize),
+		gradX:  mat.New(batch, T*l.inputSize),
 	}
 	if l.returnSeqs {
 		ws.seqOut = mat.New(batch, T*H)
@@ -196,14 +195,9 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		if err := mat.MatMulInto(ws.zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
-		if err := ws.z.AddInPlace(ws.zh); err != nil {
-			return nil, err
-		}
-		if err := ws.z.AddRowVector(l.b.W); err != nil {
-			return nil, err
-		}
 
 		for i := 0; i < batch; i++ {
+			addPreact(ws.z.Row(i), ws.zh.Row(i), l.b.W.Data())
 			lstmCell(ws.z.Row(i), cell.Row(i), ws.cs[t].Row(i), ws.hs[t].Row(i),
 				ws.is[t].Row(i), ws.fs[t].Row(i), ws.gs[t].Row(i), ws.os[t].Row(i), ws.tcs[t].Row(i))
 		}
@@ -246,6 +240,17 @@ func (l *LSTM) Replicate() Layer {
 		wx:         shareParam(l.wx),
 		wh:         shareParam(l.wh),
 		b:          shareParam(l.b),
+	}
+}
+
+// addPreact completes one row of a step's gate pre-activations, z = (z +
+// zh) + b: the input product plus the recurrent product plus the bias, in
+// that operand order (it decides which NaN survives, see lstmCell). Forward
+// and the frozen stack both call it just before lstmCell.
+func addPreact[T mat.Float](z, zh, b []T) {
+	zh, b = zh[:len(z)], b[:len(z)]
+	for j := range z {
+		z[j] = (z[j] + zh[j]) + b[j]
 	}
 }
 
@@ -329,31 +334,22 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 			gradOut.Rows(), gradOut.Cols(), batch, wantCols)
 	}
 
-	dhNext, dhStage := ws.dhA, ws.dhB
+	dhNext := ws.dhNext
 	dcNext, dcPrev := ws.dcA, ws.dcB
 	dhNext.Zero()
 	dcNext.Zero()
 	dz := ws.dz
+	bg := l.b.G.Data()
 
 	for t := l.steps - 1; t >= 0; t-- {
-		// dh = upstream output grad at step t (if any) + recurrent grad.
-		dh := dhNext
+		// dh = upstream output grad at step t (if any) + recurrent grad:
+		// the return-sequences layer takes its step-t column block, the
+		// last-step layer all of gradOut at the final step only.
+		upOff := -1
 		if l.returnSeqs {
-			if err := mat.SliceColsInto(dhStage, gradOut, t*H, (t+1)*H); err != nil {
-				return nil, err
-			}
-			if err := dhStage.AddInPlace(dhNext); err != nil {
-				return nil, err
-			}
-			dh = dhStage
+			upOff = t * H
 		} else if t == l.steps-1 {
-			if err := dhStage.CopyFrom(gradOut); err != nil {
-				return nil, err
-			}
-			if err := dhStage.AddInPlace(dhNext); err != nil {
-				return nil, err
-			}
-			dh = dhStage
+			upOff = 0
 		}
 
 		cPrev := ws.c0
@@ -362,23 +358,36 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 		}
 
 		for i := 0; i < batch; i++ {
-			dhr, dcr := dh.Row(i), dcNext.Row(i)
+			dnr, dcr := dhNext.Row(i), dcNext.Row(i)
+			var upr []float64
+			if upOff >= 0 {
+				upr = gradOut.Row(i)[upOff : upOff+H]
+			}
 			ir, fr, gr, or := ws.is[t].Row(i), ws.fs[t].Row(i), ws.gs[t].Row(i), ws.os[t].Row(i)
 			tcr, cpr := ws.tcs[t].Row(i), cPrev.Row(i)
 			dzr := dz.Row(i)
 			dcpr := dcPrev.Row(i)
 			for j := 0; j < H; j++ {
+				dh := dnr[j]
+				if upr != nil {
+					dh = upr[j] + dnr[j]
+				}
 				// Total cell gradient: from h gate and from future cell.
-				dc := dcr[j] + dhr[j]*or[j]*(1-tcr[j]*tcr[j])
-				do := dhr[j] * tcr[j]
+				dc := dcr[j] + dh*or[j]*(1-tcr[j]*tcr[j])
+				do := dh * tcr[j]
 				di := dc * gr[j]
 				df := dc * cpr[j]
 				dg := dc * ir[j]
-				// Pre-activation gradients.
+				// Pre-activation gradients, each also summed into the bias
+				// gradient row by row in row order.
 				dzr[0*H+j] = di * ir[j] * (1 - ir[j])
 				dzr[1*H+j] = df * fr[j] * (1 - fr[j])
 				dzr[2*H+j] = dg * (1 - gr[j]*gr[j])
 				dzr[3*H+j] = do * or[j] * (1 - or[j])
+				bg[0*H+j] += dzr[0*H+j]
+				bg[1*H+j] += dzr[1*H+j]
+				bg[2*H+j] += dzr[2*H+j]
+				bg[3*H+j] += dzr[3*H+j]
 				dcpr[j] = dc * fr[j]
 			}
 		}
@@ -392,9 +401,6 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 			hPrev = ws.hs[t-1]
 		}
 		if err := mat.TMatMulAddInto(l.wh.G, hPrev, dz); err != nil {
-			return nil, err
-		}
-		if err := mat.AddSumRows(l.b.G, dz); err != nil {
 			return nil, err
 		}
 

@@ -86,8 +86,8 @@ func (m *Model) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 }
 
 // Stack returns the f64 frozen stack over the live weights, built on first
-// use. Its own methods draw pooled workspaces, which suits bounded batches
-// (serving); Infer and ClassifyInto below run it on per-call workspaces.
+// use. Its own methods, and ClassifyInto below, run tiled on pooled
+// workspaces; Infer below runs it on a per-call workspace.
 func (m *Model) Stack() (*InferModel[float64], error) {
 	m.inferOnce.Do(func() {
 		m.infer, m.inferErr = freeze(m, func(w *mat.Matrix) *mat.Matrix { return w })
@@ -112,16 +112,16 @@ func (m *Model) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	return im.run(im.newWorkspace(), x)
 }
 
-// ClassifyInto is InferModel.ClassifyInto over the live f64 weights, on a
-// workspace private to the call: the argmax class per row and, when conf is
-// non-nil, its softmax probability. Safe for concurrent use on a shared
-// model.
+// ClassifyInto is InferModel.ClassifyInto over the live f64 weights: the
+// argmax class per row and, when conf is non-nil, its softmax probability,
+// computed in tiles on a workspace drawn from the stack's pool. Safe for
+// concurrent use on a shared model.
 func (m *Model) ClassifyInto(x *mat.Matrix, classes []int, conf []float64) error {
 	im, err := m.Stack()
 	if err != nil {
 		return err
 	}
-	return im.classifyInto(im.newWorkspace(), x, classes, conf)
+	return im.ClassifyInto(x, classes, conf)
 }
 
 // PredictClasses returns the argmax class per row (ClassifyInto without
