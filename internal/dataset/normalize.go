@@ -73,8 +73,8 @@ func (n *Normalizer) Invert(x *mat.Matrix) {
 
 // ApplyRow standardizes a single feature vector, returning a copy.
 func (n *Normalizer) ApplyRow(row []float64) ([]float64, error) {
-	if len(row) != len(n.Mean) {
-		return nil, fmt.Errorf("dataset: normalize row of %d values with %d stats", len(row), len(n.Mean))
+	if len(row) != len(n.Mean) || len(row) != len(n.Std) {
+		return nil, fmt.Errorf("dataset: normalize row of %d values with %d means and %d deviations", len(row), len(n.Mean), len(n.Std))
 	}
 	out := make([]float64, len(row))
 	for j, v := range row {
@@ -87,8 +87,8 @@ func (n *Normalizer) ApplyRow(row []float64) ([]float64, error) {
 // destination — the allocation-free form of ApplyRow for hot per-sample
 // paths (the serving sessions stage batcher rows through it).
 func (n *Normalizer) ApplyRowInto(dst, row []float64) error {
-	if len(row) != len(n.Mean) {
-		return fmt.Errorf("dataset: normalize row of %d values with %d stats", len(row), len(n.Mean))
+	if len(row) != len(n.Mean) || len(row) != len(n.Std) {
+		return fmt.Errorf("dataset: normalize row of %d values with %d means and %d deviations", len(row), len(n.Mean), len(n.Std))
 	}
 	if len(dst) != len(row) {
 		return fmt.Errorf("dataset: normalize %d values into %d slots", len(row), len(dst))

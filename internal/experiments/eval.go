@@ -83,14 +83,15 @@ func gaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, orig []int,
 
 // FGSMPerturbation crafts white-box adversarial inputs against the monitor's
 // own model using the true labels (Eqs 3-4). The gradient pass records
-// backward state on the model, so each invocation attacks a private clone,
-// which lets concurrent callers share one trained monitor. Every invocation
+// backward state on the model, so each invocation attacks a private
+// replica (shared weights, private caches and gradients), which lets
+// concurrent callers share one trained monitor. Every invocation
 // recomputes the input gradient; the figure sweeps instead share one
 // gradient per (simulator, monitor) through the pair's attack surface and
 // apply attack.FGSMStep per ε, with identical results.
 func FGSMPerturbation(m *monitor.MLMonitor, labels []int, eps float64) Perturbation {
 	return func(x *mat.Matrix) (*mat.Matrix, error) {
-		model, err := m.Model().Clone()
+		model, err := m.Model().Replicate()
 		if err != nil {
 			return nil, err
 		}
@@ -103,13 +104,13 @@ func FGSMPerturbation(m *monitor.MLMonitor, labels []int, eps float64) Perturbat
 // Eq (2) indicators (dataset.Knowledge) when the monitor was trained with
 // the semantic loss, so Custom monitors are attacked on the loss surface
 // they were trained on — the plain losses ignore it, so passing it
-// unconditionally is safe. Each invocation attacks a private clone, letting
-// concurrent callers share one trained monitor. Unlike FGSM, every PGD
+// unconditionally is safe. Each invocation attacks a private replica,
+// letting concurrent callers share one trained monitor. Unlike FGSM, every PGD
 // iteration takes the gradient at the current adversarial point, so no
 // part of it can be shared across budgets.
 func PGDPerturbation(m *monitor.MLMonitor, labels []int, knowledge []float64, cfg attack.PGDConfig) Perturbation {
 	return func(x *mat.Matrix) (*mat.Matrix, error) {
-		model, err := m.Model().Clone()
+		model, err := m.Model().Replicate()
 		if err != nil {
 			return nil, err
 		}

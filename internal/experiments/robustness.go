@@ -171,7 +171,7 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 		// Perturbations crafted on the substitute using the target's
 		// (observed) predictions as labels, then transferred. The
 		// substitute is private to this cell, so its gradient needs no
-		// clone.
+		// replica.
 		tx, tPred := sf.x, sf.f64
 		grad, err := sub.InputGradient(tx, tPred, nil)
 		if err != nil {

@@ -17,7 +17,7 @@ type attackSurface struct {
 	// x is the normalized clean test matrix, InputMatrix(Test.Samples).
 	x *mat.Matrix
 	// grad is the white-box input gradient ∇_x J(x, TestLabels()) with no
-	// knowledge indicators, taken on a private clone of the model exactly
+	// knowledge indicators, taken on a private replica of the model exactly
 	// as FGSMPerturbation takes it.
 	grad *mat.Matrix
 	// f64 holds the clean classes on the canonical f64 path.
@@ -48,9 +48,9 @@ func (s *SimAssets) buildSurface(name string) (*attackSurface, error) {
 		return nil, err
 	}
 	// The gradient pass records backward state on the model, so it runs on
-	// a private clone and the shared monitor stays safe for concurrent
-	// inference.
-	model, err := m.Model().Clone()
+	// a private replica (shared weights, private caches and gradients) and
+	// the shared monitor stays safe for concurrent inference.
+	model, err := m.Model().Replicate()
 	if err != nil {
 		return nil, err
 	}

@@ -51,8 +51,10 @@ func NewDense[T Float](rows, cols int) *Dense[T] {
 func New(rows, cols int) *Matrix { return NewDense[float64](rows, cols) }
 
 // FromSlice builds a rows×cols matrix backed by a copy of data (row-major).
+// rows·cols is checked against len(data) without overflow, so the matrix
+// never costs more memory than data, whatever the dimensions claim.
 func FromSlice[T Float](rows, cols int, data []T) (*Dense[T], error) {
-	if len(data) != rows*cols {
+	if rows < 0 || cols < 0 || (rows > 0 && cols > math.MaxInt/rows) || len(data) != rows*cols {
 		return nil, fmt.Errorf("%w: %d values for %dx%d", ErrShape, len(data), rows, cols)
 	}
 	m := NewDense[T](rows, cols)
@@ -287,32 +289,9 @@ func (m *Dense[T]) Scale(s T) {
 	}
 }
 
-// MulInPlace multiplies m elementwise by b (m ⊙= b).
-func (m *Dense[T]) MulInPlace(b *Dense[T]) error {
-	if m.rows != b.rows || m.cols != b.cols {
-		return fmt.Errorf("%w: MulInPlace %dx%d ⊙= %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	for i, v := range b.data {
-		m.data[i] *= v
-	}
-	return nil
-}
-
-// ApplyInto computes dst = f(src) elementwise into a caller-owned
-// destination, allocation-free for training scratch.
-func ApplyInto[T Float](dst, src *Dense[T], f func(T) T) error {
-	if dst.rows != src.rows || dst.cols != src.cols {
-		return fmt.Errorf("%w: ApplyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
-	}
-	for i, v := range src.data {
-		dst.data[i] = f(v)
-	}
-	return nil
-}
-
-// ReLUInto computes dst = max(src, 0) elementwise: the branch-light special
-// case of ApplyInto on the frozen MLP hot path (no per-element function
-// call).
+// ReLUInto computes dst = max(src, 0) elementwise into a caller-owned
+// destination (a NaN maps to 0): the ReLU layer's forward pass, in training
+// and in the frozen stack.
 func ReLUInto[T Float](dst, src *Dense[T]) error {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		return fmt.Errorf("%w: ReLUInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)

@@ -210,6 +210,10 @@ func Load(r io.Reader) (*MLMonitor, error) {
 	if err := json.NewDecoder(br).Decode(&norm); err != nil {
 		return nil, fmt.Errorf("monitor: load normalizer: %w", err)
 	}
+	if n := model.InputSize(); len(norm.Mean) != n || len(norm.Std) != n {
+		return nil, fmt.Errorf("monitor: load normalizer: %d means and %d deviations for %d inputs",
+			len(norm.Mean), len(norm.Std), n)
+	}
 	return &MLMonitor{
 		arch:     arch,
 		custom:   custom,

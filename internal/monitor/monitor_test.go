@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"repro/internal/dataset"
 )
 
-func campaignSplits(t *testing.T, s dataset.Simulator) (*dataset.Dataset, *dataset.Dataset) {
+func campaignSplits(t testing.TB, s dataset.Simulator) (*dataset.Dataset, *dataset.Dataset) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.CampaignConfig{
 		Simulator:          s,
@@ -328,6 +329,92 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not a header at all\n")); err == nil {
 		t.Fatal("want error for malformed header")
 	}
+}
+
+// savedMonitors returns the Save bytes of a 1-epoch MLP monitor and a
+// 1-epoch LSTM monitor.
+func savedMonitors(tb testing.TB) map[Arch][]byte {
+	tb.Helper()
+	train, _ := campaignSplits(tb, dataset.Glucosym)
+	out := make(map[Arch][]byte)
+	for _, arch := range []Arch{ArchMLP, ArchLSTM} {
+		m, err := Train(train, TrainConfig{Arch: arch, Epochs: 1, Hidden1: 4, Hidden2: 3, Seed: 7})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out[arch] = buf.Bytes()
+	}
+	return out
+}
+
+// withNormalizer replaces the normalizer line, the last of a saved monitor.
+func withNormalizer(saved []byte, norm string) []byte {
+	lines := strings.SplitAfter(strings.TrimSuffix(string(saved), "\n"), "\n")
+	lines[len(lines)-1] = norm + "\n"
+	return []byte(strings.Join(lines, ""))
+}
+
+// TestLoadRejectsMismatchedNormalizer pins that Load checks the normalizer
+// against the model's input width: an entry whose normalizer line is {}
+// used to load and then panic in the first InputMatrix call.
+func TestLoadRejectsMismatchedNormalizer(t *testing.T) {
+	for arch, saved := range savedMonitors(t) {
+		m, err := Load(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("%v: valid entry: %v", arch, err)
+		}
+		n := m.Model().InputSize()
+		mean := strings.TrimSuffix(strings.Repeat("0,", n), ",")
+		for _, norm := range []string{
+			`{}`,
+			`null`,
+			fmt.Sprintf(`{"Mean":[%s],"Std":[%s,1]}`, mean, mean),
+			fmt.Sprintf(`{"Mean":[%s],"Std":[]}`, mean),
+		} {
+			if _, err := Load(bytes.NewReader(withNormalizer(saved, norm))); err == nil {
+				t.Errorf("%v: normalizer %s loaded for %d inputs", arch, norm, n)
+			}
+		}
+	}
+}
+
+// FuzzLoad treats a monitor entry as hostile bytes: Load may reject it, but
+// a monitor it returns must classify one row of its input width, at both
+// precisions, without a panic.
+func FuzzLoad(f *testing.F) {
+	saved := savedMonitors(f)
+	f.Add(saved[ArchMLP])
+	f.Add(saved[ArchLSTM])
+	f.Add(withNormalizer(saved[ArchMLP], `{}`))
+	f.Add([]byte("mlp 6 7 false\n" +
+		`{"inputSize":4294967296,"layers":[{"type":"dense","in":4294967296,"out":4294967296,` +
+		`"params":[{"name":"W","rows":4294967296,"cols":4294967296,"data":[]},` +
+		`{"name":"b","rows":1,"cols":4294967296,"data":[]}]}]}` + "\n" +
+		`{"Mean":[],"Std":[]}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		row := make([]float64, m.Model().InputSize())
+		for j := range row {
+			row[j] = float64(j%5) - 2
+		}
+		if _, err := m.Classify([]dataset.Sample{{MLP: row, Seq: row}}); err != nil {
+			t.Fatalf("loaded monitor cannot classify a %d-wide row: %v", len(row), err)
+		}
+		x, err := m.InputMatrix([]dataset.Sample{{MLP: row, Seq: row}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ClassifyInto(F32, x, make([]int, 1), make([]float64, 1)); err != nil {
+			t.Fatalf("loaded monitor cannot classify a %d-wide row at f32: %v", len(row), err)
+		}
+	})
 }
 
 func TestAdversarialTrainingImprovesRobustness(t *testing.T) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/mat"
@@ -8,10 +9,8 @@ import (
 
 // ReLU is the rectified-linear activation layer.
 type ReLU struct {
-	mask  *mat.Matrix // 1 where input > 0; training scratch (current shape)
-	out   *mat.Matrix // training scratch (current shape)
-	masks scratchCache
-	outs  scratchCache
+	out  *mat.Matrix // forward output, which Backward reads its mask from
+	outs growScratch[float64]
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -28,143 +27,47 @@ func (r *ReLU) OutputSize(inputSize int) (int, error) { return inputSize, nil }
 // Forward implements Layer. The returned matrix is layer-owned scratch,
 // valid until the next Forward on this layer.
 func (r *ReLU) Forward(x *mat.Matrix) (*mat.Matrix, error) {
-	r.mask = r.masks.get(x.Rows(), x.Cols())
 	r.out = r.outs.get(x.Rows(), x.Cols())
-	xd, md, od := x.Data(), r.mask.Data(), r.out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			md[i], od[i] = 1, v
-		} else {
-			md[i], od[i] = 0, 0
-		}
+	if err := mat.ReLUInto(r.out, x); err != nil {
+		return nil, err
 	}
 	return r.out, nil
 }
-
-// CloneLayer implements Layer.
-func (r *ReLU) CloneLayer() Layer { return &ReLU{} }
 
 // Replicate implements Layer.
 func (r *ReLU) Replicate() Layer { return &ReLU{} }
 
 // Backward implements Layer. The gradient is masked in place and returned —
-// gradOut is consumed.
+// gradOut is consumed. The mask is out > 0, the inputs Forward passed
+// through; it multiplies rather than selects, so a NaN or ±Inf gradient
+// under a zero mask still becomes the NaN the product makes.
 func (r *ReLU) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	if r.mask == nil {
+	if r.out == nil {
 		return nil, ErrNotReady
 	}
-	if err := gradOut.MulInPlace(r.mask); err != nil {
-		return nil, err
+	if gradOut.Rows() != r.out.Rows() || gradOut.Cols() != r.out.Cols() {
+		return nil, fmt.Errorf("%w: relu backward %dx%d, want %dx%d",
+			mat.ErrShape, gradOut.Rows(), gradOut.Cols(), r.out.Rows(), r.out.Cols())
+	}
+	gd := gradOut.Data()
+	for i, y := range r.out.Data() {
+		// The mask's bits are chosen by an integer select, which compiles
+		// to a conditional move: a branch on y > 0 mispredicts on about
+		// half of the activations and more than doubles the loop's time.
+		var m uint64
+		if y > 0 {
+			m = oneBits
+		}
+		gd[i] *= math.Float64frombits(m)
 	}
 	return gradOut, nil
 }
+
+// oneBits is math.Float64bits(1).
+const oneBits = 0x3FF0000000000000
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic-tangent activation layer.
-type Tanh struct {
-	out  *mat.Matrix // training scratch (current shape)
-	outs scratchCache
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// NewTanh constructs a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// OutputSize implements Layer.
-func (t *Tanh) OutputSize(inputSize int) (int, error) { return inputSize, nil }
-
-// Forward implements Layer. The returned matrix is layer-owned scratch,
-// valid until the next Forward on this layer.
-func (t *Tanh) Forward(x *mat.Matrix) (*mat.Matrix, error) {
-	t.out = t.outs.get(x.Rows(), x.Cols())
-	if err := mat.ApplyInto(t.out, x, math.Tanh); err != nil {
-		return nil, err
-	}
-	return t.out, nil
-}
-
-// CloneLayer implements Layer.
-func (t *Tanh) CloneLayer() Layer { return &Tanh{} }
-
-// Replicate implements Layer.
-func (t *Tanh) Replicate() Layer { return &Tanh{} }
-
-// Backward implements Layer: gradOut is scaled by 1−y² in place and
-// returned.
-func (t *Tanh) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	if t.out == nil {
-		return nil, ErrNotReady
-	}
-	if gradOut.Rows() != t.out.Rows() || gradOut.Cols() != t.out.Cols() {
-		return nil, ErrNotReady
-	}
-	gd, od := gradOut.Data(), t.out.Data()
-	for i, y := range od {
-		gd[i] *= 1 - y*y
-	}
-	return gradOut, nil
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation layer.
-type Sigmoid struct {
-	out  *mat.Matrix // training scratch (current shape)
-	outs scratchCache
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid constructs a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }
-
-// OutputSize implements Layer.
-func (s *Sigmoid) OutputSize(inputSize int) (int, error) { return inputSize, nil }
-
-// Forward implements Layer. The returned matrix is layer-owned scratch,
-// valid until the next Forward on this layer.
-func (s *Sigmoid) Forward(x *mat.Matrix) (*mat.Matrix, error) {
-	s.out = s.outs.get(x.Rows(), x.Cols())
-	if err := mat.ApplyInto(s.out, x, sigmoidT[float64]); err != nil {
-		return nil, err
-	}
-	return s.out, nil
-}
-
-// CloneLayer implements Layer.
-func (s *Sigmoid) CloneLayer() Layer { return &Sigmoid{} }
-
-// Replicate implements Layer.
-func (s *Sigmoid) Replicate() Layer { return &Sigmoid{} }
-
-// Backward implements Layer: gradOut is scaled by y(1−y) in place and
-// returned.
-func (s *Sigmoid) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	if s.out == nil {
-		return nil, ErrNotReady
-	}
-	if gradOut.Rows() != s.out.Rows() || gradOut.Cols() != s.out.Cols() {
-		return nil, ErrNotReady
-	}
-	gd, od := gradOut.Data(), s.out.Data()
-	for i, y := range od {
-		gd[i] *= y * (1 - y)
-	}
-	return gradOut, nil
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
 
 // Softmax converts a row of logits into a probability distribution. It is
 // provided as a standalone function because the losses fuse softmax with

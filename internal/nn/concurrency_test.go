@@ -30,8 +30,7 @@ func testModels(t *testing.T) map[string]*Model {
 // TestInferMatchesForward pins the contract of the inference path: identical
 // numbers to Forward, bit for bit, with no backward state recorded. The
 // LSTM stacks cover a last layer that emits the whole sequence and one that
-// emits the final hidden state, at batch sizes from one row up; the MLP
-// stacks cover each activation. The "nonfinite" batch holds NaN, ±Inf and
+// emits the final hidden state, at batch sizes from one row up. The "nonfinite" batch holds NaN, ±Inf and
 // −0, alone in a row and mixed with finite values: both paths must agree on
 // them too (ReLU maps NaN to 0 in Forward, so Infer must as well).
 func TestInferMatchesForward(t *testing.T) {
@@ -47,13 +46,11 @@ func TestInferMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	models["lstm_last"] = lstmLast
-	for name, act := range map[string]Layer{"relu": NewReLU(), "tanh": NewTanh(), "sigmoid": NewSigmoid()} {
-		m, err := NewModel(6, nil, NewDense(rng, 6, 10), act, NewDense(rng, 10, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		models["mlp_"+name] = m
+	mlpReLU, err := NewModel(6, nil, NewDense(rng, 6, 10), NewReLU(), NewDense(rng, 10, 4))
+	if err != nil {
+		t.Fatal(err)
 	}
+	models["mlp_relu"] = mlpReLU
 	for name, m := range models {
 		batches := map[string]*mat.Matrix{
 			"nonfinite": nonFiniteBatch(rng, m.InputSize()),
@@ -397,4 +394,72 @@ func TestReplicateSharesWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScratchReuseMatchesFreshReplica pins the grow-only training scratch:
+// one replica run at batch sizes that shrink, grow past every earlier size
+// and shrink again must give, on every call, the input gradient and the
+// parameter gradients of a fresh replica bit for bit. A view left pointing
+// at an earlier batch, or a step-0 state that is not zero after a buffer
+// grows, fails here.
+func TestScratchReuseMatchesFreshReplica(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for name, m := range testModels(t) {
+		reused, err := m.Replicate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{32, 5, 64, 5, 32} {
+			x := mat.RandNormal(rng, batch, m.InputSize(), 1)
+			labels := make([]int, batch)
+			for i := range labels {
+				labels[i] = rng.Intn(2)
+			}
+			fresh, err := m.Replicate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2][]byte{
+				{inputGradBits(t, reused, x, labels), inputGradBits(t, fresh, x, labels)},
+				{paramGradBits(t, reused, x, labels), paramGradBits(t, fresh, x, labels)},
+			} {
+				if !bytes.Equal(pair[0], pair[1]) {
+					t.Fatalf("%s batch %d: reused scratch gives other gradients than a fresh replica", name, batch)
+				}
+			}
+		}
+	}
+}
+
+// inputGradBits returns the bits of m.InputGradient(x, labels).
+func inputGradBits(t *testing.T, m *Model, x *mat.Matrix, labels []int) []byte {
+	t.Helper()
+	g, err := m.InputGradient(x, labels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matBytes(g)
+}
+
+// paramGradBits runs a training step's forward and backward, without the
+// optimizer step, and returns the bits of every parameter gradient.
+func paramGradBits(t *testing.T, m *Model, x *mat.Matrix, labels []int) []byte {
+	t.Helper()
+	logits, err := m.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gradLogits, err := m.loss.Compute(logits, labels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ZeroGrads(m.Params())
+	if _, err := m.backward(gradLogits, false); err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, p := range m.Params() {
+		out = append(out, matBytes(p.G)...)
+	}
+	return out
 }

@@ -15,14 +15,13 @@ type Dense struct {
 
 	lastInput *mat.Matrix // cached for backward
 
-	// Training-path scratch, reused across the recent batch shapes (the
-	// per-model workspace that kills the per-batch allocations — including
-	// the epoch's alternation between full and short final blocks). The
+	// Training-path scratch, grow-only (see growScratch) so an epoch that
+	// alternates full and short final blocks allocates nothing. The
 	// concurrency-safe Model.Infer path never touches these.
-	y   *mat.Matrix // forward output (current shape)
-	gx  *mat.Matrix // backward input-gradient (current shape)
-	ys  scratchCache
-	gxs scratchCache
+	y   *mat.Matrix // forward output (current batch)
+	gx  *mat.Matrix // backward input-gradient (current batch)
+	ys  growScratch[float64]
+	gxs growScratch[float64]
 }
 
 var _ Layer = (*Dense)(nil)
@@ -33,18 +32,6 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 		in:  in,
 		out: out,
 		w:   newParam("W", mat.GlorotUniform(rng, in, out, in, out)),
-		b:   newParam("b", mat.New(1, out)),
-	}
-}
-
-// newDenseZero builds a Dense layer with zero-valued parameters, for
-// callers that overwrite every weight immediately (deserialization).
-// Unlike NewDense it draws no random numbers.
-func newDenseZero(in, out int) *Dense {
-	return &Dense{
-		in:  in,
-		out: out,
-		w:   newParam("W", mat.New(in, out)),
 		b:   newParam("b", mat.New(1, out)),
 	}
 }
@@ -76,11 +63,6 @@ func (d *Dense) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("nn: dense forward bias: %w", err)
 	}
 	return d.y, nil
-}
-
-// CloneLayer implements Layer.
-func (d *Dense) CloneLayer() Layer {
-	return &Dense{in: d.in, out: d.out, w: cloneParam(d.w), b: cloneParam(d.b)}
 }
 
 // Replicate implements Layer: shared weights, private caches and gradients.

@@ -187,23 +187,6 @@ func TestGradCheckStackedLSTMSemantic(t *testing.T) {
 	checkModelGradients(t, m, x, labels, know, 2e-4)
 }
 
-func TestGradCheckTanhSigmoidLayers(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	m, err := NewModel(3, CrossEntropy{},
-		NewDense(rng, 3, 5),
-		NewTanh(),
-		NewDense(rng, 5, 4),
-		NewSigmoid(),
-		NewDense(rng, 4, 2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := mat.RandNormal(rng, 4, 3, 1)
-	labels := []int{0, 1, 1, 0}
-	checkModelGradients(t, m, x, labels, nil, 1e-4)
-}
-
 // TestTrainingBackwardSkipsInputGradient pins the training step's shortcut:
 // backward without the input gradient leaves exactly the parameter
 // gradients of the full backward, bit for bit, and returns no input

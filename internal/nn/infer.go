@@ -56,7 +56,9 @@ type inferWorkspace[T mat.Float] struct {
 // growScratch is one grow-only scratch matrix: it reallocates only when a
 // batch needs more rows than it holds (or another width), and a smaller
 // batch gets a prefix of it through a header it owns, so switching batch
-// sizes allocates nothing.
+// sizes allocates nothing. The frozen stack keeps one per workspace slot,
+// the training layers theirs in the layer; either way the returned view
+// stays valid until the next get on the same growScratch.
 type growScratch[T mat.Float] struct {
 	buf  *mat.Dense[T]
 	view mat.Dense[T]
@@ -124,11 +126,7 @@ func freeze[T mat.Float](m *Model, conv func(*mat.Matrix) *mat.Dense[T]) (*Infer
 				b:          conv(v.b.W),
 			})
 		case *ReLU:
-			im.layers = append(im.layers, &actInfer[T]{kind: actReLU})
-		case *Tanh:
-			im.layers = append(im.layers, &actInfer[T]{kind: actTanh})
-		case *Sigmoid:
-			im.layers = append(im.layers, &actInfer[T]{kind: actSigmoid})
+			im.layers = append(im.layers, reluInfer[T]{})
 		default:
 			return nil, fmt.Errorf("nn: freeze: unsupported layer type %q", l.Name())
 		}
@@ -292,44 +290,19 @@ func (d *denseInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error)
 	return y, nil
 }
 
-// actInfer is a frozen elementwise activation.
-type actInfer[T mat.Float] struct {
-	kind actKind
-}
+// reluInfer is the frozen ReLU.
+type reluInfer[T mat.Float] struct{}
 
-type actKind int
+func (reluInfer[T]) name() string { return "relu" }
 
-const (
-	actReLU actKind = iota
-	actTanh
-	actSigmoid
-)
-
-func (a *actInfer[T]) name() string {
-	switch a.kind {
-	case actReLU:
-		return "relu"
-	case actTanh:
-		return "tanh"
-	default:
-		return "sigmoid"
-	}
-}
-
-func (a *actInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
+func (reluInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) {
 	y := scratchIn[T](slot).get(x.Rows(), x.Cols())
-	switch a.kind {
-	case actReLU:
-		return y, mat.ReLUInto(y, x)
-	case actTanh:
-		return y, mat.ApplyInto(y, x, tanhT[T])
-	default:
-		return y, mat.ApplyInto(y, x, sigmoidT[T])
-	}
+	return y, mat.ReLUInto(y, x)
 }
 
-// tanhT and sigmoidT evaluate in float64 and round once to T; at T =
-// float64 they are exactly math.Tanh and the training path's logistic.
+// tanhT and sigmoidT evaluate in float64 and round once to T: the scalar
+// activations of the float32 LSTM step (float64 runs mat.Tanh64 and
+// mat.Sigmoid64, which return math.Tanh's and the logistic's bits).
 func tanhT[T mat.Float](v T) T { return T(math.Tanh(float64(v))) }
 
 func sigmoidT[T mat.Float](v T) T { return T(1 / (1 + math.Exp(-float64(v)))) }

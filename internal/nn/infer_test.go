@@ -13,8 +13,7 @@ import (
 
 // freezeTestModels builds one randomly initialized model per supported
 // architecture shape, including both LSTM stack positions (return-sequences
-// and last-step) and a sigmoid/tanh stack the monitors don't use but Freeze
-// must still support.
+// and last-step).
 func freezeTestModels(t *testing.T, rng *rand.Rand) map[string]*Model {
 	t.Helper()
 	models := make(map[string]*Model)
@@ -36,18 +35,6 @@ func freezeTestModels(t *testing.T, rng *rand.Rand) map[string]*Model {
 		t.Fatal(err)
 	}
 	models["substitute"] = sub
-
-	act, err := NewModel(6, nil,
-		NewDense(rng, 6, 10),
-		NewTanh(),
-		NewDense(rng, 10, 8),
-		NewSigmoid(),
-		NewDense(rng, 8, 2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models["tanh_sigmoid"] = act
 
 	return models
 }
@@ -439,6 +426,5 @@ func (fakeLayer) Name() string                                { return "fake" }
 func (fakeLayer) OutputSize(in int) (int, error)              { return in, nil }
 func (fakeLayer) Forward(x *mat.Matrix) (*mat.Matrix, error)  { return x, nil }
 func (fakeLayer) Backward(g *mat.Matrix) (*mat.Matrix, error) { return g, nil }
-func (fakeLayer) CloneLayer() Layer                           { return fakeLayer{} }
 func (fakeLayer) Replicate() Layer                            { return fakeLayer{} }
 func (fakeLayer) Params() []*Param                            { return nil }

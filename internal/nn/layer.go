@@ -38,7 +38,8 @@ func newParam(name string, w *mat.Matrix) *Param {
 // (see InferModel), which computes Forward's output without recording
 // backward state, so any number of goroutines may share one trained model —
 // the property the parallel experiment sweeps rely on. Gradient work under
-// concurrency goes through CloneLayer (via Model.Clone) instead.
+// concurrency runs on a Replicate (via Model.Replicate): private caches and
+// gradients over the shared weights, which gradient work only reads.
 type Layer interface {
 	// Name identifies the layer type for serialization.
 	Name() string
@@ -50,9 +51,6 @@ type Layer interface {
 	Forward(x *mat.Matrix) (*mat.Matrix, error)
 	// Backward propagates gradients; must follow a Forward call.
 	Backward(gradOut *mat.Matrix) (*mat.Matrix, error)
-	// CloneLayer deep-copies the layer: independent parameters, gradient
-	// accumulators and caches.
-	CloneLayer() Layer
 	// Replicate returns a layer that SHARES this layer's weight matrices but
 	// has private backward caches and a private gradient accumulator — the
 	// data-parallel training shard. Replicas may Forward/Backward
@@ -69,11 +67,6 @@ type Layer interface {
 // InputGradient run the full Backward.
 type paramBackwarder interface {
 	backwardParams(gradOut *mat.Matrix) error
-}
-
-// cloneParam deep-copies a parameter with a fresh (zeroed) gradient.
-func cloneParam(p *Param) *Param {
-	return newParam(p.Name, p.W.Clone())
 }
 
 // shareParam aliases a parameter's weights with a fresh (zeroed) gradient

@@ -27,42 +27,39 @@ type LSTM struct {
 	b  *Param // 1 × 4·hidden
 
 	// ws is the training workspace: every per-step activation and backward
-	// temporary, allocated once per batch size and reused across batches
-	// (the per-model workspace that kills the per-batch allocations). wss
-	// retains one workspace per recent batch size so an epoch alternating
-	// between full and short final blocks doesn't rebuild the whole set on
-	// every flip. The concurrency-safe Model.Infer path never touches them.
-	ws  *lstmScratch
-	wss []*lstmScratch
-	// cache marks the workspace as holding a recorded forward pass.
-	cache *lstmScratch
+	// temporary, grow-only (see growScratch) so batches of any mix of sizes
+	// reuse it without allocating. The concurrency-safe Model.Infer path
+	// never touches it.
+	ws lstmScratch
 }
 
 // lstmScratch holds the unrolled activations Backward consumes plus all
-// backward temporaries, sized for one batch shape.
+// backward temporaries. Forward points every view at its batch; Backward
+// reads the forward views as Forward left them and sizes its own
+// temporaries to the recorded batch.
 type lstmScratch struct {
+	// ready marks a completed forward pass of batch rows.
+	ready bool
 	batch int
 
-	// Forward state, per step.
-	xs  []*mat.Matrix // inputs (batch × inputSize)
-	is  []*mat.Matrix // gate activations (batch × hidden) each
-	fs  []*mat.Matrix
-	gs  []*mat.Matrix
-	os  []*mat.Matrix
-	cs  []*mat.Matrix // cell states, cs[t] is c_t (t from 0)
-	hs  []*mat.Matrix // hidden states
-	tcs []*mat.Matrix // tanh(c_t)
-
-	z, zh  *mat.Matrix // pre-activation temporaries (batch × 4·hidden)
-	h0, c0 *mat.Matrix // step-0 previous states; always zero, never written
-	seqOut *mat.Matrix // stacked hidden states when returnSeqs
+	steps  []lstmStep
+	z, zh  growScratch[float64] // pre-activation temporaries (batch × 4·hidden)
+	h0, c0 growScratch[float64] // step-0 previous states; always zero, never written
+	seqOut growScratch[float64] // stacked hidden states when returnSeqs
 
 	// Backward temporaries.
-	dz       *mat.Matrix // gate pre-activation grads (batch × 4·hidden)
-	dhNext   *mat.Matrix // recurrent hidden-state grad
-	dcA, dcB *mat.Matrix // cell-state grads (ping-pong)
-	dxt      *mat.Matrix // per-step input grad
-	gradX    *mat.Matrix // full input grad (batch × steps·inputSize)
+	dz       growScratch[float64] // gate pre-activation grads (batch × 4·hidden)
+	dhNext   growScratch[float64] // recurrent hidden-state grad
+	dcA, dcB growScratch[float64] // cell-state grads (ping-pong)
+	dxt      growScratch[float64] // per-step input grad
+	gradX    growScratch[float64] // full input grad (batch × steps·inputSize)
+}
+
+// lstmStep is the forward state of one step: its input (batch × inputSize),
+// gate activations, cell state c_t, hidden state and tanh(c_t) (batch ×
+// hidden each).
+type lstmStep struct {
+	x, i, f, g, o, c, h, tc growScratch[float64]
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -85,21 +82,6 @@ func NewLSTM(rng *rand.Rand, inputSize, hidden, steps int, returnSeqs bool) *LST
 	return l
 }
 
-// newLSTMZero builds an LSTM layer with zero-valued parameters (no forget-
-// gate bias either), for callers that overwrite every weight immediately
-// (deserialization). Unlike NewLSTM it draws no random numbers.
-func newLSTMZero(inputSize, hidden, steps int, returnSeqs bool) *LSTM {
-	return &LSTM{
-		inputSize:  inputSize,
-		hidden:     hidden,
-		steps:      steps,
-		returnSeqs: returnSeqs,
-		wx:         newParam("Wx", mat.New(inputSize, 4*hidden)),
-		wh:         newParam("Wh", mat.New(hidden, 4*hidden)),
-		b:          newParam("b", mat.New(1, 4*hidden)),
-	}
-}
-
 // Name implements Layer.
 func (l *LSTM) Name() string { return "lstm" }
 
@@ -115,60 +97,6 @@ func (l *LSTM) OutputSize(inputSize int) (int, error) {
 	return l.hidden, nil
 }
 
-func newLSTMScratch(l *LSTM, batch int) *lstmScratch {
-	H, T := l.hidden, l.steps
-	perStep := func(cols int) []*mat.Matrix {
-		ms := make([]*mat.Matrix, T)
-		for t := range ms {
-			ms[t] = mat.New(batch, cols)
-		}
-		return ms
-	}
-	ws := &lstmScratch{
-		batch:  batch,
-		xs:     perStep(l.inputSize),
-		is:     perStep(H),
-		fs:     perStep(H),
-		gs:     perStep(H),
-		os:     perStep(H),
-		cs:     perStep(H),
-		hs:     perStep(H),
-		tcs:    perStep(H),
-		z:      mat.New(batch, 4*H),
-		zh:     mat.New(batch, 4*H),
-		h0:     mat.New(batch, H),
-		c0:     mat.New(batch, H),
-		dz:     mat.New(batch, 4*H),
-		dhNext: mat.New(batch, H),
-		dcA:    mat.New(batch, H),
-		dcB:    mat.New(batch, H),
-		dxt:    mat.New(batch, l.inputSize),
-		gradX:  mat.New(batch, T*l.inputSize),
-	}
-	if l.returnSeqs {
-		ws.seqOut = mat.New(batch, T*H)
-	}
-	return ws
-}
-
-// scratchFor returns the retained workspace for batch, building (and
-// retaining, evicting the oldest beyond scratchShapes) on a miss.
-func (l *LSTM) scratchFor(batch int) *lstmScratch {
-	for _, ws := range l.wss {
-		if ws.batch == batch {
-			return ws
-		}
-	}
-	ws := newLSTMScratch(l, batch)
-	if len(l.wss) >= scratchShapes {
-		copy(l.wss, l.wss[1:])
-		l.wss[len(l.wss)-1] = ws
-	} else {
-		l.wss = append(l.wss, ws)
-	}
-	return ws
-}
-
 // Forward implements Layer: the unrolled recurrence, recording the per-step
 // activations Backward consumes in the reusable workspace. The returned
 // matrix is layer-owned scratch, valid until the next Forward on this layer.
@@ -177,56 +105,52 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("nn: lstm forward: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
 	}
 	batch := x.Rows()
-	ws := l.ws
-	if ws == nil || ws.batch != batch {
-		ws = l.scratchFor(batch)
-		l.ws = ws
+	ws := &l.ws
+	ws.ready = false
+	if ws.steps == nil {
+		ws.steps = make([]lstmStep, l.steps)
 	}
 	H := l.hidden
-	h, cell := ws.h0, ws.c0
-	for t := 0; t < l.steps; t++ {
-		xt := ws.xs[t]
+	h, cell := ws.h0.get(batch, H), ws.c0.get(batch, H)
+	z, zh := ws.z.get(batch, 4*H), ws.zh.get(batch, 4*H)
+	var seqOut *mat.Matrix
+	if l.returnSeqs {
+		seqOut = ws.seqOut.get(batch, l.steps*H)
+	}
+	b := l.b.W.Data()
+	for t := range ws.steps {
+		st := &ws.steps[t]
+		xt := st.x.get(batch, l.inputSize)
 		if err := mat.SliceColsInto(xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward step %d: %w", t, err)
 		}
-		if err := mat.MatMulInto(ws.z, xt, l.wx.W); err != nil {
+		if err := mat.MatMulInto(z, xt, l.wx.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wx step %d: %w", t, err)
 		}
-		if err := mat.MatMulInto(ws.zh, h, l.wh.W); err != nil {
+		if err := mat.MatMulInto(zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
 
+		ig, fg, gg, og := st.i.get(batch, H), st.f.get(batch, H), st.g.get(batch, H), st.o.get(batch, H)
+		ct, ht, tc := st.c.get(batch, H), st.h.get(batch, H), st.tc.get(batch, H)
 		for i := 0; i < batch; i++ {
-			addPreact(ws.z.Row(i), ws.zh.Row(i), l.b.W.Data())
-			lstmCell(ws.z.Row(i), cell.Row(i), ws.cs[t].Row(i), ws.hs[t].Row(i),
-				ws.is[t].Row(i), ws.fs[t].Row(i), ws.gs[t].Row(i), ws.os[t].Row(i), ws.tcs[t].Row(i))
+			addPreact(z.Row(i), zh.Row(i), b)
+			lstmCell(z.Row(i), cell.Row(i), ct.Row(i), ht.Row(i),
+				ig.Row(i), fg.Row(i), gg.Row(i), og.Row(i), tc.Row(i))
 		}
-		cell, h = ws.cs[t], ws.hs[t]
+		cell, h = ct, ht
 
 		if l.returnSeqs {
-			if err := ws.seqOut.SetCols(t*H, h); err != nil {
+			if err := seqOut.SetCols(t*H, h); err != nil {
 				return nil, err
 			}
 		}
 	}
-	l.cache = ws
+	ws.ready, ws.batch = true, batch
 	if l.returnSeqs {
-		return ws.seqOut, nil
+		return seqOut, nil
 	}
-	return ws.hs[l.steps-1], nil
-}
-
-// CloneLayer implements Layer.
-func (l *LSTM) CloneLayer() Layer {
-	return &LSTM{
-		inputSize:  l.inputSize,
-		hidden:     l.hidden,
-		steps:      l.steps,
-		returnSeqs: l.returnSeqs,
-		wx:         cloneParam(l.wx),
-		wh:         cloneParam(l.wh),
-		b:          cloneParam(l.b),
-	}
+	return h, nil
 }
 
 // Replicate implements Layer: shared weights, private workspace and
@@ -319,8 +243,8 @@ func (l *LSTM) backwardParams(gradOut *mat.Matrix) error {
 // backward runs backpropagation through time. It returns the input
 // gradient when inputGrad is set, else nil.
 func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
-	ws := l.cache
-	if ws == nil {
+	ws := &l.ws
+	if !ws.ready {
 		return nil, ErrNotReady
 	}
 	H, batch := l.hidden, ws.batch
@@ -334,11 +258,15 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 			gradOut.Rows(), gradOut.Cols(), batch, wantCols)
 	}
 
-	dhNext := ws.dhNext
-	dcNext, dcPrev := ws.dcA, ws.dcB
+	dhNext := ws.dhNext.get(batch, H)
+	dcNext, dcPrev := ws.dcA.get(batch, H), ws.dcB.get(batch, H)
 	dhNext.Zero()
 	dcNext.Zero()
-	dz := ws.dz
+	dz := ws.dz.get(batch, 4*H)
+	var dxt, gradX *mat.Matrix
+	if inputGrad {
+		dxt, gradX = ws.dxt.get(batch, l.inputSize), ws.gradX.get(batch, l.steps*l.inputSize)
+	}
 	bg := l.b.G.Data()
 
 	for t := l.steps - 1; t >= 0; t-- {
@@ -352,9 +280,11 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 			upOff = 0
 		}
 
-		cPrev := ws.c0
+		// The forward views of step t and of the states it started from.
+		st := &ws.steps[t]
+		cPrev, hPrev := &ws.c0.view, &ws.h0.view
 		if t > 0 {
-			cPrev = ws.cs[t-1]
+			cPrev, hPrev = &ws.steps[t-1].c.view, &ws.steps[t-1].h.view
 		}
 
 		for i := 0; i < batch; i++ {
@@ -363,8 +293,8 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 			if upOff >= 0 {
 				upr = gradOut.Row(i)[upOff : upOff+H]
 			}
-			ir, fr, gr, or := ws.is[t].Row(i), ws.fs[t].Row(i), ws.gs[t].Row(i), ws.os[t].Row(i)
-			tcr, cpr := ws.tcs[t].Row(i), cPrev.Row(i)
+			ir, fr, gr, or := st.i.view.Row(i), st.f.view.Row(i), st.g.view.Row(i), st.o.view.Row(i)
+			tcr, cpr := st.tc.view.Row(i), cPrev.Row(i)
 			dzr := dz.Row(i)
 			dcpr := dcPrev.Row(i)
 			for j := 0; j < H; j++ {
@@ -393,12 +323,8 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 		}
 
 		// Parameter gradients, accumulated straight into the shared buffers.
-		if err := mat.TMatMulAddInto(l.wx.G, ws.xs[t], dz); err != nil {
+		if err := mat.TMatMulAddInto(l.wx.G, &st.x.view, dz); err != nil {
 			return nil, err
-		}
-		hPrev := ws.h0
-		if t > 0 {
-			hPrev = ws.hs[t-1]
 		}
 		if err := mat.TMatMulAddInto(l.wh.G, hPrev, dz); err != nil {
 			return nil, err
@@ -406,10 +332,10 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 
 		// Input and recurrent gradients.
 		if inputGrad {
-			if err := mat.MatMulTInto(ws.dxt, dz, l.wx.W); err != nil {
+			if err := mat.MatMulTInto(dxt, dz, l.wx.W); err != nil {
 				return nil, err
 			}
-			if err := ws.gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
+			if err := gradX.SetCols(t*l.inputSize, dxt); err != nil {
 				return nil, err
 			}
 		}
@@ -422,10 +348,7 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 		}
 		dcNext, dcPrev = dcPrev, dcNext
 	}
-	if !inputGrad {
-		return nil, nil
-	}
-	return ws.gradX, nil
+	return gradX, nil
 }
 
 // Params implements Layer.

@@ -69,7 +69,7 @@ func (m *Model) Params() []*Param {
 
 // Forward runs the stack and returns the logits, recording the per-layer
 // state backward passes need. Training-path only: not safe for concurrent
-// use on a shared model (use Infer, or Clone the model first).
+// use on a shared model (use Infer, or Replicate the model first).
 func (m *Model) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != m.inSize {
 		return nil, fmt.Errorf("nn: model forward: %d input cols, want %d", x.Cols(), m.inSize)
@@ -173,23 +173,29 @@ func (m *Model) TrainBatch(x *mat.Matrix, labels []int, knowledge []float64, opt
 	return loss, nil
 }
 
-// InputGradient and TrainBatch mutate per-layer backward caches and the
-// shared gradient accumulators, so they must not run concurrently on one
-// model. Clone gives each goroutine an independent copy for gradient work
-// (e.g. parallel FGSM cells) at the cost of copying the weights.
+// Clone returns an independent copy of the model: a Replicate whose weights
+// are copied as well, so training the clone leaves m untouched. Gradient
+// work that only reads the weights (InputGradient, FGSM) needs no copy and
+// runs on a Replicate instead.
 func (m *Model) Clone() (*Model, error) {
-	layers := make([]Layer, len(m.layers))
-	for i, l := range m.layers {
-		layers[i] = l.CloneLayer()
+	c, err := m.Replicate()
+	if err != nil {
+		return nil, err
 	}
-	return NewModel(m.inSize, m.loss, layers...)
+	for _, p := range c.Params() {
+		p.W = p.W.Clone()
+	}
+	return c, nil
 }
 
 // Replicate returns a model that shares this model's weight matrices but has
 // private per-layer caches and gradient accumulators — the data-parallel
-// training shard. Replicas may run Forward/backward concurrently with each
-// other (weights are only read); the Trainer serializes optimizer steps on
-// the shared weights against all shard work.
+// training shard, and the private model of each concurrent gradient pass.
+// InputGradient and TrainBatch mutate backward caches and gradient
+// accumulators, so they must not run concurrently on one model; replicas
+// may run Forward/backward concurrently with each other (weights are only
+// read). The Trainer serializes optimizer steps on the shared weights
+// against all shard work.
 func (m *Model) Replicate() (*Model, error) {
 	layers := make([]Layer, len(m.layers))
 	for i, l := range m.layers {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,9 +49,9 @@ func predict(m *Model, x *mat.Matrix) (*mat.Matrix, error) {
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logits := mat.RandNormal(rng, 3, 4, 2)
-	shifted := mat.New(3, 4)
-	if err := mat.ApplyInto(shifted, logits, func(v float64) float64 { return v + 1000 }); err != nil {
-		t.Fatal(err)
+	shifted := logits.Clone()
+	for i := range shifted.Data() {
+		shifted.Data()[i] += 1000
 	}
 	if !mat.Equal(Softmax(logits), Softmax(shifted), 1e-9) {
 		t.Fatal("softmax must be invariant to per-row shifts")
@@ -408,12 +409,38 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage feeds Load specs that must fail with an error,
+// never a panic or an allocation sized by an unchecked field. The shape
+// cases used to end the process: a 1×2³² bias allocation ran out of
+// memory, a 2×3037000500 weight matrix asked for 48 GB, and a hidden size
+// of −1 panicked in the matrix constructor.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString(`{"layers":[{"type":"warp-drive"}]}`)); err == nil {
-		t.Fatal("want error for unknown layer type")
-	}
-	if _, err := Load(bytes.NewBufferString(`not json`)); err == nil {
-		t.Fatal("want error for invalid JSON")
+	for _, c := range []struct{ name, spec, want string }{
+		{"invalid json", `not json`, "load"},
+		{"input size 0", `{"inputSize":0,"layers":[{"type":"relu"}]}`, "input size 0"},
+		{"unknown type", `{"inputSize":2,"layers":[{"type":"warp-drive"}]}`, "unknown layer type"},
+		// No model this repository writes has these layers.
+		{"tanh", `{"inputSize":2,"layers":[{"type":"tanh"}]}`, "unknown layer type"},
+		{"sigmoid", `{"inputSize":2,"layers":[{"type":"sigmoid"}]}`, "unknown layer type"},
+		{"dense 2^32 squared", `{"inputSize":4294967296,"layers":[{"type":"dense","in":4294967296,"out":4294967296,` +
+			`"params":[{"name":"W","rows":4294967296,"cols":4294967296,"data":[]},` +
+			`{"name":"b","rows":1,"cols":4294967296,"data":[]}]}]}`, "param \"W\""},
+		{"dense 48 GB", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":3037000500,` +
+			`"params":[{"name":"W","rows":2,"cols":3037000500,"data":[1,2]},` +
+			`{"name":"b","rows":1,"cols":3037000500,"data":[]}]}]}`, "param \"W\""},
+		{"lstm hidden -1", `{"inputSize":6,"layers":[{"type":"lstm","inputSizePerStep":2,"hidden":-1,"steps":3,` +
+			`"params":[{"name":"Wx","rows":2,"cols":-4,"data":[]},{"name":"Wh","rows":-1,"cols":-4,"data":[]},` +
+			`{"name":"b","rows":1,"cols":-4,"data":[]}]}]}`, "at least 1"},
+		{"short data", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":2,` +
+			`"params":[{"name":"W","rows":2,"cols":2,"data":[1,2,3]},{"name":"b","rows":1,"cols":2,"data":[0,0]}]}]}`,
+			"3 values for 2x2"},
+		{"missing param", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":2,` +
+			`"params":[{"name":"W","rows":2,"cols":2,"data":[1,2,3,4]}]}]}`, "spec has 1"},
+	} {
+		_, err := Load(bytes.NewBufferString(c.spec))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -439,7 +466,7 @@ func TestModelShapeValidation(t *testing.T) {
 func TestBackwardBeforeForwardFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	layers := []Layer{
-		NewDense(rng, 2, 2), NewReLU(), NewTanh(), NewSigmoid(),
+		NewDense(rng, 2, 2), NewReLU(),
 		NewLSTM(rng, 2, 2, 2, false),
 	}
 	for _, l := range layers {

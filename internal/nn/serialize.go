@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -60,7 +61,7 @@ func (m *Model) Save(w io.Writer) error {
 			ls.In, ls.Out = v.in, v.out
 		case *LSTM:
 			ls.InputSize, ls.Hidden, ls.Steps, ls.ReturnSeqs = v.inputSize, v.hidden, v.steps, v.returnSeqs
-		case *ReLU, *Tanh, *Sigmoid:
+		case *ReLU:
 			// No shape parameters.
 		default:
 			return fmt.Errorf("nn: cannot serialize layer type %q", layer.Name())
@@ -85,36 +86,14 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&spec); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
+	if spec.InputSize < 1 {
+		return nil, fmt.Errorf("nn: load: input size %d, want at least 1", spec.InputSize)
+	}
 	layers := make([]Layer, 0, len(spec.Layers))
 	for i, ls := range spec.Layers {
-		var layer Layer
-		switch ls.Type {
-		case "dense":
-			layer = newDenseZero(ls.In, ls.Out)
-		case "relu":
-			layer = NewReLU()
-		case "tanh":
-			layer = NewTanh()
-		case "sigmoid":
-			layer = NewSigmoid()
-		case "lstm":
-			layer = newLSTMZero(ls.InputSize, ls.Hidden, ls.Steps, ls.ReturnSeqs)
-		default:
-			return nil, fmt.Errorf("nn: load: unknown layer type %q at index %d", ls.Type, i)
-		}
-		params := layer.Params()
-		if len(params) != len(ls.Params) {
-			return nil, fmt.Errorf("nn: load: layer %d (%s) has %d params, spec has %d",
-				i, ls.Type, len(params), len(ls.Params))
-		}
-		for j, ps := range ls.Params {
-			w, err := mat.FromSlice(ps.Rows, ps.Cols, ps.Data)
-			if err != nil {
-				return nil, fmt.Errorf("nn: load: layer %d param %q: %w", i, ps.Name, err)
-			}
-			if err := params[j].W.CopyFrom(w); err != nil {
-				return nil, fmt.Errorf("nn: load: layer %d param %q: %w", i, ps.Name, err)
-			}
+		layer, err := ls.layer()
+		if err != nil {
+			return nil, fmt.Errorf("nn: load: layer %d: %w", i, err)
 		}
 		layers = append(layers, layer)
 	}
@@ -128,4 +107,74 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("nn: load: unknown loss %q", spec.Loss.Name)
 	}
 	return NewModel(spec.InputSize, loss, layers...)
+}
+
+// layer builds the layer a spec declares, after checking that every
+// dimension is at least 1 and that the spec carries exactly the layer's
+// params, each with its declared shape and rows·cols values. Every product
+// is taken without overflow, and each param is checked before it is
+// allocated, so a hostile spec costs no more memory than its own data.
+func (ls layerSpec) layer() (Layer, error) {
+	var (
+		shapes [][2]int // rows×cols of each param, in Params order
+		build  func(w []*mat.Matrix) Layer
+	)
+	switch ls.Type {
+	case "relu":
+		build = func([]*mat.Matrix) Layer { return NewReLU() }
+	case "dense":
+		if ls.In < 1 || ls.Out < 1 {
+			return nil, fmt.Errorf("dense %d→%d: dimensions must be at least 1", ls.In, ls.Out)
+		}
+		shapes = [][2]int{{ls.In, ls.Out}, {1, ls.Out}}
+		build = func(w []*mat.Matrix) Layer {
+			return &Dense{in: ls.In, out: ls.Out, w: newParam("W", w[0]), b: newParam("b", w[1])}
+		}
+	case "lstm":
+		gates, ok := mulDims(4, ls.Hidden)
+		_, okIn := mulDims(ls.Steps, ls.InputSize)
+		_, okOut := mulDims(ls.Steps, ls.Hidden)
+		if !ok || !okIn || !okOut || ls.InputSize < 1 || ls.Hidden < 1 || ls.Steps < 1 {
+			return nil, fmt.Errorf("lstm %d steps × %d inputs → %d hidden: dimensions must be at least 1 and their products fit an int",
+				ls.Steps, ls.InputSize, ls.Hidden)
+		}
+		shapes = [][2]int{{ls.InputSize, gates}, {ls.Hidden, gates}, {1, gates}}
+		build = func(w []*mat.Matrix) Layer {
+			return &LSTM{
+				inputSize:  ls.InputSize,
+				hidden:     ls.Hidden,
+				steps:      ls.Steps,
+				returnSeqs: ls.ReturnSeqs,
+				wx:         newParam("Wx", w[0]),
+				wh:         newParam("Wh", w[1]),
+				b:          newParam("b", w[2]),
+			}
+		}
+	default:
+		return nil, fmt.Errorf("unknown layer type %q", ls.Type)
+	}
+	if len(ls.Params) != len(shapes) {
+		return nil, fmt.Errorf("%s has %d params, spec has %d", ls.Type, len(shapes), len(ls.Params))
+	}
+	w := make([]*mat.Matrix, len(shapes))
+	for j, ps := range ls.Params {
+		if ps.Rows != shapes[j][0] || ps.Cols != shapes[j][1] {
+			return nil, fmt.Errorf("%s param %q is %dx%d, want %dx%d",
+				ls.Type, ps.Name, ps.Rows, ps.Cols, shapes[j][0], shapes[j][1])
+		}
+		var err error
+		if w[j], err = mat.FromSlice(ps.Rows, ps.Cols, ps.Data); err != nil {
+			return nil, fmt.Errorf("%s param %q: %w", ls.Type, ps.Name, err)
+		}
+	}
+	return build(w), nil
+}
+
+// mulDims returns a·b, or false when either is negative or the product
+// overflows int.
+func mulDims(a, b int) (int, bool) {
+	if a < 0 || b < 0 || (a > 0 && b > math.MaxInt/a) {
+		return 0, false
+	}
+	return a * b, true
 }
