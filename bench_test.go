@@ -28,27 +28,65 @@ import (
 	"repro/internal/sweep"
 )
 
-// sensorOnlyFGSM crafts FGSM perturbations but zeroes the components on
-// command dims, restricting the attack to sensor inputs.
-func sensorOnlyFGSM(m *monitor.MLMonitor, labels []int, eps float64) experiments.Perturbation {
-	return func(x *mat.Matrix) (*mat.Matrix, error) {
-		adv, err := attack.FGSM(m.Model(), x, labels, eps)
-		if err != nil {
-			return nil, err
-		}
-		sensor := make(map[int]bool)
-		for _, d := range dataset.SensorDimsMLP() {
-			sensor[d] = true
-		}
-		for i := 0; i < adv.Rows(); i++ {
-			for j := 0; j < adv.Cols(); j++ {
-				if !sensor[j] {
-					adv.Set(i, j, x.At(i, j))
-				}
+// sensorOnlyFGSM zeroes the components of the FGSM perturbation adv of x
+// on command dims, restricting the attack to sensor inputs.
+func sensorOnlyFGSM(x, adv *mat.Matrix) {
+	sensor := make(map[int]bool)
+	for _, d := range dataset.SensorDimsMLP() {
+		sensor[d] = true
+	}
+	for i := 0; i < adv.Rows(); i++ {
+		for j := 0; j < adv.Cols(); j++ {
+			if !sensor[j] {
+				adv.Set(i, j, x.At(i, j))
 			}
 		}
-		return adv, nil
 	}
+}
+
+// fgsmRobustness is Eq (5) for m on test under white-box FGSM at ε = 0.1:
+// the fraction of samples whose f64 class flips. sensorOnly restricts the
+// attack to sensor dims.
+func fgsmRobustness(b *testing.B, m *monitor.MLMonitor, test *dataset.Dataset, sensorOnly bool) float64 {
+	b.Helper()
+	x, err := m.InputMatrix(test.Samples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := m.Model().Replicate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	adv, err := attack.FGSM(model, x, test.Labels(), 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sensorOnly {
+		sensorOnlyFGSM(x, adv)
+	}
+	orig, err := m.PredictClasses(x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pert, err := m.PredictClasses(adv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	re, err := metrics.RobustnessError(orig, pert)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return re
+}
+
+// cleanF1 is m's tolerance-window F1 on test at δ = delta.
+func cleanF1(b *testing.B, m monitor.Monitor, test *dataset.Dataset, delta int) float64 {
+	b.Helper()
+	rep, err := eval.Evaluate(m, test, eval.Options{Tolerance: delta})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Overall.Confusion.F1()
 }
 
 func assets(b *testing.B) *experiments.Assets {
@@ -337,7 +375,6 @@ func BenchmarkAblationSemanticWeight(b *testing.B) {
 	a := assets(b)
 	train := a.Sims[dataset.Glucosym].Train
 	test := a.Sims[dataset.Glucosym].Test
-	labels := test.Labels()
 	for i := 0; i < b.N; i++ {
 		for _, w := range []float64{0, 0.25, 0.5, 1, 2} {
 			m, err := monitor.Train(train, monitor.TrainConfig{
@@ -352,10 +389,7 @@ func BenchmarkAblationSemanticWeight(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			re, err := experiments.RobustnessError(m, test, experiments.FGSMPerturbation(m, labels, 0.1))
-			if err != nil {
-				b.Fatal(err)
-			}
+			re := fgsmRobustness(b, m, test, false)
 			if i == 0 {
 				b.ReportMetric(re, "fgsm-err-w"+weightLabel(w))
 			}
@@ -403,12 +437,9 @@ func BenchmarkAblationWindow(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := experiments.Score(m, test, 12, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			f1 := cleanF1(b, m, test, 12)
 			if i == 0 {
-				b.ReportMetric(c.F1(), "F1-window-"+string(rune('0'+w)))
+				b.ReportMetric(f1, "F1-window-"+string(rune('0'+w)))
 			}
 		}
 	}
@@ -424,12 +455,9 @@ func BenchmarkAblationTolerance(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, delta := range []int{0, 6, 12, 24} {
-			c, err := experiments.Score(m, sa.Test, delta, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			f1 := cleanF1(b, m, sa.Test, delta)
 			if i == 0 {
-				b.ReportMetric(c.F1(), "F1-delta-"+itoa(delta))
+				b.ReportMetric(f1, "F1-delta-"+itoa(delta))
 			}
 		}
 	}
@@ -456,16 +484,9 @@ func BenchmarkAblationFGSMSensorsOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	labels := sa.Test.Labels()
 	for i := 0; i < b.N; i++ {
-		full, err := experiments.RobustnessError(m, sa.Test, experiments.FGSMPerturbation(m, labels, 0.1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sensor, err := experiments.RobustnessError(m, sa.Test, sensorOnlyFGSM(m, labels, 0.1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		full := fgsmRobustness(b, m, sa.Test, false)
+		sensor := fgsmRobustness(b, m, sa.Test, true)
 		if i == 0 {
 			b.ReportMetric(full, "fgsm-all-dims-err")
 			b.ReportMetric(sensor, "fgsm-sensor-only-err")
@@ -480,7 +501,6 @@ func BenchmarkAblationDefenses(b *testing.B) {
 	a := assets(b)
 	train := a.Sims[dataset.Glucosym].Train
 	test := a.Sims[dataset.Glucosym].Test
-	labels := test.Labels()
 	cases := []struct {
 		name     string
 		semantic bool
@@ -506,17 +526,11 @@ func BenchmarkAblationDefenses(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			re, err := experiments.RobustnessError(m, test, experiments.FGSMPerturbation(m, labels, 0.1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := experiments.Score(m, test, a.Config.ToleranceDelta, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			re := fgsmRobustness(b, m, test, false)
+			f1 := cleanF1(b, m, test, a.Config.ToleranceDelta)
 			if i == 0 {
 				b.ReportMetric(re, "fgsm-err-"+tc.name)
-				b.ReportMetric(c.F1(), "F1-"+tc.name)
+				b.ReportMetric(f1, "F1-"+tc.name)
 			}
 		}
 	}

@@ -20,12 +20,19 @@
 // runs against the same training setup skip simulation and training and go
 // straight to the attack. Cache events are logged to stderr.
 //
+// Every attack arm only builds its attacked input matrix (Gaussian-noised
+// windows, FGSM/PGD on a replica of the model, or FGSM transferred from a
+// substitute's gradient); one shared tail classifies it, scores it with
+// the tolerance-window metric and computes the Eq (5) robustness error
+// against the clean classes.
+//
 // -parallel N sets the worker budget shared by monitor training (the
-// minibatch block pipeline), matrix products, and sweeps; trained weights
-// and attack outputs are byte-identical at every setting. -precision f32
-// routes monitor inference (clean scoring and the attacked-prediction
-// passes) through the frozen float32 engine; gradient-based attack crafting
-// stays on the f64 training model. The pgd attack threads the semantic
+// minibatch block pipeline), matrix products, and episode scoring; trained
+// weights and attack outputs are byte-identical at every setting.
+// -precision f32 routes monitor inference (clean scoring, the black-box
+// queries and the attacked-prediction passes) through the frozen float32
+// engine; gradient-based attack crafting stays on the f64 training model.
+// Both reach scoring as explicit eval.Options. The pgd attack threads the semantic
 // knowledge indicators through every gradient step when the target was
 // trained with -semantic, so Custom monitors are attacked on the Eq (2)
 // loss surface they were trained on.
@@ -45,6 +52,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 )
@@ -101,10 +109,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The experiments-level worker knob also drives the scoring adapters
-	// (Score/ScoreEpisodes fan episodes out through it), so -parallel 1
-	// really is serial end to end.
-	if err := experiments.Configure(parallel, f.common.Precision); err != nil {
+	prec, err := monitor.ParsePrecision(string(f.common.Precision))
+	if err != nil {
 		return err
 	}
 	if *f.reportOut != "" {
@@ -145,92 +151,68 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 
 	const delta = 12
-	opts := eval.Options{Tolerance: delta, Workers: parallel, Precision: experiments.Precision()}
-
-	// Report mode evaluates the clean pass exactly once: the sliced report's
-	// overall confusion also supplies the summary line.
-	var cleanRep *eval.Report
-	var clean metrics.Confusion
-	if *f.report {
-		cleanRep, err = eval.Evaluate(m, test, opts)
-		if err != nil {
-			return err
-		}
-		clean = cleanRep.Overall.Confusion
-	} else {
-		clean, err = experiments.Score(m, test, delta, nil)
-		if err != nil {
-			return err
-		}
+	opts := eval.Options{Tolerance: delta, Workers: parallel, Precision: prec}
+	classes := func(x *mat.Matrix) ([]int, error) {
+		pred := make([]int, x.Rows())
+		return pred, m.ClassifyInto(prec, x, pred, nil)
 	}
+
+	// The clean report's overall confusion supplies the summary line; -report
+	// also renders its slices.
+	cleanRep, err := eval.Evaluate(m, test, opts)
+	if err != nil {
+		return err
+	}
+	clean := cleanRep.Overall.Confusion
 	fmt.Fprintf(stdout, "monitor %s on %s: clean F1=%.3f ACC=%.3f\n", m.Name(), simu, clean.F1(), clean.Accuracy())
 
-	// Every arm produces the attacked per-sample prediction vector, so the
-	// sliced attacked report comes from the same pass as the summary line.
-	var advPred []int
+	// Every arm only builds its attacked input matrix; the shared tail
+	// classifies it and scores it against the clean classes.
+	x, err := m.InputMatrix(test.Samples)
+	if err != nil {
+		return err
+	}
+	orig, err := classes(x)
+	if err != nil {
+		return err
+	}
 	level := *f.level
+	var adv *mat.Matrix
+	var what string
 	switch *f.kind {
 	case "gaussian":
+		what = fmt.Sprintf("gaussian σ=%.2f·std", level)
 		noisy, err := dataset.GaussianNoisySamples(rand.New(rand.NewSource(seed+5)), test, level)
 		if err != nil {
 			return err
 		}
-		advPred, err = experiments.PredictSamples(m, noisy)
-		if err != nil {
+		if adv, err = m.InputMatrix(noisy); err != nil {
 			return err
 		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
-		if err != nil {
-			return err
-		}
-		re, err := experiments.GaussianRobustness(m, test, level, seed+5)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "gaussian σ=%.2f·std: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
 	case "fgsm", "pgd":
-		// Craft the adversarial matrix once: the attacked predictions feed
-		// both the F1 line and the robustness error.
-		labels := test.Labels()
-		p := experiments.FGSMPerturbation(m, labels, level)
-		what := fmt.Sprintf("white-box FGSM ε=%.2f", level)
-		if *f.kind == "pgd" {
-			p = experiments.PGDPerturbation(m, labels, test.Knowledge(), attack.PGDConfig{Eps: level})
+		// The gradient pass records backward state, so it runs on a
+		// replica and leaves the monitor's model untouched.
+		model, err := m.Model().Replicate()
+		if err != nil {
+			return err
+		}
+		if *f.kind == "fgsm" {
+			what = fmt.Sprintf("white-box FGSM ε=%.2f", level)
+			adv, err = attack.FGSM(model, x, test.Labels(), level)
+		} else {
 			what = fmt.Sprintf("white-box PGD ε=%.2f (10 steps)", level)
+			adv, err = attack.PGDWithKnowledge(model, x, test.Labels(), test.Knowledge(), attack.PGDConfig{Eps: level})
 		}
-		x, err := m.InputMatrix(test.Samples)
 		if err != nil {
 			return err
 		}
-		orig, err := experiments.PredictMatrixClasses(m, x)
-		if err != nil {
-			return err
-		}
-		adv, err := p(x)
-		if err != nil {
-			return err
-		}
-		advPred, err = experiments.PredictMatrixClasses(m, adv)
-		if err != nil {
-			return err
-		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
-		if err != nil {
-			return err
-		}
-		re, err := metrics.RobustnessError(orig, advPred)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			what, c.F1(), clean.F1()-c.F1(), re)
 	case "blackbox":
+		what = fmt.Sprintf("black-box FGSM ε=%.2f (substitute transfer)", level)
 		qx, err := m.InputMatrix(train.Samples)
 		if err != nil {
 			return err
 		}
-		qPred, err := experiments.PredictMatrixClasses(m, qx)
+		qPred, err := classes(qx)
 		if err != nil {
 			return err
 		}
@@ -238,40 +220,37 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tx, err := m.InputMatrix(test.Samples)
+		grad, err := sub.InputGradient(x, orig, nil)
 		if err != nil {
 			return err
 		}
-		tPred, err := experiments.PredictMatrixClasses(m, tx)
-		if err != nil {
+		if adv, err = attack.FGSMStep(x, grad, level); err != nil {
 			return err
 		}
-		grad, err := sub.InputGradient(tx, tPred, nil)
-		if err != nil {
-			return err
-		}
-		adv, err := attack.FGSMStep(tx, grad, level)
-		if err != nil {
-			return err
-		}
-		advPred, err = experiments.PredictMatrixClasses(m, adv)
-		if err != nil {
-			return err
-		}
-		re, err := metrics.RobustnessError(tPred, advPred)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "black-box FGSM ε=%.2f (substitute transfer): robustness error=%.3f\n", level, re)
 	default:
 		return fmt.Errorf("unknown attack %q", *f.kind)
 	}
 
+	advPred, err := classes(adv)
+	if err != nil {
+		return err
+	}
+	re, err := metrics.RobustnessError(orig, advPred)
+	if err != nil {
+		return err
+	}
+	advRep, err := eval.EvaluatePredictions(fmt.Sprintf("%s+%s@%.2f", m.Name(), *f.kind, level), advPred, test, opts)
+	if err != nil {
+		return err
+	}
+	if *f.kind == "blackbox" {
+		fmt.Fprintf(stdout, "%s: robustness error=%.3f\n", what, re)
+	} else {
+		c := advRep.Overall.Confusion
+		fmt.Fprintf(stdout, "%s: F1=%.3f (Δ=%.3f), robustness error=%.3f\n", what, c.F1(), clean.F1()-c.F1(), re)
+	}
+
 	if *f.report {
-		advRep, err := eval.EvaluatePredictions(fmt.Sprintf("%s+%s@%.2f", m.Name(), *f.kind, level), advPred, test, opts)
-		if err != nil {
-			return err
-		}
 		set := &eval.Set{Tolerance: delta, Reports: []*eval.Report{cleanRep, advRep}}
 		fmt.Fprint(stdout, experiments.RenderReportSet(set))
 		if *f.reportOut != "" {

@@ -21,21 +21,34 @@ func TestHelpGolden(t *testing.T) {
 	cliconfig.CheckHelpGolden(t, fs, "testdata/help.golden")
 }
 
-// TestAttackStdoutGolden pins apsattack's stdout for the gaussian, fgsm and
-// blackbox arms at a two-epoch training budget. Each golden is the output of
-// `apsattack -attack <kind> -epochs 2 -no-cache`; the attack arms may be
-// restructured, but their printed numbers may not move.
+// TestAttackStdoutGolden pins apsattack's stdout for every attack arm at a
+// two-epoch training budget, plus the -report and -precision f32 modes.
+// Each golden is the output of `apsattack -attack <kind> [extra] -epochs 2
+// -parallel 2 -no-cache`; the attack arms may be restructured, but their
+// printed numbers may not move.
 func TestAttackStdoutGolden(t *testing.T) {
-	for _, kind := range []string{"gaussian", "fgsm", "blackbox"} {
-		t.Run(kind, func(t *testing.T) {
+	cases := []struct {
+		name, kind string
+		extra      []string
+	}{
+		{"gaussian", "gaussian", nil},
+		{"fgsm", "fgsm", nil},
+		{"blackbox", "blackbox", nil},
+		{"pgd", "pgd", nil},
+		{"gaussian-report", "gaussian", []string{"-report"}},
+		{"fgsm-f32", "fgsm", []string{"-precision", "f32"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("apsattack", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			var out bytes.Buffer
-			args := []string{"-attack", kind, "-epochs", "2", "-parallel", "2", "-no-cache"}
+			args := append([]string{"-attack", tc.kind}, tc.extra...)
+			args = append(args, "-epochs", "2", "-parallel", "2", "-no-cache")
 			if err := run(fs, args, &out); err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", "stdout-"+kind+".golden"))
+			want, err := os.ReadFile(filepath.Join("testdata", "stdout-"+tc.name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,7 +109,16 @@ func run() error {
 	if f.shards.Enabled() {
 		return fmt.Errorf("-shards only applies to -campaign mode")
 	}
-	return runEpisode(simu, *f.profile, f.shape.Steps, f.common.Seed, *f.scenario, *f.fault, *f.csv)
+	return runEpisode(simu, *f.profile, f.shape.Steps, f.common.Seed, episodeScenario(*f.scenario, *f.fault), *f.csv)
+}
+
+// episodeScenario resolves -scenario and its legacy alias -fault: -fault
+// selects random_fault when -scenario is empty, and is ignored otherwise.
+func episodeScenario(scenario string, fault bool) string {
+	if scenario == "" && fault {
+		return sim.ScenarioRandomFault
+	}
+	return scenario
 }
 
 func runCampaign(f *appFlags, simu dataset.Simulator) error {
@@ -175,8 +184,8 @@ func runCampaign(f *appFlags, simu dataset.Simulator) error {
 	return nil
 }
 
-func runEpisode(simu dataset.Simulator, profile, steps int, seed int64, scenario string, fault, csv bool) error {
-	ec := sim.EpisodeConfig{ProfileID: profile, Seed: seed, Scenario: scenario, Faulty: fault}
+func runEpisode(simu dataset.Simulator, profile, steps int, seed int64, scenario string, csv bool) error {
+	ec := sim.EpisodeConfig{ProfileID: profile, Seed: seed, Scenario: scenario}
 	var (
 		cfg sim.Config
 		err error

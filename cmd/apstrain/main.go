@@ -24,12 +24,15 @@
 // (minibatch gather/compute overlap + per-block forward/backward fan-out)
 // and the blocked matrix products. The trained model is byte-identical at
 // every setting, so -parallel never changes the cache key or the saved
-// weights.
+// weights. -parallel and -precision reach scoring as explicit
+// eval.Options; -precision f32 scores through the frozen float32 engine
+// and enters the cached report's key.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -42,7 +45,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "apstrain:", err)
 		os.Exit(1)
 	}
@@ -50,8 +53,8 @@ func main() {
 
 // printSummary prints the one-line clean-input score, whichever path
 // (direct scoring or the cached report) produced the confusion matrix.
-func printSummary(name string, c metrics.Confusion, delta int) {
-	fmt.Printf("%s: ACC=%.3f F1=%.3f P=%.3f R=%.3f (tolerance-window δ=%d)\n",
+func printSummary(w io.Writer, name string, c metrics.Confusion, delta int) {
+	fmt.Fprintf(w, "%s: ACC=%.3f F1=%.3f P=%.3f R=%.3f (tolerance-window δ=%d)\n",
 		name, c.Accuracy(), c.F1(), c.Precision(), c.Recall(), delta)
 }
 
@@ -91,17 +94,19 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 	return f
 }
 
-func run() error {
-	f := addFlags(flag.CommandLine)
-	flag.Parse()
+// run parses args into fs, trains (or loads) one monitor and scores it,
+// writing the summary and any report to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	f := addFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	parallel, err := f.common.ApplyBudget()
 	if err != nil {
 		return err
 	}
-	// The experiments-level worker knob also drives the scoring adapters
-	// (Score/ScoreEpisodes fan episodes out through it), so -parallel 1
-	// really is serial end to end.
-	if err := experiments.Configure(parallel, f.common.Precision); err != nil {
+	prec, err := monitor.ParsePrecision(string(f.common.Precision))
+	if err != nil {
 		return err
 	}
 	store := f.common.OpenStore(log.Printf)
@@ -128,13 +133,13 @@ func run() error {
 	if hit {
 		source = "loaded from artifact cache"
 	}
-	fmt.Printf("campaign %s (%s, %d profiles × %d episodes × %d steps)\n",
+	fmt.Fprintf(stdout, "campaign %s (%s, %d profiles × %d episodes × %d steps)\n",
 		source, simu, f.shape.Profiles, f.shape.Episodes, f.shape.Steps)
 	train, test, err := ds.Split(trainFrac)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dataset: %d samples (%.1f%% unsafe), train %d / test %d\n",
+	fmt.Fprintf(stdout, "dataset: %d samples (%.1f%% unsafe), train %d / test %d\n",
 		ds.Len(), 100*ds.UnsafeFraction(), train.Len(), test.Len())
 
 	tc := monitor.TrainConfig{
@@ -150,9 +155,10 @@ func run() error {
 		return err
 	}
 	if hit {
-		fmt.Println("monitor loaded from artifact cache (training skipped)")
+		fmt.Fprintln(stdout, "monitor loaded from artifact cache (training skipped)")
 	}
 	const delta = 12
+	opts := eval.Options{Tolerance: delta, Workers: parallel, Precision: prec}
 	if *f.report || *f.reportOut != "" {
 		// Report mode evaluates exactly once: the cached report's overall
 		// slice also supplies the summary line, so a warm run does no
@@ -163,20 +169,20 @@ func run() error {
 			Monitor:   m.Name(),
 			Train:     tc,
 			Tolerance: delta,
-			Precision: experiments.Precision(),
+			Precision: prec,
 		}
 		rep, hit, err := eval.CachedReport(store, rc, func() (*eval.Report, error) {
-			return eval.Evaluate(m, test, eval.Options{Tolerance: delta, Workers: parallel, Precision: experiments.Precision()})
+			return eval.Evaluate(m, test, opts)
 		})
 		if err != nil {
 			return err
 		}
 		if hit {
-			fmt.Println("evaluation report loaded from artifact cache")
+			fmt.Fprintln(stdout, "evaluation report loaded from artifact cache")
 		}
-		printSummary(m.Name(), rep.Overall.Confusion, delta)
+		printSummary(stdout, m.Name(), rep.Overall.Confusion, delta)
 		set := &eval.Set{Tolerance: delta, Reports: []*eval.Report{rep}}
-		fmt.Print(experiments.RenderReportSet(set))
+		fmt.Fprint(stdout, experiments.RenderReportSet(set))
 		if *f.reportOut != "" {
 			file, err := os.Create(*f.reportOut)
 			if err != nil {
@@ -186,14 +192,14 @@ func run() error {
 			if err := set.Save(file); err != nil {
 				return err
 			}
-			fmt.Printf("evaluation report written to %s\n", *f.reportOut)
+			fmt.Fprintf(stdout, "evaluation report written to %s\n", *f.reportOut)
 		}
 	} else {
-		c, err := experiments.Score(m, test, delta, nil)
+		rep, err := eval.Evaluate(m, test, opts)
 		if err != nil {
 			return err
 		}
-		printSummary(m.Name(), c, delta)
+		printSummary(stdout, m.Name(), rep.Overall.Confusion, delta)
 	}
 
 	if *f.out != "" {
@@ -205,7 +211,7 @@ func run() error {
 		if err := m.Save(file); err != nil {
 			return err
 		}
-		fmt.Printf("model written to %s\n", *f.out)
+		fmt.Fprintf(stdout, "model written to %s\n", *f.out)
 	}
 	return nil
 }

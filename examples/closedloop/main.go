@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// Run a fresh faulty episode the monitor has never seen.
-	cfg, err := sim.BuildGlucosymEpisode(sim.EpisodeConfig{ProfileID: 9, Seed: 999, Faulty: true}, 150)
+	cfg, err := sim.BuildGlucosymEpisode(sim.EpisodeConfig{ProfileID: 9, Seed: 999, Scenario: sim.ScenarioRandomFault}, 150)
 	if err != nil {
 		log.Fatal(err)
 	}

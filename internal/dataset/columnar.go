@@ -632,12 +632,8 @@ func LoadColumnarFile(path string, off int64) (*Dataset, error) {
 // via LoadColumnarFile), falling back to create on any miss and persisting the fresh dataset
 // columnar-encoded. requireSamples rejects cached empty datasets as
 // corrupt (campaigns must be non-empty; shard ranges may legitimately be
-// empty). A nil store always creates.
+// empty). artifact.Disabled{} always creates.
 func CachedColumnar(store artifact.Store, key artifact.Key, create func() (*Dataset, error), requireSamples bool) (ds *Dataset, hit bool, err error) {
-	if store == nil {
-		ds, err = create()
-		return ds, false, err
-	}
 	hit, err = store.GetOrCreateFile(key,
 		func(path string, payloadOff int64) error {
 			var lerr error

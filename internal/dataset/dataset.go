@@ -197,8 +197,8 @@ func windowFeatures(records []sim.Record, end, window int, stepMin float64) (mlp
 		sumRate += r.Rate
 	}
 	n := float64(window)
-	slopeBG := regressionSlope(records, first, end, stepMin, func(r sim.Record) float64 { return r.CGM })
-	slopeIOB := regressionSlope(records, first, end, stepMin, func(r sim.Record) float64 { return r.IOB })
+	slopeBG := seqSlope(seq, SeqFeatBG, stepMin)
+	slopeIOB := seqSlope(seq, SeqFeatIOB, stepMin)
 	last := records[end]
 	mlp = []float64{
 		sumBG / n,
@@ -213,17 +213,20 @@ func windowFeatures(records []sim.Record, end, window int, stepMin float64) (mlp
 	return mlp, seq, sumBG / n, slopeBG, slopeIOB
 }
 
-// regressionSlope fits a least-squares line over the window and returns its
-// slope per minute — the f(·) aggregation the paper applies to derivatives.
-func regressionSlope(records []sim.Record, first, end int, stepMin float64, get func(sim.Record) float64) float64 {
-	n := float64(end - first + 1)
+// seqSlope fits a least-squares line to feature feat across the rows of a
+// window's raw sequence (row stride SeqFeatureCount, rows stepMin apart)
+// and returns its slope per minute — the f(·) aggregation the paper
+// applies to derivatives.
+func seqSlope(seq []float64, feat int, stepMin float64) float64 {
+	rows := len(seq) / SeqFeatureCount
+	n := float64(rows)
 	if n < 2 {
 		return 0
 	}
 	var sx, sy, sxx, sxy float64
-	for i := first; i <= end; i++ {
-		x := float64(i-first) * stepMin
-		y := get(records[i])
+	for i := 0; i < rows; i++ {
+		x := float64(i) * stepMin
+		y := seq[i*SeqFeatureCount+feat]
 		sx += x
 		sy += y
 		sxx += x * x

@@ -271,7 +271,7 @@ func TestRegressionSlopeOnLinearSignal(t *testing.T) {
 	for i := range recs {
 		recs[i].CGM = 100 + 2*float64(i)*5 // +2 mg/dL per minute at 5-min steps
 	}
-	got := regressionSlope(recs, 0, 5, 5, func(r sim.Record) float64 { return r.CGM })
+	_, _, _, got, _ := windowFeatures(recs, 5, 6, 5)
 	if math.Abs(got-2) > 1e-9 {
 		t.Fatalf("slope = %v, want 2", got)
 	}

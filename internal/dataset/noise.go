@@ -60,21 +60,18 @@ func GaussianNoisySamples(rng *rand.Rand, d *Dataset, sigma float64) ([]Sample, 
 		}
 		// Recompute the aggregated MLP features from the noisy window.
 		var sumBG, sumIOB float64
-		bgSeries := make([]float64, w)
-		iobSeries := make([]float64, w)
 		for t := 0; t < w; t++ {
 			base := t * SeqFeatureCount
-			bgSeries[t] = ns.Seq[base+SeqFeatBG]
-			iobSeries[t] = ns.Seq[base+SeqFeatIOB]
-			sumBG += bgSeries[t]
-			sumIOB += iobSeries[t]
+			sumBG += ns.Seq[base+SeqFeatBG]
+			sumIOB += ns.Seq[base+SeqFeatIOB]
 		}
+		last := (w - 1) * SeqFeatureCount
 		ns.MLP[MLPFeatMeanBG] = sumBG / float64(w)
 		ns.MLP[MLPFeatMeanIOB] = sumIOB / float64(w)
-		ns.MLP[MLPFeatSlopeBG] = sliceSlope(bgSeries, stepMin)
-		ns.MLP[MLPFeatSlopeIOB] = sliceSlope(iobSeries, stepMin)
-		ns.MLP[MLPFeatLastBG] = bgSeries[w-1]
-		ns.MLP[MLPFeatLastIOB] = iobSeries[w-1]
+		ns.MLP[MLPFeatSlopeBG] = seqSlope(ns.Seq, SeqFeatBG, stepMin)
+		ns.MLP[MLPFeatSlopeIOB] = seqSlope(ns.Seq, SeqFeatIOB, stepMin)
+		ns.MLP[MLPFeatLastBG] = ns.Seq[last+SeqFeatBG]
+		ns.MLP[MLPFeatLastIOB] = ns.Seq[last+SeqFeatIOB]
 		// Rule-evaluation context follows the noisy aggregates.
 		ns.BG = ns.MLP[MLPFeatMeanBG]
 		ns.DeltaBG = ns.MLP[MLPFeatSlopeBG]
@@ -87,24 +84,3 @@ func GaussianNoisySamples(rng *rand.Rand, d *Dataset, sigma float64) ([]Sample, 
 // StepMin returns the sampling period of the windows (5 minutes throughout
 // the paper's campaigns).
 func (d *Dataset) StepMin() float64 { return 5 }
-
-// sliceSlope is the least-squares slope of evenly spaced samples.
-func sliceSlope(y []float64, dt float64) float64 {
-	n := float64(len(y))
-	if n < 2 {
-		return 0
-	}
-	var sx, sy, sxx, sxy float64
-	for i, v := range y {
-		x := float64(i) * dt
-		sx += x
-		sy += v
-		sxx += x * x
-		sxy += x * v
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0
-	}
-	return (n*sxy - sx*sy) / den
-}

@@ -175,13 +175,21 @@ func TestGaussianNoisySamplesDoesNotMutateOriginal(t *testing.T) {
 }
 
 func TestSliceSlope(t *testing.T) {
-	if got := sliceSlope([]float64{0, 2, 4, 6}, 1); math.Abs(got-2) > 1e-12 {
+	// column lays vals out as feature SeqFeatIOB of consecutive window rows.
+	column := func(vals ...float64) []float64 {
+		seq := make([]float64, len(vals)*SeqFeatureCount)
+		for i, v := range vals {
+			seq[i*SeqFeatureCount+SeqFeatIOB] = v
+		}
+		return seq
+	}
+	if got := seqSlope(column(0, 2, 4, 6), SeqFeatIOB, 1); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("slope = %v, want 2", got)
 	}
-	if got := sliceSlope([]float64{5}, 1); got != 0 {
+	if got := seqSlope(column(5), SeqFeatIOB, 1); got != 0 {
 		t.Fatalf("single-point slope = %v, want 0", got)
 	}
-	if got := sliceSlope([]float64{3, 3, 3}, 5); math.Abs(got) > 1e-12 {
+	if got := seqSlope(column(3, 3, 3), SeqFeatIOB, 5); math.Abs(got) > 1e-12 {
 		t.Fatalf("flat slope = %v, want 0", got)
 	}
 }

@@ -166,7 +166,7 @@ func MergeCampaigns(shards []*Dataset) (*Dataset, error) {
 // encoding and load zero-copy. Unlike
 // campaign loads, empty shard datasets are accepted: a shard whose range
 // holds no episodes (Count > episode count) legitimately persists zero
-// samples. A nil store always generates. This is the unit of fleet work:
+// samples. This is the unit of fleet work:
 // N processes each call CachedShard on their own shard against a shared
 // store, and any later process reassembles the campaign from the cached
 // slices without re-simulating anything.

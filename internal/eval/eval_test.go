@@ -261,9 +261,9 @@ func TestCachedReport(t *testing.T) {
 		return Evaluate(m, ds, Options{Tolerance: cfg.Tolerance, Workers: 1})
 	}
 
-	// nil store always computes.
-	if _, hit, err := CachedReport(nil, cfg, compute); err != nil || hit {
-		t.Fatalf("nil store: hit=%v err=%v", hit, err)
+	// The disabled store always computes.
+	if _, hit, err := CachedReport(artifact.Disabled{}, cfg, compute); err != nil || hit {
+		t.Fatalf("disabled store: hit=%v err=%v", hit, err)
 	}
 
 	store, err := artifact.NewDisk(t.TempDir())
@@ -279,7 +279,7 @@ func TestCachedReport(t *testing.T) {
 		t.Fatalf("warm: hit=%v err=%v", hit, err)
 	}
 	if computes != 2 {
-		t.Fatalf("computes = %d, want 2 (nil store + cold)", computes)
+		t.Fatalf("computes = %d, want 2 (disabled store + cold)", computes)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cached report diverges:\n%+v\nvs\n%+v", cold, warm)

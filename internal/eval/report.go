@@ -156,14 +156,10 @@ func (c ReportConfig) ArtifactKey() artifact.Key {
 
 // CachedReport returns the evaluation report for cfg, loading it from the
 // artifact store when a current entry exists and computing (then persisting)
-// it otherwise. A nil store always computes. On a hit, compute is never
+// it otherwise. On a hit, compute is never
 // invoked — which is what lets a warm run skip monitor resolution and
 // inference entirely.
 func CachedReport(store artifact.Store, cfg ReportConfig, compute func() (*Report, error)) (rep *Report, hit bool, err error) {
-	if store == nil {
-		rep, err = compute()
-		return rep, false, err
-	}
 	hit, err = store.GetOrCreateFile(cfg.ArtifactKey(),
 		artifact.ReaderLoad(func(r io.Reader) error {
 			var lerr error

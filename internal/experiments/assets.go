@@ -38,8 +38,9 @@ func Precision() monitor.Precision {
 }
 
 // Configure installs the CLI-resolved worker count and inference precision
-// in one call — the single line the experiment binaries run after parsing
-// the shared cliconfig bundle.
+// in one call — the single line apsexperiments runs after parsing the
+// shared cliconfig bundle. The single-monitor CLIs pass both as explicit
+// eval.Options instead.
 //
 // workers is how many goroutines the experiment grid sweeps fan out to:
 // n <= 0 restores the default (runtime.GOMAXPROCS(0)); n == 1 runs every

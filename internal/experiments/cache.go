@@ -23,19 +23,24 @@ var (
 
 var (
 	storeMu    sync.RWMutex
-	assetStore artifact.Store
+	assetStore artifact.Store = artifact.Disabled{}
 )
 
-// SetStore installs the artifact store behind the asset pipeline; nil (the
-// default) disables persistence, leaving only the in-process memory tier.
-// CLIs call it once at startup with the store resolved from -cache/-no-cache.
+// SetStore installs the artifact store behind the asset pipeline; nil
+// installs artifact.Disabled{} (the default), which disables persistence
+// and leaves only the in-process memory tier. CLIs call it once at startup
+// with the store resolved from -cache/-no-cache.
 func SetStore(s artifact.Store) {
+	if s == nil {
+		s = artifact.Disabled{}
+	}
 	storeMu.Lock()
 	assetStore = s
 	storeMu.Unlock()
 }
 
-// ActiveStore returns the installed artifact store (nil when disabled).
+// ActiveStore returns the installed artifact store (artifact.Disabled{}
+// when persistence is off).
 func ActiveStore() artifact.Store {
 	storeMu.RLock()
 	defer storeMu.RUnlock()
@@ -45,8 +50,8 @@ func ActiveStore() artifact.Store {
 // CachedCampaign returns the labeled dataset for cfg, loading it from the
 // artifact store when a current entry exists and generating (then
 // persisting) it otherwise. Entries persist in the columnar binary
-// encoding and load zero-copy (mmap-ed feature-column views). A nil store always generates. The reported hit
-// tells callers whether simulation was skipped.
+// encoding and load zero-copy (mmap-ed feature-column views). The reported
+// hit tells callers whether simulation was skipped.
 func CachedCampaign(store artifact.Store, cfg dataset.CampaignConfig) (ds *dataset.Dataset, hit bool, err error) {
 	return dataset.CachedColumnar(store, cfg.ArtifactKey(),
 		func() (*dataset.Dataset, error) { return generateFn(cfg) }, true)
@@ -69,10 +74,6 @@ func monitorKey(camp dataset.CampaignConfig, trainFrac float64, cfg monitor.Trai
 // the campaign camp at trainFrac), loading it from the artifact store when
 // a current entry exists and training (then persisting) it otherwise.
 func CachedMonitor(store artifact.Store, train *dataset.Dataset, camp dataset.CampaignConfig, trainFrac float64, cfg monitor.TrainConfig) (m *monitor.MLMonitor, hit bool, err error) {
-	if store == nil {
-		m, err = trainFn(train, cfg)
-		return m, false, err
-	}
 	hit, err = store.GetOrCreateFile(monitorKey(camp, trainFrac, cfg),
 		artifact.ReaderLoad(func(r io.Reader) error {
 			var lerr error
@@ -118,9 +119,6 @@ func CachedSubstitute(store artifact.Store, target artifact.Key, budget int, cfg
 		}
 		sub, cerr = substituteFn(qx, qPred, cfg)
 		return cerr
-	}
-	if store == nil {
-		return sub, false, create()
 	}
 	hit, err = store.GetOrCreateFile(substituteKey(target, budget, cfg),
 		artifact.ReaderLoad(func(r io.Reader) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 )
 
 // benchAssets builds (once) the shared bench-scale assets for all tests in
@@ -321,21 +322,28 @@ func TestRunnerRegistry(t *testing.T) {
 	}
 }
 
-func TestScoreEpisodesValidation(t *testing.T) {
+// TestNoisyClassesZeroSigmaIsClean pins that σ=0 Gaussian noise leaves
+// every class unchanged: a zero robustness error against the clean classes.
+func TestNoisyClassesZeroSigmaIsClean(t *testing.T) {
 	a := benchAssets(t)
-	test := a.Sims[dataset.Glucosym].Test
-	if _, err := ScoreEpisodes(make([]int, 3), test, 6); err == nil {
-		t.Error("want error for prediction length mismatch")
-	}
-}
-
-func TestGaussianRobustnessZeroSigmaIsZero(t *testing.T) {
-	a := benchAssets(t)
-	m, err := a.Sims[dataset.Glucosym].MLMonitor("mlp")
+	sa := a.Sims[dataset.Glucosym]
+	m, err := sa.MLMonitor("mlp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := GaussianRobustness(m, a.Sims[dataset.Glucosym].Test, 0, 99)
+	x, err := m.InputMatrix(sa.Test.Samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := classes(m, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pert, err := noisyClasses(m, sa.Test, 0, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := metrics.RobustnessError(orig, pert)
 	if err != nil {
 		t.Fatal(err)
 	}

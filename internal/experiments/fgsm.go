@@ -34,7 +34,7 @@ func Fig8(a *Assets) (*Fig8Result, error) {
 			if err != nil {
 				return 0, cellErr("fig8", c, err)
 			}
-			conf, err := ScoreEpisodes(pred, c.SA.Test, a.Config.ToleranceDelta)
+			conf, err := score(pred, c.SA.Test, a.Config.ToleranceDelta)
 			if err != nil {
 				return 0, cellErr("fig8", c, err)
 			}
@@ -189,7 +189,14 @@ func Fig7(a *Assets) (*Fig7Result, error) {
 		if err != nil {
 			return fig7Series{}, err
 		}
-		adv, err := FGSMPerturbation(m, labels[:n], eps)(x)
+		// The gradient pass records backward state, so it runs on a
+		// private replica and the shared monitor stays safe for concurrent
+		// inference.
+		model, err := m.Model().Replicate()
+		if err != nil {
+			return fig7Series{}, err
+		}
+		adv, err := attack.FGSM(model, x, labels[:n], eps)
 		if err != nil {
 			return fig7Series{}, err
 		}

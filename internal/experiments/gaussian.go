@@ -29,7 +29,11 @@ func Fig5(a *Assets) (*Fig5Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			conf, err := GaussianScore(m, c.SA.Test, c.Level, c.Seed, a.Config.ToleranceDelta)
+			pred, err := noisyClasses(m, c.SA.Test, c.Level, c.Seed)
+			if err != nil {
+				return 0, cellErr("fig5", c, err)
+			}
+			conf, err := score(pred, c.SA.Test, a.Config.ToleranceDelta)
 			if err != nil {
 				return 0, cellErr("fig5", c, err)
 			}
@@ -90,7 +94,11 @@ func Fig6(a *Assets) (*Fig6Result, error) {
 			if err != nil {
 				return prSample{}, err
 			}
-			conf, err := GaussianScore(m, c.SA.Test, c.Level, c.Seed, a.Config.ToleranceDelta)
+			pred, err := noisyClasses(m, c.SA.Test, c.Level, c.Seed)
+			if err != nil {
+				return prSample{}, cellErr("fig6", c, err)
+			}
+			conf, err := score(pred, c.SA.Test, a.Config.ToleranceDelta)
 			if err != nil {
 				return prSample{}, cellErr("fig6", c, err)
 			}

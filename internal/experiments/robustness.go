@@ -75,11 +75,11 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			re, err := gaussianRobustness(sf.m, c.SA.Test, orig, c.Level, c.Seed)
+			pert, err := noisyClasses(sf.m, c.SA.Test, c.Level, c.Seed)
 			if err != nil {
 				return 0, cellErr("fig9 gaussian", c, err)
 			}
-			return re, nil
+			return metrics.RobustnessError(orig, pert)
 		},
 	})
 	if err != nil {

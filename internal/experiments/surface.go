@@ -1,10 +1,50 @@
 package experiments
 
 import (
+	"math/rand"
+
 	"repro/internal/attack"
+	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/mat"
+	"repro/internal/metrics"
 	"repro/internal/monitor"
 )
+
+// classes runs an ML monitor over an assembled input matrix under the
+// configured precision.
+func classes(m *monitor.MLMonitor, x *mat.Matrix) ([]int, error) {
+	pred := make([]int, x.Rows())
+	if err := m.ClassifyInto(Precision(), x, pred, nil); err != nil {
+		return nil, err
+	}
+	return pred, nil
+}
+
+// noisyClasses classifies the test windows under the paper's Gaussian noise
+// model: raw windows noised with σ in multiples of each sensor signal's std,
+// drawn from seed. Figs 5, 6 and the Gaussian half of Fig 9 all score it.
+func noisyClasses(m *monitor.MLMonitor, test *dataset.Dataset, sigma float64, seed int64) ([]int, error) {
+	noisy, err := dataset.GaussianNoisySamples(rand.New(rand.NewSource(seed)), test, sigma)
+	if err != nil {
+		return nil, err
+	}
+	x, err := m.InputMatrix(noisy)
+	if err != nil {
+		return nil, err
+	}
+	return classes(m, x)
+}
+
+// score is the tolerance-window confusion matrix (Table II) of per-sample
+// predictions against the test set's hazard occurrences.
+func score(pred []int, test *dataset.Dataset, delta int) (metrics.Confusion, error) {
+	rep, err := eval.EvaluatePredictions("", pred, test, eval.Options{Tolerance: delta, Workers: Workers()})
+	if err != nil {
+		return metrics.Confusion{}, err
+	}
+	return rep.Overall.Confusion, nil
+}
 
 // attackSurface is the level-invariant work of the robustness sweeps for
 // one (simulator, ML monitor) pair, computed once and shared read-only by
@@ -18,7 +58,7 @@ type attackSurface struct {
 	x *mat.Matrix
 	// grad is the white-box input gradient ∇_x J(x, TestLabels()) with no
 	// knowledge indicators, taken on a private replica of the model exactly
-	// as FGSMPerturbation takes it.
+	// as attack.FGSM takes it.
 	grad *mat.Matrix
 	// f64 holds the clean classes on the canonical f64 path.
 	f64 []int
@@ -62,12 +102,12 @@ func (s *SimAssets) buildSurface(name string) (*attackSurface, error) {
 }
 
 // cleanClasses returns the clean-input classes under the configured
-// precision, the twin of PredictMatrixClasses(m, x).
+// precision, the twin of classes(m, x).
 func (a *attackSurface) cleanClasses() ([]int, error) {
 	if Precision() == monitor.F64 {
 		return a.f64, nil
 	}
-	return a.f32.get(func() ([]int, error) { return PredictMatrixClasses(a.m, a.x) })
+	return a.f32.get(func() ([]int, error) { return classes(a.m, a.x) })
 }
 
 // fgsmClasses returns the monitor's classes, under the configured
@@ -77,5 +117,5 @@ func (a *attackSurface) fgsmClasses(eps float64) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return PredictMatrixClasses(a.m, adv)
+	return classes(a.m, adv)
 }

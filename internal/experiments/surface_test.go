@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
@@ -25,17 +27,50 @@ func matBits(m *mat.Matrix) []byte {
 }
 
 // surfaceRefs assembles the Fig 8, Fig 9, Fig 10 and evasion-FGSM numbers
-// from the public per-cell helpers, recomputing every clean matrix,
-// clean prediction and gradient per cell: the path the sweeps took before
-// they shared one attack surface per (simulator, monitor).
+// from the primitives (InputMatrix, attack.FGSM on a replica, ClassifyInto,
+// eval.EvaluatePredictions and metrics.RobustnessError), recomputing every
+// clean matrix, clean prediction and gradient per cell: the path the sweeps
+// took before they shared one attack surface per (simulator, monitor).
 type surfaceRefs struct {
 	fig8, fig9g, fig9f map[string]map[string][]float64
 	fig10              map[string]map[string][]float64
 	evasion            map[string][]float64
 }
 
-func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
+func perCellRefs(t *testing.T, a *Assets, prec monitor.Precision) surfaceRefs {
 	t.Helper()
+	classify := func(m *monitor.MLMonitor, x *mat.Matrix) []int {
+		pred := make([]int, x.Rows())
+		if err := m.ClassifyInto(prec, x, pred, nil); err != nil {
+			t.Fatal(err)
+		}
+		return pred
+	}
+	input := func(m *monitor.MLMonitor, samples []dataset.Sample) *mat.Matrix {
+		x, err := m.InputMatrix(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	robustness := func(orig, pert []int) float64 {
+		re, err := metrics.RobustnessError(orig, pert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+	fgsm := func(m *monitor.MLMonitor, x *mat.Matrix, labels []int, eps float64) *mat.Matrix {
+		model, err := m.Model().Replicate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv, err := attack.FGSM(model, x, labels, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
 	r := surfaceRefs{
 		fig8:    map[string]map[string][]float64{},
 		fig9g:   map[string]map[string][]float64{},
@@ -59,30 +94,29 @@ func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
 				t.Fatal(err)
 			}
 			for li, sigma := range GaussianLevels {
-				re, err := GaussianRobustness(m, sa.Test, sigma, sweep.CellSeed(gaussBase, gauss.Index(si, mi, li)))
+				orig := classify(m, input(m, sa.Test.Samples))
+				rng := rand.New(rand.NewSource(sweep.CellSeed(gaussBase, gauss.Index(si, mi, li))))
+				noisy, err := dataset.GaussianNoisySamples(rng, sa.Test, sigma)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.fig9g[sim][name] = append(r.fig9g[sim][name], re)
+				pert := classify(m, input(m, noisy))
+				r.fig9g[sim][name] = append(r.fig9g[sim][name], robustness(orig, pert))
 			}
 			for _, eps := range FGSMLevels {
-				conf, err := Score(m, sa.Test, a.Config.ToleranceDelta, FGSMPerturbation(m, labels, eps))
+				x := input(m, sa.Test.Samples)
+				advPred := classify(m, fgsm(m, x, labels, eps))
+				rep, err := eval.EvaluatePredictions("", advPred, sa.Test, eval.Options{Tolerance: a.Config.ToleranceDelta, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.fig8[sim][name] = append(r.fig8[sim][name], conf.F1())
-				re, err := RobustnessError(m, sa.Test, FGSMPerturbation(m, labels, eps))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.fig9f[sim][name] = append(r.fig9f[sim][name], re)
+				r.fig8[sim][name] = append(r.fig8[sim][name], rep.Overall.Confusion.F1())
+				r.fig9f[sim][name] = append(r.fig9f[sim][name], robustness(classify(m, x), advPred))
 			}
 
-			qx, err := m.InputMatrix(sa.Train.Samples)
-			if err != nil {
-				t.Fatal(err)
-			}
+			qx := input(m, sa.Train.Samples)
 			if qx.Rows() > blackBoxQueryBudget {
+				var err error
 				if qx, err = qx.SliceRows(0, blackBoxQueryBudget); err != nil {
 					t.Fatal(err)
 				}
@@ -98,10 +132,7 @@ func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tx, err := m.InputMatrix(sa.Test.Samples)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tx := input(m, sa.Test.Samples)
 			tPred, err := m.PredictClasses(tx)
 			if err != nil {
 				t.Fatal(err)
@@ -115,11 +146,7 @@ func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
 				if err != nil {
 					t.Fatal(err)
 				}
-				re, err := metrics.RobustnessError(tPred, advPred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.fig10[sim][name] = append(r.fig10[sim][name], re)
+				r.fig10[sim][name] = append(r.fig10[sim][name], robustness(tPred, advPred))
 			}
 		}
 
@@ -131,14 +158,7 @@ func perCellRefs(t *testing.T, a *Assets) surfaceRefs {
 		col := (test.Window-1)*dataset.SeqFeatureCount + dataset.SeqFeatBG
 		orig := episodeSeries(test, func(i int) float64 { return test.Samples[i].Seq[col] })
 		for _, eps := range FGSMLevels {
-			x, err := lstm.InputMatrix(test.Samples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adv, err := FGSMPerturbation(lstm, labels, eps)(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			adv := fgsm(lstm, input(lstm, test.Samples), labels, eps)
 			lstm.Normalizer().Invert(adv)
 			pert := episodeSeries(test, func(i int) float64 { return adv.At(i, col) })
 			rate, err := attack.EvasionRate(orig, pert, test.SeqNorm.Std[dataset.SeqFeatBG])
@@ -166,7 +186,7 @@ func sameSeries(t *testing.T, what string, got, want []float64) {
 // TestAttackSurfaceMatchesPerCellPath pins that sharing one attack surface
 // per (simulator, monitor) changes no number: under both precisions, Figs
 // 8, 9 and 10 and the evasion FGSM rates equal a reference assembled cell
-// by cell from the public helpers. It then checks that Fig 10 ignores the
+// by cell from the primitives. It then checks that Fig 10 ignores the
 // configured-precision clean classes and that no cell wrote to the shared
 // clean matrix or gradient.
 func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
@@ -180,7 +200,7 @@ func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
 		if err := Configure(4, prec); err != nil {
 			t.Fatal(err)
 		}
-		want = perCellRefs(t, a)
+		want = perCellRefs(t, a, prec)
 		f8, err := Fig8(a)
 		if err != nil {
 			t.Fatal(err)

@@ -35,7 +35,7 @@ func Fig1b(a *Assets) (*Fig1bResult, error) {
 	cfg, err := sim.BuildGlucosymEpisode(sim.EpisodeConfig{
 		ProfileID: 0,
 		Seed:      a.Config.Seed + 73,
-		Faulty:    true,
+		Scenario:  sim.ScenarioRandomFault,
 	}, a.Config.Steps)
 	if err != nil {
 		return nil, err

@@ -51,11 +51,8 @@ type EpisodeConfig struct {
 	ProfileID int
 	Seed      int64
 	// Scenario names the registered scenario generator applied to the
-	// episode. Empty selects ScenarioNominal, or ScenarioRandomFault when
-	// Faulty is set (the legacy knob kept for single-episode tools).
+	// episode. Empty selects ScenarioNominal.
 	Scenario string
-	// Faulty is the legacy toggle equivalent to Scenario = "random_fault".
-	Faulty bool
 }
 
 // Builtin scenario names. Every name is registered in the default Scenarios
@@ -350,14 +347,11 @@ func (m ScenarioMix) Assign(n int) []int {
 }
 
 // resolveScenario maps an EpisodeConfig to its scenario: the named one when
-// set, otherwise the legacy Faulty toggle.
+// set, otherwise ScenarioNominal.
 func resolveScenario(ec EpisodeConfig) (Scenario, error) {
 	name := ec.Scenario
 	if name == "" {
 		name = ScenarioNominal
-		if ec.Faulty {
-			name = ScenarioRandomFault
-		}
 	}
 	return Scenarios.Lookup(name)
 }

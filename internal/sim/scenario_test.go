@@ -247,23 +247,6 @@ func TestUnknownScenarioFailsBuild(t *testing.T) {
 	}
 }
 
-func TestLegacyFaultyFlagMapsToRandomFault(t *testing.T) {
-	cfg, err := BuildGlucosymEpisode(EpisodeConfig{ProfileID: 0, Seed: 3, Faulty: true}, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Scenario != ScenarioRandomFault || cfg.Fault == nil {
-		t.Fatalf("Faulty episode resolved to %q (fault %v)", cfg.Scenario, cfg.Fault)
-	}
-	cfg, err = BuildGlucosymEpisode(EpisodeConfig{ProfileID: 0, Seed: 3}, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Scenario != ScenarioNominal || cfg.Fault != nil {
-		t.Fatalf("default episode resolved to %q (fault %v)", cfg.Scenario, cfg.Fault)
-	}
-}
-
 // TestUnannouncedMealHiddenFromController pins the missed-bolus semantics:
 // an unannounced meal is absorbed identically but the announcement-driven
 // controller never sees its carbs, so its insulin response differs.

@@ -133,8 +133,8 @@ func TestStuckFaultFreezesRate(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: 4, Seed: 9, Faulty: true}, 150)
-	b := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: 4, Seed: 9, Faulty: true}, 150)
+	a := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: 4, Seed: 9, Scenario: ScenarioRandomFault}, 150)
+	b := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: 4, Seed: 9, Scenario: ScenarioRandomFault}, 150)
 	if len(a.Records) != len(b.Records) {
 		t.Fatal("lengths differ")
 	}
@@ -280,7 +280,7 @@ func TestFaultyEpisodesProduceMoreHazards(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		a := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: int(seed) % 8, Seed: 100 + seed}, 200)
 		nominal += len(a.HazardSteps())
-		b := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: int(seed) % 8, Seed: 100 + seed, Faulty: true}, 200)
+		b := runEpisode(t, BuildGlucosymEpisode, EpisodeConfig{ProfileID: int(seed) % 8, Seed: 100 + seed, Scenario: ScenarioRandomFault}, 200)
 		faulty += len(b.HazardSteps())
 	}
 	if faulty <= nominal {
