@@ -412,7 +412,11 @@ func weightLabel(w float64) string {
 	}
 }
 
-// BenchmarkAblationWindow sweeps the monitor window length W.
+// BenchmarkAblationWindow sweeps the monitor window length W. F1 only
+// measures something when the test split holds an unsafe window, so the
+// campaign seed is the first from 5 up whose two-episode test split has
+// one at every W (seed 5 has none), and the benchmark fails if that stops
+// holding.
 func BenchmarkAblationWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, w := range []int{4, 6, 8} {
@@ -422,7 +426,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 				EpisodesPerProfile: 2,
 				Steps:              100,
 				Window:             w,
-				Seed:               5,
+				Seed:               6,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -430,6 +434,9 @@ func BenchmarkAblationWindow(b *testing.B) {
 			train, test, err := ds.Split(0.75)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if test.UnsafeFraction() == 0 {
+				b.Fatalf("window %d: the test split holds no unsafe window, so F1 is 0 whatever the monitor", w)
 			}
 			m, err := monitor.Train(train, monitor.TrainConfig{
 				Arch: monitor.ArchMLP, Epochs: 8, Hidden1: 48, Hidden2: 24, Seed: 5,
@@ -635,9 +642,8 @@ func BenchmarkRunCampaign(b *testing.B) {
 }
 
 // benchTrainMonitor measures monitor training throughput at a fixed worker
-// count. Workers drives the minibatch pipeline + block-parallel
-// forward/backward; the budget is pinned to the same value so the fan-out
-// is real. Trained weights are byte-identical at every setting
+// count. Workers drives the block-parallel forward/backward; the budget is
+// pinned to the same value so the fan-out is real. Trained weights are byte-identical at every setting
 // (monitor.TestTrainParallelDeterminism), so serial vs parallel is a pure
 // wall-clock comparison.
 func benchTrainMonitor(b *testing.B, simu dataset.Simulator, arch monitor.Arch, workers int) {
@@ -671,14 +677,14 @@ func benchTrainMonitor(b *testing.B, simu dataset.Simulator, arch monitor.Arch, 
 	}
 }
 
-// BenchmarkTrainMLP compares serial and 8-way pipelined MLP monitor
+// BenchmarkTrainMLP compares serial and 8-way block-parallel MLP monitor
 // training (paper-sized 256-128 hidden layers).
 func BenchmarkTrainMLP(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchTrainMonitor(b, dataset.Glucosym, monitor.ArchMLP, 1) })
 	b.Run("parallel8", func(b *testing.B) { benchTrainMonitor(b, dataset.Glucosym, monitor.ArchMLP, 8) })
 }
 
-// BenchmarkTrainLSTM compares serial and 8-way pipelined stacked-LSTM
+// BenchmarkTrainLSTM compares serial and 8-way block-parallel stacked-LSTM
 // monitor training (paper-sized 128-64 over 6 steps).
 func BenchmarkTrainLSTM(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchTrainMonitor(b, dataset.T1DS, monitor.ArchLSTM, 1) })

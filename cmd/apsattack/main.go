@@ -27,7 +27,7 @@
 // against the clean classes.
 //
 // -parallel N sets the worker budget shared by monitor training (the
-// minibatch block pipeline), matrix products, and episode scoring; trained
+// per-block forward/backward fan-out), matrix products, and episode scoring; trained
 // weights and attack outputs are byte-identical at every setting.
 // -precision f32 routes monitor inference (clean scoring, the black-box
 // queries and the attacked-prediction passes) through the frozen float32

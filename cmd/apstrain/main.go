@@ -20,9 +20,8 @@
 // settings loads both instead of regenerating and retraining. Cache events
 // are logged to stderr.
 //
-// -parallel N sets the worker budget shared by the training pipeline
-// (minibatch gather/compute overlap + per-block forward/backward fan-out)
-// and the blocked matrix products. The trained model is byte-identical at
+// -parallel N sets the worker budget shared by training (the per-block
+// forward/backward fan-out) and the blocked matrix products. The trained model is byte-identical at
 // every setting, so -parallel never changes the cache key or the saved
 // weights. -parallel and -precision reach scoring as explicit
 // eval.Options; -precision f32 scores through the frozen float32 engine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -370,5 +371,59 @@ func TestCachedReportDamagedEntriesRecompute(t *testing.T) {
 				t.Fatalf("re-persisted entry differs from the original (err %v)", err)
 			}
 		})
+	}
+}
+
+// TestCachedReportFailingRoot: a cache root that cannot hold entries (a
+// regular file where the directory should be, which even a root user
+// cannot write through) degrades to computing. The freshly built report
+// comes back as a miss, without error, and the store logs why.
+func TestCachedReportFailingRoot(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "cache")
+	store, err := artifact.NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	store.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+
+	ds := testDataset()
+	m := thresholdMonitor{200}
+	cfg := ReportConfig{Monitor: m.Name(), Tolerance: 2}
+	want, err := Evaluate(m, ds, Options{Tolerance: cfg.Tolerance, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, hit, err := CachedReport(store, cfg, func() (*Report, error) {
+		return Evaluate(m, ds, Options{Tolerance: cfg.Tolerance, Workers: 1})
+	})
+	if err != nil || hit {
+		t.Fatalf("failing root: hit=%v err=%v, want a miss without error", hit, err)
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatal("failing root returned a report other than the computed one")
+	}
+	checkFailingRootLog(t, logged)
+}
+
+// checkFailingRootLog pins what a regular-file cache root logs for one
+// miss: the failed read of the entry, then the failed creation of its
+// directory, and no store or hit.
+func checkFailingRootLog(t *testing.T, logged []string) {
+	t.Helper()
+	wantPrefixes := []string{"artifact cache: cannot open ", "artifact cache: cannot create "}
+	if len(logged) != len(wantPrefixes) {
+		t.Fatalf("logged %q, want one cannot-open and one cannot-create line", logged)
+	}
+	for i, p := range wantPrefixes {
+		if !strings.HasPrefix(logged[i], p) || !strings.Contains(logged[i], "not a directory") {
+			t.Fatalf("log line %d = %q, want prefix %q naming ENOTDIR", i, logged[i], p)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -287,5 +288,55 @@ func TestCachedMonitorDamagedEntriesRetrain(t *testing.T) {
 				t.Fatalf("re-persisted entry differs from the original (err %v)", err)
 			}
 		})
+	}
+}
+
+// TestCachedCampaignFailingRoot: a cache root that cannot hold entries (a
+// regular file where the directory should be, which even a root user
+// cannot write through) degrades to generating. The fresh campaign comes
+// back as a miss, without error, and the store logs the failed read and
+// the failed directory creation.
+func TestCachedCampaignFailingRoot(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "cache")
+	store, err := artifact.NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	store.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+
+	cfg := dataset.CampaignConfig{Simulator: dataset.Glucosym, Profiles: 2, EpisodesPerProfile: 2, Steps: 60, Seed: 5}
+	want, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, hit, err := CachedCampaign(store, cfg)
+	if err != nil || hit {
+		t.Fatalf("failing root: hit=%v err=%v, want a miss without error", hit, err)
+	}
+	var got, wantBytes bytes.Buffer
+	if err := ds.EncodeColumnar(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.EncodeColumnar(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantBytes.Bytes()) {
+		t.Fatal("failing root returned a campaign other than the generated one")
+	}
+	prefixes := []string{"artifact cache: cannot open ", "artifact cache: cannot create "}
+	if len(logged) != len(prefixes) {
+		t.Fatalf("logged %q, want one cannot-open and one cannot-create line", logged)
+	}
+	for i, p := range prefixes {
+		if !strings.HasPrefix(logged[i], p) || !strings.Contains(logged[i], "not a directory") {
+			t.Fatalf("log line %d = %q, want prefix %q naming ENOTDIR", i, logged[i], p)
+		}
 	}
 }

@@ -40,7 +40,7 @@ type GridCell struct {
 	SA      *SimAssets
 	Monitor string
 	// Level is the perturbation magnitude (σ or ε); zero in pair sweeps
-	// (runPairs), which have no level axis.
+	// (pairLevel), which have no level axis.
 	Level float64
 	Seed  int64
 }
@@ -98,34 +98,21 @@ func runGrid[T any](a *Assets, spec gridSpec[T]) (map[string]map[string][]T, err
 	return out, nil
 }
 
-// runPairs fans a sim × monitor sweep (no level axis) out across Workers()
-// goroutines and returns out[simulator][monitor].
-func runPairs[T any](a *Assets, monitors []string, tag int64, eval func(c *GridCell) (T, error)) (map[string]map[string]T, error) {
-	g := sweep.NewGrid(len(Simulators), len(monitors))
-	base := sweep.Derive(a.Config.Seed, tag)
-	vals, err := sweep.Map(Workers(), g.Size(), func(i int) (T, error) {
-		co := g.Coords(i)
-		simu := Simulators[co[0]]
-		c := &GridCell{
-			Sim:     simu,
-			SA:      a.Sims[simu],
-			Monitor: monitors[co[1]],
-			Seed:    sweep.CellSeed(base, i),
+// pairLevel is the one zero level of a simulator × monitor sweep, which
+// has no level axis. Its flat cell index (si·M+mi)·1+0 is the pair's own,
+// so its cell seeds are those of a two-dimensional grid.
+var pairLevel = []float64{0}
+
+// pairValues lists a pairLevel runGrid result in (simulator, monitor)
+// order.
+func pairValues[T any](grid map[string]map[string][]T, monitors []string) []T {
+	out := make([]T, 0, len(Simulators)*len(monitors))
+	for _, simu := range Simulators {
+		for _, name := range monitors {
+			out = append(out, grid[simu.String()][name][0])
 		}
-		return eval(c)
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := make(map[string]map[string]T, len(Simulators))
-	for si, simu := range Simulators {
-		rows := make(map[string]T, len(monitors))
-		for mi, name := range monitors {
-			rows[name] = vals[g.Index(si, mi)]
-		}
-		out[simu.String()] = rows
-	}
-	return out, nil
+	return out
 }
 
 // cellErr annotates a cell failure with its grid coordinates.

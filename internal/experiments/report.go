@@ -21,19 +21,22 @@ type ReportsResult struct {
 // Reports are assembled in (simulator, monitor) order, so the result is
 // byte-identical at every worker count.
 func Reports(a *Assets) (*ReportsResult, error) {
-	rows, err := runPairs(a, MonitorNames, tagReport, func(c *GridCell) (*eval.Report, error) {
+	return reportSet(a, func(c *GridCell) (*eval.Report, error) {
 		return c.SA.Report(c.Monitor)
 	})
+}
+
+// reportSet runs report for every (simulator, monitor) pair, one sweep cell
+// each, and lists the reports in (simulator, monitor) order.
+func reportSet(a *Assets, report func(c *GridCell) (*eval.Report, error)) (*ReportsResult, error) {
+	rows, err := runGrid(a, gridSpec[*eval.Report]{monitors: MonitorNames, levels: pairLevel, tag: tagReport, eval: report})
 	if err != nil {
 		return nil, err
 	}
-	set := &eval.Set{Tolerance: a.Config.ToleranceDelta}
-	for _, simu := range Simulators {
-		for _, name := range MonitorNames {
-			set.Reports = append(set.Reports, rows[simu.String()][name])
-		}
-	}
-	return &ReportsResult{Set: set}, nil
+	return &ReportsResult{Set: &eval.Set{
+		Tolerance: a.Config.ToleranceDelta,
+		Reports:   pairValues(rows, MonitorNames),
+	}}, nil
 }
 
 // Render implements Renderer via RenderReportSet.

@@ -136,7 +136,7 @@ const blackBoxQueryBudget = 600
 // observations stay bit-deterministic. The clean test classes therefore
 // come from the attack surface's f64 classes, never from cleanClasses.
 func Fig10(a *Assets) (*HeatmapResult, error) {
-	rows, err := runPairs(a, MLMonitorNames, tagFig10, func(c *GridCell) ([]float64, error) {
+	grid, err := runGrid(a, gridSpec[[]float64]{monitors: MLMonitorNames, levels: pairLevel, tag: tagFig10, eval: func(c *GridCell) ([]float64, error) {
 		sf, err := c.SA.surface(c.Monitor)
 		if err != nil {
 			return nil, err
@@ -194,9 +194,16 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 			row = append(row, re)
 		}
 		return row, nil
-	})
+	}})
 	if err != nil {
 		return nil, err
+	}
+	rows := make(map[string]map[string][]float64, len(grid))
+	for simName, cells := range grid {
+		rows[simName] = make(map[string][]float64, len(cells))
+		for name, series := range cells {
+			rows[simName][name] = series[0]
+		}
 	}
 	return heatmapFromGrid("Robustness Error of ML Monitors Against Black-box Attacks",
 		"ε", FGSMLevels, rows), nil

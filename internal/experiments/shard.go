@@ -70,19 +70,9 @@ func (s *SimAssets) ShardReport(name string, count, index int) (*eval.Report, er
 // lists reports in the same fixed (simulator, monitor) order as Reports,
 // so per-shard sets are position-aligned for eval.MergeSets.
 func ShardReports(a *Assets, count, index int) (*ReportsResult, error) {
-	rows, err := runPairs(a, MonitorNames, tagReport, func(c *GridCell) (*eval.Report, error) {
+	return reportSet(a, func(c *GridCell) (*eval.Report, error) {
 		return c.SA.ShardReport(c.Monitor, count, index)
 	})
-	if err != nil {
-		return nil, err
-	}
-	set := &eval.Set{Tolerance: a.Config.ToleranceDelta}
-	for _, simu := range Simulators {
-		for _, name := range MonitorNames {
-			set.Reports = append(set.Reports, rows[simu.String()][name])
-		}
-	}
-	return &ReportsResult{Set: set}, nil
 }
 
 // MergedShardReports evaluates all count shards in-process and folds their

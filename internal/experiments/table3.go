@@ -33,7 +33,7 @@ type Table3Result struct {
 // shares the report artifact cache with the -report surface, so a warm
 // table3 run performs zero monitor inferences.
 func Table3(a *Assets) (*Table3Result, error) {
-	rows, err := runPairs(a, MonitorNames, tagTable3, func(c *GridCell) (Table3Row, error) {
+	rows, err := runGrid(a, gridSpec[Table3Row]{monitors: MonitorNames, levels: pairLevel, tag: tagTable3, eval: func(c *GridCell) (Table3Row, error) {
 		rep, err := c.SA.Report(c.Monitor)
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("table3: %s on %v: %w", c.Monitor, c.Sim, err)
@@ -50,17 +50,11 @@ func Table3(a *Assets) (*Table3Result, error) {
 			Recall:     conf.Recall(),
 			UnsafeFrac: c.SA.Test.UnsafeFraction(),
 		}, nil
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
-	res := &Table3Result{}
-	for _, simu := range Simulators {
-		for _, name := range MonitorNames {
-			res.Rows = append(res.Rows, rows[simu.String()][name])
-		}
-	}
-	return res, nil
+	return &Table3Result{Rows: pairValues(rows, MonitorNames)}, nil
 }
 
 // Render formats the result like Table III.

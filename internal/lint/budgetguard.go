@@ -4,6 +4,11 @@ import (
 	"go/ast"
 )
 
+// budgetPool is the package that owns the shared worker budget. Its
+// Ranges is the one goroutine launch the determinism-critical packages
+// may reach, so budgetguard exempts it by path rather than by directive.
+const budgetPool = "repro/internal/sweep"
+
 // Budgetguard flags raw goroutine launches in kernel/pipeline packages.
 // Fan-out that bypasses the internal/sweep worker budget multiplies under
 // nesting (the P² oversubscription class PR 2 fixed): a budgeted sweep cell
@@ -13,15 +18,15 @@ var Budgetguard = &Analyzer{
 	Doc: `flag raw go-statement launches that bypass the internal/sweep worker budget
 
 Determinism-critical compute packages must fan out through sweep.Map or
-under an explicit sweep.AcquireWorkers grant so total concurrency stays at
-~budget instead of budget². The pool implementation itself and the few
-grant-holding block dispatchers carry //apslint:allow budgetguard
-annotations documenting why their launches are budget-correct.`,
+sweep.Ranges, which take their workers from the shared budget, so total
+concurrency stays at ~budget instead of budget². repro/internal/sweep is
+the pool itself and is exempt: sweep.Ranges holds the one go statement
+the rule allows.`,
 	Run: runBudgetguard,
 }
 
 func runBudgetguard(pass *Pass) error {
-	if !DeterminismCritical(pass.PkgPath) {
+	if !DeterminismCritical(pass.PkgPath) || pass.PkgPath == budgetPool {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -31,7 +36,7 @@ func runBudgetguard(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(gs.Pos(),
-				"raw goroutine launch in budget-governed package %s: route fan-out through the internal/sweep worker budget (sweep.Map or an AcquireWorkers grant) or annotate why this launch is budget-correct",
+				"raw goroutine launch in budget-governed package %s: fan out through sweep.Map or sweep.Ranges, whose workers hold tokens of the shared worker budget",
 				pass.PkgPath)
 			return true
 		})

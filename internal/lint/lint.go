@@ -8,7 +8,8 @@
 //     exported field or annotate it `// fp:ignore` — the contract that
 //     keeps content-addressed caching sound.
 //   - budgetguard: kernel/pipeline packages must route goroutine fan-out
-//     through the internal/sweep worker budget, never raw `go func`.
+//     through sweep.Map or sweep.Ranges, never raw `go func`; the sweep
+//     package, which owns the worker budget, is exempt.
 //   - fixedorder: concurrent fan-ins must not accumulate floating-point
 //     results in completion order.
 //   - viewsafe: dataset.Sample's feature columns may be read-only views

@@ -1,6 +1,7 @@
-// Package bgbad exercises budgetguard. The tests load it under the
-// spoofed import path repro/internal/mat, a budget-governed kernel
-// package.
+// Package bgbad exercises budgetguard. The tests load it under spoofed
+// budget-governed import paths (repro/internal/mat, repro/internal/nn),
+// where every launch is flagged, and under repro/internal/sweep, the
+// budget pool, where none is.
 package bgbad
 
 import "sync"
@@ -18,15 +19,6 @@ func rawFanOut(n int) {
 
 func namedLaunch() {
 	go work(1) // want `raw goroutine launch in budget-governed package`
-}
-
-// grantedLaunch demonstrates the escape hatch for a launch that holds a
-// sweep budget grant.
-func grantedLaunch(n int) {
-	for i := 0; i < n; i++ {
-		//apslint:allow budgetguard fixture launch is covered by a sweep grant
-		go work(i)
-	}
 }
 
 func work(int) {}

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"sync"
-
-	"repro/internal/sweep"
-)
+import "repro/internal/sweep"
 
 // SetParallelism forwards to sweep.SetBudget: the blocked matrix products
 // fan out within the one shared worker budget, so there is no separate
@@ -83,45 +79,19 @@ func kernelsOf[T Float]() *kernelSet[T] {
 	return any(kernels32).(*kernelSet[T])
 }
 
-// matMulDispatch computes the product named by op into out, fanning out
-// across row blocks when the product is large enough and the shared sweep
-// budget grants workers. The kernel closure is built only inside the
-// granted branch, so the serial hot path — small products, drained budget,
-// budget 1 — allocates nothing.
+// matMulDispatch computes the product named by op into out. A product
+// under planWorkers' cutoff (or with a budget of 1) calls its kernel inline,
+// with no closure, so that hot path allocates nothing; a larger one splits
+// its rows over sweep.Ranges, which clamps the fan-out to the shared budget
+// (when concurrent sweep cells hold every token it runs serially on the
+// calling goroutine). Every row is computed with the same arithmetic order
+// regardless of blocking, so results are byte-identical at any grant.
 func matMulDispatch[T Float](out, a, b *Dense[T], op int) {
 	kernel := kernelsOf[T]().rows[op]
 	rows := out.rows
 	if workers := planWorkers(rows, rows*a.cols*out.cols); workers > 1 {
-		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { kernel(out, a, b, lo, hi) })
-			sweep.ReleaseWorkers(granted)
-			return
-		}
+		sweep.Ranges(rows, workers, func(_, lo, hi int) { kernel(out, a, b, lo, hi) })
+		return
 	}
 	kernel(out, a, b, 0, rows)
-}
-
-// runRowBlocks splits [0, rows) into one contiguous block per worker and
-// runs body on each block concurrently, block 0 on the calling goroutine.
-// body must only write state owned by its row range. Callers hold the sweep
-// grant, so nested parallelism never multiplies: when all budget tokens are
-// held by concurrent sweep cells (the warm-cache inference fan-out), the
-// product runs serially on the calling goroutine, and total worker
-// goroutines stay at ~budget instead of budget². Every row is computed with
-// the same arithmetic order regardless of blocking, so results are
-// byte-identical at any grant.
-func runRowBlocks(rows, workers int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		lo := rows * w / workers
-		hi := rows * (w + 1) / workers
-		//apslint:allow budgetguard workers was sized by the caller's sweep grant (see planWorkers), so these launches are budget-correct
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	body(0, rows/workers) // block 0 runs on the calling goroutine
-	wg.Wait()
 }

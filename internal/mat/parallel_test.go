@@ -56,6 +56,24 @@ func testParallelMatMul[T Float](t *testing.T) {
 	}
 }
 
+// TestSmallProductAllocatesNothing: a product under the fan-out cutoff
+// calls its kernel inline, with no row-range closure, even when the budget
+// has workers to grant.
+func TestSmallProductAllocatesNothing(t *testing.T) {
+	sweep.SetBudget(8)
+	defer sweep.SetBudget(0)
+	rng := rand.New(rand.NewSource(7))
+	a, b := RandNormal(rng, 32, 16, 1), RandNormal(rng, 16, 8, 1)
+	out := New(32, 8)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := MatMulInto(out, a, b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a %d-flop product allocates %v objects per call", 32*16*8, allocs)
+	}
+}
+
 // TestSetParallelism pins the forwarding shim: it sets and reads the one
 // sweep budget, so a configure-then-restore sequence through both names
 // (as the end-to-end benchmark does) leaves the budget where it was.

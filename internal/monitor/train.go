@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/attack"
@@ -39,12 +38,11 @@ type TrainConfig struct {
 	AdversarialEps float64
 	// Seed drives weight init and batch shuffling.
 	Seed int64
-	// Workers caps the data-parallel fan-out inside training: the minibatch
-	// pipeline overlaps batch gather with compute, and nn.Trainer splits
-	// every batch into fixed row blocks run across this many goroutines
-	// (clamped by the shared sweep budget). <= 0 selects all cores; 1 runs
-	// fully serial. Trained weights are byte-identical at every setting, so
-	// Workers is excluded from Fingerprint.
+	// Workers caps the data-parallel fan-out inside training: nn.Trainer
+	// splits every batch into fixed row blocks run across this many
+	// goroutines (clamped by the shared sweep budget). <= 0 selects all
+	// cores; 1 runs fully serial. Trained weights are byte-identical at
+	// every setting, so Workers is excluded from Fingerprint.
 	Workers int // fp:ignore scheduling knob, trained weights are byte-identical at every worker count
 }
 
@@ -156,132 +154,54 @@ func Train(train *dataset.Dataset, cfg TrainConfig) (*MLMonitor, error) {
 	}, nil
 }
 
-// minibatch is one gathered training batch. The x matrix is a fixed-size
-// backing buffer; rows tells how many leading rows are valid (only the
-// final batch of an epoch is short).
-type minibatch struct {
-	x      *mat.Matrix
-	labels []int
-	know   []float64
-	rows   int
-	epoch  int
-}
-
-// fitMinibatch runs minibatch SGD over the training matrix. The hot path is
-// a double-buffered pipeline: a producer goroutine owns the shuffle RNG and
-// gathers batch k+1 into one of two rotating buffers while the consumer
-// trains on batch k through nn.Trainer's block-parallel step. Batch
-// contents and order are a pure function of the seed — never of pipeline
-// timing — and the trainer reduces gradients in fixed block order, so
-// trained weights are byte-identical to the fully serial path (Workers=1),
-// which skips the pipeline entirely.
+// fitMinibatch runs minibatch SGD over the training matrix: each epoch
+// shuffles the row order with rng, then gathers every batch into one reused
+// buffer and trains on it through nn.Trainer's block-parallel step. The
+// gather runs on the calling goroutine between steps: copying at most
+// BatchSize rows takes microseconds against a step's milliseconds. Batch
+// contents and order are a pure function of the seed, and the trainer
+// reduces gradients in fixed block order, so trained weights are
+// byte-identical at every Workers setting.
 func fitMinibatch(model *nn.Model, x *mat.Matrix, labels []int, knowledge []float64, cfg TrainConfig, rng *rand.Rand) error {
 	n := x.Rows()
-	opt := nn.NewAdam(cfg.LR)
-	trainer := nn.NewTrainer(model, opt, cfg.Workers)
+	trainer := nn.NewTrainer(model, nn.NewAdam(cfg.LR), cfg.Workers)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	maxB := min(cfg.BatchSize, n)
-	newBuf := func() *minibatch {
-		return &minibatch{
-			x:      mat.New(maxB, x.Cols()),
-			labels: make([]int, maxB),
-			know:   make([]float64, maxB),
-		}
-	}
-	gather := func(dst *minibatch, from, to, epoch int) {
-		bsz := to - from
-		dst.rows, dst.epoch = bsz, epoch
-		for bi := 0; bi < bsz; bi++ {
-			src := idx[from+bi]
-			copy(dst.x.Row(bi), x.Row(src))
-			dst.labels[bi] = labels[src]
-			dst.know[bi] = knowledge[src]
-		}
-	}
-	trainOne := func(b *minibatch) error {
-		bx, err := b.x.RowsView(0, b.rows)
-		if err != nil {
-			return err
-		}
-		bl, bk := b.labels[:b.rows], b.know[:b.rows]
-		if _, err := trainer.Step(bx, bl, bk); err != nil {
-			return fmt.Errorf("monitor: train epoch %d: %w", b.epoch, err)
-		}
-		if cfg.AdversarialEps > 0 {
-			// The inner step of adversarial training: attack the current
-			// model state with the same loss surface being optimized.
-			adv, err := attack.FGSMWithKnowledge(model, bx, bl, bk, cfg.AdversarialEps)
+	buf := mat.New(maxB, x.Cols())
+	bufLabels := make([]int, maxB)
+	bufKnow := make([]float64, maxB)
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for from := 0; from < n; from += cfg.BatchSize {
+			rows := min(cfg.BatchSize, n-from)
+			for r, src := range idx[from : from+rows] {
+				copy(buf.Row(r), x.Row(src))
+				bufLabels[r] = labels[src]
+				bufKnow[r] = knowledge[src]
+			}
+			bx, err := buf.RowsView(0, rows)
 			if err != nil {
-				return fmt.Errorf("monitor: adversarial batch epoch %d: %w", b.epoch, err)
+				return err
 			}
-			if _, err := trainer.Step(adv, bl, bk); err != nil {
-				return fmt.Errorf("monitor: adversarial train epoch %d: %w", b.epoch, err)
+			bl, bk := bufLabels[:rows], bufKnow[:rows]
+			if _, err := trainer.Step(bx, bl, bk); err != nil {
+				return fmt.Errorf("monitor: train epoch %d: %w", epoch, err)
 			}
-		}
-		return nil
-	}
-
-	if cfg.Workers == 1 {
-		// Fully serial reference path: gather and train on one goroutine.
-		buf := newBuf()
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-			for from := 0; from < n; from += cfg.BatchSize {
-				gather(buf, from, min(from+cfg.BatchSize, n), epoch)
-				if err := trainOne(buf); err != nil {
-					return err
+			if cfg.AdversarialEps > 0 {
+				// The inner step of adversarial training: attack the current
+				// model state with the same loss surface being optimized.
+				adv, err := attack.FGSMWithKnowledge(model, bx, bl, bk, cfg.AdversarialEps)
+				if err != nil {
+					return fmt.Errorf("monitor: adversarial batch epoch %d: %w", epoch, err)
+				}
+				if _, err := trainer.Step(adv, bl, bk); err != nil {
+					return fmt.Errorf("monitor: adversarial train epoch %d: %w", epoch, err)
 				}
 			}
 		}
-		return nil
 	}
-
-	// Double-buffered pipeline: two batch buffers rotate through a free
-	// list; the producer owns idx and rng (so the shuffle sequence is
-	// identical to the serial path) and fills the next buffer while the
-	// consumer trains on the current one.
-	free := make(chan *minibatch, 2)
-	free <- newBuf()
-	free <- newBuf()
-	work := make(chan *minibatch, 2)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	//apslint:allow budgetguard single producer goroutine overlapping batch gather with training compute; it adds pipelining, not parallel compute, so it is not budget-charged
-	go func() {
-		defer wg.Done()
-		defer close(work)
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-			for from := 0; from < n; from += cfg.BatchSize {
-				var buf *minibatch
-				select {
-				case buf = <-free:
-				case <-done:
-					return
-				}
-				gather(buf, from, min(from+cfg.BatchSize, n), epoch)
-				select {
-				case work <- buf:
-				case <-done:
-					return
-				}
-			}
-		}
-	}()
-	var trainErr error
-	for buf := range work {
-		if trainErr == nil {
-			trainErr = trainOne(buf)
-			if trainErr != nil {
-				close(done) // unblock the producer; drain the rest
-			}
-		}
-		free <- buf
-	}
-	wg.Wait()
-	return trainErr
+	return nil
 }

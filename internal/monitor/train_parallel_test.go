@@ -23,8 +23,8 @@ func trainedBytes(t *testing.T, train *dataset.Dataset, cfg TrainConfig) []byte 
 
 // TestTrainParallelDeterminism pins the PR's headline contract end to end:
 // the same TrainConfig must yield byte-identical serialized monitors at
-// Workers=1 (serial gather + serial blocks) and Workers=N (double-buffered
-// gather pipeline + block-parallel forward/backward). The budget is raised
+// Workers=1 (serial blocks) and Workers=N (block-parallel
+// forward/backward). The budget is raised
 // explicitly so the fan-out really happens even on small CI machines.
 func TestTrainParallelDeterminism(t *testing.T) {
 	sweep.SetBudget(8)

@@ -332,6 +332,44 @@ func TestTrainerDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTrainerBudgetDrainedMatchesGranted: the shards a step actually runs
+// depend on the tokens free when it starts, never its weights. The same
+// four-worker trainer runs once with the whole budget free and once while
+// the other ranges of an enclosing sweep.Ranges hold every token, and both
+// match the one-worker reference bit for bit.
+func TestTrainerBudgetDrainedMatchesGranted(t *testing.T) {
+	sweep.SetBudget(3)
+	defer sweep.SetBudget(0)
+	build := func(t *testing.T) *Model {
+		rng := rand.New(rand.NewSource(9))
+		m, err := NewLSTMClassifier(rng, 6, LSTMConfig{Hidden1: 8, Hidden2: 4, Steps: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ref := trainerSnapshot(t, build, 1, 4)
+	granted := trainerSnapshot(t, build, 4, 4)
+	var drained []*mat.Matrix
+	release := make(chan struct{})
+	sweep.Ranges(4, 4, func(w, _, _ int) {
+		if w > 0 {
+			<-release
+			return
+		}
+		defer close(release)
+		drained = trainerSnapshot(t, build, 4, 4)
+	})
+	for i := range ref {
+		if !mat.Equal(ref[i], granted[i], 0) {
+			t.Fatalf("param %d: granted budget changed the weights", i)
+		}
+		if !mat.Equal(ref[i], drained[i], 0) {
+			t.Fatalf("param %d: drained budget changed the weights", i)
+		}
+	}
+}
+
 // TestTrainerSingleBlockMatchesTrainBatch pins the blocked trainer to the
 // classic whole-batch path: a batch of exactly one block must reproduce the
 // TrainBatch weight trajectory bit for bit.

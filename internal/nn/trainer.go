@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/sweep"
@@ -51,12 +50,16 @@ type blockGrads struct {
 }
 
 // NewTrainer builds a data-parallel trainer for model. workers caps the
-// shard fan-out: <= 0 selects runtime.GOMAXPROCS(0), 1 disables parallel
-// execution entirely. Extra workers beyond the calling goroutine each hold
-// one token of the shared sweep budget, so nested parallel layers (sweep
-// cells training monitors, matmul row blocks) never multiply past the
-// process-wide cap. Trained weights are byte-identical at every setting.
+// shard fan-out: <= 0 selects runtime.GOMAXPROCS(0), 1 runs every block on
+// the calling goroutine. Step fans its block ranges out through
+// sweep.Ranges, so the shared worker budget clamps the shards actually run
+// and nested parallel layers (sweep cells training monitors, matmul row
+// blocks) never multiply past the process-wide cap. Trained weights are
+// byte-identical at every setting.
 func NewTrainer(model *Model, opt Optimizer, workers int) *Trainer {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return &Trainer{model: model, opt: opt, params: model.Params(), workers: workers}
 }
 
@@ -88,19 +91,7 @@ func (t *Trainer) Step(x *mat.Matrix, labels []int, knowledge []float64) (float6
 		t.errs[b] = nil
 	}
 
-	workers := t.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nb {
-		workers = nb
-	}
-	granted := 0
-	if workers > 1 {
-		granted = sweep.AcquireWorkers(workers - 1)
-		defer sweep.ReleaseWorkers(granted)
-		workers = granted + 1
-	}
+	workers := min(t.workers, nb)
 	for len(t.shards) < workers {
 		sh, err := t.model.Replicate()
 		if err != nil {
@@ -108,33 +99,14 @@ func (t *Trainer) Step(x *mat.Matrix, labels []int, knowledge []float64) (float6
 		}
 		t.shards = append(t.shards, trainShard{model: sh, params: sh.Params()})
 	}
-
-	runRange := func(w, blo, bhi int) {
-		sh := t.shards[w]
+	sweep.Ranges(nb, workers, func(w, blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			if err := t.runBlock(sh, b, x, labels, knowledge, n); err != nil {
+			if err := t.runBlock(t.shards[w], b, x, labels, knowledge, n); err != nil {
 				t.errs[b] = err
 				return
 			}
 		}
-	}
-	if workers == 1 {
-		runRange(0, 0, nb)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			blo := nb * w / workers
-			bhi := nb * (w + 1) / workers
-			//apslint:allow budgetguard workers-1 tokens were acquired from the sweep budget above; block fan-out stays within the grant
-			go func(w, blo, bhi int) {
-				defer wg.Done()
-				runRange(w, blo, bhi)
-			}(w, blo, bhi)
-		}
-		runRange(0, 0, nb/workers)
-		wg.Wait()
-	}
+	})
 	for b := 0; b < nb; b++ {
 		if t.errs[b] != nil {
 			// Lowest failing block, independent of scheduling.

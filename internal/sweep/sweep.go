@@ -1,11 +1,12 @@
 // Package sweep is the shared grid-execution engine for the experiment
 // campaigns. The paper's artifacts (Figs 5-10, Table III) are grids of
 // independent cells — simulator × monitor × perturbation level — so the
-// package provides exactly three things:
+// package provides:
 //
-//   - Map, a worker-pool executor that fans an indexed job set out across
-//     goroutines and returns results in index order, so parallel output is
-//     byte-identical to serial output;
+//   - Ranges, the one goroutine launch, which splits an index range over
+//     the workers the shared budget grants, and Map, an executor built on
+//     it that fans an indexed job set out and returns results in index
+//     order, so parallel output is byte-identical to serial output;
 //   - Grid, a row-major multi-index so callers can declare a sweep by its
 //     dimension sizes and recover per-cell coordinates from the flat index;
 //   - CellSeed/Derive, a splitmix64-style hash that derives one independent,
@@ -16,8 +17,6 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -47,76 +46,42 @@ func CellSeed(base int64, index int) int64 {
 	return int64(splitmix64(splitmix64(uint64(base)) + uint64(index)))
 }
 
-// Map runs fn(i) for every i in [0, n) across a pool of workers goroutines
-// and returns the n results in index order. workers <= 0 selects
-// runtime.GOMAXPROCS(0). With workers == 1 the jobs run serially in index
-// order on the calling goroutine. The requested fan-out is additionally
-// clamped by the shared worker budget (SetBudget): extra workers beyond the
-// calling goroutine each hold one budget token, so nested parallel layers
-// cannot multiply past the process-wide cap.
+// Map runs fn(i) for every i in [0, n) on up to workers goroutines
+// launched by Ranges (so the shared worker budget clamps the fan-out) and
+// returns the n results in index order. workers <= 0 selects
+// runtime.GOMAXPROCS(0). Each worker pulls the next unclaimed index from
+// one shared counter, so cells start in index order.
 //
 // Results are slotted by index, so for error-free runs the returned slice is
-// identical regardless of worker count. If any job fails, Map returns the
-// error of the lowest failing index (again independent of scheduling); a
-// parallel run may still have executed later jobs, a serial run stops at the
-// first failure.
+// identical regardless of worker count. Once a job fails no worker claims a
+// new index, and Map returns the error of the lowest failing index: every
+// lower index was claimed before it, so that error too is independent of
+// scheduling. With one worker the jobs run in order and stop at the first
+// failure.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	granted := 0
-	if workers > 1 {
-		granted = AcquireWorkers(workers - 1)
-		defer ReleaseWorkers(granted)
-		workers = granted + 1
-	}
 	out := make([]T, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	Ranges(n, workers, func(_, _, _ int) {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if out[i], errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	})
+	if failed.Load() {
+		for i, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: cell %d: %w", i, err)
 			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		//apslint:allow budgetguard this IS the budget pool: each launch holds one AcquireWorkers token released after wg.Wait
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = fn(i)
-			}
-		}()
-	}
-	// The calling goroutine works too — its own existence is the one token
-	// the budget doesn't charge for.
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		out[i], errs[i] = fn(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: cell %d: %w", i, err)
 		}
 	}
 	return out, nil

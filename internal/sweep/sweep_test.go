@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCellSeedCollisionFree(t *testing.T) {
@@ -170,5 +171,49 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 	if NewGrid(3, 0).Size() != 0 {
 		t.Fatal("zero dimension must give empty grid")
+	}
+}
+
+// TestMapLowestFailureWhenHighFailsFirst: a fast failure at a high index
+// must not mask a slow failure at a lower one that was already running.
+func TestMapLowestFailureWhenHighFailsFirst(t *testing.T) {
+	SetBudget(4)
+	defer SetBudget(0)
+	highFailed := make(chan struct{})
+	_, err := Map(4, 8, func(i int) (int, error) {
+		switch i {
+		case 0:
+			select {
+			case <-highFailed:
+			case <-time.After(50 * time.Millisecond):
+			}
+			return 0, errors.New("slow low")
+		case 1:
+			defer close(highFailed)
+			return 0, errors.New("fast high")
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "sweep: cell 0: slow low" {
+		t.Fatalf("err = %v, want the failure of cell 0", err)
+	}
+}
+
+// TestMapSerialStopsAtFirstFailure: with one worker no cell after the
+// first failing one runs.
+func TestMapSerialStopsAtFirstFailure(t *testing.T) {
+	var calls []int
+	_, err := Map(1, 10, func(i int) (int, error) {
+		calls = append(calls, i)
+		if i == 3 {
+			return 0, errors.New("boom")
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "sweep: cell 3: boom" {
+		t.Fatalf("err = %v, want cell 3's failure", err)
+	}
+	if len(calls) != 4 || calls[3] != 3 {
+		t.Fatalf("calls = %v, want [0 1 2 3]", calls)
 	}
 }
