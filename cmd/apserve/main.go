@@ -10,7 +10,7 @@
 //	        [-sim glucosym|t1ds] [-arch mlp|lstm] [-epochs N]
 //	        [-profiles N] [-episodes N] [-steps N] [-scenarios MIX] [-seed N]
 //	        [-precision f32|f64] [-bypass]
-//	        [-batch-max N] [-batch-wait D] [-max-queue N]
+//	        [-batch-max N] [-max-queue N]
 //	        [-max-sessions N] [-idle-timeout D]
 //	        [-parallel N] [-cache DIR] [-no-cache]
 //	        [-loadgen N] [-loadgen-samples N] [-loadgen-mode stream|request]
@@ -67,7 +67,6 @@ type appFlags struct {
 	modelPath   *string
 	bypass      *bool
 	batchMax    *int
-	batchWait   *time.Duration
 	maxQueue    *int
 	maxSessions *int
 	idleTimeout *time.Duration
@@ -97,7 +96,6 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 	f.modelPath = fs.String("model", "", "serve this trained model JSON instead of training")
 	f.bypass = fs.Bool("bypass", false, "disable micro-batching: classify every request inline (baseline)")
 	f.batchMax = fs.Int("batch-max", 0, "micro-batch fuse limit (0 = default 32)")
-	f.batchWait = fs.Duration("batch-wait", 0, "max time a row waits for batch-mates (0 = default 1ms)")
 	f.maxQueue = fs.Int("max-queue", 0, "dispatcher queue depth before 429s (0 = default 32×batch-max)")
 	f.maxSessions = fs.Int("max-sessions", 1024, "live session cap (creation beyond it gets 429)")
 	f.idleTimeout = fs.Duration("idle-timeout", 5*time.Minute, "evict sessions idle this long (<0 disables)")
@@ -129,7 +127,7 @@ func run() error {
 		Monitor:     m,
 		Precision:   f.common.Precision,
 		Bypass:      *f.bypass,
-		Batcher:     serve.BatcherConfig{MaxBatch: *f.batchMax, MaxWait: *f.batchWait, MaxQueue: *f.maxQueue},
+		Batcher:     serve.BatcherConfig{MaxBatch: *f.batchMax, MaxQueue: *f.maxQueue},
 		MaxSessions: *f.maxSessions,
 		IdleTimeout: *f.idleTimeout,
 		Session: serve.SessionConfig{
@@ -203,7 +201,7 @@ func runLoadgen(addr string, sessions, samples int, mode string, seed int64, srv
 		res.Verdicts, res.Alarms, res.SamplesPerSec, res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond))
 	bs := srv.BatcherStats()
 	if bs.Flushes > 0 {
-		fmt.Printf("batcher: %d flushes (%d size, %d deadline, %d drain), occupancy %.2f\n",
+		fmt.Printf("batcher: %d flushes (%d size, %d partial, %d drain), occupancy %.2f\n",
 			bs.Flushes, bs.SizeFlushes, bs.DeadlineFlushes, bs.DrainFlushes, bs.Occupancy())
 	}
 	fmt.Printf("digest %s\n", res.Digest)

@@ -77,14 +77,30 @@ func headerBlock(k Key) []byte {
 // GetOrCreateFile implements Store.
 func (d *Disk) GetOrCreateFile(key Key, load func(path string, payloadOff int64) error, create func() error, encode func(io.Writer) error) (bool, error) {
 	path := d.Path(key)
-	if ok := d.tryLoad(key, path, load); ok {
+	hit, readErr := d.tryLoad(key, path, load)
+	if hit {
 		return true, nil
 	}
 	if err := create(); err != nil {
+		d.logFailure(readErr, nil)
 		return false, err
 	}
-	d.persist(key, path, encode)
+	d.logFailure(readErr, d.persist(key, path, encode))
 	return false, nil
+}
+
+// logFailure logs an entry's failed read and failed write as one line, so
+// a root that can do neither (a regular file where the directory should
+// be) logs each entry once, with the read's cause first.
+func (d *Disk) logFailure(readErr, writeErr error) {
+	switch {
+	case readErr != nil && writeErr != nil:
+		d.logf("artifact cache: %v; %v", readErr, writeErr)
+	case readErr != nil:
+		d.logf("artifact cache: %v", readErr)
+	case writeErr != nil:
+		d.logf("artifact cache: %v", writeErr)
+	}
 }
 
 // GetOrCreate is GetOrCreateFile with a stream decoder (see ReaderLoad),
@@ -97,37 +113,37 @@ func (d *Disk) GetOrCreate(key Key, decode func(io.Reader) error, create func() 
 // failure discards the entry and reports a miss. An absent entry is a
 // silent miss; any other open failure (permissions, I/O, a file squatting
 // where a directory should be) is still a miss — the cache never fails the
-// run — but is logged so a broken cache is observable instead of silently
-// recomputing forever.
-func (d *Disk) tryLoad(key Key, path string, load func(path string, payloadOff int64) error) bool {
+// run — but is returned for the caller to log, so a broken cache is
+// observable instead of silently recomputing forever.
+func (d *Disk) tryLoad(key Key, path string, load func(path string, payloadOff int64) error) (bool, error) {
 	want := headerBlock(key)
 	if want == nil {
-		return false
+		return false, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			d.logf("artifact cache: cannot open %s (%s): %v", key, path, err)
+		if errors.Is(err, fs.ErrNotExist) {
+			return false, nil
 		}
-		return false
+		return false, fmt.Errorf("cannot open %s (%s): %v", key, path, err)
 	}
 	var hdr [headerSize]byte
 	_, err = io.ReadFull(f, hdr[:])
 	f.Close()
 	if err != nil {
 		d.discard(key, path, fmt.Errorf("truncated header"))
-		return false
+		return false, nil
 	}
 	if !bytes.Equal(hdr[:], want) {
 		d.discard(key, path, fmt.Errorf("stale header %q", strings.TrimRight(string(hdr[:]), "\x00")))
-		return false
+		return false, nil
 	}
 	if err := load(path, headerSize); err != nil {
 		d.discard(key, path, err)
-		return false
+		return false, nil
 	}
 	d.logf("artifact cache hit: %s (%s)", key, path)
-	return true
+	return true, nil
 }
 
 // discard removes a corrupt or stale entry so the next run recreates it.
@@ -136,24 +152,22 @@ func (d *Disk) discard(key Key, path string, cause error) {
 	os.Remove(path)
 }
 
-// persist writes the entry atomically. Failures are logged and swallowed:
-// the caller already holds the freshly created product, and a read-only or
-// full cache must never fail the run.
-func (d *Disk) persist(key Key, path string, encode func(io.Writer) error) {
+// persist writes the entry atomically and logs the store. A failure is
+// returned for the caller to log and is otherwise swallowed: the caller
+// already holds the freshly created product, and a read-only or full cache
+// must never fail the run.
+func (d *Disk) persist(key Key, path string, encode func(io.Writer) error) error {
 	hdr := headerBlock(key)
 	if hdr == nil {
-		d.logf("artifact cache: key %s too long for an entry header; not cached", key)
-		return
+		return fmt.Errorf("key %s too long for an entry header; not cached", key)
 	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		d.logf("artifact cache: cannot create %s: %v", dir, err)
-		return
+		return fmt.Errorf("cannot create %s: %v", dir, err)
 	}
 	tmp, err := os.CreateTemp(dir, stagingPrefix+"*")
 	if err != nil {
-		d.logf("artifact cache: cannot stage %s: %v", key, err)
-		return
+		return fmt.Errorf("cannot stage %s: %v", key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	bw := bufio.NewWriter(tmp)
@@ -171,10 +185,10 @@ func (d *Disk) persist(key Key, path string, encode func(io.Writer) error) {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		d.logf("artifact cache: cannot persist %s: %v", key, err)
-		return
+		return fmt.Errorf("cannot persist %s: %v", key, err)
 	}
 	d.logf("artifact cache store: %s (%s)", key, path)
+	return nil
 }
 
 // versionDirRe matches the per-version subdirectories Prune may remove.

@@ -5,6 +5,10 @@
 // inference calls on the frozen float32 engine — N concurrent 1-row GEMVs
 // become one N-row GEMM.
 //
+// The dispatcher is work-conserving: it never holds rows while it is idle,
+// so a lone row is classified at once, and batches form only from the rows
+// that arrive while a flush is running.
+//
 // Batching changes latency, never results: every float32 kernel (and the
 // f64 predict path) computes each output row independently, so a row's verdict
 // is bit-identical whether it is classified alone, inside any fused batch,
@@ -16,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ClassifyFunc scores a block of assembled (already normalized) feature
@@ -32,14 +35,15 @@ var ErrQueueFull = errors.New("serve: batcher queue full")
 // ErrClosed is returned for work submitted after Close.
 var ErrClosed = errors.New("serve: batcher closed")
 
+// errBlockTooLarge is returned for a block wider than MaxQueue: it could
+// never be admitted, so waiting or retrying cannot help.
+var errBlockTooLarge = errors.New("serve: block exceeds the batcher queue capacity")
+
 // BatcherConfig tunes the micro-batching dispatcher.
 type BatcherConfig struct {
 	// MaxBatch is the fused flush size in rows (default 32, the same block
 	// size the trainer uses — one flush is one GEMM).
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued row may wait before a
-	// partial batch is flushed anyway (default 1ms). 0 flushes immediately.
-	MaxWait time.Duration
 	// MaxQueue caps the rows admitted but not yet flushed (default
 	// 32×MaxBatch); Classify rejects beyond it, ClassifyWait blocks.
 	MaxQueue int
@@ -49,11 +53,6 @@ func (c *BatcherConfig) setDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	} else if c.MaxWait == 0 {
-		c.MaxWait = time.Millisecond
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 32 * c.MaxBatch
 	}
@@ -61,12 +60,16 @@ func (c *BatcherConfig) setDefaults() {
 
 // BatcherStats is a snapshot of dispatcher counters.
 type BatcherStats struct {
-	Flushes         int64 `json:"flushes"`
-	FusedRows       int64 `json:"fused_rows"`
-	SizeFlushes     int64 `json:"size_flushes"`     // flushed because MaxBatch filled
-	DeadlineFlushes int64 `json:"deadline_flushes"` // flushed because MaxWait expired
-	DrainFlushes    int64 `json:"drain_flushes"`    // flushed during Close drain
-	Rejected        int64 `json:"rejected"`         // rows refused with ErrQueueFull
+	Flushes     int64 `json:"flushes"`
+	FusedRows   int64 `json:"fused_rows"`
+	SizeFlushes int64 `json:"size_flushes"` // MaxBatch rows were queued
+	// DeadlineFlushes counts partial flushes: fewer than MaxBatch rows were
+	// queued when the dispatcher flushed. It keeps the name and JSON key
+	// it had when a partial batch waited out a deadline, because readers
+	// of the stats still use them.
+	DeadlineFlushes int64 `json:"deadline_flushes"`
+	DrainFlushes    int64 `json:"drain_flushes"` // flushed during Close drain
+	Rejected        int64 `json:"rejected"`      // rows refused with ErrQueueFull
 }
 
 // Occupancy returns the mean fused rows per flush.
@@ -83,7 +86,6 @@ type request struct {
 	rows    [][]float64
 	classes []int
 	conf    []float64
-	t0      time.Time
 	staged  int  // rows handed to flushes (dispatcher-owned)
 	filled  int  // results demuxed back (dispatcher-owned)
 	dead    bool // a flush failed; done already sent, drop remaining rows
@@ -92,8 +94,9 @@ type request struct {
 
 // Batcher is the cross-session micro-batching dispatcher: callers enqueue
 // row blocks and block on their verdicts; a single dispatcher goroutine
-// drains the queue in arrival order, flushing one fused classify per
-// MaxBatch rows or per MaxWait deadline, whichever comes first.
+// drains the queue in arrival order. Whenever it finds rows queued it
+// flushes up to MaxBatch of them in one fused classify at once, so rows
+// that arrive while a flush runs go out together in the next one.
 type Batcher struct {
 	cfg      BatcherConfig
 	classify ClassifyFunc
@@ -179,9 +182,9 @@ func (b *Batcher) ClassifyWait(ctx context.Context, rows [][]float64, classes []
 			return ctx.Err()
 		}
 	}
-	// Once admitted the dispatcher owns the block; the flush deadline
-	// bounds the wait, so no ctx select here — abandoning the slices
-	// mid-demux would race.
+	// Once admitted the dispatcher owns the block and flushes it as soon as
+	// the rows ahead of it are done, so no ctx select here — abandoning the
+	// slices mid-demux would race.
 	return <-req.done
 }
 
@@ -193,7 +196,7 @@ func (b *Batcher) newRequest(rows [][]float64, classes []int, conf []float64) (*
 		return nil, fmt.Errorf("serve: batcher block of %d rows with %d class / %d conf slots", len(rows), len(classes), len(conf))
 	}
 	if len(rows) > b.cfg.MaxQueue {
-		return nil, fmt.Errorf("serve: block of %d rows exceeds queue capacity %d", len(rows), b.cfg.MaxQueue)
+		return nil, fmt.Errorf("%w: %d rows, capacity %d", errBlockTooLarge, len(rows), b.cfg.MaxQueue)
 	}
 	return &request{rows: rows, classes: classes, conf: conf, done: make(chan error, 1)}, nil
 }
@@ -209,7 +212,6 @@ func (b *Batcher) tryEnqueue(req *request) error {
 		b.mu.Unlock()
 		return ErrQueueFull
 	}
-	req.t0 = time.Now()
 	b.queue = append(b.queue, req)
 	b.rows += len(req.rows)
 	b.mu.Unlock()
@@ -261,18 +263,9 @@ func (b *Batcher) loop() {
 			<-b.wake
 			continue
 		}
-		if b.rows < b.cfg.MaxBatch && !b.closed {
-			wait := time.Until(b.queue[0].t0.Add(b.cfg.MaxWait))
-			if wait > 0 {
-				b.mu.Unlock()
-				select {
-				case <-b.wake:
-				case <-time.After(wait):
-				}
-				continue
-			}
-		}
-		// Gather up to MaxBatch rows from the queue head, in arrival order.
+		// Work-conserving: whatever is queued goes out now, up to MaxBatch
+		// rows from the queue head in arrival order. Rows that arrive while
+		// this flush runs wait only for it, then leave together.
 		refs = refs[:0]
 		n := 0
 		closing := b.closed
@@ -300,7 +293,7 @@ func (b *Batcher) loop() {
 			b.stats.SizeFlushes++
 		case closing:
 			b.stats.DrainFlushes++
-		default:
+		default: // partial
 			b.stats.DeadlineFlushes++
 		}
 		b.mu.Unlock()

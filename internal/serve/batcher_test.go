@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // echoClassify returns each row's first feature as its class (truncated) and
@@ -27,18 +28,87 @@ func rowsOf(vals ...float64) [][]float64 {
 	return out
 }
 
+// gate is a ClassifyFunc that records every flush's size and holds the
+// first flush until release is closed, so a test can queue blocks behind a
+// busy dispatcher in a fixed order with no timing assumptions.
+type gate struct {
+	entered chan struct{} // closed once the first flush is running
+	release chan struct{} // closed by the test to let it finish
+	mu      sync.Mutex
+	sizes   []int
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gate) classify(rows [][]float64, classes []int, conf []float64) error {
+	g.mu.Lock()
+	first := len(g.sizes) == 0
+	g.sizes = append(g.sizes, len(rows))
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return echoClassify(rows, classes, conf)
+}
+
+func (g *gate) flushSizes() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.sizes...)
+}
+
+// submit enqueues a block without waiting for its verdicts, so the test
+// goroutine alone fixes the arrival order; await collects them.
+func submit(t *testing.T, b *Batcher, vals ...float64) *request {
+	t.Helper()
+	req, err := b.newRequest(rowsOf(vals...), make([]int, len(vals)), make([]float64, len(vals)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.tryEnqueue(req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// hold submits one row and returns once the dispatcher is busy with it.
+func hold(t *testing.T, b *Batcher, g *gate) *request {
+	t.Helper()
+	req := submit(t, b, 1000)
+	<-g.entered
+	return req
+}
+
+// await waits for a submitted block and checks that every row got its own
+// verdict back.
+func await(t *testing.T, req *request) {
+	t.Helper()
+	if err := <-req.done; err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range req.rows {
+		if req.classes[i] != int(r[0]) || req.conf[i] != r[0]/1000 {
+			t.Fatalf("row %v routed (%d, %v)", r[0], req.classes[i], req.conf[i])
+		}
+	}
+}
+
+func queued(b *Batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rows
+}
+
 func TestBatcherSizeFlush(t *testing.T) {
-	var mu sync.Mutex
-	var sizes []int
-	b := NewBatcher(BatcherConfig{MaxBatch: 8, MaxWait: time.Hour}, func(rows [][]float64, classes []int, conf []float64) error {
-		mu.Lock()
-		sizes = append(sizes, len(rows))
-		mu.Unlock()
-		return echoClassify(rows, classes, conf)
-	})
+	g := newGate()
+	close(g.release)
+	b := NewBatcher(BatcherConfig{MaxBatch: 8}, g.classify)
 	defer b.Close()
-	// 16 rows with the deadline effectively disabled: only the size trigger
-	// can flush, and it must do so twice at exactly MaxBatch.
+	// One 16-row block reaches an idle dispatcher whole, so it leaves as
+	// two size flushes of exactly MaxBatch.
 	rows := rowsOf(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 	classes := make([]int, 16)
 	conf := make([]float64, 16)
@@ -50,9 +120,7 @@ func TestBatcherSizeFlush(t *testing.T) {
 			t.Fatalf("row %d routed class %d", i, classes[i])
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != 8 || sizes[1] != 8 {
+	if sizes := g.flushSizes(); !reflect.DeepEqual(sizes, []int{8, 8}) {
 		t.Fatalf("flush sizes = %v, want [8 8]", sizes)
 	}
 	st := b.Stats()
@@ -61,27 +129,61 @@ func TestBatcherSizeFlush(t *testing.T) {
 	}
 }
 
-func TestBatcherDeadlineFlush(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 32, MaxWait: 10 * time.Millisecond}, echoClassify)
+// TestBatcherIdlePartialFlush: an idle dispatcher does not hold a partial
+// block for batch-mates; 3 rows leave at once as one partial flush.
+func TestBatcherIdlePartialFlush(t *testing.T) {
+	g := newGate()
+	close(g.release)
+	b := NewBatcher(BatcherConfig{MaxBatch: 32}, g.classify)
 	defer b.Close()
 	classes := make([]int, 3)
 	conf := make([]float64, 3)
-	start := time.Now()
 	if err := b.Classify(rowsOf(7, 8, 9), classes, conf); err != nil {
 		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited < 10*time.Millisecond {
-		t.Fatalf("partial batch flushed after %v, before the %v deadline", waited, 10*time.Millisecond)
 	}
 	if classes[0] != 7 || classes[2] != 9 {
 		t.Fatalf("classes = %v", classes)
 	}
+	if sizes := g.flushSizes(); !reflect.DeepEqual(sizes, []int{3}) {
+		t.Fatalf("flush sizes = %v, want [3]", sizes)
+	}
 	st := b.Stats()
-	if st.DeadlineFlushes != 1 || st.SizeFlushes != 0 {
-		t.Fatalf("stats = %+v, want exactly one deadline flush", st)
+	if st.DeadlineFlushes != 1 || st.SizeFlushes != 0 || st.DrainFlushes != 0 {
+		t.Fatalf("stats = %+v, want exactly one partial flush", st)
 	}
 	if got := st.Occupancy(); got != 3 {
 		t.Fatalf("occupancy = %v, want 3", got)
+	}
+}
+
+// TestBatcherFusesBehindHeldFlush pins the work-conserving rule: blocks that
+// arrive while a flush runs wait for it alone, then leave together in
+// arrival order, MaxBatch rows at a time, splitting a block where needed.
+func TestBatcherFusesBehindHeldFlush(t *testing.T) {
+	g := newGate()
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, g.classify)
+	defer b.Close()
+	held := hold(t, b, g)
+	blocks := []*request{
+		submit(t, b, 1, 2, 3),
+		submit(t, b, 4, 5),
+		submit(t, b, 6, 7, 8, 9),
+	}
+	if n := queued(b); n != 9 {
+		t.Fatalf("%d rows queued behind the held flush, want 9", n)
+	}
+	close(g.release)
+	await(t, held)
+	for _, req := range blocks {
+		await(t, req)
+	}
+	// [1] is the held row; then [1 2 3 4], [5 6 7 8] and the tail [9].
+	if sizes := g.flushSizes(); !reflect.DeepEqual(sizes, []int{1, 4, 4, 1}) {
+		t.Fatalf("flush sizes = %v, want [1 4 4 1]", sizes)
+	}
+	st := b.Stats()
+	if st.Flushes != 4 || st.SizeFlushes != 2 || st.DeadlineFlushes != 2 || st.FusedRows != 10 {
+		t.Fatalf("stats = %+v, want 2 size and 2 partial flushes over 10 rows", st)
 	}
 }
 
@@ -89,7 +191,7 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 // (run under -race) and checks every verdict lands in its own caller's
 // slices.
 func TestBatcherDemuxConcurrent(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 16, MaxWait: 200 * time.Microsecond}, echoClassify)
+	b := NewBatcher(BatcherConfig{MaxBatch: 16}, echoClassify)
 	defer b.Close()
 	const (
 		goroutines = 24
@@ -137,89 +239,86 @@ func TestBatcherDemuxConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatcherDrainOnClose pins the graceful-shutdown contract: rows that are
-// queued but unflushed (deadline far away) are still classified and
-// delivered when Close drains.
+// TestBatcherDrainOnClose pins the graceful-shutdown contract: rows queued
+// behind a running flush when Close is called are still classified and
+// delivered by Close's drain.
 func TestBatcherDrainOnClose(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 64, MaxWait: time.Hour}, echoClassify)
-	const callers = 6
-	var wg sync.WaitGroup
-	results := make([][]int, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			classes := make([]int, 2)
-			conf := make([]float64, 2)
-			errs[i] = b.Classify(rowsOf(float64(2*i), float64(2*i+1)), classes, conf)
-			results[i] = classes
-		}(i)
+	g := newGate()
+	b := NewBatcher(BatcherConfig{MaxBatch: 8}, g.classify)
+	held := hold(t, b, g)
+	var blocks []*request
+	for i := 0; i < 6; i++ {
+		blocks = append(blocks, submit(t, b, float64(2*i), float64(2*i+1)))
 	}
-	// Give the callers time to enqueue (the hour-long deadline guarantees
-	// nothing flushes on its own), then drain.
-	time.Sleep(20 * time.Millisecond)
-	b.Close()
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i][0] != 2*i || results[i][1] != 2*i+1 {
-			t.Fatalf("caller %d got %v", i, results[i])
-		}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	<-b.closedCh // Close has marked the batcher closed; the flush still runs
+	close(g.release)
+	<-closed
+	await(t, held)
+	for _, req := range blocks {
+		await(t, req)
+	}
+	if sizes := g.flushSizes(); !reflect.DeepEqual(sizes, []int{1, 8, 4}) {
+		t.Fatalf("flush sizes = %v, want [1 8 4]", sizes)
 	}
 	st := b.Stats()
-	if st.DrainFlushes == 0 {
-		t.Fatalf("stats = %+v, want drain flushes", st)
+	if st.DrainFlushes != 1 || st.SizeFlushes != 1 || st.DeadlineFlushes != 1 {
+		t.Fatalf("stats = %+v, want the held partial flush, then a size and a drain flush", st)
 	}
 	if err := b.Classify(rowsOf(1), make([]int, 1), make([]float64, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Classify after Close = %v, want ErrClosed", err)
 	}
 }
 
-// TestBatcherBackpressure pins the load-shedding contract: a full queue
-// rejects immediately with ErrQueueFull rather than blocking, while
-// ClassifyWait blocks until cancellation.
+// TestBatcherBackpressure pins the load-shedding contract with the
+// dispatcher held: a full queue rejects Classify at once with ErrQueueFull,
+// ClassifyWait waits until its context ends or the queue drains, and a
+// block wider than the queue fails outright.
 func TestBatcherBackpressure(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 64, MaxWait: time.Hour, MaxQueue: 4}, echoClassify)
-	done := make(chan error, 1)
-	go func() {
-		done <- b.Classify(rowsOf(0, 1, 2, 3), make([]int, 4), make([]float64, 4))
-	}()
-	// Wait until the 4 rows occupy the whole queue.
-	for i := 0; ; i++ {
-		b.mu.Lock()
-		n := b.rows
-		b.mu.Unlock()
-		if n == 4 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("rows never enqueued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	g := newGate()
+	b := NewBatcher(BatcherConfig{MaxBatch: 64, MaxQueue: 4}, g.classify)
+	held := hold(t, b, g)
+	full := submit(t, b, 0, 1, 2, 3)
 	if err := b.Classify(rowsOf(9), make([]int, 1), make([]float64, 1)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull Classify = %v, want ErrQueueFull", err)
 	}
 	if got := b.Stats().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := b.ClassifyWait(ctx, rowsOf(9), make([]int, 1), make([]float64, 1)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ClassifyWait on full queue = %v, want deadline exceeded", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := b.ClassifyWait(ctx, rowsOf(9), make([]int, 1), make([]float64, 1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ClassifyWait on full queue = %v, want canceled", err)
 	}
 	// A block wider than the queue can never be admitted: fail fast.
 	if err := b.Classify(rowsOf(0, 1, 2, 3, 4), make([]int, 5), make([]float64, 5)); err == nil || errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized block = %v, want a hard error", err)
 	}
-	// Drain delivers the parked rows.
-	b.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	// A waiting ClassifyWait is admitted once the held flush finishes and
+	// the queued block leaves.
+	rejected := b.Stats().Rejected
+	waited := make(chan error, 1)
+	classes := make([]int, 1)
+	go func() {
+		waited <- b.ClassifyWait(context.Background(), rowsOf(9), classes, make([]float64, 1))
+	}()
+	for b.Stats().Rejected == rejected {
+		runtime.Gosched() // until ClassifyWait has found the queue full
 	}
+	close(g.release)
+	await(t, held)
+	await(t, full)
+	if err := <-waited; err != nil || classes[0] != 9 {
+		t.Fatalf("ClassifyWait after the queue drained = %v, class %d", err, classes[0])
+	}
+	if sizes := g.flushSizes(); !reflect.DeepEqual(sizes, []int{1, 4, 1}) {
+		t.Fatalf("flush sizes = %v, want [1 4 1]", sizes)
+	}
+	b.Close()
 }
 
 // TestBatcherErrorPropagation: a failing flush reaches every caller in the
@@ -228,7 +327,7 @@ func TestBatcherErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var fail bool
 	var mu sync.Mutex
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond}, func(rows [][]float64, classes []int, conf []float64) error {
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, func(rows [][]float64, classes []int, conf []float64) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if fail {

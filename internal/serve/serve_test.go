@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +25,7 @@ var testMon struct {
 }
 
 // testMonitor trains one small MLP monitor per test process.
-func testMonitor(t *testing.T) *monitor.MLMonitor {
+func testMonitor(t testing.TB) *monitor.MLMonitor {
 	t.Helper()
 	testMon.once.Do(func() {
 		ds, err := dataset.Generate(dataset.CampaignConfig{
@@ -69,6 +72,54 @@ func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Ser
 	})
 	return srv, ts
 }
+
+// post sends one POST straight through srv.ServeHTTP.
+func post(srv http.Handler, path, ctype string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", ctype)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	return rec
+}
+
+func createSession(t testing.TB, srv http.Handler) string {
+	t.Helper()
+	rec := post(srv, "/v1/sessions", "application/json", []byte("{}"))
+	var out struct{ ID string }
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	return out.ID
+}
+
+func samplesJSON(t testing.TB, samples []serve.Sample) []byte {
+	t.Helper()
+	b, err := json.Marshal(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func samplesNDJSON(t testing.TB, samples []serve.Sample) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, smp := range samples {
+		if err := enc.Encode(smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// Bodies whose readings overflow: ±1.7e308 overflows the derived
+// features, and 1e300 stays finite in float64 but not in the float32
+// kernel.
+var (
+	overflowBody = []byte(`[{"cgm":1.7e308,"iob":1.7e308,"rate":1.7e308},{"cgm":-1.7e308,"iob":-1.7e308,"rate":-1.7e308}]`)
+	extremeBody  = []byte(`[{"cgm":1e300,"iob":1,"rate":1}]`)
+)
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]json.RawMessage) {
 	t.Helper()
@@ -231,13 +282,10 @@ func TestServerIdleEviction(t *testing.T) {
 	}
 }
 
-// loadDigest runs the deterministic load fleet against a fresh server with
-// the given config and returns the verdict digest.
-func loadDigest(t *testing.T, serverCfg serve.Config, mode string) *serve.LoadResult {
-	t.Helper()
-	srv, ts := newTestServer(t, serverCfg)
-	res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:           ts.URL,
+// digestLoad is the deterministic load fleet loadDigest drives.
+func digestLoad(url, mode string) serve.LoadConfig {
+	return serve.LoadConfig{
+		BaseURL:           url,
 		Sessions:          5,
 		SamplesPerSession: 20,
 		Mode:              mode,
@@ -246,7 +294,15 @@ func loadDigest(t *testing.T, serverCfg serve.Config, mode string) *serve.LoadRe
 			DebounceM: 2, DebounceN: 3,
 			CUSUMK: 0.6, CUSUMH: 2,
 		},
-	})
+	}
+}
+
+// loadDigest runs the deterministic load fleet against a fresh server with
+// the given config and returns the verdict digest.
+func loadDigest(t *testing.T, serverCfg serve.Config, mode string) *serve.LoadResult {
+	t.Helper()
+	srv, ts := newTestServer(t, serverCfg)
+	res, err := serve.RunLoad(context.Background(), digestLoad(ts.URL, mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +324,7 @@ func TestServeDeterminism(t *testing.T) {
 		mode string
 	}{
 		{"batched-stream", serve.Config{}, "stream"},
-		{"tiny-batches", serve.Config{Batcher: serve.BatcherConfig{MaxBatch: 3, MaxWait: 100 * time.Microsecond}}, "stream"},
+		{"tiny-batches", serve.Config{Batcher: serve.BatcherConfig{MaxBatch: 3}}, "stream"},
 		{"batched-request", serve.Config{}, "request"},
 		{"bypass-request", serve.Config{Bypass: true}, "request"},
 		{"bypass-stream", serve.Config{Bypass: true}, "stream"},
@@ -331,27 +387,10 @@ func TestServerBodyCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	do := func(path, ctype string, body []byte) *httptest.ResponseRecorder {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		req.Header.Set("Content-Type", ctype)
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		return rec
-	}
-	create := func() string {
-		t.Helper()
-		rec := do("/v1/sessions", "application/json", []byte("{}"))
-		var out struct{ ID string }
-		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
-			t.Fatalf("create: %d %s", rec.Code, rec.Body)
-		}
-		return out.ID
-	}
 	pad := func(n int) []byte { return bytes.Repeat([]byte("a"), n) }
 
-	keep := create()
-	victim := create()
+	keep := createSession(t, srv)
+	victim := createSession(t, srv)
 	window := srv.Window()
 	script := serve.Script(3, 0, window)
 	line, err := json.Marshal(script[0])
@@ -371,7 +410,7 @@ func TestServerBodyCaps(t *testing.T) {
 		{"ndjson line over cap", "/v1/sessions/" + victim + "/samples", "application/x-ndjson",
 			append(append(append(line, '\n'), pad(65<<10)...), '\n'), http.StatusRequestEntityTooLarge},
 	} {
-		if rec := do(tc.path, tc.ctype, tc.body); rec.Code != tc.want {
+		if rec := post(srv, tc.path, tc.ctype, tc.body); rec.Code != tc.want {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, rec.Body, tc.want)
 		}
 	}
@@ -380,12 +419,12 @@ func TestServerBodyCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := do("/v1/sessions/"+keep+"/samples", "application/json", body)
+	rec := post(srv, "/v1/sessions/"+keep+"/samples", "application/json", body)
 	var out struct{ Verdicts []serve.Verdict }
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil || len(out.Verdicts) != 1 {
 		t.Fatalf("append after refused bodies: %d %s, want one verdict", rec.Code, rec.Body)
 	}
-	create()
+	createSession(t, srv)
 }
 
 func TestServerRejectsBadConfig(t *testing.T) {
@@ -398,4 +437,173 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	if _, err := serve.New(serve.Config{Monitor: testMonitor(t), Session: serve.SessionConfig{DebounceM: 3, DebounceN: 1}}); err == nil {
 		t.Fatal("want error for invalid default debounce")
 	}
+}
+
+// TestServerIngestIsAllOrNothing pins that a rejected upload leaves its
+// session as it was: overflowing readings are refused with 400 naming the
+// sample on both ingest paths, a block wider than the batcher queue with
+// 413, and afterwards the session's verdicts equal those of a session that
+// only ever saw the sane samples.
+func TestServerIngestIsAllOrNothing(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		Monitor:     testMonitor(t),
+		Batcher:     serve.BatcherConfig{MaxBatch: 1, MaxQueue: 2},
+		IdleTimeout: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	window := srv.Window()
+	script := serve.Script(3, 0, window+4)
+	hit, ref := createSession(t, srv), createSession(t, srv)
+	appendTo := func(id string) string { return "/v1/sessions/" + id + "/samples" }
+	warm := samplesJSON(t, script[:window-1])
+	for _, id := range []string{hit, ref} {
+		if rec := post(srv, appendTo(id), "application/json", warm); rec.Code != http.StatusOK {
+			t.Fatalf("warmup: %d %s", rec.Code, rec.Body)
+		}
+	}
+	first := fmt.Sprintf("sample %d ", window-1)
+	for _, tc := range []struct {
+		name, ctype string
+		body        []byte
+		want        int
+		says        string
+	}{
+		{"overflowing readings", "application/json", overflowBody, http.StatusBadRequest, first},
+		{"float32 overflow", "application/json", extremeBody, http.StatusBadRequest, first},
+		{"overflowing ndjson chunk", "application/x-ndjson",
+			samplesNDJSON(t, []serve.Sample{{CGM: 1.7e308, IOB: 1.7e308, Rate: 1.7e308}}), http.StatusBadRequest, first},
+		{"block wider than the queue", "application/json", samplesJSON(t, script[window-1:window+2]), http.StatusRequestEntityTooLarge, "capacity"},
+	} {
+		rec := post(srv, appendTo(hit), tc.ctype, tc.body)
+		if rec.Code != tc.want || !strings.Contains(rec.Body.String(), tc.says) {
+			t.Errorf("%s: %d %s, want %d naming %q", tc.name, rec.Code, rec.Body, tc.want, tc.says)
+		}
+	}
+	for i := window - 1; i < len(script); i++ {
+		one := samplesJSON(t, script[i:i+1])
+		got := post(srv, appendTo(hit), "application/json", one)
+		want := post(srv, appendTo(ref), "application/json", one)
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Fatalf("sample %d after rejected uploads: %d %s, want %s", i, got.Code, got.Body, want.Body)
+		}
+	}
+}
+
+// TestServeOverflowingSessionLeavesOthersAlone: while one session keeps
+// uploading overflowing readings (some refused before the batcher, some
+// scored inside fused batches and refused after), the deterministic fleet
+// on the same server gets exactly its clean-run verdicts.
+func TestServeOverflowingSessionLeavesOthersAlone(t *testing.T) {
+	want := loadDigest(t, serve.Config{}, "stream").Digest
+	srv, ts := newTestServer(t, serve.Config{})
+	bad := createSession(t, srv)
+	url := ts.URL + "/v1/sessions/" + bad + "/samples"
+	if rec := post(srv, "/v1/sessions/"+bad+"/samples", "application/json", samplesJSON(t, serve.Script(3, 0, srv.Window()-1))); rec.Code != http.StatusOK {
+		t.Fatalf("warmup: %d %s", rec.Code, rec.Body)
+	}
+	stop := make(chan struct{})
+	statuses := make(chan []int, 1)
+	go func() {
+		var got []int
+		defer func() { statuses <- got }()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			body := overflowBody
+			if i%2 == 1 {
+				body = extremeBody
+			}
+			resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+			if err != nil {
+				got = append(got, -1)
+				return
+			}
+			resp.Body.Close()
+			got = append(got, resp.StatusCode)
+		}
+	}()
+	res, err := serve.RunLoad(context.Background(), digestLoad(ts.URL, "stream"))
+	close(stop)
+	got := <-statuses
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != want {
+		t.Fatalf("fleet digest %s beside an overflowing session, want %s", res.Digest, want)
+	}
+	if len(got) == 0 {
+		t.Fatal("the overflowing session sent nothing")
+	}
+	for _, code := range got {
+		if code != http.StatusBadRequest {
+			t.Fatalf("overflowing upload statuses %v, want only 400", got)
+		}
+	}
+}
+
+// FuzzIngest drives arbitrary JSON-append and NDJSON bodies into a warmed
+// session through ServeHTTP. The server must not panic, must answer 200,
+// 400 or 413, and every 200 body must decode with finite confidences.
+func FuzzIngest(f *testing.F) {
+	srv, err := serve.New(serve.Config{Monitor: testMonitor(f), IdleTimeout: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	window := srv.Window()
+	script := serve.Script(3, 0, window+8)
+	warm := samplesJSON(f, script[:window-1])
+	f.Add(samplesJSON(f, script[window-1:]), false)
+	f.Add(samplesNDJSON(f, script[window-1:]), true)
+	f.Add(overflowBody, false)
+	f.Add(extremeBody, false)
+	f.Add([]byte("{\"cgm\":1e300,\"iob\":1,\"rate\":1}\n"), true)
+	f.Add([]byte(`[{"cgm":120,"iob":1,"rate":1,"action":99,"carbs":-5}]`), false)
+	f.Add([]byte(`[{"cgm":`), false)
+	f.Add([]byte("{}\n\n{\"cgm\":\"x\"}\n"), true)
+	f.Fuzz(func(t *testing.T, body []byte, ndjson bool) {
+		id := createSession(t, srv)
+		defer srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+id, nil))
+		path := "/v1/sessions/" + id + "/samples"
+		if rec := post(srv, path, "application/json", warm); rec.Code != http.StatusOK {
+			t.Fatalf("warmup: %d %s", rec.Code, rec.Body)
+		}
+		ctype := "application/json"
+		if ndjson {
+			ctype = "application/x-ndjson"
+		}
+		rec := post(srv, path, ctype, body)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if ndjson {
+			var out struct{ Accepted, Verdicts int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 body %q: %v", rec.Body, err)
+			}
+			return
+		}
+		var out struct {
+			Accepted int
+			Verdicts []serve.Verdict
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("200 body %q: %v", rec.Body, err)
+		}
+		for _, v := range out.Verdicts {
+			if math.IsNaN(v.Conf) || math.IsInf(v.Conf, 0) {
+				t.Fatalf("verdict %+v has a non-finite confidence", v)
+			}
+		}
+	})
 }

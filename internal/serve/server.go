@@ -440,6 +440,10 @@ func bodyError(w http.ResponseWriter, what string, err error) {
 
 func appendError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, errBadSample):
+		httpError(w, http.StatusBadRequest, err.Error())
+	case errors.Is(err, errBlockTooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		httpError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrClosed), errors.Is(err, errSessionClosed):

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -78,6 +80,7 @@ type session struct {
 	// batcher releases row buffers before Classify returns).
 	rows    [][]float64
 	rowBuf  []float64
+	saved   []sim.Record // the window on entry, restored if ingest fails
 	seqs    []int
 	classes []int
 	conf    []float64
@@ -105,13 +108,27 @@ func newSession(id string, window int, cfg SessionConfig, deb *monitor.MOfN, dri
 // whole POST body becomes at most one batcher enqueue), applies the
 // session's stateful wrappers in ingest order, and appends the resulting
 // verdicts to the log.
-func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify func(context.Context, [][]float64, []int, []float64) error, raw []Sample) ([]Verdict, error) {
+//
+// Ingest is all-or-nothing: on any error the window is put back as it was
+// on entry, so a rejected block (a non-finite row, a full queue, a closing
+// server) leaves no trace and a client that retries it does not ingest its
+// samples twice.
+func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify func(context.Context, [][]float64, []int, []float64) error, raw []Sample) (_ []Verdict, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errSessionClosed
 	}
 	s.lastUsed = time.Now()
+
+	s.saved = append(s.saved[:0], s.win...)
+	prev, hasPrev, ingested := s.prev, s.hasPrev, s.ingested
+	defer func() {
+		if err != nil {
+			s.win = append(s.win[:0], s.saved...)
+			s.prev, s.hasPrev, s.ingested = prev, hasPrev, ingested
+		}
+	}()
 
 	inSize := m.Model().InputSize()
 	if cap(s.rowBuf) < len(raw)*inSize {
@@ -141,6 +158,14 @@ func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify fun
 		if err := m.AssembleRow(sample, row); err != nil {
 			return nil, err
 		}
+		// JSON carries no NaN or Inf, but finite extremes (±1.7e308) overflow
+		// in the derived features, and ReLU would turn a NaN into a
+		// confident verdict.
+		for _, v := range row {
+			if !finite(v) {
+				return nil, fmt.Errorf("%w: sample %d assembles a non-finite feature", errBadSample, seq)
+			}
+		}
 		s.rows = append(s.rows, row)
 		s.seqs = append(s.seqs, seq)
 		nready++
@@ -155,6 +180,13 @@ func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify fun
 	classes, conf := s.classes[:nready], s.conf[:nready]
 	if err := classify(ctx, s.rows, classes, conf); err != nil {
 		return nil, err
+	}
+	// A finite row can still overflow inside the model (float32 staging
+	// tops out near 3.4e38); no verdict is better than a NaN confidence.
+	for i, c := range conf {
+		if !finite(c) {
+			return nil, fmt.Errorf("%w: sample %d scores a non-finite confidence", errBadSample, s.seqs[i])
+		}
 	}
 
 	out := make([]Verdict, nready)
@@ -252,3 +284,8 @@ func (s *session) counts() (int, int) {
 }
 
 var errSessionClosed = fmt.Errorf("serve: session closed")
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// errBadSample marks an ingest error the client caused with its samples.
+var errBadSample = errors.New("serve: bad sample")
