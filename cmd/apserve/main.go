@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	apserve [-addr HOST:PORT] [-model model.json]
+//	apserve [-addr HOST:PORT] [-model model.bin]
 //	        [-sim glucosym|t1ds] [-arch mlp|lstm] [-epochs N]
 //	        [-profiles N] [-episodes N] [-steps N] [-scenarios MIX] [-seed N]
 //	        [-precision f32|f64] [-bypass]
@@ -93,7 +93,7 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 		epochs: cliconfig.AddEpochs(fs, 15),
 	}
 	f.addr = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	f.modelPath = fs.String("model", "", "serve this trained model JSON instead of training")
+	f.modelPath = fs.String("model", "", "serve this trained model file instead of training")
 	f.bypass = fs.Bool("bypass", false, "disable micro-batching: classify every request inline (baseline)")
 	f.batchMax = fs.Int("batch-max", 0, "micro-batch fuse limit (0 = default 32)")
 	f.maxQueue = fs.Int("max-queue", 0, "dispatcher queue depth before 429s (0 = default 32×batch-max)")

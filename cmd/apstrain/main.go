@@ -1,11 +1,11 @@
 // Command apstrain generates a simulation campaign, trains one ML monitor
-// and reports its clean-input performance; optionally saves the model as
-// JSON.
+// and reports its clean-input performance; optionally saves the model
+// file (the binary monitor.Save encoding that apserve -model reads).
 //
 // Usage:
 //
 //	apstrain [-sim glucosym|t1ds] [-arch mlp|lstm] [-semantic] [-epochs N]
-//	         [-profiles N] [-episodes N] [-steps N] [-out model.json]
+//	         [-profiles N] [-episodes N] [-steps N] [-out model.bin]
 //	         [-report] [-report-out report.json]
 //	         [-parallel N] [-precision f64|f32] [-cache DIR] [-no-cache]
 //
@@ -87,7 +87,7 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 	}
 	f.semantic = fs.Bool("semantic", false, "train with the semantic (knowledge) loss")
 	f.weight = fs.Float64("weight", 0.5, "semantic loss weight w")
-	f.out = fs.String("out", "", "write the trained model JSON here")
+	f.out = fs.String("out", "", "write the trained model file here")
 	f.report = fs.Bool("report", false, "render the per-scenario/per-fault evaluation report on the test split")
 	f.reportOut = fs.String("report-out", "", "write the JSON evaluation report here (implies -report)")
 	return f

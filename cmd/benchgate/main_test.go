@@ -188,3 +188,24 @@ func TestParseGatesFlag(t *testing.T) {
 		t.Fatal("negative threshold did not error")
 	}
 }
+
+// FuzzParseBenchOutput feeds arbitrary text to the `go test -bench`
+// parser, seeded with sampleOutput. It must never panic or fail to
+// return, and every benchmark it reports is named Benchmark…, was seen on
+// at least one line and carries a metrics map.
+func FuzzParseBenchOutput(f *testing.F) {
+	f.Add(sampleOutput)
+	f.Add("BenchmarkX-8 1 2 ns/op 3")
+	f.Add("BenchmarkX-8 notanumber 2 ns/op")
+	f.Fuzz(func(t *testing.T, in string) {
+		benches, err := parseBenchOutput(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for name, b := range benches {
+			if !strings.HasPrefix(name, "Benchmark") || b.Runs < 1 || b.Metrics == nil {
+				t.Fatalf("%q: %d runs, metrics %v", name, b.Runs, b.Metrics)
+			}
+		}
+	})
+}

@@ -13,7 +13,9 @@
 // binary decoder can mmap the file and reinterpret aligned structures in
 // place. Store has one protocol, GetOrCreateFile, which hands the decoder
 // the entry's path and payload offset; ReaderLoad adapts decoders that
-// read a stream.
+// read a stream. Payloads that hold features or weights (campaigns,
+// monitors, substitutes) are section containers (WriteSections,
+// ReadSections): CRC-checked, 8-byte-aligned binary sections.
 //
 // Stores are written to be safe under concurrency: the disk implementation
 // publishes entries with an atomic temp-file + rename, so parallel sweep

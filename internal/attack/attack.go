@@ -89,11 +89,14 @@ type SubstituteConfig struct {
 	Seed int64
 }
 
-// SubstituteFormatVersion identifies how a cached substitute was produced:
-// its architecture (nn.NewSubstituteMLP) and the TrainSubstitute algorithm.
-// Bump it whenever either changes, so stored substitutes trained by the old
-// code become unreachable.
-const SubstituteFormatVersion = 1
+// SubstituteFormatVersion identifies how a cached substitute was produced
+// and stored: its architecture (nn.NewSubstituteMLP), the TrainSubstitute
+// algorithm and the nn.Model.Save encoding. Bump it whenever any of them
+// changes, so stored substitutes the old code wrote become unreachable.
+//
+// Version 2: substitutes are stored as nn.Model.Save's section container
+// instead of JSON; the weights are those of v1, bit for bit.
+const SubstituteFormatVersion = 2
 
 // Fingerprint hashes every field that determines the trained substitute,
 // after defaults are filled, so an explicit default and a zero value key

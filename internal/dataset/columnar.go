@@ -3,9 +3,7 @@ package dataset
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/artifact"
 	"repro/internal/controller"
@@ -21,23 +19,13 @@ import (
 // bytes are a pure function of the dataset — independent of worker count,
 // host, and store — which is the campaign byte-determinism contract.
 //
-// Layout (all integers little-endian):
-//
-//	file header:  8-byte magic "APSCOLMN", uint32 FormatVersion,
-//	              uint32 section count (always 10)
-//	per section:  uint64 section id, uint64 payload length,
-//	              uint64 checksum (CRC-32C of the payload, zero-extended),
-//	              payload, zero padding to the next 8-byte boundary
-//
-// Sections appear in id order (meta, MLP floats, seq floats, scalar
-// columns, int columns, episode index, scenarios, faults, MLP normalizer,
-// seq normalizer); sections without content carry empty payloads, so the
-// offset structure is identical for every dataset shape. Because the file
-// header is 16 bytes, every section header is 24, and every payload is
-// padded to a multiple of 8, each payload starts 8-byte aligned relative
-// to the blob — and the artifact store's raw-file layout places the blob
-// at an 8-aligned file offset, so mmap-ed float columns are pointer-aligned
-// for in-place reinterpretation.
+// The blob is an artifact section container (see artifact.WriteSections)
+// with magic "APSCOLMN" and ten sections in id order: meta, MLP floats,
+// seq floats, scalar columns, int columns, episode index, scenarios,
+// faults, MLP normalizer, seq normalizer. Sections without content carry
+// empty payloads, so the offset structure is identical for every dataset
+// shape, and every payload starts 8-byte aligned, so mmap-ed float columns
+// are pointer-aligned for in-place reinterpretation.
 //
 // Views returned by the decoder (Sample.MLP, Sample.Seq, normalizer
 // statistics) are read-only by contract: mapped pages lack PROT_WRITE.
@@ -47,13 +35,11 @@ import (
 const (
 	colMagic        = "APSCOLMN"
 	colSectionCount = 10
-	colHeaderSize   = 16
-	secHeaderSize   = 24
 )
 
-// Section ids, in file order.
+// Section indexes, in file order (the on-disk id is the index + 1).
 const (
-	secMeta = 1 + iota
+	secMeta = iota
 	secMLP
 	secSeq
 	secScalars
@@ -77,30 +63,6 @@ const (
 	flagSeqNorm
 )
 
-// colCRC is the per-section checksum polynomial: CRC-32C has hardware
-// support on amd64/arm64, so verifying a whole campaign costs a fraction
-// of the decode it protects.
-var colCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// colBuf builds one section payload.
-type colBuf struct{ b []byte }
-
-func (c *colBuf) u32(v uint32) {
-	c.b = binary.LittleEndian.AppendUint32(c.b, v)
-}
-func (c *colBuf) u64(v uint64) {
-	c.b = binary.LittleEndian.AppendUint64(c.b, v)
-}
-func (c *colBuf) i64(v int)     { c.u64(uint64(int64(v))) }
-func (c *colBuf) f64(v float64) { c.u64(math.Float64bits(v)) }
-func (c *colBuf) str(s string)  { c.u32(uint32(len(s))); c.b = append(c.b, s...) }
-func (c *colBuf) byte(v byte)   { c.b = append(c.b, v) }
-func (c *colBuf) floats(v []float64) {
-	for _, f := range v {
-		c.f64(f)
-	}
-}
-
 // EncodeColumnar writes the dataset in the columnar binary format. The
 // output is byte-identical for equal datasets regardless of how (or at
 // what worker count) they were produced.
@@ -117,13 +79,13 @@ func (d *Dataset) EncodeColumnar(w io.Writer) error {
 		}
 	}
 
-	var meta colBuf
-	meta.u64(uint64(n))
-	meta.u64(uint64(mlpDim))
-	meta.u64(uint64(seqWidth))
-	meta.i64(d.Window)
-	meta.i64(d.Horizon)
-	meta.f64(d.BGTarget)
+	var meta artifact.Buf
+	meta.U64(uint64(n))
+	meta.U64(uint64(mlpDim))
+	meta.U64(uint64(seqWidth))
+	meta.I64(d.Window)
+	meta.I64(d.Horizon)
+	meta.F64(d.BGTarget)
 	var flags byte
 	if d.Samples != nil {
 		flags |= flagSamples
@@ -143,19 +105,19 @@ func (d *Dataset) EncodeColumnar(w io.Writer) error {
 	if d.SeqNorm != nil {
 		flags |= flagSeqNorm
 	}
-	meta.byte(flags)
-	meta.str(d.Simulator)
+	meta.Byte(flags)
+	meta.Str(d.Simulator)
 
-	var mlp, seq colBuf
-	mlp.b = make([]byte, 0, 8*n*mlpDim)
-	seq.b = make([]byte, 0, 8*n*seqWidth)
+	var mlp, seq artifact.Buf
+	mlp.B = make([]byte, 0, 8*n*mlpDim)
+	seq.B = make([]byte, 0, 8*n*seqWidth)
 	for i := range d.Samples {
-		mlp.floats(d.Samples[i].MLP)
-		seq.floats(d.Samples[i].Seq)
+		mlp.Floats(d.Samples[i].MLP)
+		seq.Floats(d.Samples[i].Seq)
 	}
 
-	var scalars colBuf
-	scalars.b = make([]byte, 0, 4*8*n)
+	var scalars artifact.Buf
+	scalars.B = make([]byte, 0, 4*8*n)
 	for _, get := range []func(*Sample) float64{
 		func(s *Sample) float64 { return s.Knowledge },
 		func(s *Sample) float64 { return s.BG },
@@ -163,12 +125,12 @@ func (d *Dataset) EncodeColumnar(w io.Writer) error {
 		func(s *Sample) float64 { return s.DeltaIOB },
 	} {
 		for i := range d.Samples {
-			scalars.f64(get(&d.Samples[i]))
+			scalars.F64(get(&d.Samples[i]))
 		}
 	}
 
-	var ints colBuf
-	ints.b = make([]byte, 0, 4*8*n+n)
+	var ints artifact.Buf
+	ints.B = make([]byte, 0, 4*8*n+n)
 	for _, get := range []func(*Sample) int{
 		func(s *Sample) int { return s.Label },
 		func(s *Sample) int { return s.EpisodeID },
@@ -176,178 +138,74 @@ func (d *Dataset) EncodeColumnar(w io.Writer) error {
 		func(s *Sample) int { return int(s.Action) },
 	} {
 		for i := range d.Samples {
-			ints.i64(get(&d.Samples[i]))
+			ints.I64(get(&d.Samples[i]))
 		}
 	}
 	for i := range d.Samples {
 		if d.Samples[i].HazardNow {
-			ints.byte(1)
+			ints.Byte(1)
 		} else {
-			ints.byte(0)
+			ints.Byte(0)
 		}
 	}
 
-	var episodes colBuf
-	episodes.u64(uint64(len(d.EpisodeIndex)))
+	var episodes artifact.Buf
+	episodes.U64(uint64(len(d.EpisodeIndex)))
 	for _, r := range d.EpisodeIndex {
-		episodes.i64(r[0])
-		episodes.i64(r[1])
+		episodes.I64(r[0])
+		episodes.I64(r[1])
 	}
 
 	strSection := func(ss []string) []byte {
-		var c colBuf
-		c.u64(uint64(len(ss)))
+		var c artifact.Buf
+		c.U64(uint64(len(ss)))
 		for _, s := range ss {
-			c.str(s)
+			c.Str(s)
 		}
-		return c.b
+		return c.B
 	}
-	normSection := func(nz *Normalizer) []byte {
-		if nz == nil {
-			return nil
-		}
-		var c colBuf
-		c.u64(uint64(len(nz.Mean)))
-		c.floats(nz.Mean)
-		c.u64(uint64(len(nz.Std)))
-		c.floats(nz.Std)
-		return c.b
-	}
-
-	sections := [colSectionCount][]byte{
-		meta.b, mlp.b, seq.b, scalars.b, ints.b, episodes.b,
+	err := artifact.WriteSections(w, colMagic, FormatVersion,
+		meta.B, mlp.B, seq.B, scalars.B, ints.B, episodes.B,
 		strSection(d.Scenarios), strSection(d.Faults),
-		normSection(d.MLPNorm), normSection(d.SeqNorm),
-	}
-
-	var hdr [colHeaderSize]byte
-	copy(hdr[:], colMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(FormatVersion))
-	binary.LittleEndian.PutUint32(hdr[12:], colSectionCount)
-	if _, err := w.Write(hdr[:]); err != nil {
+		EncodeNormalizer(d.MLPNorm), EncodeNormalizer(d.SeqNorm))
+	if err != nil {
 		return fmt.Errorf("dataset: encode columnar: %w", err)
-	}
-	var pad [8]byte
-	for i, payload := range sections {
-		var sh [secHeaderSize]byte
-		binary.LittleEndian.PutUint64(sh[0:], uint64(i+1))
-		binary.LittleEndian.PutUint64(sh[8:], uint64(len(payload)))
-		binary.LittleEndian.PutUint64(sh[16:], uint64(crc32.Checksum(payload, colCRC)))
-		if _, err := w.Write(sh[:]); err != nil {
-			return fmt.Errorf("dataset: encode columnar: %w", err)
-		}
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("dataset: encode columnar: %w", err)
-		}
-		if rem := len(payload) % 8; rem != 0 {
-			if _, err := w.Write(pad[:8-rem]); err != nil {
-				return fmt.Errorf("dataset: encode columnar: %w", err)
-			}
-		}
 	}
 	return nil
 }
 
-// colReader walks one decoded blob.
-type colReader struct {
-	b   []byte
-	off int
+// EncodeNormalizer returns the section payload that stores nz: the mean
+// and the std columns, each a uint64 count then little-endian float64s.
+// Campaign blobs and monitor entries store normalizers this one way. A nil
+// nz encodes as an empty payload.
+func EncodeNormalizer(nz *Normalizer) []byte {
+	if nz == nil {
+		return nil
+	}
+	var c artifact.Buf
+	c.U64(uint64(len(nz.Mean)))
+	c.Floats(nz.Mean)
+	c.U64(uint64(len(nz.Std)))
+	c.Floats(nz.Std)
+	return c.B
 }
 
-func (c *colReader) remaining() int { return len(c.b) - c.off }
-
-func (c *colReader) take(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("dataset: columnar: truncated at offset %d (need %d of %d remaining bytes)",
-			c.off, n, c.remaining())
-	}
-	b := c.b[c.off : c.off+n : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *colReader) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *colReader) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *colReader) i64() (int, error) {
-	v, err := c.u64()
-	return int(int64(v)), err
-}
-
-func (c *colReader) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-func (c *colReader) str() (string, error) {
-	n, err := c.u32()
-	if err != nil {
-		return "", err
-	}
-	b, err := c.take(int(n))
-	return string(b), err
-}
-
-// section validates and returns the payload of the expected next section.
-func (c *colReader) section(wantID int) ([]byte, error) {
-	id, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if id != uint64(wantID) {
-		return nil, fmt.Errorf("dataset: columnar: section %d out of order (want %d)", id, wantID)
-	}
-	size, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	sum, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if size > uint64(c.remaining()) {
-		return nil, fmt.Errorf("dataset: columnar: section %d truncated (%d bytes declared, %d remain)", wantID, size, c.remaining())
-	}
-	payload, err := c.take(int(size))
-	if err != nil {
-		return nil, err
-	}
-	if got := uint64(crc32.Checksum(payload, colCRC)); got != sum {
-		return nil, fmt.Errorf("dataset: columnar: section %d checksum mismatch (%08x, want %08x)", wantID, got, sum)
-	}
-	if rem := int(size) % 8; rem != 0 {
-		if _, err := c.take(8 - rem); err != nil {
-			return nil, err
+// DecodeNormalizer decodes a payload written by EncodeNormalizer. The
+// statistics may be views into payload, read-only by contract.
+func DecodeNormalizer(payload []byte) (*Normalizer, error) {
+	nr := artifact.NewReader(payload)
+	var cols [2][]float64 // mean, std
+	for i := range cols {
+		count := nr.U64()
+		if count > uint64(nr.Remaining()/8) {
+			return nil, fmt.Errorf("dataset: normalizer: %d values in %d bytes", count, nr.Remaining())
 		}
+		cols[i], _ = mmapio.Float64s(nr.Take(8 * int(count)))
 	}
-	return payload, nil
-}
-
-// floatColumn reinterprets (or decodes) a float64 column of count values
-// from the section payload starting at byte offset off.
-func floatColumn(payload []byte, off, count int) ([]float64, error) {
-	if count == 0 {
-		return nil, nil
+	if err := nr.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: normalizer: %w", err)
 	}
-	if off < 0 || off > len(payload) || count < 0 || count > (len(payload)-off)/8 {
-		return nil, fmt.Errorf("dataset: columnar: float column of %d values at offset %d outside %d-byte section", count, off, len(payload))
-	}
-	end := off + 8*count
-	v, _ := mmapio.Float64s(payload[off:end:end])
-	return v, nil
+	return &Normalizer{Mean: cols[0], Std: cols[1]}, nil
 }
 
 // DecodeColumnarBytes decodes a columnar blob. Float columns are
@@ -358,59 +216,17 @@ func floatColumn(payload []byte, off, count int) ([]float64, error) {
 // mmapio keep heap-backed blobs alive automatically; mapped regions are
 // process-lifetime).
 func DecodeColumnarBytes(data []byte) (*Dataset, error) {
-	c := &colReader{b: data}
-	hdr, err := c.take(colHeaderSize)
+	secs, err := artifact.ReadSections(data, colMagic, FormatVersion, colSectionCount)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: columnar: %w", err)
 	}
-	if string(hdr[:8]) != colMagic {
-		return nil, fmt.Errorf("dataset: columnar: bad magic %q", hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != FormatVersion {
-		return nil, fmt.Errorf("dataset: columnar: format version %d, want %d", v, FormatVersion)
-	}
-	if ns := binary.LittleEndian.Uint32(hdr[12:]); ns != colSectionCount {
-		return nil, fmt.Errorf("dataset: columnar: %d sections, want %d", ns, colSectionCount)
-	}
-
-	metaPayload, err := c.section(secMeta)
-	if err != nil {
-		return nil, err
-	}
-	m := &colReader{b: metaPayload}
-	nU, err := m.u64()
-	if err != nil {
-		return nil, err
-	}
-	mlpDimU, err := m.u64()
-	if err != nil {
-		return nil, err
-	}
-	seqWidthU, err := m.u64()
-	if err != nil {
-		return nil, err
-	}
+	m := artifact.NewReader(secs[secMeta])
+	nU, mlpDimU, seqWidthU := m.U64(), m.U64(), m.U64()
 	n, mlpDim, seqWidth := int(nU), int(mlpDimU), int(seqWidthU)
-	window, err := m.i64()
-	if err != nil {
-		return nil, err
-	}
-	horizon, err := m.i64()
-	if err != nil {
-		return nil, err
-	}
-	bgTarget, err := m.f64()
-	if err != nil {
-		return nil, err
-	}
-	flagsB, err := m.take(1)
-	if err != nil {
-		return nil, err
-	}
-	flags := flagsB[0]
-	simulator, err := m.str()
-	if err != nil {
-		return nil, err
+	window, horizon, bgTarget := m.I64(), m.I64(), m.F64()
+	flags, simulator := m.Byte(), m.Str()
+	if err := m.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: columnar: meta: %w", err)
 	}
 	d := &Dataset{
 		Simulator: simulator,
@@ -419,22 +235,8 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 		BGTarget:  bgTarget,
 	}
 
-	mlpPayload, err := c.section(secMLP)
-	if err != nil {
-		return nil, err
-	}
-	seqPayload, err := c.section(secSeq)
-	if err != nil {
-		return nil, err
-	}
-	scalarPayload, err := c.section(secScalars)
-	if err != nil {
-		return nil, err
-	}
-	intPayload, err := c.section(secInts)
-	if err != nil {
-		return nil, err
-	}
+	mlpPayload, seqPayload := secs[secMLP], secs[secSeq]
+	scalarPayload, intPayload := secs[secScalars], secs[secInts]
 	// Bound the declared shape by the blob before multiplying, so a crafted
 	// header cannot overflow the size arithmetic.
 	if nU > uint64(len(data)) || (nU > 0 && (mlpDimU > uint64(len(data))/nU || seqWidthU > uint64(len(data))/nU)) {
@@ -447,19 +249,14 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 	}
 
 	if flags&flagSamples != 0 || n > 0 {
-		mlpAll, err := floatColumn(mlpPayload, 0, n*mlpDim)
-		if err != nil {
-			return nil, err
-		}
-		seqAll, err := floatColumn(seqPayload, 0, n*seqWidth)
-		if err != nil {
-			return nil, err
-		}
+		// The sizes are exact (checked above), so every view below stays
+		// inside its section.
+		mlpAll, _ := mmapio.Float64s(mlpPayload)
+		seqAll, _ := mmapio.Float64s(seqPayload)
+		scalars, _ := mmapio.Float64s(scalarPayload)
 		var scalarCols [4][]float64
 		for i := range scalarCols {
-			if scalarCols[i], err = floatColumn(scalarPayload, i*8*n, n); err != nil {
-				return nil, err
-			}
+			scalarCols[i] = scalars[i*n : (i+1)*n]
 		}
 		hazards := intPayload[4*8*n:]
 		intCol := func(col, i int) int {
@@ -487,27 +284,16 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 		d.Samples = samples
 	}
 
-	epPayload, err := c.section(secEpisodes)
-	if err != nil {
-		return nil, err
-	}
-	e := &colReader{b: epPayload}
-	nEpU, err := e.u64()
-	if err != nil {
-		return nil, err
-	}
-	if e.remaining()%16 != 0 || nEpU != uint64(e.remaining()/16) {
-		return nil, fmt.Errorf("dataset: columnar: episode index holds %d bytes for %d episodes", e.remaining(), nEpU)
+	e := artifact.NewReader(secs[secEpisodes])
+	nEpU := e.U64()
+	if e.Err() != nil || e.Remaining()%16 != 0 || nEpU != uint64(e.Remaining()/16) {
+		return nil, fmt.Errorf("dataset: columnar: episode index holds %d bytes for %d episodes", e.Remaining(), nEpU)
 	}
 	nEp := int(nEpU)
 	if flags&flagEpisodes != 0 || nEp > 0 {
 		d.EpisodeIndex = make([][2]int, nEp)
 		for i := range d.EpisodeIndex {
-			from, _ := e.i64()
-			to, err := e.i64()
-			if err != nil {
-				return nil, err
-			}
+			from, to := e.I64(), e.I64() // in range: the size check above counted them
 			if from < 0 || from > to || to > n {
 				return nil, fmt.Errorf("dataset: columnar: episode %d spans samples [%d,%d) of %d", i, from, to, n)
 			}
@@ -516,29 +302,19 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 	}
 
 	strSection := func(id int, present bool) ([]string, error) {
-		payload, err := c.section(id)
-		if err != nil {
-			return nil, err
+		sr := artifact.NewReader(secs[id])
+		countU := sr.U64()
+		if countU > uint64(sr.Remaining()/4) { // every string carries a 4-byte length
+			return nil, fmt.Errorf("dataset: columnar: section %d lists %d strings in %d bytes", id, countU, sr.Remaining())
 		}
-		sr := &colReader{b: payload}
-		countU, err := sr.u64()
-		if err != nil {
-			return nil, err
+		if !present && countU == 0 {
+			return nil, sr.Err()
 		}
-		if countU > uint64(sr.remaining()/4) { // every string carries a 4-byte length
-			return nil, fmt.Errorf("dataset: columnar: section %d lists %d strings in %d bytes", id, countU, sr.remaining())
-		}
-		count := int(countU)
-		if !present && count == 0 {
-			return nil, nil
-		}
-		out := make([]string, count)
+		out := make([]string, countU)
 		for i := range out {
-			if out[i], err = sr.str(); err != nil {
-				return nil, err
-			}
+			out[i] = sr.Str()
 		}
-		return out, nil
+		return out, sr.Err()
 	}
 	if d.Scenarios, err = strSection(secScenarios, flags&flagScenarios != 0); err != nil {
 		return nil, err
@@ -548,47 +324,20 @@ func DecodeColumnarBytes(data []byte) (*Dataset, error) {
 	}
 
 	normSection := func(id int, present bool) (*Normalizer, error) {
-		payload, err := c.section(id)
-		if err != nil {
-			return nil, err
-		}
+		payload := secs[id]
 		if !present {
 			if len(payload) != 0 {
 				return nil, fmt.Errorf("dataset: columnar: absent normalizer carries %d bytes", len(payload))
 			}
 			return nil, nil
 		}
-		nr := &colReader{b: payload}
-		readCol := func() ([]float64, error) {
-			countU, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			col, err := floatColumn(nr.b, nr.off, int(countU))
-			if err != nil {
-				return nil, err
-			}
-			nr.off += 8 * int(countU)
-			return col, nil
-		}
-		mean, err := readCol()
-		if err != nil {
-			return nil, err
-		}
-		std, err := readCol()
-		if err != nil {
-			return nil, err
-		}
-		return &Normalizer{Mean: mean, Std: std}, nil
+		return DecodeNormalizer(payload)
 	}
 	if d.MLPNorm, err = normSection(secMLPNorm, flags&flagMLPNorm != 0); err != nil {
 		return nil, err
 	}
 	if d.SeqNorm, err = normSection(secSeqNorm, flags&flagSeqNorm != 0); err != nil {
 		return nil, err
-	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("dataset: columnar: %d trailing bytes after final section", c.remaining())
 	}
 	return d, nil
 }

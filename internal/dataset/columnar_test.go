@@ -348,19 +348,21 @@ func viewWithin(data []byte, v []float64) bool {
 	return start+8*uintptr(len(v)) <= base+uintptr(len(data))
 }
 
-// reseal returns a copy of blob whose section checksums match their
-// payloads, so fuzzed bytes reach the decoder's parsing past the CRC check.
+// reseal returns a copy of blob whose section checksums (CRC-32C) match
+// their payloads, so fuzzed bytes reach the decoder's parsing past the CRC
+// check. The container header is 16 bytes and each section header 24.
 func reseal(blob []byte) []byte {
 	b := append([]byte(nil), blob...)
-	off := colHeaderSize
-	for off+secHeaderSize <= len(b) {
-		start := off + secHeaderSize
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	off := 16
+	for off+24 <= len(b) {
+		start := off + 24
 		size := binary.LittleEndian.Uint64(b[off+8:])
 		if size > uint64(len(b)-start) {
 			break
 		}
 		end := start + int(size)
-		binary.LittleEndian.PutUint64(b[off+16:], uint64(crc32.Checksum(b[start:end], colCRC)))
+		binary.LittleEndian.PutUint64(b[off+16:], uint64(crc32.Checksum(b[start:end], crc)))
 		off = end + (8-int(size)%8)%8
 	}
 	return b

@@ -3,7 +3,9 @@
 // time series (sensor values and control commands), hazard-ahead labels
 // (Eq 1), aggregated features f(µ(X_t)) for the MLP monitors, raw windows
 // for the LSTM monitors, and the STL knowledge indicator used by the
-// semantic loss (Eq 2).
+// semantic loss (Eq 2). Datasets are stored as artifact section
+// containers (EncodeColumnar), whose normalizer encoding monitors share
+// (EncodeNormalizer).
 package dataset
 
 import (

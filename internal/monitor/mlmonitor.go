@@ -1,13 +1,11 @@
 package monitor
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
+	"repro/internal/artifact"
 	"repro/internal/dataset"
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -156,58 +154,59 @@ func (m *MLMonitor) PredictClasses(x *mat.Matrix) ([]int, error) {
 	return m.model.PredictClasses(x)
 }
 
-// Save writes the monitor (architecture header + network weights + feature
+// monitorMagic starts a monitor file: an artifact section container whose
+// four sections are the monitor meta (arch, window, seqFeats, custom), the
+// network's meta and params (nn.Model.Sections) and the feature normalizer
+// (dataset.EncodeNormalizer).
+const monitorMagic = "APSMONTR"
+
+// Save writes the monitor (architecture, network weights, feature
 // normalizer) to w.
 func (m *MLMonitor) Save(w io.Writer) error {
-	header := fmt.Sprintf("%s %d %d %v\n", m.arch, m.window, m.seqFeats, m.custom)
-	if _, err := io.WriteString(w, header); err != nil {
-		return fmt.Errorf("monitor: save header: %w", err)
+	var meta artifact.Buf
+	meta.I64(int(m.arch))
+	meta.I64(m.window)
+	meta.I64(m.seqFeats)
+	if m.custom {
+		meta.Byte(1)
+	} else {
+		meta.Byte(0)
 	}
-	if err := m.model.Save(w); err != nil {
+	modelMeta, params, err := m.model.Sections()
+	if err != nil {
 		return err
 	}
-	if err := json.NewEncoder(w).Encode(m.norm); err != nil {
-		return fmt.Errorf("monitor: save normalizer: %w", err)
+	if err := artifact.WriteSections(w, monitorMagic, FormatVersion,
+		meta.B, modelMeta, params, dataset.EncodeNormalizer(m.norm)); err != nil {
+		return fmt.Errorf("monitor: save: %w", err)
 	}
 	return nil
 }
 
 // Load reads a monitor written by Save.
 func Load(r io.Reader) (*MLMonitor, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("monitor: load header: %w", err)
+		return nil, fmt.Errorf("monitor: load: %w", err)
 	}
-	var (
-		archName         string
-		window, seqFeats int
-		custom           bool
-	)
-	if _, err := fmt.Sscanf(strings.TrimSpace(header), "%s %d %d %t", &archName, &window, &seqFeats, &custom); err != nil {
-		return nil, fmt.Errorf("monitor: parse header %q: %w", strings.TrimSpace(header), err)
-	}
-	var arch Arch
-	switch archName {
-	case "mlp":
-		arch = ArchMLP
-	case "lstm":
-		arch = ArchLSTM
-	default:
-		return nil, fmt.Errorf("monitor: unknown architecture %q", archName)
-	}
-	// The model JSON is a single line (nn.Save uses Encoder.Encode), followed
-	// by the normalizer JSON line.
-	modelLine, err := br.ReadString('\n')
+	secs, err := artifact.ReadSections(data, monitorMagic, FormatVersion, 4)
 	if err != nil {
-		return nil, fmt.Errorf("monitor: load model: %w", err)
+		return nil, fmt.Errorf("monitor: load: %w", err)
 	}
-	model, err := nn.Load(strings.NewReader(modelLine))
+	mr := artifact.NewReader(secs[0])
+	arch, window, seqFeats, custom := Arch(mr.I64()), mr.I64(), mr.I64(), mr.Byte()
+	if err := mr.Err(); err != nil || mr.Remaining() != 0 || custom > 1 {
+		return nil, fmt.Errorf("monitor: load: meta section of %d bytes, want 3 integers and a 0/1 flag", len(secs[0]))
+	}
+	if arch != ArchMLP && arch != ArchLSTM {
+		return nil, fmt.Errorf("monitor: unknown architecture %v", arch)
+	}
+	model, err := nn.LoadSections(secs[1], secs[2])
 	if err != nil {
 		return nil, err
 	}
-	var norm dataset.Normalizer
-	if err := json.NewDecoder(br).Decode(&norm); err != nil {
+	norm, err := dataset.DecodeNormalizer(secs[3])
+	if err != nil {
 		return nil, fmt.Errorf("monitor: load normalizer: %w", err)
 	}
 	if n := model.InputSize(); len(norm.Mean) != n || len(norm.Std) != n {
@@ -216,9 +215,9 @@ func Load(r io.Reader) (*MLMonitor, error) {
 	}
 	return &MLMonitor{
 		arch:     arch,
-		custom:   custom,
+		custom:   custom == 1,
 		model:    model,
-		norm:     &norm,
+		norm:     norm,
 		window:   window,
 		seqFeats: seqFeats,
 	}, nil

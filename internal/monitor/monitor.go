@@ -1,7 +1,8 @@
 // Package monitor implements the safety monitors the paper evaluates: a
 // rule-based monitor synthesized from the Table I STL specifications, and
 // the four ML monitors (MLP, LSTM, and their semantic-loss "Custom"
-// variants) trained on simulation campaigns.
+// variants) trained on simulation campaigns. A trained ML monitor is
+// stored as an artifact section container (MLMonitor.Save, Load).
 package monitor
 
 import (

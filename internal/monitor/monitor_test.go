@@ -2,10 +2,13 @@ package monitor
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/controller"
 	"repro/internal/dataset"
 )
@@ -233,8 +236,13 @@ func TestMonitorSaveHeader(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), "mlp 6 6 true\n") {
-		t.Fatalf("header = %q", strings.SplitN(buf.String(), "\n", 2)[0])
+	var want artifact.Buf // mlp, window 6, 6 seq features, semantic
+	want.I64(int(ArchMLP))
+	want.I64(6)
+	want.I64(6)
+	want.Byte(1)
+	if secs := sectionsOf(t, buf.Bytes()); !bytes.Equal(secs[0], want.B) {
+		t.Fatalf("meta section = %x, want %x", secs[0], want.B)
 	}
 }
 
@@ -351,16 +359,33 @@ func savedMonitors(tb testing.TB) map[Arch][]byte {
 	return out
 }
 
-// withNormalizer replaces the normalizer line, the last of a saved monitor.
-func withNormalizer(saved []byte, norm string) []byte {
-	lines := strings.SplitAfter(strings.TrimSuffix(string(saved), "\n"), "\n")
-	lines[len(lines)-1] = norm + "\n"
-	return []byte(strings.Join(lines, ""))
+// sectionsOf returns the four section payloads of a saved monitor.
+func sectionsOf(tb testing.TB, saved []byte) [][]byte {
+	tb.Helper()
+	secs, err := artifact.ReadSections(saved, monitorMagic, FormatVersion, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return secs
+}
+
+// monitorFile seals four section payloads into a monitor file.
+func monitorFile(secs ...[]byte) []byte {
+	var b bytes.Buffer
+	_ = artifact.WriteSections(&b, monitorMagic, FormatVersion, secs...)
+	return b.Bytes()
+}
+
+// withSection returns saved with section i's payload replaced, resealed.
+func withSection(tb testing.TB, saved []byte, i int, payload []byte) []byte {
+	secs := sectionsOf(tb, saved)
+	secs[i] = payload
+	return monitorFile(secs...)
 }
 
 // TestLoadRejectsMismatchedNormalizer pins that Load checks the normalizer
-// against the model's input width: an entry whose normalizer line is {}
-// used to load and then panic in the first InputMatrix call.
+// against the model's input width: an entry whose normalizer is empty used
+// to load and then panic in the first InputMatrix call.
 func TestLoadRejectsMismatchedNormalizer(t *testing.T) {
 	for arch, saved := range savedMonitors(t) {
 		m, err := Load(bytes.NewReader(saved))
@@ -368,53 +393,148 @@ func TestLoadRejectsMismatchedNormalizer(t *testing.T) {
 			t.Fatalf("%v: valid entry: %v", arch, err)
 		}
 		n := m.Model().InputSize()
-		mean := strings.TrimSuffix(strings.Repeat("0,", n), ",")
-		for _, norm := range []string{
-			`{}`,
-			`null`,
-			fmt.Sprintf(`{"Mean":[%s],"Std":[%s,1]}`, mean, mean),
-			fmt.Sprintf(`{"Mean":[%s],"Std":[]}`, mean),
+		zeros := make([]float64, n)
+		for name, norm := range map[string]*dataset.Normalizer{
+			"absent":           nil,
+			"empty":            {},
+			"one std too many": {Mean: zeros, Std: make([]float64, n+1)},
+			"no std":           {Mean: zeros},
 		} {
-			if _, err := Load(bytes.NewReader(withNormalizer(saved, norm))); err == nil {
-				t.Errorf("%v: normalizer %s loaded for %d inputs", arch, norm, n)
+			if _, err := Load(bytes.NewReader(withSection(t, saved, 3, dataset.EncodeNormalizer(norm)))); err == nil {
+				t.Errorf("%v: normalizer %s loaded for %d inputs", arch, name, n)
 			}
 		}
 	}
 }
 
-// FuzzLoad treats a monitor entry as hostile bytes: Load may reject it, but
-// a monitor it returns must classify one row of its input width, at both
-// precisions, without a panic.
+// reseal returns a copy of data whose section checksums (CRC-32C) match
+// their payloads, so fuzzed bytes reach Load's parsing past the CRC check.
+// The container header is 16 bytes and each section header 24.
+func reseal(data []byte) []byte {
+	b := bytes.Clone(data)
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	for off := 16; off+24 <= len(b); {
+		start := off + 24
+		size := binary.LittleEndian.Uint64(b[off+8:])
+		if size > uint64(len(b)-start) {
+			break
+		}
+		end := start + int(size)
+		binary.LittleEndian.PutUint64(b[off+16:], uint64(crc32.Checksum(b[start:end], crc)))
+		off = end + (8-int(size)%8)%8
+	}
+	return b
+}
+
+// FuzzLoad treats a monitor entry as hostile bytes, as given and resealed:
+// Load may reject it, but a monitor it returns must classify one row of its
+// input width, at both precisions, without a panic. Seeds: a saved MLP and
+// LSTM, a truncated section, a checksum mismatch, a 2^32-wide dense layer
+// (which must be rejected before anything is allocated), and a params
+// section one value short of its layers.
 func FuzzLoad(f *testing.F) {
 	saved := savedMonitors(f)
-	f.Add(saved[ArchMLP])
+	mlp := saved[ArchMLP]
+	f.Add(mlp)
 	f.Add(saved[ArchLSTM])
-	f.Add(withNormalizer(saved[ArchMLP], `{}`))
-	f.Add([]byte("mlp 6 7 false\n" +
-		`{"inputSize":4294967296,"layers":[{"type":"dense","in":4294967296,"out":4294967296,` +
-		`"params":[{"name":"W","rows":4294967296,"cols":4294967296,"data":[]},` +
-		`{"name":"b","rows":1,"cols":4294967296,"data":[]}]}]}` + "\n" +
-		`{"Mean":[],"Std":[]}` + "\n"))
+	f.Add(mlp[:len(mlp)-12])
+	crcBad := bytes.Clone(mlp)
+	crcBad[len(crcBad)-9] ^= 1
+	f.Add(crcBad)
+	var wide artifact.Buf // 6 inputs into a 2^32-wide dense layer
+	wide.I64(6)
+	wide.Str("cross_entropy")
+	wide.F64(0)
+	wide.I64(0)
+	wide.I64(1)
+	wide.I64(1) // dense
+	wide.I64(6)
+	wide.I64(1 << 32)
+	f.Add(withSection(f, mlp, 1, wide.B))
+	params := sectionsOf(f, mlp)[2]
+	f.Add(withSection(f, mlp, 2, params[:len(params)-8]))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		row := make([]float64, m.Model().InputSize())
-		for j := range row {
-			row[j] = float64(j%5) - 2
-		}
-		if _, err := m.Classify([]dataset.Sample{{MLP: row, Seq: row}}); err != nil {
-			t.Fatalf("loaded monitor cannot classify a %d-wide row: %v", len(row), err)
-		}
-		x, err := m.InputMatrix([]dataset.Sample{{MLP: row, Seq: row}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.ClassifyInto(F32, x, make([]int, 1), make([]float64, 1)); err != nil {
-			t.Fatalf("loaded monitor cannot classify a %d-wide row at f32: %v", len(row), err)
+		for _, b := range [][]byte{data, reseal(data)} {
+			checkLoaded(t, b)
 		}
 	})
+}
+
+// checkLoaded loads data and, when Load accepts it, checks the monitor
+// classifies a row of its input width at both precisions.
+func checkLoaded(t *testing.T, data []byte) {
+	m, err := Load(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	row := make([]float64, m.Model().InputSize())
+	for j := range row {
+		row[j] = float64(j%5) - 2
+	}
+	if _, err := m.Classify([]dataset.Sample{{MLP: row, Seq: row}}); err != nil {
+		t.Fatalf("loaded monitor cannot classify a %d-wide row: %v", len(row), err)
+	}
+	x, err := m.InputMatrix([]dataset.Sample{{MLP: row, Seq: row}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ClassifyInto(F32, x, make([]int, 1), make([]float64, 1)); err != nil {
+		t.Fatalf("loaded monitor cannot classify a %d-wide row at f32: %v", len(row), err)
+	}
+}
+
+// TestSaveLoadBitExact pins the monitor file as a lossless codec for every
+// arch and loss: save, load and save again gives the same bytes, and every
+// weight and normalizer statistic keeps its bits, signed zeros, subnormals
+// and NaN payloads included.
+func TestSaveLoadBitExact(t *testing.T) {
+	train, _ := campaignSplits(t, dataset.Glucosym)
+	special := []float64{math.Copysign(0, -1), 5e-324, -2.5e-310, math.Float64frombits(0x7ff8_0000_dead_beef)}
+	for _, arch := range []Arch{ArchMLP, ArchLSTM} {
+		for _, semantic := range []bool{false, true} {
+			m, err := Train(train, TrainConfig{Arch: arch, Semantic: semantic, Epochs: 1, Hidden1: 4, Hidden2: 3, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range m.Model().Params() {
+				copy(p.W.Data(), special)
+			}
+			m.norm = &dataset.Normalizer{
+				Mean: append(append([]float64(nil), special...), m.norm.Mean[len(special):]...),
+				Std:  append(append([]float64(nil), special...), m.norm.Std[len(special):]...),
+			}
+			var first, second bytes.Buffer
+			if err := m.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("%s: save→load→save changed the bytes", m.Name())
+			}
+			if loaded.Name() != m.Name() || loaded.window != m.window || loaded.seqFeats != m.seqFeats {
+				t.Fatalf("%s: meta restored as %s window %d seqFeats %d", m.Name(), loaded.Name(), loaded.window, loaded.seqFeats)
+			}
+			want := [][]float64{m.norm.Mean, m.norm.Std}
+			got := [][]float64{loaded.norm.Mean, loaded.norm.Std}
+			for i, p := range m.Model().Params() {
+				want = append(want, p.W.Data())
+				got = append(got, loaded.Model().Params()[i].W.Data())
+			}
+			for i := range want {
+				for k, v := range want[i] {
+					if math.Float64bits(got[i][k]) != math.Float64bits(v) {
+						t.Fatalf("%s: column %d value %d: bits %#x, want %#x", m.Name(), i, k, math.Float64bits(got[i][k]), math.Float64bits(v))
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestAdversarialTrainingImprovesRobustness(t *testing.T) {

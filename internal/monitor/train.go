@@ -56,7 +56,11 @@ type TrainConfig struct {
 // LSTM backward now accumulates multi-step parameter gradients in place;
 // both change trained weights relative to the v1 whole-batch path
 // (bit-level, not statistically).
-const FormatVersion = 2
+//
+// Version 3: monitors are stored as an artifact section container
+// (monitor meta, network meta and params, normalizer) instead of a text
+// header and two JSON lines. Trained weights are those of v2, bit for bit.
+const FormatVersion = 3
 
 // Fingerprint hashes the canonicalized training configuration (after
 // defaults are filled). Knobs that cannot affect the trained weights are

@@ -7,6 +7,10 @@
 // All data flows through 2-D row-major matrices (batch × features); recurrent
 // layers treat the feature axis as time-major flattened windows
 // (batch × steps·features).
+//
+// A model is stored as two sections of an artifact section container:
+// integer layer specs, then every weight as a little-endian float64
+// (Model.Sections, Model.Save, Load).
 package nn
 
 import (

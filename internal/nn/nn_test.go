@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/artifact"
 	"repro/internal/mat"
 )
 
@@ -414,32 +415,99 @@ func TestCloneIndependence(t *testing.T) {
 // cases used to end the process: a 1×2³² bias allocation ran out of
 // memory, a 2×3037000500 weight matrix asked for 48 GB, and a hidden size
 // of −1 panicked in the matrix constructor.
+// modelFile builds a model file holding the given meta fields, layer
+// records (kind, then dimensions) and param values.
+func modelFile(inSize int, loss string, layers [][]int, params []float64) []byte {
+	var meta, p artifact.Buf
+	meta.I64(inSize)
+	meta.Str(loss)
+	meta.F64(0)
+	meta.I64(0)
+	meta.I64(len(layers))
+	for _, l := range layers {
+		for _, v := range l {
+			meta.I64(v)
+		}
+	}
+	p.Floats(params)
+	var b bytes.Buffer
+	_ = artifact.WriteSections(&b, modelMagic, modelVersion, meta.B, p.B)
+	return b.Bytes()
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	for _, c := range []struct{ name, spec, want string }{
-		{"invalid json", `not json`, "load"},
-		{"input size 0", `{"inputSize":0,"layers":[{"type":"relu"}]}`, "input size 0"},
-		{"unknown type", `{"inputSize":2,"layers":[{"type":"warp-drive"}]}`, "unknown layer type"},
-		// No model this repository writes has these layers.
-		{"tanh", `{"inputSize":2,"layers":[{"type":"tanh"}]}`, "unknown layer type"},
-		{"sigmoid", `{"inputSize":2,"layers":[{"type":"sigmoid"}]}`, "unknown layer type"},
-		{"dense 2^32 squared", `{"inputSize":4294967296,"layers":[{"type":"dense","in":4294967296,"out":4294967296,` +
-			`"params":[{"name":"W","rows":4294967296,"cols":4294967296,"data":[]},` +
-			`{"name":"b","rows":1,"cols":4294967296,"data":[]}]}]}`, "param \"W\""},
-		{"dense 48 GB", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":3037000500,` +
-			`"params":[{"name":"W","rows":2,"cols":3037000500,"data":[1,2]},` +
-			`{"name":"b","rows":1,"cols":3037000500,"data":[]}]}]}`, "param \"W\""},
-		{"lstm hidden -1", `{"inputSize":6,"layers":[{"type":"lstm","inputSizePerStep":2,"hidden":-1,"steps":3,` +
-			`"params":[{"name":"Wx","rows":2,"cols":-4,"data":[]},{"name":"Wh","rows":-1,"cols":-4,"data":[]},` +
-			`{"name":"b","rows":1,"cols":-4,"data":[]}]}]}`, "at least 1"},
-		{"short data", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":2,` +
-			`"params":[{"name":"W","rows":2,"cols":2,"data":[1,2,3]},{"name":"b","rows":1,"cols":2,"data":[0,0]}]}]}`,
-			"3 values for 2x2"},
-		{"missing param", `{"inputSize":2,"layers":[{"type":"dense","in":2,"out":2,` +
-			`"params":[{"name":"W","rows":2,"cols":2,"data":[1,2,3,4]}]}]}`, "spec has 1"},
+	const ce = "cross_entropy"
+	dense := func(in, out int) []int { return []int{kindDense, in, out} }
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"not a model file", []byte(`{"inputSize":2,"layers":[]}`), "bad magic"},
+		{"input size 0", modelFile(0, ce, [][]int{{kindReLU}}, nil), "input size 0"},
+		{"unknown kind", modelFile(2, ce, [][]int{{9}}, nil), "unknown layer kind"},
+		{"unknown loss", modelFile(2, "hinge", [][]int{{kindReLU}}, nil), "unknown loss"},
+		{"dense 2^32 squared", modelFile(1<<32, ce, [][]int{dense(1<<32, 1<<32)}, nil), "exceeds"},
+		{"dense 48 GB", modelFile(2, ce, [][]int{dense(2, 3037000500)}, []float64{1, 2}), "exceeds"},
+		{"lstm hidden -1", modelFile(6, ce, [][]int{{kindLSTM, 2, -1, 3, 0}}, nil), "at least 1"},
+		{"lstm returnSequences 2", modelFile(6, ce, [][]int{{kindLSTM, 2, 1, 3, 2}}, make([]float64, 16)), "at least 1"},
+		{"short data", modelFile(2, ce, [][]int{dense(2, 2)}, []float64{1, 2, 3, 0, 0}), "exceeds"},
+		{"extra data", modelFile(2, ce, [][]int{dense(2, 2)}, make([]float64, 7)), "params section holds 56 bytes, the layers declare 6 values"},
+		{"bytes past the last layer", modelFile(2, ce, [][]int{{kindReLU, 0, 0}}, nil), "16 bytes past the last layer"},
+		{"lstm record cut short", modelFile(6, ce, [][]int{{kindLSTM, 2, 1, 3}}, make([]float64, 16)), "meta section truncated"},
 	} {
-		_, err := Load(bytes.NewBufferString(c.spec))
+		_, err := Load(bytes.NewReader(c.file))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSaveLoadBitExact pins the model file as a lossless codec: save, load
+// and save again gives the same bytes, and every weight keeps its bits,
+// signed zeros, subnormals and NaN payloads included, for the MLP and LSTM
+// stacks under both losses.
+func TestSaveLoadBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	special := []float64{math.Copysign(0, -1), 5e-324, -2.5e-310, math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(-1)}
+	for _, loss := range []Loss{CrossEntropy{}, SemanticLoss{Weight: 0.3, UnsafeClass: 1}} {
+		mlp, err := NewMLPClassifier(rng, 5, MLPConfig{Hidden1: 4, Hidden2: 3, Loss: loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lstm, err := NewLSTMClassifier(rng, 3, LSTMConfig{Hidden1: 4, Hidden2: 3, Steps: 2, Loss: loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Model{mlp, lstm} {
+			for i, p := range m.Params() {
+				copy(p.W.Data()[i%2:], special)
+			}
+			var first, second bytes.Buffer
+			if err := m.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("%s: save→load→save changed the bytes", loss.LossName())
+			}
+			if loaded.loss != m.loss {
+				t.Fatalf("loss %#v restored as %#v", m.loss, loaded.loss)
+			}
+			lp := loaded.Params()
+			for i, p := range m.Params() {
+				for k, v := range p.W.Data() {
+					if got := lp[i].W.Data()[k]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("param %d value %d: bits %#x, want %#x", i, k, math.Float64bits(got), math.Float64bits(v))
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,173 +1,205 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
+	"repro/internal/artifact"
 	"repro/internal/mat"
+	"repro/internal/mmapio"
 )
 
-// modelSpec is the on-disk JSON representation of a Model.
-type modelSpec struct {
-	InputSize int         `json:"inputSize"`
-	Loss      lossSpec    `json:"loss"`
-	Layers    []layerSpec `json:"layers"`
-}
+// A model file is an artifact section container holding the two sections
+// Sections writes.
+const (
+	modelMagic   = "APSMODEL"
+	modelVersion = 1
+)
 
-type lossSpec struct {
-	Name        string  `json:"name"`
-	Weight      float64 `json:"weight,omitempty"`
-	UnsafeClass int     `json:"unsafeClass,omitempty"`
-}
+// Layer kinds as the meta section stores them.
+const (
+	kindDense = 1 + iota
+	kindLSTM
+	kindReLU
+)
 
-type layerSpec struct {
-	Type string `json:"type"`
-
-	// Dense.
-	In  int `json:"in,omitempty"`
-	Out int `json:"out,omitempty"`
-
-	// LSTM.
-	InputSize  int  `json:"inputSizePerStep,omitempty"`
-	Hidden     int  `json:"hidden,omitempty"`
-	Steps      int  `json:"steps,omitempty"`
-	ReturnSeqs bool `json:"returnSequences,omitempty"`
-
-	Params []paramSpec `json:"params,omitempty"`
-}
-
-type paramSpec struct {
-	Name string    `json:"name"`
-	Rows int       `json:"rows"`
-	Cols int       `json:"cols"`
-	Data []float64 `json:"data"`
-}
-
-// Save writes the model architecture and weights as JSON.
-func (m *Model) Save(w io.Writer) error {
-	spec := modelSpec{InputSize: m.inSize}
-	switch l := m.loss.(type) {
-	case SemanticLoss:
-		spec.Loss = lossSpec{Name: l.LossName(), Weight: l.Weight, UnsafeClass: l.UnsafeClass}
-	default:
-		spec.Loss = lossSpec{Name: m.loss.LossName()}
-	}
+// Sections encodes the model as two section payloads. meta holds the input
+// size, the loss (name, semantic weight, unsafe class), the layer count,
+// and per layer its kind and dimensions as integers: dense in, out; lstm
+// inputs per step, hidden, steps, returnSequences (0/1); relu none. params
+// holds every param's values as little-endian float64s in Params order.
+func (m *Model) Sections() (meta, params []byte, err error) {
+	var mb, pb artifact.Buf
+	mb.I64(m.inSize)
+	mb.Str(m.loss.LossName())
+	sl, _ := m.loss.(SemanticLoss)
+	mb.F64(sl.Weight)
+	mb.I64(sl.UnsafeClass)
+	mb.I64(len(m.layers))
 	for _, layer := range m.layers {
-		ls := layerSpec{Type: layer.Name()}
+		var rec []int
 		switch v := layer.(type) {
 		case *Dense:
-			ls.In, ls.Out = v.in, v.out
+			rec = []int{kindDense, v.in, v.out}
 		case *LSTM:
-			ls.InputSize, ls.Hidden, ls.Steps, ls.ReturnSeqs = v.inputSize, v.hidden, v.steps, v.returnSeqs
+			rec = []int{kindLSTM, v.inputSize, v.hidden, v.steps, 0}
+			if v.returnSeqs {
+				rec[4] = 1
+			}
 		case *ReLU:
-			// No shape parameters.
+			rec = []int{kindReLU}
 		default:
-			return fmt.Errorf("nn: cannot serialize layer type %q", layer.Name())
+			return nil, nil, fmt.Errorf("nn: cannot serialize layer type %q", layer.Name())
+		}
+		for _, x := range rec {
+			mb.I64(x)
 		}
 		for _, p := range layer.Params() {
-			ls.Params = append(ls.Params, paramSpec{
-				Name: p.Name,
-				Rows: p.W.Rows(),
-				Cols: p.W.Cols(),
-				Data: append([]float64(nil), p.W.Data()...),
-			})
+			pb.Floats(p.W.Data())
 		}
-		spec.Layers = append(spec.Layers, ls)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(spec)
+	return mb.B, pb.B, nil
 }
 
-// Load reads a model saved with Save.
+// Save writes the model as a section container of its Sections.
+func (m *Model) Save(w io.Writer) error {
+	meta, params, err := m.Sections()
+	if err != nil {
+		return err
+	}
+	if err := artifact.WriteSections(w, modelMagic, modelVersion, meta, params); err != nil {
+		return fmt.Errorf("nn: save: %w", err)
+	}
+	return nil
+}
+
+// Load reads a model written by Save.
 func Load(r io.Reader) (*Model, error) {
-	var spec modelSpec
-	if err := json.NewDecoder(r).Decode(&spec); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	if spec.InputSize < 1 {
-		return nil, fmt.Errorf("nn: load: input size %d, want at least 1", spec.InputSize)
+	secs, err := artifact.ReadSections(data, modelMagic, modelVersion, 2)
+	if err != nil {
+		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	layers := make([]Layer, 0, len(spec.Layers))
-	for i, ls := range spec.Layers {
-		layer, err := ls.layer()
-		if err != nil {
-			return nil, fmt.Errorf("nn: load: layer %d: %w", i, err)
-		}
-		layers = append(layers, layer)
-	}
-	var loss Loss
-	switch spec.Loss.Name {
-	case "semantic":
-		loss = SemanticLoss{Weight: spec.Loss.Weight, UnsafeClass: spec.Loss.UnsafeClass}
-	case "cross_entropy", "":
-		loss = CrossEntropy{}
-	default:
-		return nil, fmt.Errorf("nn: load: unknown loss %q", spec.Loss.Name)
-	}
-	return NewModel(spec.InputSize, loss, layers...)
+	return LoadSections(secs[0], secs[1])
 }
 
-// layer builds the layer a spec declares, after checking that every
-// dimension is at least 1 and that the spec carries exactly the layer's
-// params, each with its declared shape and rows·cols values. Every product
-// is taken without overflow, and each param is checked before it is
-// allocated, so a hostile spec costs no more memory than its own data.
-func (ls layerSpec) layer() (Layer, error) {
-	var (
-		shapes [][2]int // rows×cols of each param, in Params order
-		build  func(w []*mat.Matrix) Layer
-	)
-	switch ls.Type {
-	case "relu":
-		build = func([]*mat.Matrix) Layer { return NewReLU() }
-	case "dense":
-		if ls.In < 1 || ls.Out < 1 {
-			return nil, fmt.Errorf("dense %d→%d: dimensions must be at least 1", ls.In, ls.Out)
-		}
-		shapes = [][2]int{{ls.In, ls.Out}, {1, ls.Out}}
-		build = func(w []*mat.Matrix) Layer {
-			return &Dense{in: ls.In, out: ls.Out, w: newParam("W", w[0]), b: newParam("b", w[1])}
-		}
-	case "lstm":
-		gates, ok := mulDims(4, ls.Hidden)
-		_, okIn := mulDims(ls.Steps, ls.InputSize)
-		_, okOut := mulDims(ls.Steps, ls.Hidden)
-		if !ok || !okIn || !okOut || ls.InputSize < 1 || ls.Hidden < 1 || ls.Steps < 1 {
-			return nil, fmt.Errorf("lstm %d steps × %d inputs → %d hidden: dimensions must be at least 1 and their products fit an int",
-				ls.Steps, ls.InputSize, ls.Hidden)
-		}
-		shapes = [][2]int{{ls.InputSize, gates}, {ls.Hidden, gates}, {1, gates}}
-		build = func(w []*mat.Matrix) Layer {
-			return &LSTM{
-				inputSize:  ls.InputSize,
-				hidden:     ls.Hidden,
-				steps:      ls.Steps,
-				returnSeqs: ls.ReturnSeqs,
-				wx:         newParam("Wx", w[0]),
-				wh:         newParam("Wh", w[1]),
-				b:          newParam("b", w[2]),
-			}
-		}
+// LoadSections rebuilds a model from the payloads Sections wrote. Every
+// dimension must be at least 1 and every product fit an int, and the params
+// section must hold exactly the values the layers declare; all of it is
+// checked before any weight is allocated, so hostile bytes cost no more
+// memory than their own length. The weights are copied into owned
+// matrices: a model trains in place, so they must never view params.
+func LoadSections(meta, params []byte) (*Model, error) {
+	r := artifact.NewReader(meta)
+	inSize, lossName, weight, unsafeClass, nLayers := r.I64(), r.Str(), r.F64(), r.I64(), r.I64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("nn: load: %w", err)
+	}
+	if inSize < 1 {
+		return nil, fmt.Errorf("nn: load: input size %d, want at least 1", inSize)
+	}
+	if nLayers < 0 || nLayers > r.Remaining()/8 { // every layer stores at least its kind
+		return nil, fmt.Errorf("nn: load: %d layers in %d meta bytes", nLayers, r.Remaining())
+	}
+	var loss Loss
+	switch lossName {
+	case "semantic":
+		loss = SemanticLoss{Weight: weight, UnsafeClass: unsafeClass}
+	case "cross_entropy":
+		loss = CrossEntropy{}
 	default:
-		return nil, fmt.Errorf("unknown layer type %q", ls.Type)
+		return nil, fmt.Errorf("nn: load: unknown loss %q", lossName)
 	}
-	if len(ls.Params) != len(shapes) {
-		return nil, fmt.Errorf("%s has %d params, spec has %d", ls.Type, len(shapes), len(ls.Params))
-	}
-	w := make([]*mat.Matrix, len(shapes))
-	for j, ps := range ls.Params {
-		if ps.Rows != shapes[j][0] || ps.Cols != shapes[j][1] {
-			return nil, fmt.Errorf("%s param %q is %dx%d, want %dx%d",
-				ls.Type, ps.Name, ps.Rows, ps.Cols, shapes[j][0], shapes[j][1])
-		}
+	specs := make([]layerSpec, nLayers)
+	budget := len(params) / 8 // float64 values the params section holds
+	for i := range specs {
 		var err error
-		if w[j], err = mat.FromSlice(ps.Rows, ps.Cols, ps.Data); err != nil {
-			return nil, fmt.Errorf("%s param %q: %w", ls.Type, ps.Name, err)
+		if specs[i], err = readLayerSpec(r); err != nil {
+			return nil, fmt.Errorf("nn: load: layer %d: %w", i, err)
+		}
+		for _, sh := range specs[i].shapes {
+			n, ok := mulDims(sh[0], sh[1])
+			if !ok || n > budget {
+				return nil, fmt.Errorf("nn: load: layer %d param of %dx%d exceeds the %d values left in the params section",
+					i, sh[0], sh[1], budget)
+			}
+			budget -= n
 		}
 	}
-	return build(w), nil
+	if r.Err() != nil || r.Remaining() != 0 || budget != 0 || len(params)%8 != 0 {
+		return nil, fmt.Errorf("nn: load: meta section truncated or %d bytes past the last layer; params section holds %d bytes, the layers declare %d values",
+			r.Remaining(), len(params), len(params)/8-budget)
+	}
+	pr := artifact.NewReader(params)
+	layers := make([]Layer, len(specs))
+	for i, s := range specs {
+		w := make([]*mat.Matrix, len(s.shapes))
+		for j, sh := range s.shapes {
+			// Neither call can fail: the budget above counted every value.
+			// FromSlice copies them out of params.
+			vals, _ := mmapio.Float64s(pr.Take(8 * sh[0] * sh[1]))
+			w[j], _ = mat.FromSlice(sh[0], sh[1], vals)
+		}
+		layers[i] = s.build(w)
+	}
+	return NewModel(inSize, loss, layers...)
+}
+
+// layerSpec is one decoded layer record: its params' shapes, in Params
+// order, and how to build the layer around matrices of those shapes.
+type layerSpec struct {
+	shapes [][2]int
+	build  func(w []*mat.Matrix) Layer
+}
+
+// readLayerSpec reads one layer record of the meta section, checking that
+// every dimension is at least 1 and that the products the layer forms fit
+// an int. A truncated record reads as zeros, which those checks reject.
+func readLayerSpec(r *artifact.Reader) (layerSpec, error) {
+	switch kind := r.I64(); kind {
+	case kindReLU:
+		return layerSpec{build: func([]*mat.Matrix) Layer { return NewReLU() }}, nil
+	case kindDense:
+		in, out := r.I64(), r.I64()
+		if in < 1 || out < 1 {
+			return layerSpec{}, fmt.Errorf("dense %d→%d: dimensions must be at least 1", in, out)
+		}
+		return layerSpec{
+			shapes: [][2]int{{in, out}, {1, out}},
+			build: func(w []*mat.Matrix) Layer {
+				return &Dense{in: in, out: out, w: newParam("W", w[0]), b: newParam("b", w[1])}
+			},
+		}, nil
+	case kindLSTM:
+		inputSize, hidden, steps, ret := r.I64(), r.I64(), r.I64(), r.I64()
+		gates, ok := mulDims(4, hidden)
+		_, okIn := mulDims(steps, inputSize)
+		_, okOut := mulDims(steps, hidden)
+		if !ok || !okIn || !okOut || inputSize < 1 || hidden < 1 || steps < 1 || ret < 0 || ret > 1 {
+			return layerSpec{}, fmt.Errorf("lstm %d steps × %d inputs → %d hidden (returnSequences %d): dimensions must be at least 1 and their products fit an int",
+				steps, inputSize, hidden, ret)
+		}
+		return layerSpec{
+			shapes: [][2]int{{inputSize, gates}, {hidden, gates}, {1, gates}},
+			build: func(w []*mat.Matrix) Layer {
+				return &LSTM{
+					inputSize:  inputSize,
+					hidden:     hidden,
+					steps:      steps,
+					returnSeqs: ret == 1,
+					wx:         newParam("Wx", w[0]),
+					wh:         newParam("Wh", w[1]),
+					b:          newParam("b", w[2]),
+				}
+			},
+		}, nil
+	default:
+		return layerSpec{}, fmt.Errorf("unknown layer kind %d", kind)
+	}
 }
 
 // mulDims returns a·b, or false when either is negative or the product

@@ -115,7 +115,7 @@ func samplesNDJSON(t testing.TB, samples []serve.Sample) []byte {
 
 // Bodies whose readings overflow: ±1.7e308 overflows the derived
 // features, and 1e300 stays finite in float64 but not in the float32
-// kernel.
+// kernel. Ingest refuses both before assembling a row.
 var (
 	overflowBody = []byte(`[{"cgm":1.7e308,"iob":1.7e308,"rate":1.7e308},{"cgm":-1.7e308,"iob":-1.7e308,"rate":-1.7e308}]`)
 	extremeBody  = []byte(`[{"cgm":1e300,"iob":1,"rate":1}]`)
@@ -492,10 +492,57 @@ func TestServerIngestIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestServerRejectsAbsurdReadingDuringWarmup pins that an absurd raw
+// reading is refused when it arrives, even during warmup when no row is
+// assembled yet: a 1.7e308 CGM among the warmup uploads gets a 400 naming
+// it, and the 13 sane single samples after the warmup each get the verdict
+// a session that never saw the bad reading gets. Accepted, the reading
+// would sit in every later window and turn each upload into a 400.
+func TestServerRejectsAbsurdReadingDuringWarmup(t *testing.T) {
+	srv, err := serve.New(serve.Config{Monitor: testMonitor(t), IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	warmup := srv.Window() - 1
+	script := serve.Script(5, 0, warmup+13)
+	hit, ref := createSession(t, srv), createSession(t, srv)
+	appendTo := func(id string) string { return "/v1/sessions/" + id + "/samples" }
+	for i, smp := range script[:warmup] {
+		if i == 2 {
+			bad := smp
+			bad.CGM = 1.7e308
+			rec := post(srv, appendTo(hit), "application/json", samplesJSON(t, []serve.Sample{bad}))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "sample 2 ") {
+				t.Fatalf("absurd warmup reading: %d %s, want 400 naming sample 2", rec.Code, rec.Body)
+			}
+		}
+		for _, id := range []string{hit, ref} {
+			if rec := post(srv, appendTo(id), "application/json", samplesJSON(t, script[i:i+1])); rec.Code != http.StatusOK {
+				t.Fatalf("warmup sample %d: %d %s", i, rec.Code, rec.Body)
+			}
+		}
+	}
+	verdicts := 0
+	for i := warmup; i < len(script); i++ {
+		one := samplesJSON(t, script[i:i+1])
+		got := post(srv, appendTo(hit), "application/json", one)
+		want := post(srv, appendTo(ref), "application/json", one)
+		var out struct{ Verdicts []serve.Verdict }
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || json.Unmarshal(got.Body.Bytes(), &out) != nil {
+			t.Fatalf("sample %d after the absurd reading: %d %s, want %s", i, got.Code, got.Body, want.Body)
+		}
+		verdicts += len(out.Verdicts)
+	}
+	if verdicts != 13 {
+		t.Fatalf("%d verdicts for 13 sane samples after warmup, want 13", verdicts)
+	}
+}
+
 // TestServeOverflowingSessionLeavesOthersAlone: while one session keeps
-// uploading overflowing readings (some refused before the batcher, some
-// scored inside fused batches and refused after), the deterministic fleet
-// on the same server gets exactly its clean-run verdicts.
+// uploading overflowing readings (refused at ingest, before the batcher),
+// the deterministic fleet on the same server gets exactly its clean-run
+// verdicts.
 func TestServeOverflowingSessionLeavesOthersAlone(t *testing.T) {
 	want := loadDigest(t, serve.Config{}, "stream").Digest
 	srv, ts := newTestServer(t, serve.Config{})

@@ -103,6 +103,14 @@ func newSession(id string, window int, cfg SessionConfig, deb *monitor.MOfN, dri
 	}
 }
 
+// maxReading bounds the magnitude of every raw reading a session accepts.
+// It is far beyond physiology (glucose tops out near 600 mg/dL, a pump's
+// rate near 35 U/h), yet small enough that the deltas and normalized
+// features of accepted readings stay finite. A reading past it is refused
+// when it arrives: accepted during warmup, it would sit in every later
+// window and make each later row non-finite.
+const maxReading = 1e6
+
 // ingest converts raw samples to records, assembles one normalized model row
 // per full window, classifies the block through classify (one call — the
 // whole POST body becomes at most one batcher enqueue), applies the
@@ -138,6 +146,11 @@ func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify fun
 	s.seqs = s.seqs[:0]
 	nready := 0
 	for _, r := range raw {
+		for _, v := range [...]float64{r.CGM, r.IOB, r.Rate, r.CarbsRate} {
+			if !(math.Abs(v) <= maxReading) {
+				return nil, fmt.Errorf("%w: sample %d reads %g, beyond the ±%g bound on any raw reading", errBadSample, s.ingested, v, maxReading)
+			}
+		}
 		rec := s.toRecord(r)
 		if len(s.win) == s.window {
 			copy(s.win, s.win[1:])

@@ -625,3 +625,34 @@ func TestFromCSVErrors(t *testing.T) {
 		t.Fatal("want error when no column is numeric")
 	}
 }
+
+// FuzzParse feeds arbitrary text to the formula parser. It must never
+// panic, and a formula it accepts must print as text that parses back to
+// the same formula (the round trip TestParseRoundTrip pins on fixed
+// inputs, which seed the corpus along with the Table I rules).
+func FuzzParse(f *testing.F) {
+	for _, in := range []string{
+		"BG > 150", "BG' < 0", "IOB' == 0 ~ 0.001", "!(u == 3 ~ 0.5)",
+		"(BG < 70) | (BG > 180)", "F[0,6](BG > 180)", "G[1,3](BG' <= 0)",
+		"(BG > 100) U[0,5] (BG < 70)", "(BG > 150) -> (F[0,6](BG > 180))",
+		"x >= -2.5", "rate != 0 ~ 1e-6", "BG >", "((BG > 1)", "F[3,1](x > 0)",
+	} {
+		f.Add(in)
+	}
+	for _, r := range APSRules(120) {
+		f.Add(r.Formula.String())
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := Parse(in)
+		if err != nil {
+			return
+		}
+		g2, err := Parse(g.String())
+		if err != nil {
+			t.Fatalf("String()=%q of %q does not parse: %v", g.String(), in, err)
+		}
+		if g2.String() != g.String() {
+			t.Fatalf("round trip unstable: %q → %q → %q", in, g.String(), g2.String())
+		}
+	})
+}
