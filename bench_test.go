@@ -770,6 +770,46 @@ func BenchmarkInferF32(b *testing.B) {
 	b.Run("f64twin", func(b *testing.B) { benchInfer(b, 1, monitor.F64) })
 }
 
+// benchInputGradient measures one white-box input-gradient pass of a
+// trained Glucosym monitor over the bench test set: the FGSM gradient each
+// attack surface takes, on a replica as the surfaces take it. One untimed
+// pass sizes the replica's scratch, so the allocations reported are one
+// pass's own: the returned gradient and the per-tile loss gradients, with
+// the layer scratch bounded by the tile, not the test set.
+func benchInputGradient(b *testing.B, name string) {
+	b.Helper()
+	sa := assets(b).Sims[dataset.Glucosym]
+	m, err := sa.MLMonitor(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := m.InputMatrix(sa.Test.Samples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := m.Model().Replicate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := sa.TestLabels()
+	if _, err := model.InputGradient(x, labels, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.InputGradient(x, labels, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInputGradient times the tiled, input-only gradient pass of the
+// MLP and LSTM monitors at bench shapes. CI records it ungated.
+func BenchmarkInputGradient(b *testing.B) {
+	b.Run("mlp", func(b *testing.B) { benchInputGradient(b, "mlp") })
+	b.Run("lstm", func(b *testing.B) { benchInputGradient(b, "lstm") })
+}
+
 // BenchmarkCampaignLoad contrasts the two warm-load paths for the bench
 // campaign (the benchRunCampaign config): the columnar decode over an
 // in-memory buffer, and the full artifact-store hit that mmaps the entry

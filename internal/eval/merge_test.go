@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -262,5 +263,47 @@ func FuzzLoadSet(f *testing.F) {
 			return
 		}
 		_ = merged.Save(io.Discard)
+	})
+}
+
+// FuzzLoadReport treats a stored evaluation report (an evalreport store
+// entry, or apsexperiments -report -out JSON) as hostile bytes: LoadReport
+// may reject it, but never panic, and a report it returns must save to
+// bytes that load again and save the same. Seeds: a saved report, cut at
+// several lengths, the same report under another format version, and the
+// empty and non-JSON inputs TestReportSaveLoadRoundTrip rejects.
+func FuzzLoadReport(f *testing.F) {
+	rep, err := Evaluate(thresholdMonitor{200}, testDataset(), Options{Tolerance: 2, Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := rep.Save(&b); err != nil {
+		f.Fatal(err)
+	}
+	seed := b.Bytes()
+	f.Add(seed)
+	for _, n := range []int{0, 1, len(seed) / 3, len(seed) / 2, len(seed) - 2} {
+		f.Add(seed[:n])
+	}
+	f.Add(bytes.Replace(seed, []byte(fmt.Sprintf(`"FormatVersion":%d`, FormatVersion)), []byte(`"FormatVersion":0`), 1))
+	f.Add([]byte("{}"))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := LoadReport(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := r.Save(&first); err != nil {
+			t.Fatalf("a loaded report does not save: %v", err)
+		}
+		again, err := LoadReport(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved report does not load: %v", err)
+		}
+		if err := again.Save(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save→load→save changed the bytes (err %v)", err)
+		}
 	})
 }

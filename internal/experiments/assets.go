@@ -83,14 +83,14 @@ func (l *lazy[T]) get(fill func() (T, error)) (T, error) {
 	return l.v, l.err
 }
 
-// slot returns the named slot of m, creating it under mu on first request.
-func slot[T any](mu *sync.Mutex, m map[string]*lazy[T], name string) *lazy[T] {
+// slot returns the keyed slot of m, creating it under mu on first request.
+func slot[K comparable, T any](mu *sync.Mutex, m map[K]*lazy[T], key K) *lazy[T] {
 	mu.Lock()
 	defer mu.Unlock()
-	l, ok := m[name]
+	l, ok := m[key]
 	if !ok {
 		l = &lazy[T]{}
-		m[name] = l
+		m[key] = l
 	}
 	return l
 }

@@ -21,6 +21,9 @@ type Fig8Result struct {
 // deterministic given the model and labels, so cells need no seed; each
 // cell steps the pair's shared attack surface by its own ε.
 func Fig8(a *Assets) (*Fig8Result, error) {
+	if err := buildSurfaces(a); err != nil {
+		return nil, err
+	}
 	f1, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
 		levels:   FGSMLevels,

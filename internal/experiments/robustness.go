@@ -62,6 +62,9 @@ func heatmapFromGrid(title, prefix string, levels []float64, grid map[string]map
 // Fig9Gaussian computes the robustness-error heatmap against Gaussian noise
 // (left heatmap of Fig. 9).
 func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
+	if err := buildSurfaces(a); err != nil {
+		return nil, err
+	}
 	grid, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
 		levels:   GaussianLevels,
@@ -92,6 +95,9 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 // Fig9FGSM computes the robustness-error heatmap against white-box FGSM
 // (right heatmap of Fig. 9).
 func Fig9FGSM(a *Assets) (*HeatmapResult, error) {
+	if err := buildSurfaces(a); err != nil {
+		return nil, err
+	}
 	grid, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
 		levels:   FGSMLevels,
@@ -136,6 +142,9 @@ const blackBoxQueryBudget = 600
 // observations stay bit-deterministic. The clean test classes therefore
 // come from the attack surface's f64 classes, never from cleanClasses.
 func Fig10(a *Assets) (*HeatmapResult, error) {
+	if err := buildSurfaces(a); err != nil {
+		return nil, err
+	}
 	grid, err := runGrid(a, gridSpec[[]float64]{monitors: MLMonitorNames, levels: pairLevel, tag: tagFig10, eval: func(c *GridCell) ([]float64, error) {
 		sf, err := c.SA.surface(c.Monitor)
 		if err != nil {

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/sweep"
 )
 
 // classes runs an ML monitor over an assembled input matrix under the
@@ -50,8 +53,11 @@ func score(pred []int, test *dataset.Dataset, delta int) (metrics.Confusion, err
 // one (simulator, ML monitor) pair, computed once and shared read-only by
 // every σ/ε cell of Figs 2, 8, 9, 10 and the evasion table. FGSM's
 // sign(∇_x J(x, y)) does not depend on ε, and neither do the clean inputs
-// or their predictions, so a cell only applies its own level. Cells must
-// never write to x or grad: attacks derive fresh matrices from them.
+// or their predictions, so a cell only applies its own level. The classes
+// of the FGSM inputs are memoized too: Fig 8 and Fig 9's FGSM heatmap
+// score the same attacked inputs. Cells must never write to x, grad or any
+// classes slice the surface hands out: attacks derive fresh matrices from
+// x and grad, and scoring only reads classes.
 type attackSurface struct {
 	m *monitor.MLMonitor
 	// x is the normalized clean test matrix, InputMatrix(Test.Samples).
@@ -66,6 +72,18 @@ type attackSurface struct {
 	// f32 holds the clean classes on the frozen float32 path, resolved on
 	// the first read under -precision f32.
 	f32 lazy[[]int]
+
+	// fgsm holds fgsmClasses per (precision, ε), each resolved on first
+	// read; mu guards the map.
+	mu   sync.Mutex
+	fgsm map[fgsmKey]*lazy[[]int]
+}
+
+// fgsmKey names one memoized FGSM classification: the precision and the
+// bits of ε.
+type fgsmKey struct {
+	p   monitor.Precision
+	eps uint64
 }
 
 // surface returns the named ML monitor's attack surface, building it on
@@ -98,7 +116,7 @@ func (s *SimAssets) buildSurface(name string) (*attackSurface, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &attackSurface{m: m, x: x, grad: grad, f64: f64}, nil
+	return &attackSurface{m: m, x: x, grad: grad, f64: f64, fgsm: map[fgsmKey]*lazy[[]int]{}}, nil
 }
 
 // cleanClasses returns the clean-input classes under the configured
@@ -111,11 +129,34 @@ func (a *attackSurface) cleanClasses() ([]int, error) {
 }
 
 // fgsmClasses returns the monitor's classes, under the configured
-// precision, on the white-box FGSM inputs x + ε·sign(grad).
+// precision, on the white-box FGSM inputs x + ε·sign(grad), computed on the
+// first request for this (precision, ε) and shared after that.
 func (a *attackSurface) fgsmClasses(eps float64) ([]int, error) {
-	adv, err := attack.FGSMStep(a.x, a.grad, eps)
-	if err != nil {
-		return nil, err
-	}
-	return classes(a.m, adv)
+	key := fgsmKey{p: Precision(), eps: math.Float64bits(eps)}
+	return slot(&a.mu, a.fgsm, key).get(func() ([]int, error) {
+		adv, err := attack.FGSMStep(a.x, a.grad, eps)
+		if err != nil {
+			return nil, err
+		}
+		return classes(a.m, adv)
+	})
+}
+
+// buildSurfaces builds, one (simulator, ML monitor) pair per sweep.Map
+// cell, every attack surface the robustness grids read, with its clean
+// classes at the configured precision. The grids call it first, so their
+// cells only read finished surfaces: a cell never waits on its pair's
+// build while the other workers idle. Once the surfaces exist it only
+// looks them up.
+func buildSurfaces(a *Assets) error {
+	_, err := sweep.Map(Workers(), len(Simulators)*len(MLMonitorNames), func(i int) (struct{}, error) {
+		sa := a.Sims[Simulators[i/len(MLMonitorNames)]]
+		sf, err := sa.surface(MLMonitorNames[i%len(MLMonitorNames)])
+		if err != nil {
+			return struct{}{}, err
+		}
+		_, err = sf.cleanClasses()
+		return struct{}{}, err
+	})
+	return err
 }

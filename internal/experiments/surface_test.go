@@ -282,3 +282,67 @@ func TestAttackSurfaceMatchesPerCellPath(t *testing.T) {
 		}
 	}
 }
+
+// TestFGSMClassesMemoized pins the memo behind fgsmClasses: at 8 workers,
+// after Fig 8 and Fig 9's FGSM heatmap, every attack surface holds exactly
+// one slot per FGSM level for each precision run so far, each equal to a
+// fresh classification of the FGSM inputs, and a later read returns the
+// memoized slice instead of classifying again.
+func TestFGSMClassesMemoized(t *testing.T) {
+	a, err := Build(tinyCacheConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(prev monitor.Precision) { _ = Configure(0, prev) }(Precision())
+	for run, prec := range []monitor.Precision{monitor.F64, monitor.F32} {
+		if err := Configure(8, prec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig8(a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig9FGSM(a); err != nil {
+			t.Fatal(err)
+		}
+		for _, simu := range Simulators {
+			for _, name := range MLMonitorNames {
+				sf, err := a.Sims[simu].surface(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := len(sf.fgsm), (run+1)*len(FGSMLevels); got != want {
+					t.Fatalf("%v %s %s: %d FGSM slots, want %d", simu, name, prec, got, want)
+				}
+				for _, eps := range FGSMLevels {
+					l, ok := sf.fgsm[fgsmKey{p: prec, eps: math.Float64bits(eps)}]
+					if !ok {
+						t.Fatalf("%v %s %s ε=%v: no memoized slot", simu, name, prec, eps)
+					}
+					adv, err := attack.FGSMStep(sf.x, sf.grad, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh := make([]int, adv.Rows())
+					if err := sf.m.ClassifyInto(prec, adv, fresh, nil); err != nil {
+						t.Fatal(err)
+					}
+					if len(l.v) != len(fresh) {
+						t.Fatalf("%v %s %s ε=%v: %d memoized classes, want %d", simu, name, prec, eps, len(l.v), len(fresh))
+					}
+					for i := range fresh {
+						if l.v[i] != fresh[i] {
+							t.Fatalf("%v %s %s ε=%v: memoized class %d = %d, fresh %d", simu, name, prec, eps, i, l.v[i], fresh[i])
+						}
+					}
+					again, err := sf.fgsmClasses(eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(again) > 0 && &again[0] != &l.v[0] {
+						t.Fatalf("%v %s %s ε=%v: a second read classified again", simu, name, prec, eps)
+					}
+				}
+			}
+		}
+	}
+}

@@ -492,7 +492,7 @@ func paramGradBits(t *testing.T, m *Model, x *mat.Matrix, labels []int) []byte {
 		t.Fatal(err)
 	}
 	ZeroGrads(m.Params())
-	if _, err := m.backward(gradLogits, false); err != nil {
+	if _, err := m.backward(gradLogits, false, true); err != nil {
 		t.Fatal(err)
 	}
 	var out []byte

@@ -73,28 +73,30 @@ func (d *Dense) Replicate() Layer {
 // Backward implements Layer. The returned gradient is layer-owned scratch,
 // valid until the next Forward/Backward on this layer.
 func (d *Dense) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	if err := d.backwardParams(gradOut); err != nil {
-		return nil, err
+	return d.backward(gradOut, true, true)
+}
+
+// backward computes the halves of Backward that inputGrad and params ask
+// for (see partialBackwarder).
+func (d *Dense) backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matrix, error) {
+	if d.lastInput == nil {
+		return nil, ErrNotReady
+	}
+	if params {
+		if err := mat.TMatMulAddInto(d.w.G, d.lastInput, gradOut); err != nil { // dW += xᵀ·gy
+			return nil, fmt.Errorf("nn: dense backward dW: %w", err)
+		}
+		if err := mat.AddSumRows(d.b.G, gradOut); err != nil {
+			return nil, fmt.Errorf("nn: dense backward db: %w", err)
+		}
+	}
+	if !inputGrad {
+		return nil, nil
 	}
 	if err := mat.MatMulTInto(d.gx, gradOut, d.w.W); err != nil { // dx = gy·Wᵀ
 		return nil, fmt.Errorf("nn: dense backward dx: %w", err)
 	}
 	return d.gx, nil
-}
-
-// backwardParams accumulates the parameter gradients of Backward without
-// the input gradient (see paramBackwarder).
-func (d *Dense) backwardParams(gradOut *mat.Matrix) error {
-	if d.lastInput == nil {
-		return ErrNotReady
-	}
-	if err := mat.TMatMulAddInto(d.w.G, d.lastInput, gradOut); err != nil { // dW += xᵀ·gy
-		return fmt.Errorf("nn: dense backward dW: %w", err)
-	}
-	if err := mat.AddSumRows(d.b.G, gradOut); err != nil {
-		return fmt.Errorf("nn: dense backward db: %w", err)
-	}
-	return nil
 }
 
 // Params implements Layer.

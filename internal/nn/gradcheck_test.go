@@ -82,7 +82,7 @@ func analyticGrads(t *testing.T, m *Model, x *mat.Matrix, labels []int, know []f
 		t.Fatalf("loss: %v", err)
 	}
 	ZeroGrads(m.Params())
-	gin, err := m.backward(gradLogits, true)
+	gin, err := m.backward(gradLogits, true, true)
 	if err != nil {
 		t.Fatalf("backward: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestTrainingBackwardSkipsInputGradient(t *testing.T) {
 				t.Fatal(err)
 			}
 			ZeroGrads(m.Params())
-			gin, err := m.backward(gradLogits, inputGrad)
+			gin, err := m.backward(gradLogits, inputGrad, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,12 +65,14 @@ type Layer interface {
 	Params() []*Param
 }
 
-// paramBackwarder is a Layer whose backward pass can stop at its parameter
-// gradients, skipping the input gradient. A training step asks this of the
-// model's first layer, whose input gradient nothing reads; FGSM and
-// InputGradient run the full Backward.
-type paramBackwarder interface {
-	backwardParams(gradOut *mat.Matrix) error
+// partialBackwarder is a Layer with parameters whose backward pass can skip
+// either half of Backward: inputGrad asks for the gradient with respect to
+// the layer input (else the result is nil), params accumulates the
+// parameter gradients. A training step skips the first layer's input
+// gradient, which nothing reads; InputGradient skips every parameter
+// gradient. Backward is backward(gradOut, true, true).
+type partialBackwarder interface {
+	backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matrix, error)
 }
 
 // shareParam aliases a parameter's weights with a fresh (zeroed) gradient

@@ -19,6 +19,12 @@ type Loss interface {
 	Compute(logits *mat.Matrix, labels []int, knowledge []float64) (float64, *mat.Matrix, error)
 	// LossName identifies the loss for serialization and reporting.
 	LossName() string
+	// computeN is Compute for logits that are a slice of an n-row batch:
+	// the slice's share of the n-row mean loss, and the gradient of that
+	// mean with respect to the slice's logits. Every row's gradient depends
+	// on its own logits and n only, so the slices of a batch together give
+	// Compute's gradient bit for bit. Compute is computeN(…, logits.Rows()).
+	computeN(logits *mat.Matrix, labels []int, knowledge []float64, n int) (float64, *mat.Matrix, error)
 }
 
 // CrossEntropy is sparse categorical cross-entropy fused with softmax.
@@ -30,22 +36,27 @@ var _ Loss = CrossEntropy{}
 func (CrossEntropy) LossName() string { return "cross_entropy" }
 
 // Compute implements Loss.
-func (CrossEntropy) Compute(logits *mat.Matrix, labels []int, _ []float64) (float64, *mat.Matrix, error) {
-	probs, loss, err := softmaxCE(logits, labels)
+func (c CrossEntropy) Compute(logits *mat.Matrix, labels []int, knowledge []float64) (float64, *mat.Matrix, error) {
+	return c.computeN(logits, labels, knowledge, logits.Rows())
+}
+
+func (CrossEntropy) computeN(logits *mat.Matrix, labels []int, _ []float64, n int) (float64, *mat.Matrix, error) {
+	probs, loss, err := softmaxCE(logits, labels, n)
 	if err != nil {
 		return 0, nil, err
 	}
 	// grad = (p − onehot) / n
-	n := float64(logits.Rows())
 	grad := probs
 	for i, y := range labels {
 		grad.Add(i, y, -1)
 	}
-	grad.Scale(1 / n)
+	grad.Scale(1 / float64(n))
 	return loss, grad, nil
 }
 
-func softmaxCE(logits *mat.Matrix, labels []int) (*mat.Matrix, float64, error) {
+// softmaxCE returns the softmax of logits and the rows' cross-entropy
+// summed and divided by n.
+func softmaxCE(logits *mat.Matrix, labels []int, n int) (*mat.Matrix, float64, error) {
 	if len(labels) != logits.Rows() {
 		return nil, 0, fmt.Errorf("nn: %d labels for %d logit rows", len(labels), logits.Rows())
 	}
@@ -60,7 +71,7 @@ func softmaxCE(logits *mat.Matrix, labels []int) (*mat.Matrix, float64, error) {
 		p := probs.At(i, y)
 		loss += -math.Log(math.Max(p, 1e-12))
 	}
-	return probs, loss / float64(logits.Rows()), nil
+	return probs, loss / float64(n), nil
 }
 
 // SemanticLoss implements Eq (2) of the paper:
@@ -87,17 +98,21 @@ func (SemanticLoss) LossName() string { return "semantic" }
 
 // Compute implements Loss.
 func (s SemanticLoss) Compute(logits *mat.Matrix, labels []int, knowledge []float64) (float64, *mat.Matrix, error) {
+	return s.computeN(logits, labels, knowledge, logits.Rows())
+}
+
+func (s SemanticLoss) computeN(logits *mat.Matrix, labels []int, knowledge []float64, batch int) (float64, *mat.Matrix, error) {
 	if knowledge != nil && len(knowledge) != logits.Rows() {
 		return 0, nil, fmt.Errorf("nn: %d knowledge indicators for %d rows", len(knowledge), logits.Rows())
 	}
 	if s.UnsafeClass < 0 || s.UnsafeClass >= logits.Cols() {
 		return 0, nil, fmt.Errorf("nn: unsafe class %d out of range [0,%d)", s.UnsafeClass, logits.Cols())
 	}
-	probs, ceLoss, err := softmaxCE(logits, labels)
+	probs, ceLoss, err := softmaxCE(logits, labels, batch)
 	if err != nil {
 		return 0, nil, err
 	}
-	n := float64(logits.Rows())
+	n := float64(batch)
 	// Start from the CE gradient, then add the semantic term.
 	grad := probs.Clone()
 	for i, y := range labels {

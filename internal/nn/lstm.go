@@ -230,19 +230,13 @@ func tanhSlice[T mat.Float](dst, src []T) {
 // Backward implements Layer. The returned gradient is layer-owned scratch,
 // valid until the next Forward/Backward on this layer.
 func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	return l.backward(gradOut, true)
-}
-
-// backwardParams accumulates the parameter gradients of Backward without
-// the per-step input gradients (see paramBackwarder).
-func (l *LSTM) backwardParams(gradOut *mat.Matrix) error {
-	_, err := l.backward(gradOut, false)
-	return err
+	return l.backward(gradOut, true, true)
 }
 
 // backward runs backpropagation through time. It returns the input
-// gradient when inputGrad is set, else nil.
-func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
+// gradient when inputGrad is set, else nil, and accumulates the parameter
+// gradients when params is set (see partialBackwarder).
+func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matrix, error) {
 	ws := &l.ws
 	if !ws.ready {
 		return nil, ErrNotReady
@@ -267,7 +261,6 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 	if inputGrad {
 		dxt, gradX = ws.dxt.get(batch, l.inputSize), ws.gradX.get(batch, l.steps*l.inputSize)
 	}
-	bg := l.b.G.Data()
 
 	for t := l.steps - 1; t >= 0; t-- {
 		// dh = upstream output grad at step t (if any) + recurrent grad:
@@ -308,26 +301,28 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error
 				di := dc * gr[j]
 				df := dc * cpr[j]
 				dg := dc * ir[j]
-				// Pre-activation gradients, each also summed into the bias
-				// gradient row by row in row order.
+				// Pre-activation gradients.
 				dzr[0*H+j] = di * ir[j] * (1 - ir[j])
 				dzr[1*H+j] = df * fr[j] * (1 - fr[j])
 				dzr[2*H+j] = dg * (1 - gr[j]*gr[j])
 				dzr[3*H+j] = do * or[j] * (1 - or[j])
-				bg[0*H+j] += dzr[0*H+j]
-				bg[1*H+j] += dzr[1*H+j]
-				bg[2*H+j] += dzr[2*H+j]
-				bg[3*H+j] += dzr[3*H+j]
 				dcpr[j] = dc * fr[j]
 			}
 		}
 
 		// Parameter gradients, accumulated straight into the shared buffers.
-		if err := mat.TMatMulAddInto(l.wx.G, &st.x.view, dz); err != nil {
-			return nil, err
-		}
-		if err := mat.TMatMulAddInto(l.wh.G, hPrev, dz); err != nil {
-			return nil, err
+		// The bias gradient sums dz's rows in row order, as a per-element
+		// sum in the loop above would.
+		if params {
+			if err := mat.TMatMulAddInto(l.wx.G, &st.x.view, dz); err != nil {
+				return nil, err
+			}
+			if err := mat.TMatMulAddInto(l.wh.G, hPrev, dz); err != nil {
+				return nil, err
+			}
+			if err := mat.AddSumRows(l.b.G, dz); err != nil {
+				return nil, err
+			}
 		}
 
 		// Input and recurrent gradients.

@@ -131,16 +131,17 @@ func (m *Model) PredictClasses(x *mat.Matrix) ([]int, error) {
 	return classes, m.ClassifyInto(x, classes, nil)
 }
 
-// backward pushes a logit gradient through the stack and returns the gradient
-// with respect to the model input. With inputGrad false (a training step,
-// which reads only the parameter gradients) the first layer stops at its
-// parameter gradients when it can, and the result is nil.
-func (m *Model) backward(gradLogits *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
+// backward pushes a logit gradient through the stack. With inputGrad it
+// returns the gradient with respect to the model input; without it (a
+// training step) the first layer stops short of its input gradient when it
+// can, and the result is nil. With params the layers accumulate their
+// parameter gradients; without it (InputGradient) they skip them.
+func (m *Model) backward(gradLogits *mat.Matrix, inputGrad, params bool) (*mat.Matrix, error) {
 	grad := gradLogits
 	var err error
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		if pb, ok := m.layers[i].(paramBackwarder); ok && i == 0 && !inputGrad {
-			grad, err = nil, pb.backwardParams(grad)
+		if pb, ok := m.layers[i].(partialBackwarder); ok {
+			grad, err = pb.backward(grad, i > 0 || inputGrad, params)
 		} else {
 			grad, err = m.layers[i].Backward(grad)
 		}
@@ -164,7 +165,7 @@ func (m *Model) TrainBatch(x *mat.Matrix, labels []int, knowledge []float64, opt
 	}
 	params := m.Params()
 	ZeroGrads(params)
-	if _, err := m.backward(gradLogits, false); err != nil {
+	if _, err := m.backward(gradLogits, false, true); err != nil {
 		return 0, err
 	}
 	if err := opt.Step(params); err != nil {
@@ -191,8 +192,8 @@ func (m *Model) Clone() (*Model, error) {
 // Replicate returns a model that shares this model's weight matrices but has
 // private per-layer caches and gradient accumulators — the data-parallel
 // training shard, and the private model of each concurrent gradient pass.
-// InputGradient and TrainBatch mutate backward caches and gradient
-// accumulators, so they must not run concurrently on one model; replicas
+// InputGradient mutates backward caches, and TrainBatch gradient
+// accumulators too, so they must not run concurrently on one model; replicas
 // may run Forward/backward concurrently with each other (weights are only
 // read). The Trainer serializes optimizer steps on the shared weights
 // against all shard work.
@@ -205,23 +206,53 @@ func (m *Model) Replicate() (*Model, error) {
 }
 
 // InputGradient returns d(loss)/d(input) for a batch — the quantity FGSM
-// needs (Eq 4: ∆x = ε·sign(∇_x J(x, y))). Parameter gradients touched along
-// the way are zeroed before returning.
+// needs (Eq 4: ∆x = ε·sign(∇_x J(x, y))) — as a matrix the caller owns.
+//
+// The pass runs inferTile rows at a time: Forward, the loss gradient of the
+// whole batch's mean (the tile's rows scaled by 1/N for the batch's N rows)
+// and a backward pass that computes input gradients only, so the model's
+// scratch stays tile-sized however large the batch. Every kernel on this
+// path computes each row on its own, and only the 1/N scale (kept global)
+// and the parameter gradients (skipped) couple rows, so the result is bit
+// for bit that of one untiled Forward → Compute → backward over the batch.
+// Parameter gradients are left as they were.
 func (m *Model) InputGradient(x *mat.Matrix, labels []int, knowledge []float64) (*mat.Matrix, error) {
-	logits, err := m.Forward(x)
-	if err != nil {
-		return nil, err
+	n := x.Rows()
+	if x.Cols() != m.inSize {
+		return nil, fmt.Errorf("nn: input gradient: %d input cols, want %d", x.Cols(), m.inSize)
 	}
-	_, gradLogits, err := m.loss.Compute(logits, labels, knowledge)
-	if err != nil {
-		return nil, err
+	if len(labels) != n {
+		return nil, fmt.Errorf("nn: %d labels for %d rows", len(labels), n)
 	}
-	gradIn, err := m.backward(gradLogits, true)
-	if err != nil {
-		return nil, err
+	if knowledge != nil && len(knowledge) != n {
+		return nil, fmt.Errorf("nn: %d knowledge indicators for %d rows", len(knowledge), n)
 	}
-	ZeroGrads(m.Params())
-	// The backward chain returns layer-owned scratch; hand the caller an
-	// independent copy so the gradient survives the model's next pass.
-	return gradIn.Clone(), nil
+	out := mat.New(n, x.Cols())
+	var tile mat.Matrix
+	for lo := 0; lo < n; lo += inferTile {
+		hi := min(lo+inferTile, n)
+		if err := x.RowsViewInto(&tile, lo, hi); err != nil {
+			return nil, err
+		}
+		logits, err := m.Forward(&tile)
+		if err != nil {
+			return nil, err
+		}
+		var know []float64
+		if knowledge != nil {
+			know = knowledge[lo:hi]
+		}
+		_, gradLogits, err := m.loss.computeN(logits, labels[lo:hi], know, n)
+		if err != nil {
+			return nil, err
+		}
+		gradIn, err := m.backward(gradLogits, true, false)
+		if err != nil {
+			return nil, err
+		}
+		// The backward chain returns layer-owned scratch; copy the tile's
+		// rows out before the next tile overwrites it.
+		copy(out.Data()[lo*x.Cols():hi*x.Cols()], gradIn.Data())
+	}
+	return out, nil
 }

@@ -175,7 +175,7 @@ func (t *Trainer) runBlock(sh trainShard, b int, x *mat.Matrix, labels []int, kn
 		// route, so the extra rounding cannot break determinism.
 		gradLogits.Scale(float64(bs) / float64(n))
 	}
-	if _, err := sh.model.backward(gradLogits, false); err != nil {
+	if _, err := sh.model.backward(gradLogits, false, true); err != nil {
 		return err
 	}
 	bg.loss = blockLoss * float64(bs)

@@ -626,6 +626,35 @@ func TestFromCSVErrors(t *testing.T) {
 	}
 }
 
+// FuzzFromCSV feeds arbitrary text to the trace reader stlcheck loads
+// apsim -csv exports with. It may reject the text, but never panic, and a
+// trace it returns holds at least one signal, every one of them a value
+// per data row. Seeds: the TestFromCSV export and the TestFromCSVErrors
+// inputs, plus ragged, quoted and non-finite rows.
+func FuzzFromCSV(f *testing.F) {
+	for _, in := range []string{
+		"# a comment line\nstep,bg,action,fault\n0,100.5,keep_insulin,false\n1,105.0,increase_insulin,true\n2,110.25,keep_insulin,false\n",
+		"", "a,b\n", "a\nx\ny\n",
+		"a,b\n1,2\n3\n", "a,b\n1,2,3\n", "\"a\",b\n\"1\",NaN\n-Inf,+Inf\n", "a\n1e400\n0x1p-2\n",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := FromCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if len(tr.Signals) == 0 || tr.Len() < 1 {
+			t.Fatalf("accepted a trace with %d signals and %d steps", len(tr.Signals), tr.Len())
+		}
+		for name, s := range tr.Signals {
+			if len(s) != tr.Len() {
+				t.Fatalf("signal %q has %d values, the trace %d steps", name, len(s), tr.Len())
+			}
+		}
+	})
+}
+
 // FuzzParse feeds arbitrary text to the formula parser. It must never
 // panic, and a formula it accepts must print as text that parses back to
 // the same formula (the round trip TestParseRoundTrip pins on fixed
