@@ -16,21 +16,42 @@ func sigmoidAVX2(dst, src *float64, n int) int
 //go:noescape
 func tanhAVX2(dst, src *float64, n int) int
 
-// sigmoidVec runs the assembly over the leading whole four-element groups
-// of src and returns how many elements it wrote to dst: it stops before the
-// first group holding an input outside |v| ≤ 700, and writes nothing when
-// the assembly is off.
+//go:noescape
+func sigmoidAVX512(dst, src *float64, n int) int
+
+//go:noescape
+func tanhAVX512(dst, src *float64, n int) int
+
+// sigmoidVec runs the assembly over the leading whole groups of src and
+// returns how many elements it wrote to dst: the eight-lane arm first, then
+// the four-lane arm from where it stopped, which stops before the first
+// four-element group holding an input outside |v| ≤ 700. It writes nothing
+// when the assembly is off.
 func sigmoidVec(dst, src []float64) int {
-	if n := len(src) &^ 3; useAVX2 && hasFMA && n > 0 {
-		return sigmoidAVX2(&dst[0], &src[0], n)
+	if !useAVX2 || !hasFMA {
+		return 0
 	}
-	return 0
+	i := 0
+	if n := len(src) &^ 7; useAVX512 && n > 0 {
+		i = sigmoidAVX512(&dst[0], &src[0], n)
+	}
+	if n := (len(src) - i) &^ 3; n > 0 {
+		i += sigmoidAVX2(&dst[i], &src[i], n)
+	}
+	return i
 }
 
 // tanhVec is sigmoidVec for tanh, whose assembly range is |v| ≤ 44.
 func tanhVec(dst, src []float64) int {
-	if n := len(src) &^ 3; useAVX2 && hasFMA && n > 0 {
-		return tanhAVX2(&dst[0], &src[0], n)
+	if !useAVX2 || !hasFMA {
+		return 0
 	}
-	return 0
+	i := 0
+	if n := len(src) &^ 7; useAVX512 && n > 0 {
+		i = tanhAVX512(&dst[0], &src[0], n)
+	}
+	if n := (len(src) - i) &^ 3; n > 0 {
+		i += tanhAVX2(&dst[i], &src[i], n)
+	}
+	return i
 }

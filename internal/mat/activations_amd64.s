@@ -1,7 +1,8 @@
 #include "textflag.h"
 
 // AVX2+FMA sigmoid and tanh over float64 slices (see activations_amd64.go),
-// four lanes at a time, bit-identical to the scalar math expressions.
+// four lanes at a time, and their AVX-512F twins eight lanes at a time,
+// bit-identical to the scalar math expressions.
 //
 // EXP4 is math.Exp's amd64 FMA path (archExp in $GOROOT/src/math/
 // exp_amd64.s, Shibata's SLEEF method) copied op for op into four lanes:
@@ -12,7 +13,8 @@
 // none of its special branches: finite x with |x| ≤ 708, so that
 // 2^k is a normal float. The callers check a tighter range and leave any
 // group with a lane outside it to math. Unlike the matrix kernels these
-// loops must fuse: every VFMADD/VFNMADD stands where archExp has one.
+// loops must fuse: every VFMADD/VFNMADD stands where archExp has one, in
+// EXP4 and EXP8 alike.
 
 // VEC4 defines name<> as four copies of the 8-byte value v.
 #define VEC4(name, v) \
@@ -179,6 +181,131 @@ thloop:
 	JMP       thloop
 
 thdone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// EXP8 is EXP4 on eight lanes (AVX-512F): the same instructions in the
+// same order, with the constants broadcast from their first 8 bytes. The
+// eight rounded multiples of log2(e) land in ky, widened into kz.
+#define EXP8(x, t, ky, kz) \
+	VMULPD.BCST       log2e<>(SB), x, t;     \
+	VCVTPD2DQ         t, ky;                 \
+	VCVTDQ2PD         ky, t;                 \
+	VFNMADD231PD.BCST ln2u<>(SB), t, x;      \
+	VFNMADD231PD.BCST ln2l<>(SB), t, x;      \
+	VMULPD.BCST       sixteenth<>(SB), x, x; \
+	VBROADCASTSD      exc64<>(SB), t;        \
+	VFMADD213PD.BCST  exc56<>(SB), x, t;     \
+	VFMADD213PD.BCST  exc48<>(SB), x, t;     \
+	VFMADD213PD.BCST  exc40<>(SB), x, t;     \
+	VFMADD213PD.BCST  exc32<>(SB), x, t;     \
+	VFMADD213PD.BCST  exc24<>(SB), x, t;     \
+	VFMADD213PD.BCST  half<>(SB), x, t;      \
+	VFMADD213PD.BCST  one<>(SB), x, t;       \
+	VMULPD            t, x, x;               \
+	VADDPD.BCST       two<>(SB), x, t;       \
+	VMULPD            t, x, x;               \
+	VADDPD.BCST       two<>(SB), x, t;       \
+	VMULPD            t, x, x;               \
+	VADDPD.BCST       two<>(SB), x, t;       \
+	VMULPD            t, x, x;               \
+	VADDPD.BCST       two<>(SB), x, t;       \
+	VFMADD213PD.BCST  one<>(SB), t, x;       \
+	VPMOVSXDQ         ky, kz;                \
+	VPADDQ.BCST       expbias<>(SB), kz, kz; \
+	VPSLLQ            $52, kz, kz;           \
+	VMULPD            kz, x, x
+
+// func sigmoidAVX512(dst, src *float64, n int) int
+//
+// sigmoidAVX2 on eight lanes: n a multiple of 8, and it stops before the
+// first eight-element group with a lane outside |v| ≤ 700 (or NaN).
+TEXT ·sigmoidAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+sg8loop:
+	CMPQ         AX, CX
+	JGE          sg8done
+	VMOVUPD      (SI)(AX*8), Z0
+	VPANDQ.BCST  absmask<>(SB), Z0, Z1
+	VCMPPD.BCST  $0x12, sigmax<>(SB), Z1, K1 // |v| ≤ 700, false on NaN
+	KMOVW        K1, DX
+	CMPQ         DX, $0xFF
+	JNE          sg8done
+	VPXORQ.BCST  signmask<>(SB), Z0, Z0      // -v
+	EXP8(Z0, Z1, Y2, Z2)
+	VADDPD.BCST  one<>(SB), Z0, Z0
+	VBROADCASTSD one<>(SB), Z1
+	VDIVPD       Z0, Z1, Z0
+	VMOVUPD      Z0, (DI)(AX*8)
+	ADDQ         $8, AX
+	JMP          sg8loop
+
+sg8done:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAVX512(dst, src *float64, n int) int
+//
+// tanhAVX2 on eight lanes: n a multiple of 8, and it stops before the
+// first eight-element group with a lane outside |x| ≤ 44 (or NaN). Mask
+// compares and VBLENDMPD stand where tanhAVX2 blends on vector masks.
+TEXT ·tanhAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+th8loop:
+	CMPQ        AX, CX
+	JGE         th8done
+	VMOVUPD     (SI)(AX*8), Z0               // x
+	VPANDQ.BCST absmask<>(SB), Z0, Z1        // z = |x|
+	VCMPPD.BCST $0x12, tanhmax<>(SB), Z1, K1
+	KMOVW       K1, DX
+	CMPQ        DX, $0xFF
+	JNE         th8done
+
+	VADDPD       Z1, Z1, Z3                  // 2z
+	EXP8(Z3, Z4, Y5, Z5)                     // s = exp(2z)
+	VADDPD.BCST  one<>(SB), Z3, Z3           // s+1
+	VBROADCASTSD two<>(SB), Z4
+	VDIVPD       Z3, Z4, Z3                  // 2/(s+1)
+	VBROADCASTSD one<>(SB), Z4
+	VSUBPD       Z3, Z4, Z3                  // 1 − 2/(s+1)
+	VPANDQ.BCST  signmask<>(SB), Z0, Z4
+	VPXORQ       Z4, Z3, Z3                  // with x's sign
+
+	VMULPD      Z0, Z0, Z4                   // s = x·x
+	VMULPD.BCST tanhp0<>(SB), Z4, Z5
+	VADDPD.BCST tanhp1<>(SB), Z5, Z5
+	VMULPD      Z4, Z5, Z5
+	VADDPD.BCST tanhp2<>(SB), Z5, Z5         // (P0·s+P1)·s+P2
+	VADDPD.BCST tanhq0<>(SB), Z4, Z6
+	VMULPD      Z4, Z6, Z6
+	VADDPD.BCST tanhq1<>(SB), Z6, Z6
+	VMULPD      Z4, Z6, Z6
+	VADDPD.BCST tanhq2<>(SB), Z6, Z6         // ((s+Q0)·s+Q1)·s+Q2
+	VMULPD      Z0, Z4, Z4                   // x·s
+	VMULPD      Z5, Z4, Z4                   // ·P
+	VDIVPD      Z6, Z4, Z4                   // /Q
+	VADDPD      Z0, Z4, Z4                   // x + …
+
+	VCMPPD.BCST $0x1D, tanhsplit<>(SB), Z1, K2 // z ≥ 0.625
+	VBLENDMPD   Z3, Z4, K2, Z4
+	VPXORQ      Z5, Z5, Z5
+	VCMPPD      $0x00, Z5, Z0, K3              // x == 0
+	VBLENDMPD   Z0, Z4, K3, Z4
+	VMOVUPD     Z4, (DI)(AX*8)
+	ADDQ        $8, AX
+	JMP         th8loop
+
+th8done:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

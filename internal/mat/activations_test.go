@@ -93,14 +93,17 @@ func TestActivationKernelsMatchMath(t *testing.T) {
 	}
 }
 
-// activationShapes are the LSTM gate blocks one training step activates:
-// a 32-row block times 4·H for the 64- and 128-unit layers.
-var activationShapes = [][2]int{{32, 256}, {32, 512}}
+// activationShapes are the gate blocks the activations run over, as rows ×
+// length: a 32-row block times 4·H for the 64- and 128-unit layers one row
+// at a time, and one call over a whole gate of a 64-row tile, as
+// LSTM.Forward's lstmCell makes on the input-gradient tiles (64·12 = 768
+// and 64·24 = 1536 elements for the bench-scale layers).
+var activationShapes = [][2]int{{32, 256}, {32, 512}, {1, 768}, {1, 1536}}
 
-// BenchmarkActivations64 times Sigmoid64 and Tanh64 over the LSTM gate
-// blocks, one row at a time as lstmCell calls them, on Gaussian
-// pre-activations of unit scale. The dispatch arm runs what this host
-// selects; the go arm runs the scalar math expressions.
+// BenchmarkActivations64 times Sigmoid64 and Tanh64 over those blocks, one
+// call per row, on Gaussian pre-activations of unit scale. The dispatch arm
+// runs what this host selects, the avx2 arm the four-lane assembly alone,
+// and the go arm the scalar math expressions.
 func BenchmarkActivations64(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, s := range activationShapes {

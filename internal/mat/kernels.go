@@ -14,17 +14,24 @@ package mat
 //
 // The row updates axpy4 and axpy1 and the 4×4 blocks of matMulTBlocks run
 // AVX2 assembly on amd64 CPUs that have it (kernels_amd64.go), and the Go
-// loops below everywhere else. The assembly vectorizes across output
-// columns only: each lane does one multiply, then one add, per k, in
-// ascending k, exactly like the Go loop, so the two agree bit for bit. The
-// zero checks stay here in Go, shared by both paths.
+// loops below everywhere else. On CPUs with AVX-512 the axpys run eight
+// lanes wide, and a × b runs whole output rows in rowMulAVX512
+// (matMulRowsWide), which does its zero checks itself; elsewhere the zero
+// checks stay here in Go, shared by the Go and AVX2 paths. The assembly
+// vectorizes across output columns only: each lane does one multiply, then
+// one add, per k, in ascending k, exactly like the Go loop, so every arm
+// agrees bit for bit.
 
-// matMulRows64 computes rows [lo, hi) of out = a × b with an ikj loop
+// matMulRows64 computes rows [lo, hi) of out = a × b: whole rows in
+// registers where matMulRowsWide takes the product, else with an ikj loop
 // order, unrolling k by 4: each pass streams four b rows against one output
 // row, so the output row is loaded and stored once per four rank-1 updates
 // instead of once per update. out must be zeroed (or hold the accumulation
 // base).
 func matMulRows64(out, a, b *Matrix, lo, hi int) {
+	if matMulRowsWide(out, a, b, lo, hi) {
+		return
+	}
 	ac, bc := a.cols, b.cols
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*ac : (i+1)*ac]

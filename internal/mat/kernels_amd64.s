@@ -285,3 +285,342 @@ dtstore:
 dtdone:
 	VZEROUPPER
 	RET
+
+// The AVX-512F loops below keep the rounding sequence of the AVX2 ones on
+// eight lanes: per k one VMULPD b·a, then one VADDPD product + o. A tail
+// of fewer than eight columns runs in the same instructions under the
+// opmask K1 = (1<<tail)−1, so no lane past the row is read or written.
+
+// TAILMASK sets K1 to the low rem bits, rem = n − i in 1..7 (n and i
+// registers); BX and CX are clobbered.
+#define TAILMASK(n, i) \
+	MOVQ  n, CX;  \
+	SUBQ  i, CX;  \
+	MOVL  $1, BX; \
+	SHLL  CX, BX; \
+	DECL  BX;     \
+	KMOVW BX, K1
+
+// AXPY4Z updates the eight columns of o at byte offset off from index AX:
+// o = (((o + b0·a0) + b1·a1) + b2·a2) + b3·a3, with b0..b3 at R8..R11 and
+// a0..a3 broadcast in Z0..Z3. Z4..Z7 are clobbered.
+#define AXPY4Z(off) \
+	VMOVUPD off(R8)(AX*8), Z4;  \
+	VMULPD  Z0, Z4, Z4;         \
+	VADDPD  off(DI)(AX*8), Z4, Z4; \
+	VMOVUPD off(R9)(AX*8), Z5;  \
+	VMULPD  Z1, Z5, Z5;         \
+	VADDPD  Z4, Z5, Z5;         \
+	VMOVUPD off(R10)(AX*8), Z6; \
+	VMULPD  Z2, Z6, Z6;         \
+	VADDPD  Z5, Z6, Z6;         \
+	VMOVUPD off(R11)(AX*8), Z7; \
+	VMULPD  Z3, Z7, Z7;         \
+	VADDPD  Z6, Z7, Z7;         \
+	VMOVUPD Z7, off(DI)(AX*8)
+
+// func axpy4AVX512(o, b *float64, n int, a0, a1, a2, a3 float64)
+//
+// axpy4AVX2 on eight lanes: 16 then 8 columns at a time, then a masked
+// tail.
+TEXT ·axpy4AVX512(SB), NOSPLIT, $0-56
+	MOVQ o+0(FP), DI
+	MOVQ b+8(FP), R8
+	MOVQ n+16(FP), R12
+	LEAQ (R8)(R12*8), R9
+	LEAQ (R9)(R12*8), R10
+	LEAQ (R10)(R12*8), R11
+	VBROADCASTSD a0+24(FP), Z0
+	VBROADCASTSD a1+32(FP), Z1
+	VBROADCASTSD a2+40(FP), Z2
+	VBROADCASTSD a3+48(FP), Z3
+	XORQ AX, AX
+	MOVQ R12, DX
+	ANDQ $-16, DX
+
+z4loop16:
+	CMPQ AX, DX
+	JGE  z4tail8
+	AXPY4Z(0)
+	AXPY4Z(64)
+	ADDQ $16, AX
+	JMP  z4loop16
+
+z4tail8:
+	MOVQ R12, DX
+	ANDQ $-8, DX
+	CMPQ AX, DX
+	JGE  z4mask
+	AXPY4Z(0)
+	ADDQ $8, AX
+
+z4mask:
+	CMPQ AX, R12
+	JGE  z4done
+	TAILMASK(R12, AX)
+	VMOVUPD.Z (R8)(AX*8), K1, Z4
+	VMOVUPD.Z (DI)(AX*8), K1, Z7
+	VMULPD    Z0, Z4, Z4
+	VADDPD    Z7, Z4, Z4
+	VMOVUPD.Z (R9)(AX*8), K1, Z5
+	VMULPD    Z1, Z5, Z5
+	VADDPD    Z4, Z5, Z5
+	VMOVUPD.Z (R10)(AX*8), K1, Z6
+	VMULPD    Z2, Z6, Z6
+	VADDPD    Z5, Z6, Z6
+	VMOVUPD.Z (R11)(AX*8), K1, Z7
+	VMULPD    Z3, Z7, Z7
+	VADDPD    Z6, Z7, Z7
+	VMOVUPD   Z7, K1, (DI)(AX*8)
+
+z4done:
+	VZEROUPPER
+	RET
+
+// AXPY1Z updates the eight columns of o at byte offset off from index AX:
+// o = b·a + o, with b at R8 and a broadcast in Z0, through register r.
+#define AXPY1Z(off, r) \
+	VMOVUPD off(R8)(AX*8), r;    \
+	VMULPD  Z0, r, r;            \
+	VADDPD  off(DI)(AX*8), r, r; \
+	VMOVUPD r, off(DI)(AX*8)
+
+// func axpy1AVX512(o, b *float64, n int, a float64)
+//
+// axpy1AVX2 on eight lanes: 32 then 8 columns at a time, then a masked
+// tail.
+TEXT ·axpy1AVX512(SB), NOSPLIT, $0-32
+	MOVQ o+0(FP), DI
+	MOVQ b+8(FP), R8
+	MOVQ n+16(FP), R12
+	VBROADCASTSD a+24(FP), Z0
+	XORQ AX, AX
+	MOVQ R12, DX
+	ANDQ $-32, DX
+
+z1loop32:
+	CMPQ AX, DX
+	JGE  z1tail8
+	AXPY1Z(0, Z4)
+	AXPY1Z(64, Z5)
+	AXPY1Z(128, Z6)
+	AXPY1Z(192, Z7)
+	ADDQ $32, AX
+	JMP  z1loop32
+
+z1tail8:
+	MOVQ R12, DX
+	ANDQ $-8, DX
+
+z1loop8:
+	CMPQ AX, DX
+	JGE  z1mask
+	AXPY1Z(0, Z4)
+	ADDQ $8, AX
+	JMP  z1loop8
+
+z1mask:
+	CMPQ AX, R12
+	JGE  z1done
+	TAILMASK(R12, AX)
+	VMOVUPD.Z (R8)(AX*8), K1, Z4
+	VMOVUPD.Z (DI)(AX*8), K1, Z5
+	VMULPD    Z0, Z4, Z4
+	VADDPD    Z5, Z4, Z4
+	VMOVUPD   Z4, K1, (DI)(AX*8)
+
+z1done:
+	VZEROUPPER
+	RET
+
+// ROWK adds row q of b (at R10) times a[q] (broadcast in Z8) into the
+// accumulator acc, through register t: t = b·a, then acc = t + acc.
+#define ROWK(off, t, acc) \
+	VMOVUPD off(R10), t; \
+	VMULPD  Z8, t, t;    \
+	VADDPD  acc, t, acc
+
+// ROWSKIP jumps to skip when a[q] (q in R11) is ±0, the multipliers
+// matMulScalarK skips, and otherwise broadcasts it into Z8. NaN and ±Inf
+// multipliers are never skipped.
+#define ROWSKIP(skip) \
+	MOVQ         (SI)(R11*8), AX; \
+	SHLQ         $1, AX;          \
+	JEQ          skip;            \
+	VBROADCASTSD (SI)(R11*8), Z8
+
+// func rowMulAVX512(o, a, b *float64, k, n int)
+//
+// One output row of a × b: for j in [0, n),
+//   o[j] = o[j] + Σ_{q<k, a[q] ≠ 0} b[q·n + j]·a[q], in ascending q,
+// each term one VMULPD b·a, then one VADDPD product + o, exactly as
+// matMulRows64's axpy4 and matMulScalarK compute it. b holds k rows of n.
+// The row is done in chunks of 64, 32, 16 and 8 columns, then a masked
+// tail; each chunk stays in zmm accumulators across all k, so o is loaded
+// and stored once per chunk instead of once per four k.
+TEXT ·rowMulAVX512(SB), NOSPLIT, $0-40
+	MOVQ o+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ k+24(FP), R13
+	MOVQ n+32(FP), R12
+	LEAQ (R12*8), R9         // b row stride in bytes
+
+rm64:
+	CMPQ    R12, $64
+	JLT     rm32
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	MOVQ    R8, R10
+	XORQ    R11, R11
+
+rm64k:
+	CMPQ R11, R13
+	JGE  rm64st
+	ROWSKIP(rm64next)
+	ROWK(0, Z9, Z0)
+	ROWK(64, Z10, Z1)
+	ROWK(128, Z11, Z2)
+	ROWK(192, Z12, Z3)
+	ROWK(256, Z13, Z4)
+	ROWK(320, Z14, Z5)
+	ROWK(384, Z15, Z6)
+	ROWK(448, Z16, Z7)
+
+rm64next:
+	ADDQ R9, R10
+	INCQ R11
+	JMP  rm64k
+
+rm64st:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ    $512, DI
+	ADDQ    $512, R8
+	SUBQ    $64, R12
+	JMP     rm64
+
+rm32:
+	CMPQ    R12, $32
+	JLT     rm16
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	MOVQ    R8, R10
+	XORQ    R11, R11
+
+rm32k:
+	CMPQ R11, R13
+	JGE  rm32st
+	ROWSKIP(rm32next)
+	ROWK(0, Z9, Z0)
+	ROWK(64, Z10, Z1)
+	ROWK(128, Z11, Z2)
+	ROWK(192, Z12, Z3)
+
+rm32next:
+	ADDQ R9, R10
+	INCQ R11
+	JMP  rm32k
+
+rm32st:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R8
+	SUBQ    $32, R12
+
+rm16:
+	CMPQ    R12, $16
+	JLT     rm8
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	MOVQ    R8, R10
+	XORQ    R11, R11
+
+rm16k:
+	CMPQ R11, R13
+	JGE  rm16st
+	ROWSKIP(rm16next)
+	ROWK(0, Z9, Z0)
+	ROWK(64, Z10, Z1)
+
+rm16next:
+	ADDQ R9, R10
+	INCQ R11
+	JMP  rm16k
+
+rm16st:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R8
+	SUBQ    $16, R12
+
+rm8:
+	CMPQ    R12, $8
+	JLT     rmtail
+	VMOVUPD (DI), Z0
+	MOVQ    R8, R10
+	XORQ    R11, R11
+
+rm8k:
+	CMPQ R11, R13
+	JGE  rm8st
+	ROWSKIP(rm8next)
+	ROWK(0, Z9, Z0)
+
+rm8next:
+	ADDQ R9, R10
+	INCQ R11
+	JMP  rm8k
+
+rm8st:
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, R8
+	SUBQ    $8, R12
+
+rmtail:
+	TESTQ     R12, R12
+	JEQ       rmdone
+	XORQ      DX, DX
+	TAILMASK(R12, DX)
+	VMOVUPD.Z (DI), K1, Z0
+	MOVQ      R8, R10
+	XORQ      R11, R11
+
+rmtailk:
+	CMPQ      R11, R13
+	JGE       rmtailst
+	ROWSKIP(rmtailnext)
+	VMOVUPD.Z (R10), K1, Z9
+	VMULPD    Z8, Z9, Z9
+	VADDPD    Z0, Z9, Z0
+
+rmtailnext:
+	ADDQ R9, R10
+	INCQ R11
+	JMP  rmtailk
+
+rmtailst:
+	VMOVUPD Z0, K1, (DI)
+
+rmdone:
+	VZEROUPPER
+	RET

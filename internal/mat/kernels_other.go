@@ -12,6 +12,8 @@ func axpy1(o, b []float64, a float64) { axpy1Go(o, b, a) }
 
 func matMulTBlocks(out, a, b *Matrix, lo, hi int) bool { return false }
 
+func matMulRowsWide(out, a, b *Matrix, lo, hi int) bool { return false }
+
 func sigmoidVec(dst, src []float64) int { return 0 }
 
 func tanhVec(dst, src []float64) int { return 0 }

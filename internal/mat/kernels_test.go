@@ -222,18 +222,20 @@ func testTiledKernels[T Float](t *testing.T) {
 	}
 }
 
-// kernelArms run a function on what this host dispatches to, and on the Go
-// loops and scalar math alone.
+// kernelArms run a function on what this host dispatches to, on the
+// four-lane assembly alone (the AVX-512 arms off), and on the Go loops and
+// scalar math alone.
 var kernelArms = []struct {
 	name string
 	wrap func(func())
-}{{"dispatch", func(f func()) { f() }}, {"go", goKernels}}
+}{{"dispatch", func(f func()) { f() }}, {"avx2", avx2Kernels}, {"go", goKernels}}
 
 // BenchmarkKernels64 times the three float64 training products at the
 // models' block shapes, each as the forward/backward trio of one layer:
 // ab is y = x·W (m×k · k×n), abt is dx = dy·Wᵀ (m×n · (k×n)ᵀ) and atb is
 // dW += xᵀ·dy ((m×k)ᵀ · m×n). The dispatch arm runs what this host
-// selects; the go arm runs the Go loops.
+// selects, the avx2 arm the four-lane assembly alone, and the go arm the
+// Go loops.
 func BenchmarkKernels64(b *testing.B) {
 	sweep.SetBudget(1)
 	defer sweep.SetBudget(0)

@@ -309,8 +309,8 @@ func sigmoidT[T mat.Float](v T) T { return T(1 / (1 + math.Exp(-float64(v)))) }
 
 // lstmInfer is the frozen recurrent layer. It runs LSTM.Forward's step,
 // including its elementwise half lstmCell, but keeps no per-step state: the
-// gate activations go to one scratch row reused by every row and step, and
-// the hidden and cell states are updated in place.
+// gate activations go to one scratch of lstmCellRows rows reused by every
+// chunk and step, and the hidden and cell states are updated in place.
 type lstmInfer[T mat.Float] struct {
 	inputSize  int
 	hidden     int
@@ -322,13 +322,20 @@ type lstmInfer[T mat.Float] struct {
 	b  *mat.Dense[T] // 1 × 4·hidden
 }
 
+// lstmCellRows is how many rows one lstmCell call of the frozen stack
+// covers. Its gate blocks (16·hidden elements, 192 or more at the models'
+// widths) are long enough for mat's eight-lane activations to run at full
+// speed, while the gate scratch stays a quarter of a 64-row tile's: rows
+// are independent, so the chunking moves no bit.
+const lstmCellRows = 16
+
 // lstmInferScratch is the per-workspace recurrence state.
 type lstmInferScratch[T mat.Float] struct {
 	xt     growScratch[T] // per-step input (batch × inputSize)
 	z, zh  growScratch[T] // packed pre-activations (batch × 4·hidden)
 	h, c   growScratch[T] // hidden / cell state (batch × hidden)
 	seqOut growScratch[T] // stacked hidden states when returnSeqs
-	gates  []T            // lstmCell's discarded activations (5·hidden)
+	gates  growScratch[T] // lstmCell's discarded activations (4·lstmCellRows × hidden)
 }
 
 func (l *lstmInfer[T]) name() string { return "lstm" }
@@ -341,12 +348,13 @@ func (l *lstmInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) 
 	H := l.hidden
 	ws, ok := (*slot).(*lstmInferScratch[T])
 	if !ok {
-		ws = &lstmInferScratch[T]{gates: make([]T, 5*H)}
+		ws = &lstmInferScratch[T]{}
 		*slot = ws
 	}
 	xt := ws.xt.get(batch, l.inputSize)
 	z, zh := ws.z.get(batch, 4*H), ws.zh.get(batch, 4*H)
 	h, c := ws.h.get(batch, H), ws.c.get(batch, H)
+	gates := ws.gates.get(4*lstmCellRows, H).Data()
 	var seqOut *mat.Dense[T]
 	if l.returnSeqs {
 		seqOut = ws.seqOut.get(batch, l.steps*H)
@@ -365,12 +373,11 @@ func (l *lstmInfer[T]) infer(slot *any, x *mat.Dense[T]) (*mat.Dense[T], error) 
 			return nil, fmt.Errorf("nn: lstm infer Wh step %d: %w", t, err)
 		}
 		// zh was computed from the previous h above, so updating h and c in
-		// place is safe.
-		g := ws.gates
-		for i := 0; i < batch; i++ {
-			zr, cr := z.Row(i), c.Row(i)
-			addPreact(zr, zh.Row(i), b)
-			lstmCell(zr, cr, cr, h.Row(i), g[:H], g[H:2*H], g[2*H:3*H], g[3*H:4*H], g[4*H:])
+		// place is safe; tanh(c) goes straight into h.
+		for lo := 0; lo < batch; lo += lstmCellRows {
+			hi := min(lo+lstmCellRows, batch)
+			cr, hr := c.Data()[lo*H:hi*H], h.Data()[lo*H:hi*H]
+			lstmCell(gates, z.Data()[lo*4*H:hi*4*H], zh.Data()[lo*4*H:hi*4*H], b, cr, cr, hr, hr)
 		}
 		if l.returnSeqs {
 			if err := seqOut.SetCols(t*H, h); err != nil {

@@ -56,10 +56,12 @@ type lstmScratch struct {
 }
 
 // lstmStep is the forward state of one step: its input (batch × inputSize),
-// gate activations, cell state c_t, hidden state and tanh(c_t) (batch ×
-// hidden each).
+// gate activations (gate-major: the four batch × hidden blocks i|f|g|o of
+// gates, which i, f, g and o view), cell state c_t, hidden state and
+// tanh(c_t) (batch × hidden each).
 type lstmStep struct {
-	x, i, f, g, o, c, h, tc growScratch[float64]
+	x, gates, c, h, tc growScratch[float64]
+	i, f, g, o         mat.Matrix
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -131,12 +133,11 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
 
-		ig, fg, gg, og := st.i.get(batch, H), st.f.get(batch, H), st.g.get(batch, H), st.o.get(batch, H)
+		gates := st.gates.get(4*batch, H)
 		ct, ht, tc := st.c.get(batch, H), st.h.get(batch, H), st.tc.get(batch, H)
-		for i := 0; i < batch; i++ {
-			addPreact(z.Row(i), zh.Row(i), b)
-			lstmCell(z.Row(i), cell.Row(i), ct.Row(i), ht.Row(i),
-				ig.Row(i), fg.Row(i), gg.Row(i), og.Row(i), tc.Row(i))
+		lstmCell(gates.Data(), z.Data(), zh.Data(), b, cell.Data(), ct.Data(), tc.Data(), ht.Data())
+		for q, v := range [4]*mat.Matrix{&st.i, &st.f, &st.g, &st.o} {
+			_ = gates.RowsViewInto(v, q*batch, (q+1)*batch) // within 4·batch rows
 		}
 		cell, h = ct, ht
 
@@ -167,46 +168,56 @@ func (l *LSTM) Replicate() Layer {
 	}
 }
 
-// addPreact completes one row of a step's gate pre-activations, z = (z +
-// zh) + b: the input product plus the recurrent product plus the bias, in
-// that operand order (it decides which NaN survives, see lstmCell). Forward
-// and the frozen stack both call it just before lstmCell.
-func addPreact[T mat.Float](z, zh, b []T) {
-	zh, b = zh[:len(z)], b[:len(z)]
-	for j := range z {
-		z[j] = (z[j] + zh[j]) + b[j]
+// lstmCell is the elementwise half of one LSTM step over a block of rows,
+// with gate layout [i|f|g|o] in the row-major pre-activation products z
+// (input) and zh (recurrent), rows × 4·H each, and b the 1 × 4·H bias. It
+// writes the pre-activations (z + zh) + b gate-major into gates, as the
+// four rows×H blocks i|f|g|o, and activates them in place: one sigmoid
+// over i‖f, one tanh over g and one sigmoid over o, each a single call
+// over every row, long enough for mat's eight-lane kernels to pay. Then,
+// over the rows×H block, c = f⊙cPrev + i⊙g, tc = tanh(c) and h = o⊙tc.
+// Forward runs it over the whole batch and keeps gates, c, tc and h for
+// Backward; the frozen stack runs it lstmCellRows rows at a time, with c
+// aliasing cPrev and tc aliasing h. Both run this one function, so they
+// agree bit for bit — down to which NaN a non-finite input turns into —
+// and every element is computed exactly as a row at a time would compute
+// it.
+func lstmCell[T mat.Float](gates, z, zh, b, cPrev, c, tc, h []T) {
+	H4, n := len(b), len(c)
+	H := H4 / 4
+	gates = gates[:4*n]
+	// The sum's operand order decides which NaN survives when two meet
+	// (x86 keeps the first source's payload and sign, and gc makes the
+	// left operand the first source), and so do the products' below.
+	for r := 0; r*H < n; r++ {
+		zr, zhr := z[r*H4:][:H4], zh[r*H4:][:H4]
+		for q := 0; q < 4; q++ {
+			dst := gates[q*n+r*H:][:H]
+			zq, zhq, bq := zr[q*H:][:H], zhr[q*H:][:H], b[q*H:][:H]
+			for j := range dst {
+				dst[j] = (zq[j] + zhq[j]) + bq[j]
+			}
+		}
 	}
-}
-
-// lstmCell is the elementwise half of one LSTM step for one batch row, with
-// gate layout [i|f|g|o] in the pre-activations z: c = f⊙cPrev + i⊙g and
-// h = o⊙tanh(c). The gate activations and tanh(c) land in ig, fg, gg, og
-// and tc: Forward keeps them for Backward, the frozen stack passes one
-// reused scratch row. c may alias cPrev. Forward and the frozen stack both
-// run this one function, so they agree bit for bit — down to which NaN a
-// non-finite input turns into.
-func lstmCell[T mat.Float](z, cPrev, c, h, ig, fg, gg, og, tc []T) {
-	H := len(c)
-	sigmoidSlice(ig, z[:H])
-	sigmoidSlice(fg, z[H:2*H])
-	tanhSlice(gg, z[2*H:3*H])
-	sigmoidSlice(og, z[3*H:4*H])
-	// Operand order decides which NaN survives when two meet (x86 keeps
-	// the first source's payload and sign, and gc makes the left operand
-	// the first source), so reordering these products changes the NaNs a
-	// non-finite input produces.
+	sigmoidSlice(gates[:2*n], gates[:2*n])
+	tanhSlice(gates[2*n:3*n], gates[2*n:3*n])
+	sigmoidSlice(gates[3*n:], gates[3*n:])
+	ig, fg, gg, og := gates[:n], gates[n:2*n], gates[2*n:3*n], gates[3*n:]
+	cPrev, fg, gg, ig = cPrev[:n], fg[:n], gg[:n], ig[:n]
+	tc, og, h = tc[:n], og[:n], h[:n]
 	for j := range c {
 		c[j] = cPrev[j]*fg[j] + gg[j]*ig[j]
 	}
 	tanhSlice(tc, c)
-	for j := range c {
+	for j := range h {
 		h[j] = tc[j] * og[j]
 	}
 }
 
 // sigmoidSlice and tanhSlice set dst[j] = sigmoidT(src[j]) and
 // tanhT(src[j]). At float64 they run mat's slice kernels, which return the
-// same bits four lanes at a time; float32 stays on the scalar functions.
+// same bits eight or four lanes at a time; float32 stays on the scalar
+// functions.
 func sigmoidSlice[T mat.Float](dst, src []T) {
 	if d, ok := any(dst).([]float64); ok {
 		mat.Sigmoid64(d, any(src).([]float64))
@@ -286,7 +297,7 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matri
 			if upOff >= 0 {
 				upr = gradOut.Row(i)[upOff : upOff+H]
 			}
-			ir, fr, gr, or := st.i.view.Row(i), st.f.view.Row(i), st.g.view.Row(i), st.o.view.Row(i)
+			ir, fr, gr, or := st.i.Row(i), st.f.Row(i), st.g.Row(i), st.o.Row(i)
 			tcr, cpr := st.tc.view.Row(i), cPrev.Row(i)
 			dzr := dz.Row(i)
 			dcpr := dcPrev.Row(i)
