@@ -199,9 +199,6 @@ func TestCachedColumnarSplitAndFilterOnMappedViews(t *testing.T) {
 	if train.Len() == 0 || test.Len() == 0 {
 		t.Fatalf("degenerate split: train=%d test=%d", train.Len(), test.Len())
 	}
-	if _, err := train.MLPMatrix(); err != nil {
-		t.Fatalf("MLPMatrix on mapped views: %v", err)
-	}
 	kept := warm.Filter(func(ep int) bool { return ep%2 == 0 })
 	if kept.Len() == 0 || kept.Len() >= warm.Len() {
 		t.Fatalf("Filter on mapped dataset kept %d of %d samples", kept.Len(), warm.Len())

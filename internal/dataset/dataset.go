@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"repro/internal/controller"
-	"repro/internal/mat"
 	"repro/internal/mmapio"
 	"repro/internal/sim"
 	"repro/internal/stl"
@@ -142,38 +141,6 @@ func (d *Dataset) Knowledge() []float64 {
 		out[i] = s.Knowledge
 	}
 	return out
-}
-
-// MLPMatrix assembles the normalized aggregated-feature design matrix.
-func (d *Dataset) MLPMatrix() (*mat.Matrix, error) {
-	x := mat.New(len(d.Samples), MLPFeatureCount)
-	for i, s := range d.Samples {
-		if err := x.SetRow(i, s.MLP); err != nil {
-			return nil, fmt.Errorf("dataset: sample %d: %w", i, err)
-		}
-	}
-	if d.MLPNorm != nil {
-		d.MLPNorm.Apply(x)
-	}
-	return x, nil
-}
-
-// SeqMatrix assembles the normalized raw-window design matrix.
-func (d *Dataset) SeqMatrix() (*mat.Matrix, error) {
-	if len(d.Samples) == 0 {
-		return mat.New(0, 0), nil
-	}
-	w := len(d.Samples[0].Seq)
-	x := mat.New(len(d.Samples), w)
-	for i, s := range d.Samples {
-		if err := x.SetRow(i, s.Seq); err != nil {
-			return nil, fmt.Errorf("dataset: sample %d: %w", i, err)
-		}
-	}
-	if d.SeqNorm != nil {
-		d.SeqNorm.Apply(x)
-	}
-	return x, nil
 }
 
 // SensorDimsMLP returns the aggregated-feature columns derived from sensor

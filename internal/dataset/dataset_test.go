@@ -130,33 +130,12 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-func TestNormalizedMatrixStatistics(t *testing.T) {
-	ds := smallCampaign(t, T1DS)
-	train, _, err := ds.Split(0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := train.MLPMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Column means ≈ 0 and std ≈ 1 on the training set itself.
-	for j := 0; j < x.Cols(); j++ {
-		var mean, sq float64
-		for i := 0; i < x.Rows(); i++ {
-			mean += x.At(i, j)
-		}
-		mean /= float64(x.Rows())
-		for i := 0; i < x.Rows(); i++ {
-			d := x.At(i, j) - mean
-			sq += d * d
-		}
-		std := math.Sqrt(sq / float64(x.Rows()))
-		if math.Abs(mean) > 1e-9 {
-			t.Fatalf("col %d mean = %v after normalization", j, mean)
-		}
-		if std > 1e-9 && math.Abs(std-1) > 1e-6 {
-			t.Fatalf("col %d std = %v after normalization", j, std)
+// normalizeRows standardizes every row of x in place.
+func normalizeRows(t *testing.T, n *Normalizer, x *mat.Matrix) {
+	t.Helper()
+	for i := 0; i < x.Rows(); i++ {
+		if err := n.ApplyRowInto(x.Row(i), x.Row(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -168,10 +147,10 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	}
 	orig := x.Clone()
 	n := NewNormalizer(x)
-	n.Apply(x)
+	normalizeRows(t, n, x)
 	n.Invert(x)
 	if !mat.Equal(x, orig, 1e-9) {
-		t.Fatal("Apply/Invert must round-trip")
+		t.Fatal("ApplyRowInto/Invert must round-trip")
 	}
 }
 
@@ -181,7 +160,7 @@ func TestNormalizerConstantColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewNormalizer(x)
-	n.Apply(x)
+	normalizeRows(t, n, x)
 	for i := 0; i < 3; i++ {
 		if x.At(i, 0) != 0 {
 			t.Fatalf("constant column should normalize to 0, got %v", x.At(i, 0))
@@ -191,15 +170,18 @@ func TestNormalizerConstantColumn(t *testing.T) {
 
 func TestNormalizerApplyRow(t *testing.T) {
 	n := &Normalizer{Mean: []float64{1, 2}, Std: []float64{2, 4}}
-	out, err := n.ApplyRow([]float64{3, 10})
-	if err != nil {
+	out := make([]float64, 2)
+	if err := n.ApplyRowInto(out, []float64{3, 10}); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("ApplyRow = %v, want [1 2]", out)
+		t.Fatalf("ApplyRowInto = %v, want [1 2]", out)
 	}
-	if _, err := n.ApplyRow([]float64{1}); err == nil {
+	if err := n.ApplyRowInto(out[:1], []float64{1}); err == nil {
 		t.Fatal("want error for length mismatch")
+	}
+	if err := n.ApplyRowInto(out[:1], []float64{3, 10}); err == nil {
+		t.Fatal("want error for a short destination")
 	}
 }
 
@@ -274,23 +256,5 @@ func TestRegressionSlopeOnLinearSignal(t *testing.T) {
 	_, _, _, got, _ := windowFeatures(recs, 5, 6, 5)
 	if math.Abs(got-2) > 1e-9 {
 		t.Fatalf("slope = %v, want 2", got)
-	}
-}
-
-func TestMatrixAssembly(t *testing.T) {
-	ds := smallCampaign(t, Glucosym)
-	x, err := ds.MLPMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Rows() != ds.Len() || x.Cols() != MLPFeatureCount {
-		t.Fatalf("MLP matrix %dx%d", x.Rows(), x.Cols())
-	}
-	s, err := ds.SeqMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows() != ds.Len() || s.Cols() != 6*SeqFeatureCount {
-		t.Fatalf("Seq matrix %dx%d", s.Rows(), s.Cols())
 	}
 }

@@ -50,16 +50,6 @@ func NewNormalizer(x *mat.Matrix) *Normalizer {
 	return n
 }
 
-// Apply standardizes x in place.
-func (n *Normalizer) Apply(x *mat.Matrix) {
-	for i := 0; i < x.Rows(); i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = (row[j] - n.Mean[j]) / n.Std[j]
-		}
-	}
-}
-
 // Invert undoes the standardization in place (for plotting raw-unit values,
 // e.g. Fig 4 and Fig 7).
 func (n *Normalizer) Invert(x *mat.Matrix) {
@@ -71,21 +61,9 @@ func (n *Normalizer) Invert(x *mat.Matrix) {
 	}
 }
 
-// ApplyRow standardizes a single feature vector, returning a copy.
-func (n *Normalizer) ApplyRow(row []float64) ([]float64, error) {
-	if len(row) != len(n.Mean) || len(row) != len(n.Std) {
-		return nil, fmt.Errorf("dataset: normalize row of %d values with %d means and %d deviations", len(row), len(n.Mean), len(n.Std))
-	}
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = (v - n.Mean[j]) / n.Std[j]
-	}
-	return out, nil
-}
-
 // ApplyRowInto standardizes a single feature vector into a caller-owned
-// destination — the allocation-free form of ApplyRow for hot per-sample
-// paths (the serving sessions stage batcher rows through it).
+// destination, (v−mean)/std per element. Every monitor input row, batched
+// or served, is standardized through it.
 func (n *Normalizer) ApplyRowInto(dst, row []float64) error {
 	if len(row) != len(n.Mean) || len(row) != len(n.Std) {
 		return fmt.Errorf("dataset: normalize row of %d values with %d means and %d deviations", len(row), len(n.Mean), len(n.Std))

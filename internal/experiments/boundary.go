@@ -70,10 +70,10 @@ func Fig3(a *Assets) (*Fig3Result, error) {
 
 func rasterize(m *monitor.MLMonitor, bgs, iobs []float64) ([][]int, error) {
 	x := mat.New(len(bgs)*len(iobs), dataset.MLPFeatureCount)
+	feats := make([]float64, dataset.MLPFeatureCount)
 	row := 0
 	for _, iob := range iobs {
 		for _, bg := range bgs {
-			feats := make([]float64, dataset.MLPFeatureCount)
 			feats[dataset.MLPFeatMeanBG] = bg
 			feats[dataset.MLPFeatSlopeBG] = 0.5 // mild rise, the paper's unsafe-leaning context
 			feats[dataset.MLPFeatMeanIOB] = iob
@@ -82,11 +82,7 @@ func rasterize(m *monitor.MLMonitor, bgs, iobs []float64) ([][]int, error) {
 			feats[dataset.MLPFeatLastBG] = bg
 			feats[dataset.MLPFeatLastIOB] = iob
 			feats[dataset.MLPFeatAction] = float64(controller.ActionKeep)
-			norm, err := m.Normalizer().ApplyRow(feats)
-			if err != nil {
-				return nil, err
-			}
-			if err := x.SetRow(row, norm); err != nil {
+			if err := m.Normalizer().ApplyRowInto(x.Row(row), feats); err != nil {
 				return nil, err
 			}
 			row++

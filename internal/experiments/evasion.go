@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -28,7 +27,6 @@ type EvasionResult struct {
 // unperturbed episode series plus the LSTM monitor's attack surface. Built
 // once per simulator, read concurrently by the level cells.
 type evasionPrep struct {
-	sa        *SimAssets
 	bgStd     float64
 	lastBGCol int
 	orig      [][]float64
@@ -49,60 +47,61 @@ func episodeSeries(test *dataset.Dataset, get func(i int) float64) [][]float64 {
 }
 
 // Evasion computes CUSUM evasion rates for both perturbation families on
-// both simulators, one (simulator, level) pair per sweep cell. The detector
-// watches the strongest possible signal — the raw perturbation residual in σ
-// units.
+// both simulators, one (simulator, level) pair per sweep cell: the grid's
+// level axis is the Gaussian levels, then the FGSM budgets, on the LSTM
+// monitor alone. The detector watches the strongest possible signal — the
+// raw perturbation residual in σ units.
 func Evasion(a *Assets) (*EvasionResult, error) {
 	// Per-simulator prep: the original series and the LSTM attack surface.
-	preps, err := sweep.Map(Workers(), len(Simulators), func(i int) (*evasionPrep, error) {
+	built, err := sweep.Map(Workers(), len(Simulators), func(i int) (*evasionPrep, error) {
 		sa := a.Sims[Simulators[i]]
 		test := sa.Test
 		p := &evasionPrep{
-			sa:        sa,
 			bgStd:     test.SeqNorm.Std[dataset.SeqFeatBG],
 			lastBGCol: (test.Window-1)*dataset.SeqFeatureCount + dataset.SeqFeatBG,
 		}
 		p.orig = episodeSeries(test, func(i int) float64 { return test.Samples[i].Seq[p.lastBGCol] })
 		var err error
 		p.sf, err = sa.surface("lstm")
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		return p, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	preps := make(map[dataset.Simulator]*evasionPrep, len(Simulators))
+	for i, simu := range Simulators {
+		preps[simu] = built[i]
+	}
 
-	// One cell per (simulator, level), Gaussian levels first, then FGSM.
-	nLevels := len(GaussianLevels) + len(FGSMLevels)
-	g := sweep.NewGrid(len(Simulators), nLevels)
-	base := sweep.Derive(a.Config.Seed, tagEvasion)
-	rates, err := sweep.Map(Workers(), g.Size(), func(i int) (float64, error) {
-		co := g.Coords(i)
-		p := preps[co[0]]
-		test := p.sa.Test
-		if li := co[1]; li < len(GaussianLevels) {
-			sigma := GaussianLevels[li]
-			rng := rand.New(rand.NewSource(sweep.CellSeed(base, i)))
-			noisy, err := dataset.GaussianNoisySamples(rng, test, sigma)
-			if err != nil {
-				return 0, fmt.Errorf("evasion: %v σ=%v: %w", p.sa.Sim, sigma, err)
+	nG := len(GaussianLevels)
+	grid, err := runGrid(a, gridSpec[float64]{
+		monitors: []string{"lstm"},
+		levels:   append(append([]float64(nil), GaussianLevels...), FGSMLevels...),
+		tag:      tagEvasion,
+		eval: func(c *GridCell) (float64, error) {
+			p := preps[c.Sim]
+			test := c.SA.Test
+			var pert [][]float64
+			if c.LevelIndex < nG {
+				rng := rand.New(rand.NewSource(c.Seed))
+				noisy, err := dataset.GaussianNoisySamples(rng, test, c.Level)
+				if err != nil {
+					return 0, cellErr("evasion gaussian", c, err)
+				}
+				pert = episodeSeries(test, func(i int) float64 { return noisy[i].Seq[p.lastBGCol] })
+			} else {
+				// FGSM on the monitor input space, denormalized back to
+				// mg/dL. FGSMStep returns a fresh matrix, so inverting it in
+				// place leaves the shared surface untouched.
+				adv, err := attack.FGSMStep(p.sf.x, p.sf.grad, c.Level)
+				if err != nil {
+					return 0, cellErr("evasion fgsm", c, err)
+				}
+				p.sf.m.Normalizer().Invert(adv)
+				pert = episodeSeries(test, func(i int) float64 { return adv.At(i, p.lastBGCol) })
 			}
-			pert := episodeSeries(test, func(i int) float64 { return noisy[i].Seq[p.lastBGCol] })
 			return attack.EvasionRate(p.orig, pert, p.bgStd)
-		}
-		eps := FGSMLevels[co[1]-len(GaussianLevels)]
-		// FGSM on the monitor input space, denormalized back to mg/dL.
-		// FGSMStep returns a fresh matrix, so inverting it in place leaves
-		// the shared surface untouched.
-		adv, err := attack.FGSMStep(p.sf.x, p.sf.grad, eps)
-		if err != nil {
-			return 0, fmt.Errorf("evasion: %v ε=%v: %w", p.sa.Sim, eps, err)
-		}
-		p.sf.m.Normalizer().Invert(adv)
-		pert := episodeSeries(test, func(i int) float64 { return adv.At(i, p.lastBGCol) })
-		return attack.EvasionRate(p.orig, pert, p.bgStd)
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -114,13 +113,10 @@ func Evasion(a *Assets) (*EvasionResult, error) {
 		Gaussian:       map[string][]float64{},
 		FGSM:           map[string][]float64{},
 	}
-	for si, simu := range Simulators {
-		for li := range GaussianLevels {
-			res.Gaussian[simu.String()] = append(res.Gaussian[simu.String()], rates[g.Index(si, li)])
-		}
-		for li := range FGSMLevels {
-			res.FGSM[simu.String()] = append(res.FGSM[simu.String()], rates[g.Index(si, len(GaussianLevels)+li)])
-		}
+	for _, simu := range Simulators {
+		rates := grid[simu.String()]["lstm"]
+		res.Gaussian[simu.String()] = rates[:nG:nG]
+		res.FGSM[simu.String()] = rates[nG:]
 	}
 	return res, nil
 }

@@ -40,9 +40,11 @@ type GridCell struct {
 	SA      *SimAssets
 	Monitor string
 	// Level is the perturbation magnitude (σ or ε); zero in pair sweeps
-	// (pairLevel), which have no level axis.
-	Level float64
-	Seed  int64
+	// (pairLevel), which have no level axis. LevelIndex is its position on
+	// the level axis.
+	Level      float64
+	LevelIndex int
+	Seed       int64
 }
 
 // gridSpec declares a sim × monitor × level sweep over the shared executor.
@@ -72,11 +74,12 @@ func runGrid[T any](a *Assets, spec gridSpec[T]) (map[string]map[string][]T, err
 		co := g.Coords(i)
 		simu := sims[co[0]]
 		c := &GridCell{
-			Sim:     simu,
-			SA:      a.Sims[simu],
-			Monitor: spec.monitors[co[1]],
-			Level:   spec.levels[co[2]],
-			Seed:    sweep.CellSeed(base, i),
+			Sim:        simu,
+			SA:         a.Sims[simu],
+			Monitor:    spec.monitors[co[1]],
+			Level:      spec.levels[co[2]],
+			LevelIndex: co[2],
+			Seed:       sweep.CellSeed(base, i),
 		}
 		return spec.eval(c)
 	})

@@ -59,16 +59,18 @@ func heatmapFromGrid(title, prefix string, levels []float64, grid map[string]map
 	return res
 }
 
-// Fig9Gaussian computes the robustness-error heatmap against Gaussian noise
-// (left heatmap of Fig. 9).
-func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
+// fig9Heatmap runs one Fig 9 heatmap: every (simulator, ML monitor, level)
+// cell scores the robustness error between the pair's clean classes and
+// the classes perturbed returns for the cell.
+func fig9Heatmap(a *Assets, exp, title, prefix string, levels []float64, tag int64,
+	perturbed func(c *GridCell, sf *attackSurface) ([]int, error)) (*HeatmapResult, error) {
 	if err := buildSurfaces(a); err != nil {
 		return nil, err
 	}
 	grid, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
-		levels:   GaussianLevels,
-		tag:      tagFig9,
+		levels:   levels,
+		tag:      tag,
 		eval: func(c *GridCell) (float64, error) {
 			sf, err := c.SA.surface(c.Monitor)
 			if err != nil {
@@ -78,9 +80,9 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			pert, err := noisyClasses(sf.m, c.SA.Test, c.Level, c.Seed)
+			pert, err := perturbed(c, sf)
 			if err != nil {
-				return 0, cellErr("fig9 gaussian", c, err)
+				return 0, cellErr(exp, c, err)
 			}
 			return metrics.RobustnessError(orig, pert)
 		},
@@ -88,41 +90,25 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return heatmapFromGrid("Robustness Error of ML Monitors Against Gaussian Noise (0 ± std·σ)",
-		"σ", GaussianLevels, grid), nil
+	return heatmapFromGrid(title, prefix, levels, grid), nil
+}
+
+// Fig9Gaussian computes the robustness-error heatmap against Gaussian noise
+// (left heatmap of Fig. 9).
+func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
+	return fig9Heatmap(a, "fig9 gaussian", "Robustness Error of ML Monitors Against Gaussian Noise (0 ± std·σ)",
+		"σ", GaussianLevels, tagFig9, func(c *GridCell, sf *attackSurface) ([]int, error) {
+			return noisyClasses(sf.m, c.SA.Test, c.Level, c.Seed)
+		})
 }
 
 // Fig9FGSM computes the robustness-error heatmap against white-box FGSM
 // (right heatmap of Fig. 9).
 func Fig9FGSM(a *Assets) (*HeatmapResult, error) {
-	if err := buildSurfaces(a); err != nil {
-		return nil, err
-	}
-	grid, err := runGrid(a, gridSpec[float64]{
-		monitors: MLMonitorNames,
-		levels:   FGSMLevels,
-		tag:      tagFig9FGSM,
-		eval: func(c *GridCell) (float64, error) {
-			sf, err := c.SA.surface(c.Monitor)
-			if err != nil {
-				return 0, err
-			}
-			orig, err := sf.cleanClasses()
-			if err != nil {
-				return 0, err
-			}
-			pert, err := sf.fgsmClasses(c.Level)
-			if err != nil {
-				return 0, cellErr("fig9 fgsm", c, err)
-			}
-			return metrics.RobustnessError(orig, pert)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return heatmapFromGrid("Robustness Error of ML Monitors Against White-box FGSM Attacks",
-		"ε", FGSMLevels, grid), nil
+	return fig9Heatmap(a, "fig9 fgsm", "Robustness Error of ML Monitors Against White-box FGSM Attacks",
+		"ε", FGSMLevels, tagFig9FGSM, func(c *GridCell, sf *attackSurface) ([]int, error) {
+			return sf.fgsmClasses(c.Level)
+		})
 }
 
 // blackBoxQueryBudget caps how many monitor queries the black-box attacker

@@ -110,15 +110,6 @@ func (m *Dense[T]) Data() []T { return m.data }
 // Row returns row i as a view into the backing slice.
 func (m *Dense[T]) Row(i int) []T { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// SetRow copies r into row i.
-func (m *Dense[T]) SetRow(i int, r []T) error {
-	if len(r) != m.cols {
-		return fmt.Errorf("%w: SetRow got %d values, want %d", ErrShape, len(r), m.cols)
-	}
-	copy(m.Row(i), r)
-	return nil
-}
-
 // Col returns a copy of column j.
 func (m *Dense[T]) Col(j int) []T {
 	out := make([]T, m.rows)

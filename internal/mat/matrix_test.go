@@ -440,15 +440,6 @@ func TestRowViewAliases(t *testing.T) {
 	if m.At(1, 0) != 9 {
 		t.Fatal("Row must be a live view")
 	}
-	if err := m.SetRow(0, []float64{1, 2}); err != nil {
-		t.Fatalf("SetRow: %v", err)
-	}
-	if m.At(0, 1) != 2 {
-		t.Fatal("SetRow did not copy")
-	}
-	if err := m.SetRow(0, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("SetRow short row: %v", err)
-	}
 }
 
 func TestGlorotUniformBounds(t *testing.T) {

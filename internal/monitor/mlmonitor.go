@@ -78,9 +78,10 @@ func (m *MLMonitor) Normalizer() *dataset.Normalizer { return m.norm }
 func (m *MLMonitor) Window() int { return m.window }
 
 // AssembleRow writes the monitor's normalized input row for a single sample
-// into dst (len = model InputSize) without allocating. It is the per-sample
-// seam the serving sessions use to stage rows for the shared batcher;
-// InputMatrix is its batch twin and produces identical values.
+// into dst (len = model InputSize) without allocating: the sample's
+// aggregated features (MLP) or raw window (LSTM), standardized by the
+// monitor's normalizer. It is the one row assembler: InputMatrix loops it
+// over a batch, and the serving sessions stage their rows through it.
 func (m *MLMonitor) AssembleRow(s dataset.Sample, dst []float64) error {
 	feats := s.MLP
 	if m.arch == ArchLSTM {
@@ -99,29 +100,14 @@ func (m *MLMonitor) AssembleRow(s dataset.Sample, dst []float64) error {
 	return nil
 }
 
-// InputMatrix assembles the monitor's normalized input representation for a
-// batch of samples.
+// InputMatrix assembles the monitor's normalized input matrix for a batch
+// of samples: row i is AssembleRow(samples[i]).
 func (m *MLMonitor) InputMatrix(samples []dataset.Sample) (*mat.Matrix, error) {
-	if len(samples) == 0 {
-		return mat.New(0, m.model.InputSize()), nil
-	}
-	var width int
-	get := func(s dataset.Sample) []float64 { return s.MLP }
-	if m.arch == ArchLSTM {
-		get = func(s dataset.Sample) []float64 { return s.Seq }
-	}
-	width = len(get(samples[0]))
-	if width != m.model.InputSize() {
-		return nil, fmt.Errorf("monitor: %s input width %d, model expects %d", m.Name(), width, m.model.InputSize())
-	}
-	x := mat.New(len(samples), width)
+	x := mat.New(len(samples), m.model.InputSize())
 	for i, s := range samples {
-		if err := x.SetRow(i, get(s)); err != nil {
-			return nil, fmt.Errorf("monitor: sample %d: %w", i, err)
+		if err := m.AssembleRow(s, x.Row(i)); err != nil {
+			return nil, fmt.Errorf("%w (sample %d)", err, i)
 		}
-	}
-	if m.norm != nil {
-		m.norm.Apply(x)
 	}
 	return x, nil
 }

@@ -111,29 +111,22 @@ func Train(train *dataset.Dataset, cfg TrainConfig) (*MLMonitor, error) {
 		loss = nn.SemanticLoss{Weight: cfg.SemanticWeight, UnsafeClass: 1}
 	}
 
-	var (
-		model *nn.Model
-		x     *mat.Matrix
-		norm  *dataset.Normalizer
-		err   error
-	)
+	m := &MLMonitor{
+		arch:     cfg.Arch,
+		custom:   cfg.Semantic,
+		window:   train.Window,
+		seqFeats: dataset.SeqFeatureCount,
+	}
+	var err error
 	switch cfg.Arch {
 	case ArchMLP:
-		x, err = train.MLPMatrix()
-		if err != nil {
-			return nil, err
-		}
-		norm = train.MLPNorm
-		model, err = nn.NewMLPClassifier(rng, dataset.MLPFeatureCount, nn.MLPConfig{
+		m.norm = train.MLPNorm
+		m.model, err = nn.NewMLPClassifier(rng, dataset.MLPFeatureCount, nn.MLPConfig{
 			Hidden1: cfg.Hidden1, Hidden2: cfg.Hidden2, Loss: loss,
 		})
 	case ArchLSTM:
-		x, err = train.SeqMatrix()
-		if err != nil {
-			return nil, err
-		}
-		norm = train.SeqNorm
-		model, err = nn.NewLSTMClassifier(rng, dataset.SeqFeatureCount, nn.LSTMConfig{
+		m.norm = train.SeqNorm
+		m.model, err = nn.NewLSTMClassifier(rng, dataset.SeqFeatureCount, nn.LSTMConfig{
 			Hidden1: cfg.Hidden1, Hidden2: cfg.Hidden2, Steps: train.Window, Loss: loss,
 		})
 	default:
@@ -142,20 +135,14 @@ func Train(train *dataset.Dataset, cfg TrainConfig) (*MLMonitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: build model: %w", err)
 	}
-
-	labels := train.Labels()
-	knowledge := train.Knowledge()
-	if err := fitMinibatch(model, x, labels, knowledge, cfg, rng); err != nil {
+	x, err := m.InputMatrix(train.Samples)
+	if err != nil {
 		return nil, err
 	}
-	return &MLMonitor{
-		arch:     cfg.Arch,
-		custom:   cfg.Semantic,
-		model:    model,
-		norm:     norm,
-		window:   train.Window,
-		seqFeats: dataset.SeqFeatureCount,
-	}, nil
+	if err := fitMinibatch(m.model, x, train.Labels(), train.Knowledge(), cfg, rng); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // fitMinibatch runs minibatch SGD over the training matrix: each epoch

@@ -48,9 +48,6 @@ type inferWorkspace[T mat.Float] struct {
 	slots []any
 	// tile is the header the tiled paths point at each input tile in turn.
 	tile mat.Dense[T]
-	// in1 is the reusable 1×inSize input staging row for Classify1, created
-	// on the workspace's first single-row call.
-	in1 *mat.Dense[T]
 }
 
 // growScratch is one grow-only scratch matrix: it reallocates only when a
@@ -197,7 +194,8 @@ func (im *InferModel[T]) Infer(x, dst *mat.Dense[T]) error {
 // must have x.Rows() entries. The softmax epilogue accumulates in float64
 // with a fixed iteration order, so results do not depend on the worker
 // count or the tiling. This is the one logits→class epilogue behind every
-// batch classification, at either precision.
+// classification, at either precision, from a single served row to a
+// whole test set.
 func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []float64) error {
 	if x.Cols() != im.inSize {
 		return fmt.Errorf("nn: classify: %d input cols, want %d", x.Cols(), im.inSize)
@@ -219,31 +217,6 @@ func (im *InferModel[T]) ClassifyInto(x *mat.Dense[T], classes []int, conf []flo
 	})
 }
 
-// Classify1 scores a single feature row: the argmax class and its softmax
-// probability. It stages the row through a workspace-owned input buffer, so
-// a steady stream of single-row calls performs zero allocations — the
-// batcher-bypass serving baseline and one-shot CLI paths want exactly this.
-// The arithmetic is identical to a 1-row ClassifyInto (and, because every
-// matrix kernel computes each output row independently, to the same row
-// scored inside any fused batch).
-func (im *InferModel[T]) Classify1(row []T) (class int, conf float64, err error) {
-	if len(row) != im.inSize {
-		return 0, 0, fmt.Errorf("nn: classify1: %d input cols, want %d", len(row), im.inSize)
-	}
-	ws := im.pool.Get().(*inferWorkspace[T])
-	defer im.pool.Put(ws)
-	if ws.in1 == nil {
-		ws.in1 = mat.NewDense[T](1, im.inSize)
-	}
-	copy(ws.in1.Data(), row)
-	logits, err := im.run(ws, ws.in1)
-	if err != nil {
-		return 0, 0, err
-	}
-	class, conf = classifyRow(logits.Row(0))
-	return class, conf, nil
-}
-
 // argmax returns the index of the first maximum of row. It is seeded with
 // row[0], so a NaN there wins.
 func argmax[T mat.Float](row []T) int {
@@ -256,10 +229,10 @@ func argmax[T mat.Float](row []T) int {
 	return best
 }
 
-// classifyRow is the softmax epilogue shared by ClassifyInto and Classify1:
-// the argmax of one logit row (the first maximum wins ties) and its softmax
-// probability, 1/Σexp(v−max), accumulated in float64 in index order so the
-// confidence does not depend on how the batch was split.
+// classifyRow is ClassifyInto's softmax epilogue: the argmax of one logit
+// row (the first maximum wins ties) and its softmax probability,
+// 1/Σexp(v−max), accumulated in float64 in index order so the confidence
+// does not depend on how the batch was split.
 func classifyRow[T mat.Float](row []T) (class int, conf float64) {
 	class = argmax(row)
 	mx := float64(row[class])

@@ -1,18 +1,22 @@
 // Package serve turns the offline safety monitors into a streaming
 // monitor-as-a-service: per-patient sessions assemble raw CGM/insulin
-// samples into normalized model inputs, and a shared micro-batching
-// dispatcher fuses rows from concurrent sessions into single batched
-// inference calls on the frozen float32 engine — N concurrent 1-row GEMVs
-// become one N-row GEMM.
+// samples into normalized model inputs (monitor.MLMonitor.AssembleRow), and
+// a shared micro-batching dispatcher fuses rows from concurrent sessions
+// into single batched inference calls on the frozen stack — N concurrent
+// 1-row GEMVs become one N-row GEMM.
 //
 // The dispatcher is work-conserving: it never holds rows while it is idle,
 // so a lone row is classified at once, and batches form only from the rows
 // that arrive while a flush is running.
 //
-// Batching changes latency, never results: every float32 kernel (and the
-// f64 predict path) computes each output row independently, so a row's verdict
-// is bit-identical whether it is classified alone, inside any fused batch,
-// or through the batcher-bypass path.
+// One engine classifies every row: a ClassifyFunc that stages up to
+// MaxBatch rows at a time into a pooled buffer and runs one
+// nn.InferModel.ClassifyInto per chunk. The dispatcher calls it with each
+// flush; under Config.Bypass each request calls it inline instead.
+// Batching changes latency, never results: every frozen kernel, at f32 and
+// f64, computes each output row independently, so a row's verdict is
+// bit-identical whether it is classified alone, inside any fused batch, or
+// inline under Bypass.
 package serve
 
 import (
@@ -24,8 +28,9 @@ import (
 
 // ClassifyFunc scores a block of assembled (already normalized) feature
 // rows: classes[i] and conf[i] receive the argmax class and its softmax
-// probability for rows[i]. The batcher calls it from a single dispatcher
-// goroutine, so implementations may keep private staging buffers.
+// probability for rows[i]. It is called concurrently — by the dispatcher
+// and, under Config.Bypass, by every request goroutine — so
+// implementations must keep per-call staging (a pool, not a shared buffer).
 type ClassifyFunc func(rows [][]float64, classes []int, conf []float64) error
 
 // ErrQueueFull is returned by Batcher.Classify when admission would exceed

@@ -27,62 +27,45 @@ func newClassify(cfg *Config) (ClassifyFunc, error) {
 		if err != nil {
 			return nil, err
 		}
-		return engine(im, cfg), nil
+		return batchClassify(im, cfg.Batcher.MaxBatch), nil
 	}
 	im, err := cfg.Monitor.Model().Stack()
 	if err != nil {
 		return nil, err
 	}
-	return engine(im, cfg), nil
+	return batchClassify(im, cfg.Batcher.MaxBatch), nil
 }
 
-func engine[T mat.Float](im *nn.InferModel[T], cfg *Config) ClassifyFunc {
-	if cfg.Bypass {
-		return directClassify(im)
-	}
-	return batchClassify(im, cfg.Batcher.MaxBatch)
-}
-
-// batchClassify builds the fused ClassifyFunc the dispatcher flushes
-// through: a single GEMM over a persistent staging buffer. Only the
-// dispatcher goroutine calls it, so the staging state needs no locking.
+// batchClassify builds the server's one ClassifyFunc. It stages rows
+// maxBatch at a time into a maxBatch×in buffer and scores each chunk with
+// one ClassifyInto: a dispatcher flush is a single chunk, and a bypass
+// request of any size runs in chunks. Staging buffers come from a pool, so
+// the dispatcher and any number of bypass requests may call it at once, and
+// a steady stream of calls allocates nothing.
 func batchClassify[T mat.Float](im *nn.InferModel[T], maxBatch int) ClassifyFunc {
-	staging := mat.NewDense[T](maxBatch, im.InputSize())
-	return func(rows [][]float64, classes []int, conf []float64) error {
-		x, err := staging.RowsView(0, len(rows))
-		if err != nil {
-			return err
-		}
-		for i, r := range rows {
-			if err := stage(x.Row(i), r); err != nil {
-				return err
-			}
-		}
-		return im.ClassifyInto(x, classes, conf)
+	type staging struct {
+		buf *mat.Dense[T]
+		x   mat.Dense[T] // the header over buf's first rows for one chunk
 	}
-}
-
-// directClassify builds the batcher-bypass classifier: every row is scored
-// on the caller's goroutine with no cross-request fusion — the per-request
-// baseline BenchmarkServe compares against. It is safe for concurrent
-// calls: rows stage through pooled buffers into Classify1's pooled
-// workspaces.
-func directClassify[T mat.Float](im *nn.InferModel[T]) ClassifyFunc {
-	in := im.InputSize()
-	pool := sync.Pool{New: func() any { return make([]T, in) }}
+	pool := sync.Pool{New: func() any {
+		return &staging{buf: mat.NewDense[T](maxBatch, im.InputSize())}
+	}}
 	return func(rows [][]float64, classes []int, conf []float64) error {
-		buf := pool.Get().([]T)
-		defer pool.Put(buf)
-		for i, r := range rows {
-			if err := stage(buf, r); err != nil {
+		st := pool.Get().(*staging)
+		defer pool.Put(st)
+		for lo := 0; lo < len(rows); lo += maxBatch {
+			hi := min(lo+maxBatch, len(rows))
+			if err := st.buf.RowsViewInto(&st.x, 0, hi-lo); err != nil {
 				return err
 			}
-			class, c, err := im.Classify1(buf)
-			if err != nil {
+			for i, r := range rows[lo:hi] {
+				if err := stage(st.x.Row(i), r); err != nil {
+					return err
+				}
+			}
+			if err := im.ClassifyInto(&st.x, classes[lo:hi], conf[lo:hi]); err != nil {
 				return err
 			}
-			classes[i] = class
-			conf[i] = c
 		}
 		return nil
 	}

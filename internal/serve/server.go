@@ -26,9 +26,10 @@ type Config struct {
 	// double-precision escape hatch.
 	Precision monitor.Precision
 	// Bypass disables the micro-batching dispatcher: every request is
-	// classified inline on its own goroutine (the per-request baseline).
+	// classified inline on its own goroutine (the per-request baseline),
+	// MaxBatch rows at a time.
 	Bypass bool
-	// Batcher tunes the dispatcher (ignored under Bypass).
+	// Batcher tunes the dispatcher; under Bypass only MaxBatch is read.
 	Batcher BatcherConfig
 	// MaxSessions caps live sessions (default 1024); creation beyond it is
 	// rejected with 429.
