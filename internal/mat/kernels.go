@@ -15,8 +15,8 @@ package mat
 // The row updates axpy4 and axpy1 and the 4×4 blocks of matMulTBlocks run
 // AVX2 assembly on amd64 CPUs that have it (kernels_amd64.go), and the Go
 // loops below everywhere else. On CPUs with AVX-512 the axpys run eight
-// lanes wide, and a × b runs whole output rows in rowMulAVX512
-// (matMulRowsWide), which does its zero checks itself; elsewhere the zero
+// lanes wide, and a × b and aᵀ × b run whole output rows in rowMulAVX512
+// (matMulRowsWide, tMatMulWide), which does its zero checks itself; elsewhere the zero
 // checks stay here in Go, shared by the Go and AVX2 paths. The assembly
 // vectorizes across output columns only: each lane does one multiply, then
 // one add, per k, in ascending k, exactly like the Go loop, so every arm
@@ -131,7 +131,12 @@ func matMulTRows64(out, a, b *Matrix, lo, hi int) {
 // contributions. out is NOT zeroed: callers accumulate into gradient
 // buffers directly (the trainer's per-block buffers start zeroed, which
 // keeps the sum bitwise identical to materializing the product first).
+// Where tMatMulWide takes the product, whole output rows stay in registers
+// across all k.
 func tMatMulAccum(out, a, b *Matrix) {
+	if tMatMulWide(out, a, b) {
+		return
+	}
 	ac, bc := a.cols, b.cols
 	k := 0
 	for ; k+4 <= a.rows; k += 4 {

@@ -8,9 +8,9 @@ package mat
 // without AVX2 and the reference the tests hold the assembly to.
 var useAVX2 = hasAVX2()
 
-// useAVX512 selects the eight-lane arms: rowMulAVX512 for a × b, the
-// eight-lane axpys and the eight-lane sigmoid and tanh; a × bᵀ stays on
-// dotT4AVX2. It requires everything the four-lane arms do (useAVX2 and,
+// useAVX512 selects the eight-lane arms: rowMulAVX512 for a × b and
+// aᵀ × b, the eight-lane axpys, the eight-lane sigmoid and tanh and the
+// LSTM step kernels of lstm_amd64.s; a × bᵀ stays on dotT4AVX2. It requires everything the four-lane arms do (useAVX2 and,
 // for the activations, hasFMA), AVX-512F (CPUID leaf 7, EBX bit 16: every
 // eight-lane instruction is in the foundation set, and masks move through
 // KMOVW) and the OS saving the opmask and full ZMM state (XCR0 bits 5, 6
@@ -65,7 +65,7 @@ func axpy4AVX512(o, b *float64, n int, a0, a1, a2, a3 float64)
 func axpy1AVX512(o, b *float64, n int, a float64)
 
 //go:noescape
-func rowMulAVX512(o, a, b *float64, k, n int)
+func rowMulAVX512(o, a *float64, lda int, b *float64, k, n int)
 
 // axpy4 applies the rank-4 row update o[j] = (((o[j] + a0·b0[j]) + a1·b1[j])
 // + a2·b2[j]) + a3·b3[j], where b holds the four rows b0..b3 of len(o)
@@ -134,7 +134,26 @@ func matMulRowsWide(out, a, b *Matrix, lo, hi int) bool {
 	}
 	bd := b.data[:k*n]
 	for i := lo; i < hi; i++ {
-		rowMulAVX512(&out.data[i*n : (i+1)*n][0], &a.data[i*k : (i+1)*k][0], &bd[0], k, n)
+		rowMulAVX512(&out.data[i*n : (i+1)*n][0], &a.data[i*k : (i+1)*k][0], 1, &bd[0], k, n)
+	}
+	return true
+}
+
+// tMatMulWide accumulates out += aᵀ × b one whole output row at a time in
+// rowMulAVX512 and reports whether it did; it declines when the eight-lane
+// arm is off. Output row i takes its multipliers down column i of a
+// (stride a.cols), so no transposed copy is made, and sees the same
+// ascending-k, zero-skipping sequence of rounded products and sums as
+// tMatMulAccum's Go and four-lane paths; its accumulators stay in
+// registers across all k instead of being loaded and stored once per four.
+func tMatMulWide(out, a, b *Matrix) bool {
+	k, m, n := a.rows, a.cols, b.cols
+	if !useAVX512 || k == 0 || n == 0 {
+		return false
+	}
+	ad, bd := a.data[:k*m], b.data[:k*n]
+	for i := 0; i < m; i++ {
+		rowMulAVX512(&out.data[i*n : (i+1)*n][0], &ad[i], m, &bd[0], k, n)
 	}
 	return true
 }

@@ -440,30 +440,34 @@ z1done:
 	VMULPD  Z8, t, t;    \
 	VADDPD  acc, t, acc
 
-// ROWSKIP jumps to skip when a[q] (q in R11) is ±0, the multipliers
+// ROWSKIP jumps to skip when a[q·lda] (at R14) is ±0, the multipliers
 // matMulScalarK skips, and otherwise broadcasts it into Z8. NaN and ±Inf
 // multipliers are never skipped.
 #define ROWSKIP(skip) \
-	MOVQ         (SI)(R11*8), AX; \
-	SHLQ         $1, AX;          \
-	JEQ          skip;            \
-	VBROADCASTSD (SI)(R11*8), Z8
+	MOVQ         (R14), AX; \
+	SHLQ         $1, AX;    \
+	JEQ          skip;      \
+	VBROADCASTSD (R14), Z8
 
-// func rowMulAVX512(o, a, b *float64, k, n int)
+// func rowMulAVX512(o, a *float64, lda int, b *float64, k, n int)
 //
-// One output row of a × b: for j in [0, n),
-//   o[j] = o[j] + Σ_{q<k, a[q] ≠ 0} b[q·n + j]·a[q], in ascending q,
+// One output row of a product: for j in [0, n),
+//   o[j] = o[j] + Σ_{q<k, a[q·lda] ≠ 0} b[q·n + j]·a[q·lda], in ascending q,
 // each term one VMULPD b·a, then one VADDPD product + o, exactly as
-// matMulRows64's axpy4 and matMulScalarK compute it. b holds k rows of n.
-// The row is done in chunks of 64, 32, 16 and 8 columns, then a masked
-// tail; each chunk stays in zmm accumulators across all k, so o is loaded
-// and stored once per chunk instead of once per four k.
-TEXT ·rowMulAVX512(SB), NOSPLIT, $0-40
+// matMulRows64's and tMatMulAccum's axpy4 and axpy1 compute it. b holds k
+// rows of n; the multipliers are a row of a × b's a (lda 1) or a column of
+// aᵀ × b's a (lda its row length). The row is done in chunks of 64, 32, 16
+// and 8 columns, then a masked tail; each chunk stays in zmm accumulators
+// across all k, so o is loaded and stored once per chunk instead of once
+// per four k.
+TEXT ·rowMulAVX512(SB), NOSPLIT, $0-48
 	MOVQ o+0(FP), DI
 	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ k+24(FP), R13
-	MOVQ n+32(FP), R12
+	MOVQ lda+16(FP), R15
+	SHLQ $3, R15             // multiplier stride in bytes
+	MOVQ b+24(FP), R8
+	MOVQ k+32(FP), R13
+	MOVQ n+40(FP), R12
 	LEAQ (R12*8), R9         // b row stride in bytes
 
 rm64:
@@ -478,6 +482,7 @@ rm64:
 	VMOVUPD 384(DI), Z6
 	VMOVUPD 448(DI), Z7
 	MOVQ    R8, R10
+	MOVQ    SI, R14
 	XORQ    R11, R11
 
 rm64k:
@@ -495,6 +500,7 @@ rm64k:
 
 rm64next:
 	ADDQ R9, R10
+	ADDQ R15, R14
 	INCQ R11
 	JMP  rm64k
 
@@ -520,6 +526,7 @@ rm32:
 	VMOVUPD 128(DI), Z2
 	VMOVUPD 192(DI), Z3
 	MOVQ    R8, R10
+	MOVQ    SI, R14
 	XORQ    R11, R11
 
 rm32k:
@@ -533,6 +540,7 @@ rm32k:
 
 rm32next:
 	ADDQ R9, R10
+	ADDQ R15, R14
 	INCQ R11
 	JMP  rm32k
 
@@ -551,6 +559,7 @@ rm16:
 	VMOVUPD 0(DI), Z0
 	VMOVUPD 64(DI), Z1
 	MOVQ    R8, R10
+	MOVQ    SI, R14
 	XORQ    R11, R11
 
 rm16k:
@@ -562,6 +571,7 @@ rm16k:
 
 rm16next:
 	ADDQ R9, R10
+	ADDQ R15, R14
 	INCQ R11
 	JMP  rm16k
 
@@ -577,6 +587,7 @@ rm8:
 	JLT     rmtail
 	VMOVUPD (DI), Z0
 	MOVQ    R8, R10
+	MOVQ    SI, R14
 	XORQ    R11, R11
 
 rm8k:
@@ -587,6 +598,7 @@ rm8k:
 
 rm8next:
 	ADDQ R9, R10
+	ADDQ R15, R14
 	INCQ R11
 	JMP  rm8k
 
@@ -603,6 +615,7 @@ rmtail:
 	TAILMASK(R12, DX)
 	VMOVUPD.Z (DI), K1, Z0
 	MOVQ      R8, R10
+	MOVQ      SI, R14
 	XORQ      R11, R11
 
 rmtailk:
@@ -615,6 +628,7 @@ rmtailk:
 
 rmtailnext:
 	ADDQ R9, R10
+	ADDQ R15, R14
 	INCQ R11
 	JMP  rmtailk
 

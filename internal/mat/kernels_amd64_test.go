@@ -191,8 +191,9 @@ var avx512Edges = []float64{
 // four-lane twin and the Go loop or math expression, bit for bit: the
 // activations on edge inputs and at every slice length from 1 to 40 (the
 // 8 → 4 → scalar hand-off), rowMulAVX512 on rows with zero and −0
-// multipliers whose b rows hold NaN and ±Inf (which must stay skipped), and
-// the eight-lane axpys.
+// multipliers whose b rows hold NaN and ±Inf (which must stay skipped), as
+// a · b rows and as the wide aᵀ · b arm, the LSTM step kernels against
+// their Go loops, and the eight-lane axpys.
 func TestAVX512KernelsMatchAVX2(t *testing.T) {
 	if !useAVX512 {
 		t.Skip("CPU or OS without AVX-512F and ZMM state: only the AVX2 and Go arms run")
@@ -320,7 +321,7 @@ func TestAVX512KernelsMatchAVX2(t *testing.T) {
 					// The entry point alone, on a row with spare columns
 					// past n that it must not touch.
 					o := append(append([]float64(nil), base.Row(0)...), 42, 43, 44)
-					rowMulAVX512(&o[0], &a.data[0], &b.data[0], k, n)
+					rowMulAVX512(&o[0], &a.data[0], 1, &b.data[0], k, n)
 					for j := range out[2].Row(0) {
 						if !sameBits(o[j], out[2].At(0, j)) {
 							t.Fatalf("rowMulAVX512 %s: column %d = %v, want %v", what, j, o[j], out[2].At(0, j))
@@ -328,6 +329,133 @@ func TestAVX512KernelsMatchAVX2(t *testing.T) {
 					}
 					if o[n] != 42 || o[n+1] != 43 || o[n+2] != 44 {
 						t.Fatalf("rowMulAVX512 %s wrote past column %d: %v", what, n, o[n:])
+					}
+				}
+			}
+		}
+	})
+
+	// The wide aᵀ × b arm: columns of a hold 0, −0, NaN and ±Inf
+	// multipliers, and b rows under a zero multiplier hold NaN and ±Inf,
+	// which the skip must keep out of every arm.
+	t.Run("tMatMul", func(t *testing.T) {
+		for _, s := range append(kernelShapes, [3]int{65, 24, 48}, [3]int{3, 9, 7}) {
+			k, m, n := s[0], s[1], s[2]
+			a, b := randDense[float64](rng, k, m), randDense[float64](rng, k, n)
+			for q := range a.data {
+				switch u := rng.Float64(); {
+				case u < 0.2:
+					a.data[q] = 0
+				case u < 0.3:
+					a.data[q] = math.Copysign(0, -1)
+				case u < 0.33:
+					a.data[q] = specials[2+rng.Intn(3)]
+				}
+			}
+			for q := 0; q < k; q++ {
+				if a.data[q*m] == 0 {
+					row := b.Row(q)
+					for j := range row {
+						row[j] = specials[2+(j+q)%3]
+					}
+				}
+			}
+			base := randDense[float64](rng, m, n)
+			fillKernelInput(rng, base, 0.3, 0.05)
+			want := naiveTMatMul(a, base, b)
+			for _, arm := range kernelArms {
+				got := base.Clone()
+				arm.wrap(func() {
+					if err := TMatMulAddInto(got, a, b); err != nil {
+						t.Fatal(err)
+					}
+				})
+				assertSameBits(t, fmt.Sprintf("TMatMulAddInto arm=%s %v", arm.name, s), got, want)
+			}
+			// The entry point alone on column 1 of a, with spare output
+			// columns it must not touch.
+			if m < 2 {
+				continue
+			}
+			o := append(append([]float64(nil), base.Row(1)...), 42, 43)
+			rowMulAVX512(&o[0], &a.data[1], m, &b.data[0], k, n)
+			for j := 0; j < n; j++ {
+				if !sameBits(o[j], want.At(1, j)) {
+					t.Fatalf("rowMulAVX512 lda=%d %v: column %d = %v, want %v", m, s, j, o[j], want.At(1, j))
+				}
+			}
+			if o[n] != 42 || o[n+1] != 43 {
+				t.Fatalf("rowMulAVX512 lda=%d %v wrote past column %d", m, s, n)
+			}
+		}
+	})
+
+	// The LSTM step kernels against their Go loops, called directly, on
+	// edge inputs; past the last element they must write nothing.
+	t.Run("lstm", func(t *testing.T) {
+		salt := func(m *Matrix) {
+			for i := range m.data {
+				if rng.Float64() < 0.05 {
+					m.data[i] = avx512Edges[rng.Intn(len(avx512Edges))]
+				}
+			}
+		}
+		spare := func(m *Matrix) []float64 { return append(append([]float64(nil), m.data...), 42) }
+		for _, sh := range lstmShapes {
+			rows, H := sh[0], sh[1]
+			for rep := 0; rep < 4; rep++ {
+				z, zh, b := randDense[float64](rng, rows, 4*H), randDense[float64](rng, rows, 4*H), randDense[float64](rng, 1, 4*H)
+				for _, x := range []*Matrix{z, zh, b} {
+					salt(x)
+				}
+				wide := make([]float64, 4*rows*H+1)
+				wide[4*rows*H] = 42
+				gateSumAVX512(&wide[0], &z.data[0], &zh.data[0], &b.data[0], rows, H)
+				var ref []float64
+				goKernels(func() {
+					ref = make([]float64, 4*rows*H)
+					LSTMGateSum(ref, z.data, zh.data, b.data)
+				})
+				for i, w := range ref {
+					if !sameBits(wide[i], w) {
+						t.Fatalf("gateSumAVX512 rows=%d H=%d: element %d = %v, want %v", rows, H, i, wide[i], w)
+					}
+				}
+				if wide[4*rows*H] != 42 {
+					t.Fatalf("gateSumAVX512 rows=%d H=%d wrote past its gates", rows, H)
+				}
+
+				g, tc, cPrev, dhNext, dcNext, up := lstmStepInputs(rng, rows, H, 0.1, 0)
+				for _, x := range []*Matrix{g, tc, cPrev, dhNext, dcNext, up} {
+					salt(x)
+				}
+				for _, withUp := range []bool{false, true} {
+					var ud []float64
+					if withUp {
+						ud = up.data[1:]
+					}
+					dz0, dc0 := randDense[float64](rng, rows, 4*H), randDense[float64](rng, rows, H)
+					dz, dc := spare(dz0), spare(dc0)
+					var upp *float64
+					if withUp {
+						upp = &ud[0]
+					}
+					stepGradAVX512(&dz[0], &dc[0], &g.data[0], &tc.data[0], &cPrev.data[0], &dhNext.data[0], &dcNext.data[0], upp, H+3, rows, H)
+					wdz, wdc := dz0.Clone(), dc0.Clone()
+					stepGradGo(wdz.data, wdc.data, g.data, tc.data, cPrev.data, dhNext.data, dcNext.data, ud, H+3, rows, H)
+					what := fmt.Sprintf("stepGradAVX512 rows=%d H=%d up=%v", rows, H, withUp)
+					for _, c := range []struct {
+						name      string
+						got, want []float64
+					}{{"dz", dz, wdz.data}, {"dcPrev", dc, wdc.data}} {
+						for i, w := range c.want {
+							if !sameBits(c.got[i], w) {
+								t.Fatalf("%s: %s element %d = %v, want %v", what, c.name, i, c.got[i], w)
+							}
+						}
+						if c.got[len(c.want)] != 42 {
+							t.Fatalf("%s wrote past %s", what, c.name)
+						}
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/sweep"
 )
@@ -218,6 +219,74 @@ func testTiledKernels[T Float](t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameBits(t, what("TMatMulAddInto"), acc, naiveTMatMul(at64, base, b64))
+			sums := base.Clone()
+			sums.rows, sums.data = 1, sums.data[:n]
+			want := sums.Clone()
+			if err := AddSumRows(sums, b64); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < k; r++ {
+				for j, v := range b64.Row(r) {
+					want.data[j] += v
+				}
+			}
+			assertSameBits(t, what("AddSumRows"), sums, want)
+		}
+		testLSTMKernels[T](t, rng, fill.name, fill.zeros, fill.specials)
+	}
+}
+
+// nanPayloads are NaNs whose payloads and signs differ, a signaling one
+// among them: where two meet in an add, the result's payload shows which
+// was the first source.
+var nanPayloads = []float64{
+	math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF8000000000001),
+	math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF0000000000456), math.NaN(),
+}
+
+// TestAddSumRowsMatchesLoop pins AddSumRows on the assembly arms to the
+// plain loop dst[j] += v bit for bit, NaN payloads included: the rows and
+// the accumulator hold NaNs of several payloads (signaling ones too), ±0
+// and ±Inf, so two NaNs meet in many adds. The go arm is held to sameBits
+// only: in axpy4Go gc makes the running sum, not the product, the first
+// source of the second add.
+func TestAddSumRowsMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	odd := append([]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}, nanPayloads...)
+	for _, rows := range []int{1, 3, 4, 5, 8, 9, 32, 33} {
+		for _, cols := range []int{1, 3, 7, 8, 12, 17, 48, 96, 100} {
+			m, acc := randDense[float64](rng, rows, cols), randDense[float64](rng, 1, cols)
+			for _, x := range []*Matrix{m, acc} {
+				for i := range x.data {
+					if rng.Float64() < 0.3 {
+						x.data[i] = odd[rng.Intn(len(odd))]
+					}
+				}
+			}
+			want := acc.Clone()
+			for r := 0; r < rows; r++ {
+				for j, v := range m.Row(r) {
+					want.data[j] += v
+				}
+			}
+			for _, arm := range kernelArms {
+				got := acc.Clone()
+				arm.wrap(func() {
+					if err := AddSumRows(got, m); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if arm.name == "go" {
+					assertSameBits(t, fmt.Sprintf("arm=go %dx%d", rows, cols), got, want)
+					continue
+				}
+				for j, v := range got.data {
+					if math.Float64bits(v) != math.Float64bits(want.data[j]) {
+						t.Fatalf("arm=%s %dx%d: column %d = %#x, want %#x", arm.name, rows, cols, j,
+							math.Float64bits(v), math.Float64bits(want.data[j]))
+					}
+				}
+			}
 		}
 	}
 }
@@ -230,41 +299,187 @@ var kernelArms = []struct {
 	wrap func(func())
 }{{"dispatch", func(f func()) { f() }}, {"avx2", avx2Kernels}, {"go", goKernels}}
 
-// BenchmarkKernels64 times the three float64 training products at the
-// models' block shapes, each as the forward/backward trio of one layer:
-// ab is y = x·W (m×k · k×n), abt is dx = dy·Wᵀ (m×n · (k×n)ᵀ) and atb is
-// dW += xᵀ·dy ((m×k)ᵀ · m×n). The dispatch arm runs what this host
-// selects, the avx2 arm the four-lane assembly alone, and the go arm the
-// Go loops.
+// BenchmarkKernels64 times the float64 training kernels at the models'
+// shapes: the three products at each block shape, as the forward/backward
+// trio of one layer (ab is y = x·W (m×k · k×n), abt is dx = dy·Wᵀ (m×n ·
+// (k×n)ᵀ) and atb is dW += xᵀ·dy ((m×k)ᵀ · m×n)), and the LSTM step's
+// gate sum, backward elementwise step and bias-gradient sum over a 32-row
+// block of H units (sumrows over its 4·H gate gradients). Each shape runs
+// its arms in turn inside one timed loop, kernelBenchChunk calls at a
+// time, and reports each arm's time per call as <arm>-ns/op, so the arms
+// share whatever the machine was doing meanwhile: dispatch runs what this
+// host selects, avx2 the four-lane assembly alone (the LSTM step kernels
+// have no four-lane arm: there it is their Go loop) and go the Go loops.
+// ns/op is the three arms together.
 func BenchmarkKernels64(b *testing.B) {
 	sweep.SetBudget(1)
 	defer sweep.SetBudget(0)
 	rng := rand.New(rand.NewSource(7))
+	type op struct {
+		name string
+		run  func() error
+	}
+	var ops []op
 	for _, s := range modelShapes {
 		m, k, n := s[0], s[1], s[2]
 		x, w, dy := RandNormal(rng, m, k, 1), RandNormal(rng, k, n, 1), RandNormal(rng, m, n, 1)
 		y, dx, dw := New(m, n), New(m, k), New(k, n)
-		ops := []struct {
-			name string
-			run  func() error
-		}{
-			{"ab", func() error { return MatMulInto(y, x, w) }},
-			{"abt", func() error { return MatMulTInto(dx, dy, w) }},
-			{"atb", func() error { return TMatMulAddInto(dw, x, dy) }},
-		}
-		for _, op := range ops {
-			for _, arm := range kernelArms {
-				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, m, k, n, arm.name), func(b *testing.B) {
-					b.ReportAllocs()
+		shape := fmt.Sprintf("%dx%dx%d", m, k, n)
+		ops = append(ops,
+			op{"ab/" + shape, func() error { return MatMulInto(y, x, w) }},
+			op{"abt/" + shape, func() error { return MatMulTInto(dx, dy, w) }},
+			op{"atb/" + shape, func() error { return TMatMulAddInto(dw, x, dy) }})
+	}
+	for _, H := range []int{12, 24, 64, 128} {
+		const rows = 32
+		z, zh, bias := RandNormal(rng, rows, 4*H, 1), RandNormal(rng, rows, 4*H, 1), RandNormal(rng, 1, 4*H, 1)
+		gates := New(4*rows, H)
+		g, tc, cPrev, dhNext, dcNext, up := lstmStepInputs(rng, rows, H, 0, 0)
+		dz, dcPrev, db := New(rows, 4*H), New(rows, H), New(1, 4*H)
+		shape := fmt.Sprintf("%dx%d", rows, H)
+		ops = append(ops,
+			op{"gatesum/" + shape, func() error { LSTMGateSum(gates.data, z.data, zh.data, bias.data); return nil }},
+			op{"stepgrad/" + shape, func() error { return LSTMStepGrad(dz, dcPrev, g, tc, cPrev, dhNext, dcNext, up, 2) }},
+			op{"sumrows/" + shape, func() error { return AddSumRows(db, dz) }})
+	}
+	for _, o := range ops {
+		b.Run(o.name, func(b *testing.B) {
+			b.ReportAllocs()
+			ns := make([]time.Duration, len(kernelArms))
+			for done := 0; done < b.N; done += kernelBenchChunk {
+				calls := min(kernelBenchChunk, b.N-done)
+				for a, arm := range kernelArms {
 					arm.wrap(func() {
-						for i := 0; i < b.N; i++ {
-							if err := op.run(); err != nil {
+						start := time.Now()
+						for i := 0; i < calls; i++ {
+							if err := o.run(); err != nil {
 								b.Fatal(err)
 							}
 						}
+						ns[a] += time.Since(start)
 					})
-				})
+				}
 			}
+			for a, arm := range kernelArms {
+				b.ReportMetric(float64(ns[a].Nanoseconds())/float64(b.N), arm.name+"-ns/op")
+			}
+		})
+	}
+}
+
+// kernelBenchChunk is how many calls BenchmarkKernels64 times on one arm
+// before it turns to the next.
+const kernelBenchChunk = 10
+
+// lstmShapes are the (rows, H) blocks the LSTM step kernel tests cover:
+// the models' widths (12 and 24 at bench scale, 64 and 128 in the paper)
+// at a 32-row training block, widths that leave a masked tail of every
+// length, and row counts at tile and chunk edges.
+var lstmShapes = [][2]int{
+	{32, 12}, {32, 24}, {32, 64}, {32, 128}, {1, 1}, {1, 7}, {3, 8}, {7, 9},
+	{17, 13}, {2, 15}, {5, 17}, {63, 12}, {64, 13}, {65, 24}, {4, 3},
+}
+
+// naiveGateSum returns LSTMGateSum's gates one element at a time.
+func naiveGateSum[T Float](z, zh, b []T, rows int) []T {
+	H4 := len(b)
+	H, n := H4/4, rows*H4/4
+	gates := make([]T, 4*n)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < H4; c++ {
+			gates[(c/H)*n+r*H+c%H] = (z[r*H4+c] + zh[r*H4+c]) + b[c]
+		}
+	}
+	return gates
+}
+
+// naiveStepGrad returns LSTMStepGrad's dz and dcPrev, one element at a
+// time; up is nil or rows × ldu with the upstream gradient at column off.
+func naiveStepGrad(gates, tc, cPrev, dhNext, dcNext, up []float64, ldu, off, rows, H int) (dz, dcPrev []float64) {
+	n := rows * H
+	dz, dcPrev = make([]float64, 4*n), make([]float64, n)
+	for m := 0; m < n; m++ {
+		r, j := m/H, m%H
+		i, f, g, o := gates[m], gates[n+m], gates[2*n+m], gates[3*n+m]
+		dh := dhNext[m]
+		if up != nil {
+			dh = up[r*ldu+off+j] + dhNext[m]
+		}
+		dc := dcNext[m] + dh*o*(1-tc[m]*tc[m])
+		d := dz[r*4*H+j:]
+		d[0] = dc * g * i * (1 - i)
+		d[H] = dc * cPrev[m] * f * (1 - f)
+		d[2*H] = dc * i * (1 - g*g)
+		d[3*H] = dh * tc[m] * o * (1 - o)
+		dcPrev[m] = dc * f
+	}
+	return dz, dcPrev
+}
+
+// lstmStepInputs returns the operands of one LSTMStepGrad call: gates in
+// (0, 1) (g in (−1, 1)), states and gradients N(0, 1), each salted by
+// fillKernelInput, and an upstream gradient rows × (H+3) read at column 2.
+func lstmStepInputs(rng *rand.Rand, rows, H int, zeros, special float64) (gates, tc, cPrev, dhNext, dcNext, up *Matrix) {
+	gates = New(4*rows, H)
+	for i := range gates.data {
+		gates.data[i] = rng.Float64()
+		if i/(rows*H) == 2 {
+			gates.data[i] = 2*gates.data[i] - 1
+		}
+	}
+	tc, cPrev = randDense[float64](rng, rows, H), randDense[float64](rng, rows, H)
+	dhNext, dcNext = randDense[float64](rng, rows, H), randDense[float64](rng, rows, H)
+	up = randDense[float64](rng, rows, H+3)
+	for _, m := range []*Matrix{gates, tc, cPrev, dhNext, dcNext, up} {
+		fillKernelInput(rng, m, zeros, special)
+	}
+	return gates, tc, cPrev, dhNext, dcNext, up
+}
+
+// testLSTMKernels pins LSTMGateSum (both element types) and LSTMStepGrad
+// (float64, with and without an upstream gradient) to their one element
+// at a time references, on whatever arm the caller selected.
+func testLSTMKernels[T Float](t *testing.T, rng *rand.Rand, fill string, zeros, special float64) {
+	_, f64 := any(T(0)).(float64)
+	for _, s := range lstmShapes {
+		rows, H := s[0], s[1]
+		what := func(op string) string { return fmt.Sprintf("%s rows=%d H=%d %s", op, rows, H, fill) }
+		z, zh, b := randDense[T](rng, rows, 4*H), randDense[T](rng, rows, 4*H), randDense[T](rng, 1, 4*H)
+		for _, m := range []*Dense[T]{z, zh, b} {
+			fillKernelInput(rng, m, zeros, special)
+		}
+		gates := randDense[T](rng, 4*rows+1, H) // one spare row that must stay untouched
+		spare := append([]T(nil), gates.data[4*rows*H:]...)
+		LSTMGateSum(gates.data[:4*rows*H], z.data, zh.data, b.data)
+		want := naiveGateSum(z.data, zh.data, b.data, rows)
+		for i, w := range want {
+			if !sameBits(gates.data[i], w) {
+				t.Fatalf("%s: element %d = %v, want %v", what("LSTMGateSum"), i, gates.data[i], w)
+			}
+		}
+		for i, v := range spare {
+			if !sameBits(gates.data[4*rows*H+i], v) {
+				t.Fatalf("%s wrote past its gates", what("LSTMGateSum"))
+			}
+		}
+		if !f64 {
+			continue
+		}
+		g, tc, cPrev, dhNext, dcNext, up := lstmStepInputs(rng, rows, H, zeros, special)
+		for _, withUp := range []bool{false, true} {
+			dz, dcPrev := randDense[float64](rng, rows, 4*H), randDense[float64](rng, rows, H)
+			var u *Matrix
+			var ud []float64
+			if withUp {
+				u, ud = up, up.data
+			}
+			if err := LSTMStepGrad(dz, dcPrev, g, tc, cPrev, dhNext, dcNext, u, 2); err != nil {
+				t.Fatal(err)
+			}
+			wdz, wdc := naiveStepGrad(g.data, tc.data, cPrev.data, dhNext.data, dcNext.data, ud, H+3, 2, rows, H)
+			op := fmt.Sprintf("LSTMStepGrad up=%v", withUp)
+			assertSameBits(t, what(op+" dz"), dz, &Dense[float64]{rows: rows, cols: 4 * H, data: wdz})
+			assertSameBits(t, what(op+" dcPrev"), dcPrev, &Dense[float64]{rows: rows, cols: H, data: wdc})
 		}
 	}
 }

@@ -338,16 +338,22 @@ func (m *Dense[T]) AddRowVector(v *Dense[T]) error {
 
 // AddSumRows accumulates the 1×cols column-sums of m into dst (dst += Σ
 // rows), row by row in row order — the bias-gradient update G += Σ gy,
-// with no intermediate matrix.
+// with no intermediate matrix. It runs the row updates axpy4 and axpy1
+// with unit multipliers, four rows per pass: v·1 is v, a signaling NaN
+// quieted as the add would quiet it, and the assembly's adds keep the row
+// element as their first source, as gc does in the plain loop dst[j] +=
+// v, so every element gets that loop's bits, down to which NaN survives
+// where two meet (on the Go arm, which NaN survives may differ).
 func AddSumRows(dst, m *Matrix) error {
 	if dst.rows != 1 || dst.cols != m.cols {
 		return fmt.Errorf("%w: AddSumRows %dx%d += colsums of %dx%d", ErrShape, dst.rows, dst.cols, m.rows, m.cols)
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.data[j] += v
-		}
+	c, i := m.cols, 0
+	for ; i+4 <= m.rows; i += 4 {
+		axpy4(dst.data, m.data[i*c:(i+4)*c], 1, 1, 1, 1)
+	}
+	for ; i < m.rows; i++ {
+		axpy1(dst.data, m.Row(i), 1)
 	}
 	return nil
 }

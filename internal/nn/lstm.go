@@ -57,11 +57,9 @@ type lstmScratch struct {
 
 // lstmStep is the forward state of one step: its input (batch × inputSize),
 // gate activations (gate-major: the four batch × hidden blocks i|f|g|o of
-// gates, which i, f, g and o view), cell state c_t, hidden state and
-// tanh(c_t) (batch × hidden each).
+// gates), cell state c_t, hidden state and tanh(c_t) (batch × hidden each).
 type lstmStep struct {
 	x, gates, c, h, tc growScratch[float64]
-	i, f, g, o         mat.Matrix
 }
 
 var _ Layer = (*LSTM)(nil)
@@ -136,9 +134,6 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		gates := st.gates.get(4*batch, H)
 		ct, ht, tc := st.c.get(batch, H), st.h.get(batch, H), st.tc.get(batch, H)
 		lstmCell(gates.Data(), z.Data(), zh.Data(), b, cell.Data(), ct.Data(), tc.Data(), ht.Data())
-		for q, v := range [4]*mat.Matrix{&st.i, &st.f, &st.g, &st.o} {
-			_ = gates.RowsViewInto(v, q*batch, (q+1)*batch) // within 4·batch rows
-		}
 		cell, h = ct, ht
 
 		if l.returnSeqs {
@@ -172,7 +167,8 @@ func (l *LSTM) Replicate() Layer {
 // with gate layout [i|f|g|o] in the row-major pre-activation products z
 // (input) and zh (recurrent), rows × 4·H each, and b the 1 × 4·H bias. It
 // writes the pre-activations (z + zh) + b gate-major into gates, as the
-// four rows×H blocks i|f|g|o, and activates them in place: one sigmoid
+// four rows×H blocks i|f|g|o (mat.LSTMGateSum, eight lanes at a time at
+// float64 on AVX-512 CPUs), and activates them in place: one sigmoid
 // over i‖f, one tanh over g and one sigmoid over o, each a single call
 // over every row, long enough for mat's eight-lane kernels to pay. Then,
 // over the rows×H block, c = f⊙cPrev + i⊙g, tc = tanh(c) and h = o⊙tc.
@@ -183,22 +179,12 @@ func (l *LSTM) Replicate() Layer {
 // and every element is computed exactly as a row at a time would compute
 // it.
 func lstmCell[T mat.Float](gates, z, zh, b, cPrev, c, tc, h []T) {
-	H4, n := len(b), len(c)
-	H := H4 / 4
+	n := len(c)
 	gates = gates[:4*n]
-	// The sum's operand order decides which NaN survives when two meet
+	mat.LSTMGateSum(gates, z, zh, b)
+	// The products' operand order decides which NaN survives when two meet
 	// (x86 keeps the first source's payload and sign, and gc makes the
-	// left operand the first source), and so do the products' below.
-	for r := 0; r*H < n; r++ {
-		zr, zhr := z[r*H4:][:H4], zh[r*H4:][:H4]
-		for q := 0; q < 4; q++ {
-			dst := gates[q*n+r*H:][:H]
-			zq, zhq, bq := zr[q*H:][:H], zhr[q*H:][:H], b[q*H:][:H]
-			for j := range dst {
-				dst[j] = (zq[j] + zhq[j]) + bq[j]
-			}
-		}
-	}
+	// left operand the first source).
 	sigmoidSlice(gates[:2*n], gates[:2*n])
 	tanhSlice(gates[2*n:3*n], gates[2*n:3*n])
 	sigmoidSlice(gates[3*n:], gates[3*n:])
@@ -277,11 +263,12 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matri
 		// dh = upstream output grad at step t (if any) + recurrent grad:
 		// the return-sequences layer takes its step-t column block, the
 		// last-step layer all of gradOut at the final step only.
-		upOff := -1
+		var up *mat.Matrix
+		upOff := 0
 		if l.returnSeqs {
-			upOff = t * H
+			up, upOff = gradOut, t*H
 		} else if t == l.steps-1 {
-			upOff = 0
+			up = gradOut
 		}
 
 		// The forward views of step t and of the states it started from.
@@ -291,34 +278,9 @@ func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad, params bool) (*mat.Matri
 			cPrev, hPrev = &ws.steps[t-1].c.view, &ws.steps[t-1].h.view
 		}
 
-		for i := 0; i < batch; i++ {
-			dnr, dcr := dhNext.Row(i), dcNext.Row(i)
-			var upr []float64
-			if upOff >= 0 {
-				upr = gradOut.Row(i)[upOff : upOff+H]
-			}
-			ir, fr, gr, or := st.i.Row(i), st.f.Row(i), st.g.Row(i), st.o.Row(i)
-			tcr, cpr := st.tc.view.Row(i), cPrev.Row(i)
-			dzr := dz.Row(i)
-			dcpr := dcPrev.Row(i)
-			for j := 0; j < H; j++ {
-				dh := dnr[j]
-				if upr != nil {
-					dh = upr[j] + dnr[j]
-				}
-				// Total cell gradient: from h gate and from future cell.
-				dc := dcr[j] + dh*or[j]*(1-tcr[j]*tcr[j])
-				do := dh * tcr[j]
-				di := dc * gr[j]
-				df := dc * cpr[j]
-				dg := dc * ir[j]
-				// Pre-activation gradients.
-				dzr[0*H+j] = di * ir[j] * (1 - ir[j])
-				dzr[1*H+j] = df * fr[j] * (1 - fr[j])
-				dzr[2*H+j] = dg * (1 - gr[j]*gr[j])
-				dzr[3*H+j] = do * or[j] * (1 - or[j])
-				dcpr[j] = dc * fr[j]
-			}
+		// The elementwise step: dz and the cell gradient for step t−1.
+		if err := mat.LSTMStepGrad(dz, dcPrev, &st.gates.view, &st.tc.view, cPrev, dhNext, dcNext, up, upOff); err != nil {
+			return nil, err
 		}
 
 		// Parameter gradients, accumulated straight into the shared buffers.
